@@ -9,7 +9,6 @@ thread count where tiled detection is used.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -34,10 +33,6 @@ from .synth import SynthSpec, generate_coords, generate_structures, oracle_regre
 from .volume import Volume3D, load_volume, save_volume
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -46,7 +41,7 @@ def _summary(cfg: dict, outputs: dict, extra: dict | None = None) -> int:
     """Print the run record: effective config, output hashes, extras."""
     payload = {
         "config": cfg,
-        "outputs": {name: {"path": str(path), "sha256": _sha256(Path(path))}
+        "outputs": {name: {"path": str(path), "sha256": pipeline_mod.sha256_file(path)}
                     for name, path in outputs.items()},
     }
     payload.update(extra or {})
@@ -110,7 +105,7 @@ def cmd_synth(args) -> int:
     )
     manifest = {
         "spec": {k: (list(v) if isinstance(v, tuple) else v) for k, v in spec_kwargs.items()},
-        "files": {name: _sha256(out / name) for name in files},
+        "files": {name: pipeline_mod.sha256_file(out / name) for name in files},
     }
     _write_json(out / "manifest.json", manifest)
     return _summary(manifest["spec"], {"manifest": out / "manifest.json"},

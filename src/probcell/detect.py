@@ -16,6 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .coords import CoordSet
+from .errors import NonFiniteInput
 from .volume import Volume3D
 
 
@@ -35,7 +36,7 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
     """(N, 3) voxel indices and values of 26-neighborhood maxima above threshold."""
     data = dm.data
     if not np.all(np.isfinite(data)):
-        raise ValueError("density map must be finite-valued")
+        raise NonFiniteInput("density map must be finite-valued")
     footprint_max = ndimage.maximum_filter(data, size=3, mode="constant", cval=-np.inf)
     mask = (data >= footprint_max) & (data > threshold) & (data > 0)
     idx = np.argwhere(mask)

@@ -33,6 +33,14 @@ class EmptyWindow(ProbcellError):
     """A clipped feature window contains no voxels."""
 
 
+class NonFiniteInput(ProbcellError, ValueError):
+    """A map holds NaN or infinite values where finite values are required."""
+
+
+class VolumeSizeMismatch(ProbcellError):
+    """A raw volume file's byte size disagrees with its sidecar shape."""
+
+
 class SingleClass(ProbcellError):
     """Classifier training needs at least one example of each class."""
 

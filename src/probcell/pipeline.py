@@ -292,7 +292,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         save_model(model, out_dir / "model.json")
         save_coords(classified, out_dir / "proposals.csv")
         report["artifacts"] = {
-            name: _sha256(out_dir / name) for name in ("model.json", "proposals.csv")
+            name: sha256_file(out_dir / name) for name in ("model.json", "proposals.csv")
         }
         (out_dir / "report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -300,5 +300,6 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     return report
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def sha256_file(path: Path) -> str:
+    """Hex SHA-256 of a file's bytes, as recorded in reports and manifests."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

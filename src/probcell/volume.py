@@ -17,6 +17,7 @@ model outputs back:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 from .coords import CoordSet, concat_coordsets
-from .errors import ConstantVolume, VolumeTooSmall
+from .errors import ConstantVolume, VolumeSizeMismatch, VolumeTooSmall
 
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
@@ -352,5 +353,12 @@ def load_volume(base_path) -> Volume3D:
     json_path = base.with_suffix(".json")
     sidecar = json.loads(json_path.read_text())
     shape = tuple(int(s) for s in sidecar["shape"])
-    data = np.frombuffer(raw_path.read_bytes(), dtype="<f4").reshape(shape)
+    raw = raw_path.read_bytes()
+    expected = math.prod(shape) * 4
+    if len(raw) != expected:
+        raise VolumeSizeMismatch(
+            f"{raw_path} holds {len(raw)} bytes; its sidecar shape {list(shape)} "
+            f"needs {expected} (float32)"
+        )
+    data = np.frombuffer(raw, dtype="<f4").reshape(shape)
     return Volume3D(data.astype(np.float32), tuple(sidecar["voxel_size_um"]))

@@ -194,3 +194,26 @@ def two_pass_sd(stack):
     stack = np.asarray(stack, dtype=np.float64)
     mean = stack.sum(axis=0) / stack.shape[0]
     return np.sqrt(((stack - mean) ** 2).sum(axis=0) / stack.shape[0])
+
+
+def reference_window_stats(values, pcts, thresholds):
+    """Window statistics as first implemented: np.percentile (linear), one
+    comparison pass per threshold, and moments through the generic pow."""
+    out = np.empty(pcts.size + thresholds.size + 4, dtype=np.float64)
+    out[: pcts.size] = np.percentile(values, pcts, method="linear")
+    base = pcts.size
+    for k, t in enumerate(thresholds):
+        out[base + k] = np.mean(values > t)
+    base += thresholds.size
+    mean = values.mean()
+    sd = values.std()
+    out[base] = mean
+    out[base + 1] = sd
+    if sd == 0.0:
+        out[base + 2] = 0.0
+        out[base + 3] = 0.0
+    else:
+        z = (values - mean) / sd
+        out[base + 2] = np.mean(z**3)
+        out[base + 3] = np.mean(z**4)
+    return out

@@ -279,10 +279,13 @@ def test_c09_spatial_null_and_attraction():
     (pooled over 20 trials); planted-adjacent cells rise above the upper
     envelope through the adjacency range in 20/20 trials; alpha = 2/51.
 
-    Cells carry realistic sub-unity confidences (p in [0.5, 0.8]); with
-    certain cells the null check reduces to the alpha = 2/51 significance
-    test itself and a per-point escape rate of alpha is expected by
-    construction (see the decisions ledger).
+    Why the cells carry sub-unity confidences (p in [0.5, 0.8]): under the
+    null the observed CDF and the T = 50 replicate CDFs are exchangeable, so
+    the observed CDF is the lowest or the highest of the T + 1 curves at a
+    grid point with probability 2/(T + 1) = 2/51, about 3.9%. With certain
+    cells that is the expected escape rate from the pointwise min/max
+    envelope, and the >= 95% containment bound would be only just met.
+    Uncertain cells are what give the bound its margin.
     """
     replicates = 50
     inside_fracs = []

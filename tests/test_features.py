@@ -2,8 +2,18 @@ import numpy as np
 import pytest
 
 from probcell import CoordSet, FeatureSpec, extract_features, feature_names
+from probcell.errors import NonFiniteInput
+from probcell.features import _window_stats
 
 from conftest import vol
+from oracles import reference_window_stats
+
+# Skewness and kurtosis are sums of z^2 * z and z^2 * z^2 instead of z**3 and
+# z**4; every other statistic must match the reference bit for bit.
+MOMENT_RTOL = 1e-12
+
+WINDOW_SHAPES = [(1,), (2,), (4, 4, 4), (8, 8, 8), (16, 16, 16), (32, 32, 32),
+                 (3, 5, 7), (1, 1, 6), (7, 2, 5)]
 
 
 def three_maps(rng, shape=(24, 24, 24)):
@@ -113,3 +123,72 @@ class TestValidation:
         maps = [("other", vol(rng.random((10, 10, 10))))]
         with pytest.raises(KeyError):
             extract_features(maps, CoordSet(np.array([[5.0, 5.0, 5.0]])), FeatureSpec())
+
+
+def window_cases(shape, rng):
+    """Float32-sourced windows (as the maps store them) of one shape."""
+    n = int(np.prod(shape))
+    on_thresholds = np.array([0.2, 0.4, 0.6, 0.8, 1.0, 1.125, 1.25, 1.375, 1.5,
+                              3.25, 5.5, 7.75, 10.0])
+    return {
+        "uniform": rng.random(shape) * 2.0,
+        "gamma": rng.gamma(0.5, 3.0, shape),
+        "constant": np.full(shape, 1.25),
+        "on_thresholds": rng.choice(on_thresholds, size=shape),
+        "ties": np.round(rng.normal(1.2, 0.3, shape), 1),
+        "ramp": np.linspace(-1.0, 12.0, n).reshape(shape),
+    }
+
+
+class TestSortOnceKernel:
+    @pytest.mark.parametrize("shape", WINDOW_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_reference(self, shape, rng):
+        spec = FeatureSpec()
+        pcts = spec.percentiles()
+        exact = spec.n_percentiles + spec.n_thresholds + 2  # up to and including SD
+        for case, data in window_cases(shape, rng).items():
+            block = data.astype(np.float32)
+            values = block.astype(np.float64).ravel()
+            for map_name in ("dm", "u_a", "u_e"):
+                thresholds = spec.thresholds_for(map_name)
+                ref = reference_window_stats(values, pcts, thresholds)
+                for window in (block, values):
+                    new = _window_stats(window, pcts, thresholds)
+                    assert np.array_equal(new[:exact], ref[:exact]), (case, map_name)
+                    assert np.all(
+                        np.abs(new[exact:] - ref[exact:]) <= MOMENT_RTOL * (1 + np.abs(ref[exact:]))
+                    ), (case, map_name)
+
+    def test_border_clipped_windows_match_reference(self, rng):
+        data = rng.random((12, 12, 12)).astype(np.float32) * 1.6
+        maps = [("dm", vol(data))]
+        spec = FeatureSpec(window_sides_um=(3.0, 8.0))
+        X = extract_features(maps, CoordSet(np.array([[0.5, 0.5, 0.5]])), spec)
+        pcts, thresholds = spec.percentiles(), spec.thresholds_for("dm")
+        # the 3 um window starts at voxel -1 and the 8 um window at -4
+        for k, block in enumerate((data[:2, :2, :2], data[:4, :4, :4])):
+            ref = reference_window_stats(block.astype(np.float64).ravel(), pcts, thresholds)
+            row = X[0, k * spec.stats_per_block : (k + 1) * spec.stats_per_block]
+            assert np.array_equal(row[:12], ref[:12])
+            assert np.all(np.abs(row[12:] - ref[12:]) <= MOMENT_RTOL * (1 + np.abs(ref[12:])))
+
+
+class TestNonFiniteMaps:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_window_raises(self, rng, bad):
+        maps = three_maps(rng)
+        u_a = maps[1][1].data.copy()
+        u_a[10, 10, 10] = bad
+        maps[1] = ("u_a", vol(u_a))
+        with pytest.raises(NonFiniteInput, match="u_a"):
+            extract_features(maps, CoordSet(np.array([[10.5, 10.5, 10.5]])), FeatureSpec())
+
+    def test_non_finite_is_a_value_error(self):
+        assert issubclass(NonFiniteInput, ValueError)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("bounds", [(-1.0, 99.0), (1.0, 101.0), (60.0, 40.0)])
+    def test_percentile_range_outside_0_100_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            FeatureSpec(percentile_range=bounds)

@@ -204,6 +204,45 @@ class TestCli:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "error" in payload and payload["error"]["type"]
 
+    def test_truncated_volume_exit_1_with_json(self, tmp_path, capsys):
+        from conftest import vol
+
+        save_volume(vol(np.ones((4, 4, 4))), tmp_path / "dm")
+        raw = tmp_path / "dm.raw"
+        raw.write_bytes(raw.read_bytes()[:-8])
+        rc = main(["detect", "--volume", str(tmp_path / "dm"), "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "VolumeSizeMismatch"
+
+    def test_classify_non_finite_map_exit_1_with_json(self, tmp_path, capsys):
+        from probcell import load_volume
+
+        scene = tmp_path / "scene"
+        main(["synth", "--out", str(scene), "--shape", "40", "40", "40",
+              "--n-cells", "8", "--seed", "1"])
+        main(["detect", "--volume", str(scene / "dm"), "--out", str(tmp_path / "p.csv")])
+        rc = main([
+            "train-classifier", "--dm", str(scene / "dm"), "--u-a", str(scene / "aleatoric"),
+            "--proposals", str(tmp_path / "p.csv"), "--gt", str(scene / "gt.csv"),
+            "--out", str(tmp_path / "model.json"),
+        ])
+        assert rc == 0
+        u_a = load_volume(scene / "aleatoric")
+        data = u_a.data.copy()
+        data[tuple(load_coords(tmp_path / "p.csv").coords[0].astype(int))] = np.nan
+        save_volume(u_a.like(data), tmp_path / "u_a_nan")
+        capsys.readouterr()
+        rc = main([
+            "classify", "--model", str(tmp_path / "model.json"), "--dm", str(scene / "dm"),
+            "--u-a", str(tmp_path / "u_a_nan"), "--proposals", str(tmp_path / "p.csv"),
+            "--out", str(tmp_path / "c.csv"),
+        ])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "NonFiniteInput"
+        assert not (tmp_path / "c.csv").exists()
+
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         cfg = {"shape": [40, 40, 40], "n_cells": 6, "n_tubes": 0, "seed": 3}
         cfg_path = tmp_path / "cfg.json"

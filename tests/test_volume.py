@@ -14,7 +14,7 @@ from probcell import (
     resample_isotropic,
     save_volume,
 )
-from probcell.errors import ConstantVolume, VolumeTooSmall
+from probcell.errors import ConstantVolume, VolumeSizeMismatch, VolumeTooSmall
 from probcell.volume import M_CONV, M_PEAK, extract_box, pad_volume
 
 from conftest import vol
@@ -260,6 +260,16 @@ class TestVolumeIO:
         back = load_volume(tmp_path / "vol")
         assert back.voxel_size == v.voxel_size
         assert np.array_equal(back.data, v.data)
+
+    @pytest.mark.parametrize("delta", [-4, -1, 4])
+    def test_raw_size_must_match_sidecar(self, tmp_path, rng, delta):
+        save_volume(Volume3D(rng.random((4, 5, 6)).astype(np.float32), (1.0,) * 3),
+                    tmp_path / "vol")
+        raw = (tmp_path / "vol.raw").read_bytes()
+        cut = raw[:delta] if delta < 0 else raw + bytes(delta)
+        (tmp_path / "vol.raw").write_bytes(cut)
+        with pytest.raises(VolumeSizeMismatch):
+            load_volume(tmp_path / "vol")
 
     def test_pad_and_extract(self):
         v = vol(np.ones((4, 4, 4)))
