@@ -42,6 +42,7 @@ from .spatial import (
     esd_cdf,
     esd_pool,
     ks_2sample,
+    prepare_spatial,
     scott_bandwidth,
     wilcoxon_signed_rank,
 )

@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from .coords import CoordSet
-from .errors import DimensionMismatch, NonFiniteLoss, SingleClass
+from .errors import (
+    DimensionMismatch,
+    InvalidModel,
+    NonFiniteInput,
+    NonFiniteLoss,
+    SingleClass,
+)
 from .features import FeatureSpec, extract_features
 
 FOREST_FORMAT = "probcell-forest"
@@ -55,15 +61,25 @@ class ForestModel:
     seed: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"expected {self.n_features} feature columns, got {X.shape[1] if X.ndim == 2 else X.shape}"
-            )
+        X = _feature_rows(X, self.n_features)
         acc = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees:
             acc += _tree_predict(tree, X)
         return acc / len(self.trees)
+
+
+def _feature_rows(X, n_features: int) -> np.ndarray:
+    """X as a finite float64 (n, n_features) matrix, or the matching error."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DimensionMismatch(
+            f"expected {n_features} feature columns, got {X.shape[1] if X.ndim == 2 else X.shape}"
+        )
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        bad = np.nonzero(~finite)[0]
+        raise NonFiniteInput(f"feature rows {bad[:5].tolist()} hold NaN or infinite values")
+    return X
 
 
 def _gini_best_split(values: np.ndarray, labels: np.ndarray):
@@ -221,12 +237,7 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"expected {self.n_features} feature columns, got {X.shape[1] if X.ndim == 2 else X.shape}"
-            )
-        a = X
+        a = _feature_rows(X, self.n_features)
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             a = np.maximum(a @ W + b, 0.0)
         return (a @ self.weights[-1] + self.biases[-1]).ravel()
@@ -422,26 +433,82 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    payload = json.loads(Path(path).read_text())
-    fmt = payload.get("format")
-    if fmt == FOREST_FORMAT:
-        trees = [
-            Tree(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                n_pos=np.asarray(t["n_pos"], dtype=np.float64),
-                n_total=np.asarray(t["n_total"], dtype=np.float64),
+    """Read a saved model; malformed or inconsistent files raise InvalidModel."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        fmt = payload["format"]
+        if fmt == FOREST_FORMAT:
+            model = ForestModel(
+                n_features=int(payload["n_features"]),
+                trees=[
+                    Tree(
+                        feature=np.asarray(t["feature"], dtype=np.int64),
+                        threshold=np.asarray(t["threshold"], dtype=np.float64),
+                        left=np.asarray(t["left"], dtype=np.int64),
+                        right=np.asarray(t["right"], dtype=np.int64),
+                        n_pos=np.asarray(t["n_pos"], dtype=np.float64),
+                        n_total=np.asarray(t["n_total"], dtype=np.float64),
+                    )
+                    for t in payload["trees"]
+                ],
+                seed=int(payload["seed"]),
             )
-            for t in payload["trees"]
-        ]
-        return ForestModel(n_features=int(payload["n_features"]), trees=trees, seed=int(payload["seed"]))
-    if fmt == MLP_FORMAT:
-        weights = [
-            np.asarray(w, dtype=np.float64).reshape(shape)
-            for w, shape in zip(payload["weights"], payload["layers"])
-        ]
-        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-        return MlpModel(weights=weights, biases=biases, seed=int(payload["seed"]))
-    raise ValueError(f"unknown model format {fmt!r}")
+        elif fmt == MLP_FORMAT:
+            model = MlpModel(
+                weights=[
+                    np.asarray(w, dtype=np.float64).reshape(shape)
+                    for w, shape in zip(payload["weights"], payload["layers"], strict=True)
+                ],
+                biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
+                seed=int(payload["seed"]),
+            )
+        else:
+            model = None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidModel(f"malformed model file: {exc!r}") from exc
+    if isinstance(model, ForestModel):
+        _check_forest(model)
+    elif isinstance(model, MlpModel):
+        _check_mlp(model)
+    else:
+        raise InvalidModel(f"unknown model format {fmt!r}")
+    return model
+
+
+def _check_forest(model: ForestModel) -> None:
+    """Trees that prediction can walk: forward in-range children, known
+    features, finite thresholds and leaf fractions in [0, 1]."""
+    if model.n_features < 1 or not model.trees:
+        raise InvalidModel("a forest needs at least one feature and one tree")
+    for k, t in enumerate(model.trees):
+        n = t.feature.size
+        arrays = (t.feature, t.threshold, t.left, t.right, t.n_pos, t.n_total)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise InvalidModel(f"tree {k}: node arrays must be non-empty and of equal length")
+        if np.any((t.feature < -1) | (t.feature >= model.n_features)):
+            raise InvalidModel(f"tree {k}: feature index outside [-1, {model.n_features})")
+        inner = t.feature >= 0
+        node = np.arange(n)
+        for child in (t.left, t.right):
+            if np.any(inner & ((child <= node) | (child >= n))):
+                raise InvalidModel(f"tree {k}: children must point forward and stay in range")
+        if not np.isfinite(t.threshold[inner]).all():
+            raise InvalidModel(f"tree {k}: thresholds must be finite")
+        pos, total = t.n_pos[~inner], t.n_total[~inner]
+        if not np.all((total > 0) & np.isfinite(total) & (pos >= 0) & (pos <= total)):
+            raise InvalidModel(f"tree {k}: leaves need 0 <= n_pos <= n_total and n_total > 0")
+
+
+def _check_mlp(model: MlpModel) -> None:
+    """Layers that chain into one logit, with finite weights and biases."""
+    if not model.weights or len(model.biases) != len(model.weights):
+        raise InvalidModel("an MLP needs one bias vector per weight matrix")
+    for k, (W, b) in enumerate(zip(model.weights, model.biases)):
+        if k + 1 < len(model.weights) and W.shape[1] != model.weights[k + 1].shape[0]:
+            raise InvalidModel(f"layer {k} output width does not match layer {k + 1} input")
+        if b.shape != (W.shape[1],):
+            raise InvalidModel(f"layer {k} bias length does not match its width")
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise InvalidModel(f"layer {k} holds non-finite weights")
+    if model.weights[-1].shape[1] != 1:
+        raise InvalidModel("the last layer must have one output")

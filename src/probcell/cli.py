@@ -28,7 +28,7 @@ from .detect import NmsConfig, detect_peaks
 from .errors import ProbcellError
 from .evalmetrics import aggregate_reports, score_detection
 from .features import FeatureSpec, extract_features, feature_names
-from .spatial import analyze_deterministic, analyze_probabilistic
+from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
 from .volume import Volume3D, load_volume, save_volume
 
@@ -226,19 +226,20 @@ def cmd_spatial(args) -> int:
     }
     cfg = _merged(args, defaults)
     cells = load_coords(cfg["cells"])
-    structures = {"structure": load_volume(cfg["structure"])}
-    tissue = load_volume(cfg["tissue"])
+    prelude = prepare_spatial(
+        {"structure": load_volume(cfg["structure"])}, load_volume(cfg["tissue"])
+    )
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {}
     if cfg["mode"] in ("deterministic", "both"):
         report["deterministic"] = analyze_deterministic(
-            cells, structures, tissue,
+            cells, prelude,
             adjacency_um=float(cfg["adjacency_um"]), cdf_mode=cfg["cdf_mode"],
         ).to_dict()
     if cfg["mode"] in ("probabilistic", "both"):
         prob = analyze_probabilistic(
-            cells, structures, tissue,
+            cells, prelude,
             replicates=int(cfg["replicates"]), seed=int(cfg["seed"]),
             adjacency_um=float(cfg["adjacency_um"]), cdf_mode=cfg["cdf_mode"],
         )

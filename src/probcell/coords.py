@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NonFiniteInput, ProbabilityOutOfRange
+
 
 @dataclass(eq=False)
 class CoordSet:
@@ -26,10 +28,14 @@ class CoordSet:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 3)
+        if not np.isfinite(self.coords).all():
+            raise NonFiniteInput("coordinates must be finite")
         if self.p is not None:
             self.p = np.asarray(self.p, dtype=np.float64).reshape(-1)
             if self.p.shape[0] != self.coords.shape[0]:
                 raise ValueError("p length must match coordinate count")
+            if not ((self.p >= 0.0) & (self.p <= 1.0)).all():
+                raise ProbabilityOutOfRange("p must lie in [0, 1]")
         if self.dm_value is not None:
             self.dm_value = np.asarray(self.dm_value, dtype=np.float64).reshape(-1)
             if self.dm_value.shape[0] != self.coords.shape[0]:

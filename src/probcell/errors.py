@@ -34,7 +34,15 @@ class EmptyWindow(ProbcellError):
 
 
 class NonFiniteInput(ProbcellError, ValueError):
-    """A map holds NaN or infinite values where finite values are required."""
+    """A map, feature row or coordinate holds NaN or infinite values."""
+
+
+class ProbabilityOutOfRange(ProbcellError, ValueError):
+    """A probability is NaN or lies outside [0, 1]."""
+
+
+class InvalidModel(ProbcellError, ValueError):
+    """A model file is malformed or its trees or layers are inconsistent."""
 
 
 class VolumeSizeMismatch(ProbcellError):

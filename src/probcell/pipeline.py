@@ -26,7 +26,7 @@ from .coords import CoordSet, save_coords
 from .detect import NmsConfig, detect_peaks
 from .evalmetrics import hungarian_match, score_calibration, score_detection
 from .features import FeatureSpec, extract_features
-from .spatial import analyze_deterministic, analyze_probabilistic
+from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
 from .volume import (
     M_PEAK,
@@ -245,18 +245,16 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
 
     structure, tissue = generate_structures(test_spec)
     spatial_cfg = cfg["spatial"]
-    structures = {"structure": structure}
+    prelude = prepare_spatial({"structure": structure}, tissue)
     det_spatial = analyze_deterministic(
         classified,
-        structures,
-        tissue,
+        prelude,
         adjacency_um=float(spatial_cfg["adjacency_um"]),
         cdf_mode=spatial_cfg["cdf_mode"],
     )
     prob_spatial = analyze_probabilistic(
         classified,
-        structures,
-        tissue,
+        prelude,
         replicates=int(spatial_cfg["replicates"]),
         seed=seed + 3000,
         adjacency_um=float(spatial_cfg["adjacency_um"]),

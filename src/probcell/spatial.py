@@ -15,6 +15,10 @@ mean +- SD and pointwise min/max CDF envelopes (significance 2 / (T + 1)).
 Envelope CDFs are smoothed with a Gaussian kernel density estimate using
 Scott's bandwidth (SD * n^(-1/5)), evaluated in closed form on a shared
 distance grid; ``cdf_mode="empirical"`` switches to raw step CDFs.
+
+Both analyses read one prelude built by ``prepare_spatial``: the tissue
+volume and, per structure, its EDT and ESD pool, so a run computes each
+structure's EDT once.
 """
 from __future__ import annotations
 
@@ -45,13 +49,20 @@ def _require_mask(v: Volume3D, name: str) -> np.ndarray:
     return data > 0
 
 
+def _require_tissue(tissue: Volume3D) -> np.ndarray:
+    ts = _require_mask(tissue, "tissue")
+    if not ts.any():
+        raise ValueError("tissue mask is empty")
+    return ts
+
+
 def distance_transform(structure: Volume3D) -> Volume3D:
     """Exact Euclidean distance (um) of every voxel to the nearest foreground voxel."""
     fg = _require_mask(structure, "structure")
     if not fg.any():
         raise EmptyStructure("structure mask has no foreground voxels")
     edt = ndimage.distance_transform_edt(~fg, sampling=structure.voxel_size)
-    return Volume3D(edt.astype(np.float64), structure.voxel_size)
+    return Volume3D(np.asarray(edt, dtype=np.float64), structure.voxel_size)
 
 
 @dataclass
@@ -89,23 +100,22 @@ def scott_bandwidth(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) * x.size ** (-1.0 / 5.0))
 
 
-def esd_pool(structure: Volume3D, tissue: Volume3D) -> np.ndarray:
-    """EDT values over tissue background voxels (tissue minus structure)."""
-    if structure.shape != tissue.shape:
+def esd_pool(edt: Volume3D, tissue: Volume3D) -> np.ndarray:
+    """EDT values over tissue background voxels (tissue minus structure).
+
+    Structure voxels are exactly those at EDT 0, so the background is the
+    tissue where the EDT is positive.
+    """
+    if edt.shape != tissue.shape:
         raise ShapeMismatch("structure and tissue masks must share the grid")
-    fg = _require_mask(structure, "structure")
-    ts = _require_mask(tissue, "tissue")
-    if not ts.any():
-        raise ValueError("tissue mask is empty")
-    edt = distance_transform(structure)
-    background = ts & ~fg
+    background = _require_tissue(tissue) & (edt.data > 0)
     if not background.any():
         raise DegenerateESD("no background voxels remain inside the tissue")
     return edt.data[background]
 
 
-def esd_cdf(structure: Volume3D, tissue: Volume3D) -> DistanceCdf:
-    return DistanceCdf(esd_pool(structure, tissue))
+def esd_cdf(edt: Volume3D, tissue: Volume3D) -> DistanceCdf:
+    return DistanceCdf(esd_pool(edt, tissue))
 
 
 def cell_distances(
@@ -198,65 +208,72 @@ class SpatialReport:
         return out
 
 
-def _tissue_volume_mm3(tissue: Volume3D) -> float:
-    ts = _require_mask(tissue, "tissue")
-    return float(ts.sum()) * tissue.voxel_volume_um3 / 1e9
+@dataclass(frozen=True)
+class PreparedStructure:
+    """A structure's EDT and the ESD pool read from it."""
+
+    edt: Volume3D
+    pool: np.ndarray
 
 
-def _shared_grid(pools: dict[str, np.ndarray], dists: dict[str, np.ndarray], n_grid: int):
-    grids = {}
-    for name, pool in pools.items():
-        top = float(pool.max()) if pool.size else 1.0
-        if name in dists and dists[name].size:
-            top = max(top, float(dists[name].max()))
-        grids[name] = np.linspace(0.0, top, n_grid)
-    return grids
+@dataclass(frozen=True)
+class SpatialPrelude:
+    """What both analyses share: the tissue volume and each structure's EDT."""
+
+    tissue_mm3: float
+    structures: dict[str, PreparedStructure]
+
+
+def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> SpatialPrelude:
+    """Compute each structure's EDT and ESD pool once for both analyses."""
+    tissue_mm3 = float(_require_tissue(tissue).sum()) * tissue.voxel_volume_um3 / 1e9
+    prepared = {}
+    for name, structure in structures.items():
+        edt = distance_transform(structure)
+        prepared[name] = PreparedStructure(edt, esd_pool(edt, tissue))
+    return SpatialPrelude(tissue_mm3, prepared)
+
+
+def _distance_grid(pool: np.ndarray, dists: np.ndarray, n_grid: int) -> np.ndarray:
+    """Grid from 0 to the largest ESD or cell distance."""
+    top = float(pool.max())
+    if dists.size:
+        top = max(top, float(dists.max()))
+    return np.linspace(0.0, top, n_grid)
 
 
 def analyze_deterministic(
     cells: CoordSet,
-    structures: dict[str, Volume3D],
-    tissue: Volume3D,
+    prelude: SpatialPrelude,
     adjacency_um: float = ADJACENCY_UM,
     n_grid: int = CDF_GRID_POINTS,
     cdf_mode: str = "kde",
     interpolation: str = "linear",
 ) -> SpatialReport:
     """Single-pass analysis of all proposals with p >= 0.5 at full weight."""
-    flags = []
-    if cells.p is not None:
-        kept = cells.select(cells.p >= 0.5)
-    else:
-        kept = cells
-    tissue_mm3 = _tissue_volume_mm3(tissue)
-    density = len(kept) / tissue_mm3
-    if len(kept) == 0:
-        flags.append("EmptyCells")
+    kept = cells if cells.p is None else cells.select(cells.p >= 0.5)
+    flags = [] if len(kept) else ["EmptyCells"]
     out = {}
-    for name, structure in structures.items():
-        edt = distance_transform(structure)
-        pool = esd_pool(structure, tissue)
+    for name, prep in prelude.structures.items():
         dists = (
-            cell_distances(kept, edt, interpolation) if len(kept) else np.empty(0)
+            cell_distances(kept, prep.edt, interpolation) if len(kept) else np.empty(0)
         )
-        grid = _shared_grid({name: pool}, {name: dists}, n_grid)[name]
-        esd_curve = DistanceCdf(pool).evaluate(grid, mode="empirical")
-        cell_curve = (
-            DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None
-        )
+        grid = _distance_grid(prep.pool, dists, n_grid)
         out[name] = StructureAnalysis(
             name=name,
             pct_cells_adjacent=(
                 100.0 * float(np.mean(dists < adjacency_um)) if dists.size else float("nan")
             ),
-            pct_volume_adjacent=100.0 * float(np.mean(pool < adjacency_um)),
+            pct_volume_adjacent=100.0 * float(np.mean(prep.pool < adjacency_um)),
             distance_grid=grid,
-            cell_cdf=cell_curve,
-            esd_cdf=esd_curve,
+            cell_cdf=(
+                DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None
+            ),
+            esd_cdf=DistanceCdf(prep.pool).evaluate(grid, mode="empirical"),
         )
     return SpatialReport(
         mode="deterministic",
-        density_cells_per_mm3=density,
+        density_cells_per_mm3=len(kept) / prelude.tissue_mm3,
         n_cells=len(kept),
         structures=out,
         flags=flags,
@@ -265,8 +282,7 @@ def analyze_deterministic(
 
 def analyze_probabilistic(
     cells: CoordSet,
-    structures: dict[str, Volume3D],
-    tissue: Volume3D,
+    prelude: SpatialPrelude,
     replicates: int = 50,
     seed: int = 0,
     adjacency_um: float = ADJACENCY_UM,
@@ -285,17 +301,13 @@ def analyze_probabilistic(
     if len(cells) == 0:
         raise EmptyCells("probabilistic analysis needs at least one proposal")
     p = cells.p if cells.p is not None else np.ones(len(cells))
-    tissue_mm3 = _tissue_volume_mm3(tissue)
+    structures = prelude.structures
     flags = []
 
-    edts = {}
-    pools = {}
-    all_dists = {}
-    for name, structure in structures.items():
-        edts[name] = distance_transform(structure)
-        pools[name] = esd_pool(structure, tissue)
-        all_dists[name] = cell_distances(cells, edts[name], interpolation)
-    grids = _shared_grid(pools, all_dists, n_grid)
+    all_dists, grids = {}, {}
+    for name, prep in structures.items():
+        all_dists[name] = cell_distances(cells, prep.edt, interpolation)
+        grids[name] = _distance_grid(prep.pool, all_dists[name], n_grid)
 
     counts = np.empty(replicates)
     pct_cells = {name: np.full(replicates, np.nan) for name in structures}
@@ -306,7 +318,7 @@ def analyze_probabilistic(
         rng = np.random.default_rng(seed + t)
         include = rng.random(len(cells)) < p
         counts[t] = include.sum()
-        for name in structures:
+        for name, prep in structures.items():
             dists = all_dists[name][include]
             if dists.size:
                 pct_cells[name][t] = 100.0 * float(np.mean(dists < adjacency_um))
@@ -315,19 +327,18 @@ def analyze_probabilistic(
                 )
             else:
                 flags.append(f"EmptyReplicate:{name}:{t}")
-            pool = pools[name]
             w = int(rng.poisson(counts[t]))
             if w == 0:
                 flags.append(f"EmptyESDReplicate:{name}:{t}")
                 continue
-            sample = pool[rng.integers(0, pool.size, size=w)]
+            sample = prep.pool[rng.integers(0, prep.pool.size, size=w)]
             pct_vol[name][t] = 100.0 * float(np.mean(sample < adjacency_um))
             esd_curves[name].append(
                 DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
             )
 
     out = {}
-    for name in structures:
+    for name, prep in structures.items():
         det_dists = all_dists[name][p >= 0.5]
         cell_stack = np.stack(cell_curves[name]) if cell_curves[name] else None
         esd_stack = np.stack(esd_curves[name]) if esd_curves[name] else None
@@ -343,7 +354,7 @@ def analyze_probabilistic(
                 if det_dists.size
                 else None
             ),
-            esd_cdf=DistanceCdf(pools[name]).evaluate(grids[name], mode="empirical"),
+            esd_cdf=DistanceCdf(prep.pool).evaluate(grids[name], mode="empirical"),
             cell_envelope=(
                 (cell_stack.min(axis=0), cell_stack.max(axis=0))
                 if cell_stack is not None
@@ -357,8 +368,8 @@ def analyze_probabilistic(
         )
     return SpatialReport(
         mode="probabilistic",
-        density_cells_per_mm3=float(np.mean(counts / tissue_mm3)),
-        density_sd=float(np.std(counts / tissue_mm3)),
+        density_cells_per_mm3=float(np.mean(counts / prelude.tissue_mm3)),
+        density_sd=float(np.std(counts / prelude.tissue_mm3)),
         n_cells=float(np.mean(counts)),
         structures=out,
         replicates=replicates,

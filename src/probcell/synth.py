@@ -23,7 +23,7 @@ proposals at any scale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -39,7 +39,6 @@ __all__ = [
     "generate_coords",
     "oracle_regress",
     "generate_structures",
-    "replace",
 ]
 
 

@@ -217,3 +217,188 @@ def reference_window_stats(values, pcts, thresholds):
         out[base + 2] = np.mean(z**3)
         out[base + 3] = np.mean(z**4)
     return out
+
+
+# ---------------------------------------------------------------------------
+# spatial analyses as first implemented: each analysis recomputes every
+# structure's EDT, and the ESD pool computes it once more. The shared
+# primitives (EDT, CDF evaluation, cell distances, report types) are the
+# package's own; only the per-call prelude is frozen here.
+# ---------------------------------------------------------------------------
+
+def _reference_esd_pool(structure, tissue):
+    from probcell.errors import DegenerateESD, ShapeMismatch
+    from probcell.spatial import _require_mask, distance_transform
+
+    if structure.shape != tissue.shape:
+        raise ShapeMismatch("structure and tissue masks must share the grid")
+    fg = _require_mask(structure, "structure")
+    ts = _require_mask(tissue, "tissue")
+    if not ts.any():
+        raise ValueError("tissue mask is empty")
+    edt = distance_transform(structure)
+    background = ts & ~fg
+    if not background.any():
+        raise DegenerateESD("no background voxels remain inside the tissue")
+    return edt.data[background]
+
+
+def _reference_tissue_volume_mm3(tissue):
+    from probcell.spatial import _require_mask
+
+    ts = _require_mask(tissue, "tissue")
+    return float(ts.sum()) * tissue.voxel_volume_um3 / 1e9
+
+
+def _reference_shared_grid(pools, dists, n_grid):
+    grids = {}
+    for name, pool in pools.items():
+        top = float(pool.max()) if pool.size else 1.0
+        if name in dists and dists[name].size:
+            top = max(top, float(dists[name].max()))
+        grids[name] = np.linspace(0.0, top, n_grid)
+    return grids
+
+
+def reference_analyze_deterministic(
+    cells, structures, tissue, adjacency_um=4.0, n_grid=512, cdf_mode="kde",
+    interpolation="linear",
+):
+    from probcell.spatial import (
+        DistanceCdf, SpatialReport, StructureAnalysis, cell_distances, distance_transform,
+    )
+
+    flags = []
+    if cells.p is not None:
+        kept = cells.select(cells.p >= 0.5)
+    else:
+        kept = cells
+    tissue_mm3 = _reference_tissue_volume_mm3(tissue)
+    density = len(kept) / tissue_mm3
+    if len(kept) == 0:
+        flags.append("EmptyCells")
+    out = {}
+    for name, structure in structures.items():
+        edt = distance_transform(structure)
+        pool = _reference_esd_pool(structure, tissue)
+        dists = (
+            cell_distances(kept, edt, interpolation) if len(kept) else np.empty(0)
+        )
+        grid = _reference_shared_grid({name: pool}, {name: dists}, n_grid)[name]
+        esd_curve = DistanceCdf(pool).evaluate(grid, mode="empirical")
+        cell_curve = (
+            DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None
+        )
+        out[name] = StructureAnalysis(
+            name=name,
+            pct_cells_adjacent=(
+                100.0 * float(np.mean(dists < adjacency_um)) if dists.size else float("nan")
+            ),
+            pct_volume_adjacent=100.0 * float(np.mean(pool < adjacency_um)),
+            distance_grid=grid,
+            cell_cdf=cell_curve,
+            esd_cdf=esd_curve,
+        )
+    return SpatialReport(
+        mode="deterministic",
+        density_cells_per_mm3=density,
+        n_cells=len(kept),
+        structures=out,
+        flags=flags,
+    )
+
+
+def reference_analyze_probabilistic(
+    cells, structures, tissue, replicates=50, seed=0, adjacency_um=4.0, n_grid=512,
+    cdf_mode="kde", interpolation="linear",
+):
+    from probcell.errors import EmptyCells
+    from probcell.spatial import (
+        DistanceCdf, SpatialReport, StructureAnalysis, cell_distances, distance_transform,
+    )
+
+    if replicates < 2:
+        raise ValueError("need at least two replicates")
+    if len(cells) == 0:
+        raise EmptyCells("probabilistic analysis needs at least one proposal")
+    p = cells.p if cells.p is not None else np.ones(len(cells))
+    tissue_mm3 = _reference_tissue_volume_mm3(tissue)
+    flags = []
+
+    edts = {}
+    pools = {}
+    all_dists = {}
+    for name, structure in structures.items():
+        edts[name] = distance_transform(structure)
+        pools[name] = _reference_esd_pool(structure, tissue)
+        all_dists[name] = cell_distances(cells, edts[name], interpolation)
+    grids = _reference_shared_grid(pools, all_dists, n_grid)
+
+    counts = np.empty(replicates)
+    pct_cells = {name: np.full(replicates, np.nan) for name in structures}
+    pct_vol = {name: np.full(replicates, np.nan) for name in structures}
+    cell_curves = {name: [] for name in structures}
+    esd_curves = {name: [] for name in structures}
+    for t in range(replicates):
+        rng = np.random.default_rng(seed + t)
+        include = rng.random(len(cells)) < p
+        counts[t] = include.sum()
+        for name in structures:
+            dists = all_dists[name][include]
+            if dists.size:
+                pct_cells[name][t] = 100.0 * float(np.mean(dists < adjacency_um))
+                cell_curves[name].append(
+                    DistanceCdf(dists).evaluate(grids[name], mode=cdf_mode)
+                )
+            else:
+                flags.append(f"EmptyReplicate:{name}:{t}")
+            pool = pools[name]
+            w = int(rng.poisson(counts[t]))
+            if w == 0:
+                flags.append(f"EmptyESDReplicate:{name}:{t}")
+                continue
+            sample = pool[rng.integers(0, pool.size, size=w)]
+            pct_vol[name][t] = 100.0 * float(np.mean(sample < adjacency_um))
+            esd_curves[name].append(
+                DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
+            )
+
+    out = {}
+    for name in structures:
+        det_dists = all_dists[name][p >= 0.5]
+        cell_stack = np.stack(cell_curves[name]) if cell_curves[name] else None
+        esd_stack = np.stack(esd_curves[name]) if esd_curves[name] else None
+        out[name] = StructureAnalysis(
+            name=name,
+            pct_cells_adjacent=float(np.nanmean(pct_cells[name])),
+            pct_cells_adjacent_sd=float(np.nanstd(pct_cells[name])),
+            pct_volume_adjacent=float(np.nanmean(pct_vol[name])),
+            pct_volume_adjacent_sd=float(np.nanstd(pct_vol[name])),
+            distance_grid=grids[name],
+            cell_cdf=(
+                DistanceCdf(det_dists).evaluate(grids[name], mode=cdf_mode)
+                if det_dists.size
+                else None
+            ),
+            esd_cdf=DistanceCdf(pools[name]).evaluate(grids[name], mode="empirical"),
+            cell_envelope=(
+                (cell_stack.min(axis=0), cell_stack.max(axis=0))
+                if cell_stack is not None
+                else None
+            ),
+            esd_envelope=(
+                (esd_stack.min(axis=0), esd_stack.max(axis=0))
+                if esd_stack is not None
+                else None
+            ),
+        )
+    return SpatialReport(
+        mode="probabilistic",
+        density_cells_per_mm3=float(np.mean(counts / tissue_mm3)),
+        density_sd=float(np.std(counts / tissue_mm3)),
+        n_cells=float(np.mean(counts)),
+        structures=out,
+        replicates=replicates,
+        alpha=2.0 / (replicates + 1),
+        flags=flags,
+    )

@@ -27,6 +27,7 @@ from probcell import (
     hungarian_match,
     ks_2sample,
     l2_loss,
+    prepare_spatial,
     render_dm,
     score_calibration,
     score_detection,
@@ -299,8 +300,9 @@ def test_c09_spatial_null_and_attraction():
         # null: cells uniform over the tissue background
         take = bg[rng.integers(0, len(bg), size=250)]
         cells = CoordSet((take + 0.5).astype(float), p=rng.uniform(0.5, 0.8, 250))
+        prelude = prepare_spatial({"s": structure}, tissue)
         report = analyze_probabilistic(
-            cells, {"s": structure}, tissue, replicates=replicates, seed=3000 + trial
+            cells, prelude, replicates=replicates, seed=3000 + trial
         )
         sa = report.structures["s"]
         assert report.alpha == pytest.approx(2.0 / (replicates + 1))
@@ -313,7 +315,7 @@ def test_c09_spatial_null_and_attraction():
         take = near[rng.integers(0, len(near), size=250)]
         planted = CoordSet((take + 0.5).astype(float), p=rng.uniform(0.5, 0.8, 250))
         report = analyze_probabilistic(
-            planted, {"s": structure}, tissue, replicates=replicates, seed=5000 + trial
+            planted, prelude, replicates=replicates, seed=5000 + trial
         )
         sa = report.structures["s"]
         grid = sa.distance_grid
@@ -341,10 +343,9 @@ def test_c10_probabilistic_adjacency_below_deterministic():
         coords = np.vstack([near, far]).astype(float) + 0.5
         p = np.concatenate([rng.uniform(0.5, 0.7, 40), rng.uniform(0.9, 0.99, 40)])
         cells = CoordSet(coords, p=p)
-        det = analyze_deterministic(cells, {"s": structure}, tissue)
-        prob = analyze_probabilistic(
-            cells, {"s": structure}, tissue, replicates=50, seed=2000 + seed
-        )
+        prelude = prepare_spatial({"s": structure}, tissue)
+        det = analyze_deterministic(cells, prelude)
+        prob = analyze_probabilistic(cells, prelude, replicates=50, seed=2000 + seed)
         if prob.structures["s"].pct_cells_adjacent < det.structures["s"].pct_cells_adjacent:
             wins += 1
     assert wins == 10, f"direction held in {wins}/10 seeds"

@@ -8,12 +8,22 @@ from probcell import (
     FeatureSpec,
     classify_proposals,
     load_model,
+    predict_proba,
+    save_coords,
     save_model,
+    save_volume,
     train_forest,
     train_mlp,
 )
 from probcell.classifier import init_mlp, mlp_loss_and_grads
-from probcell.errors import DimensionMismatch, NonFiniteLoss, SingleClass
+from probcell.cli import main
+from probcell.errors import (
+    DimensionMismatch,
+    InvalidModel,
+    NonFiniteInput,
+    NonFiniteLoss,
+    SingleClass,
+)
 
 from conftest import vol
 from oracles import central_difference_gradient, exhaustive_best_split
@@ -201,6 +211,90 @@ class TestSerialization:
         back = load_model(tmp_path / "mlp.json")
         test = rng.random((12, 3))
         assert np.array_equal(model.predict_proba(test), back.predict_proba(test))
+
+
+def _stump(**changes):
+    """A one-split forest on feature 0 of 2, with some node arrays replaced."""
+    tree = {
+        "feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+        "left": [1, -1, -1], "right": [2, -1, -1],
+        "n_pos": [0.0, 0.0, 1.0], "n_total": [2.0, 1.0, 1.0],
+    }
+    tree.update(changes)
+    return {"format": "probcell-forest", "version": 1, "n_features": 2, "seed": 0,
+            "trees": [tree]}
+
+
+MALFORMED_FORESTS = {
+    "two_node_cycle": _stump(feature=[0, 0, -1], left=[1, 0, -1], right=[1, 0, -1]),
+    "child_out_of_range": _stump(right=[5, -1, -1]),
+    "bad_feature_index": _stump(feature=[2, -1, -1]),
+    "zero_leaf_count": _stump(n_total=[2.0, 0.0, 1.0], n_pos=[0.0, 0.0, 1.0]),
+    "unequal_lengths": _stump(threshold=[0.5, 0.0]),
+    "leaf_fraction_above_one": _stump(n_pos=[0.0, 0.0, 2.0]),
+}
+
+
+class TestModelValidation:
+    def test_valid_stump_loads_and_predicts(self, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps(_stump()))
+        model = load_model(tmp_path / "m.json")
+        assert np.array_equal(model.predict_proba(np.array([[0.0, 9.0], [1.0, 9.0]])), [0.0, 1.0])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FORESTS))
+    def test_malformed_forest_rejected_on_load(self, case, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps(MALFORMED_FORESTS[case]))
+        with pytest.raises(InvalidModel):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("case", ["two_node_cycle", "child_out_of_range",
+                                      "bad_feature_index", "zero_leaf_count"])
+    def test_classify_cli_exit_1_with_json(self, case, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(json.dumps(MALFORMED_FORESTS[case]))
+        save_volume(vol(np.ones((8, 8, 8))), tmp_path / "dm")
+        save_coords(CoordSet(np.array([[4.5, 4.5, 4.5]])), tmp_path / "p.csv")
+        rc = main([
+            "classify", "--model", str(tmp_path / "m.json"), "--dm", str(tmp_path / "dm"),
+            "--proposals", str(tmp_path / "p.csv"), "--out", str(tmp_path / "c.csv"),
+        ])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "InvalidModel"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_mlp_layers_must_chain(self, rng, tmp_path):
+        model = train_mlp(rng.random((30, 3)), np.arange(30) % 2, seed=0, epochs=1, hidden=(4,))
+        save_model(model, tmp_path / "mlp.json")
+        payload = json.loads((tmp_path / "mlp.json").read_text())
+        payload["layers"][1] = [2, 2]
+        payload["weights"][1] = payload["weights"][1][:4]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(InvalidModel):
+            load_model(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"format": "other"}',
+                                      '{"format": "probcell-forest"}'])
+    def test_unreadable_payload_rejected(self, text, tmp_path):
+        (tmp_path / "m.json").write_text(text)
+        with pytest.raises(InvalidModel):
+            load_model(tmp_path / "m.json")
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_forest_rejects_non_finite_row(self, rng, bad):
+        X, y = separable_1d(rng)
+        model = train_forest(X, y, seed=0, n_trees=4)
+        rows = np.array([[0.5], [bad], [-0.5]])
+        with pytest.raises(NonFiniteInput):
+            predict_proba(model, rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mlp_rejects_non_finite_row(self, rng, bad):
+        X, y = separable_1d(rng)
+        model = train_mlp(X, y, seed=0, epochs=1)
+        with pytest.raises(NonFiniteInput):
+            predict_proba(model, np.array([[bad]]))
 
 
 class TestClassifyProposals:

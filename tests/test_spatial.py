@@ -11,14 +11,25 @@ from probcell import (
     esd_cdf,
     esd_pool,
     ks_2sample,
+    prepare_spatial,
+    save_coords,
+    save_volume,
     scott_bandwidth,
     wilcoxon_signed_rank,
 )
+from probcell.cli import main
 from probcell.errors import AllZeroDifferences, DegenerateESD, EmptyCells, EmptyStructure
+from probcell.pipeline import run_pipeline
 from probcell.spatial import DistanceCdf
 
 from conftest import vol
-from oracles import brute_force_edt, ks_statistic_sweep, wilcoxon_enumeration
+from oracles import (
+    brute_force_edt,
+    ks_statistic_sweep,
+    reference_analyze_deterministic,
+    reference_analyze_probabilistic,
+    wilcoxon_enumeration,
+)
 
 
 def mask(data, voxel_size=(1.0, 1.0, 1.0)):
@@ -58,14 +69,14 @@ class TestEsd:
     def test_structure_equals_tissue_degenerate(self):
         m = np.ones((3, 3, 3))
         with pytest.raises(DegenerateESD):
-            esd_cdf(mask(m), mask(m))
+            esd_cdf(distance_transform(mask(m)), mask(m))
 
     def test_slab_gives_linear_cdf(self):
         shape = (4, 4, 32)
         m = np.zeros(shape)
         m[:, :, 0] = 1.0
         tissue = np.ones(shape)
-        cdf = esd_cdf(mask(m), mask(tissue))
+        cdf = esd_cdf(distance_transform(mask(m)), mask(tissue))
         # distances over background are x = 1..31 um, uniform
         grid = np.arange(1, 32, dtype=float)
         values = cdf.evaluate(grid, mode="empirical")
@@ -76,7 +87,7 @@ class TestEsd:
         m = np.zeros(shape)
         m[4, 4, 4] = 1.0
         tissue = np.ones(shape)
-        pool = esd_pool(mask(m), mask(tissue))
+        pool = esd_pool(distance_transform(mask(m)), mask(tissue))
         assert pool.size == 8**3 - 1
         target = 3.0
         direct = (brute_force_edt(m > 0, (1, 1, 1)) < target) & (m == 0)
@@ -126,8 +137,8 @@ class TestCellDistances:
         m = np.zeros(shape)
         m[10:14, 10:14, :] = 1.0
         tissue = np.ones(shape)
-        pool = esd_pool(mask(m), mask(tissue))
         edt = distance_transform(mask(m))
+        pool = esd_pool(edt, mask(tissue))
         bg = np.argwhere((m == 0))
         take = bg[rng.integers(0, len(bg), size=400)]
         cells = CoordSet((take + 0.5).astype(float))
@@ -157,7 +168,7 @@ class TestDeterministicAnalysis:
             np.asarray([[50.0 + 8 * k, 50.0, 50.0] for k in range(-5, 5)]),
             p=np.ones(10),
         )
-        report = analyze_deterministic(cells, {"s": mask(structure)}, tissue)
+        report = analyze_deterministic(cells, prepare_spatial({"s": mask(structure)}, tissue))
         assert report.density_cells_per_mm3 == pytest.approx(1e4)
 
     def test_no_cells_near_structure_zero_adjacency(self):
@@ -165,12 +176,14 @@ class TestDeterministicAnalysis:
         structure = np.zeros(shape)
         structure[:, 0, 0] = 1
         cells = CoordSet(np.array([[12.5, 20.5, 20.5]]), p=np.array([1.0]))
-        report = analyze_deterministic(cells, {"s": mask(structure)}, mask(np.ones(shape)))
+        report = analyze_deterministic(
+            cells, prepare_spatial({"s": mask(structure)}, mask(np.ones(shape)))
+        )
         assert report.structures["s"].pct_cells_adjacent == 0.0
 
     def test_all_below_half_flags_empty(self, rng):
         structure, tissue, cells = _scene(rng, p=np.full(30, 0.49))
-        report = analyze_deterministic(cells, {"s": structure}, tissue)
+        report = analyze_deterministic(cells, prepare_spatial({"s": structure}, tissue))
         assert report.density_cells_per_mm3 == 0.0
         assert "EmptyCells" in report.flags
 
@@ -178,14 +191,18 @@ class TestDeterministicAnalysis:
 class TestProbabilisticAnalysis:
     def test_alpha_and_replicates(self, rng):
         structure, tissue, cells = _scene(rng, p=np.full(30, 0.8))
-        report = analyze_probabilistic(cells, {"s": structure}, tissue, replicates=50, seed=1)
+        report = analyze_probabilistic(
+            cells, prepare_spatial({"s": structure}, tissue), replicates=50, seed=1
+        )
         assert report.replicates == 50
         assert report.alpha == pytest.approx(2.0 / 51.0)
         assert report.alpha == pytest.approx(0.04, abs=0.001)
 
     def test_certain_cells_collapse_envelopes(self, rng):
         structure, tissue, cells = _scene(rng, p=np.ones(30))
-        report = analyze_probabilistic(cells, {"s": structure}, tissue, replicates=10, seed=3)
+        report = analyze_probabilistic(
+            cells, prepare_spatial({"s": structure}, tissue), replicates=10, seed=3
+        )
         sa = report.structures["s"]
         lower, upper = sa.cell_envelope
         assert np.array_equal(lower, upper)
@@ -196,12 +213,16 @@ class TestProbabilisticAnalysis:
     def test_half_probability_counts_binomial(self, rng):
         n = 60
         structure, tissue, cells = _scene(rng, n_cells=n, p=np.full(n, 0.5))
-        report = analyze_probabilistic(cells, {"s": structure}, tissue, replicates=50, seed=7)
+        report = analyze_probabilistic(
+            cells, prepare_spatial({"s": structure}, tissue), replicates=50, seed=7
+        )
         assert abs(report.n_cells - n / 2) <= 3.0 * np.sqrt(n / 4.0)
 
     def test_envelopes_contain_replicate_curves(self, rng):
         structure, tissue, cells = _scene(rng, p=rng.uniform(0.3, 1.0, 30))
-        report = analyze_probabilistic(cells, {"s": structure}, tissue, replicates=20, seed=5)
+        report = analyze_probabilistic(
+            cells, prepare_spatial({"s": structure}, tissue), replicates=20, seed=5
+        )
         sa = report.structures["s"]
         assert np.all(sa.cell_envelope[0] <= sa.cell_envelope[1])
         assert np.all(sa.esd_envelope[0] <= sa.esd_envelope[1])
@@ -227,12 +248,106 @@ class TestProbabilisticAnalysis:
             coords = np.vstack([near, far])
             p = np.concatenate([g.uniform(0.5, 0.7, 40), g.uniform(0.9, 0.99, 40)])
             cells = CoordSet(coords, p=p)
-            det = analyze_deterministic(cells, {"s": structure}, tissue)
-            prob = analyze_probabilistic(cells, {"s": structure}, tissue, replicates=50, seed=seed)
+            prelude = prepare_spatial({"s": structure}, tissue)
+            det = analyze_deterministic(cells, prelude)
+            prob = analyze_probabilistic(cells, prelude, replicates=50, seed=seed)
             assert (
                 prob.structures["s"].pct_cells_adjacent
                 < det.structures["s"].pct_cells_adjacent
             )
+
+
+def _oracle_case(case):
+    """Cells, structures, tissue and keyword arguments for one oracle case."""
+    rng = np.random.default_rng(40)
+    voxel = (2.0, 1.0, 0.5) if case == "anisotropic" else (1.0, 1.0, 1.0)
+    shape = (20, 18, 26)
+    tube = np.zeros(shape)
+    tube[:, 7:10, 11:14] = 1.0
+    slab = np.zeros(shape)
+    slab[4:6, :, 19:21] = 1.0
+    tissue = np.zeros(shape)
+    tissue[1:-1, 2:, :] = 1.0
+    structures = {"tube": mask(tube, voxel)}
+    if case == "two_structures":
+        structures["slab"] = mask(slab, voxel)
+    n = 3 if case == "empty_replicates" else 40
+    extent = np.asarray(shape) * np.asarray(voxel)
+    coords = rng.random((n, 3)) * extent * 0.98
+    if case == "empty_kept":
+        p = rng.uniform(0.05, 0.49, n)
+    elif case == "empty_replicates":
+        p = np.full(n, 0.25)
+    else:
+        p = rng.uniform(0.2, 1.0, n)
+    kwargs = {
+        "empirical": {"cdf_mode": "empirical"},
+        "nearest": {"interpolation": "nearest"},
+    }.get(case, {})
+    return CoordSet(coords, p=p), structures, mask(tissue, voxel), kwargs
+
+
+class TestPreparedPrelude:
+    CASES = [
+        "two_structures", "anisotropic", "empty_kept", "empirical", "nearest",
+        "empty_replicates",
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_per_call_reference(self, case):
+        cells, structures, tissue, kwargs = _oracle_case(case)
+        prelude = prepare_spatial(structures, tissue)
+        assert analyze_deterministic(cells, prelude, **kwargs).to_dict() == (
+            reference_analyze_deterministic(cells, structures, tissue, **kwargs).to_dict()
+        )
+        prob = analyze_probabilistic(cells, prelude, replicates=12, seed=9, **kwargs)
+        ref = reference_analyze_probabilistic(
+            cells, structures, tissue, replicates=12, seed=9, **kwargs
+        )
+        assert prob.to_dict() == ref.to_dict()
+        if case == "empty_kept":
+            assert "EmptyCells" in analyze_deterministic(cells, prelude).flags
+        if case == "empty_replicates":
+            assert any(f.startswith("EmptyReplicate:") for f in ref.flags)
+
+    def test_one_edt_per_structure(self, monkeypatch, tmp_path):
+        import probcell.spatial as spatial
+
+        calls = []
+        real = spatial.distance_transform
+
+        def counting(structure):
+            calls.append(structure.shape)
+            return real(structure)
+
+        monkeypatch.setattr(spatial, "distance_transform", counting)
+        cells, structures, tissue, _ = _oracle_case("two_structures")
+        prepare_spatial(structures, tissue)
+        assert len(calls) == 2
+
+        calls.clear()
+        run_pipeline({
+            "seed": 2,
+            "test_scene": {"shape": [40, 40, 40], "n_cells": 8, "n_distractors": 3, "n_tubes": 1},
+            "train_scenes": 1,
+            "train_scene": {"shape": [40, 40, 40], "n_cells": 8, "n_distractors": 3},
+            "classifier": {"type": "forest", "n_trees": 8},
+            "spatial": {"replicates": 4, "adjacency_um": 4.0, "cdf_mode": "kde"},
+            "threshold_grid": 4,
+        })
+        assert len(calls) == 1
+
+        calls.clear()
+        save_coords(cells, tmp_path / "cells.csv")
+        save_volume(structures["tube"], tmp_path / "structure")
+        save_volume(tissue, tmp_path / "tissue")
+        rc = main([
+            "spatial", "--mode", "both", "--cells", str(tmp_path / "cells.csv"),
+            "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
+            "--replicates", "4", "--out-dir", str(tmp_path / "sp"),
+        ])
+        assert rc == 0
+        assert len(calls) == 1
 
 
 class TestKdeCdf:

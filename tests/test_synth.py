@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from probcell import (
 )
 from probcell.errors import EmptyStructure, PackingInfeasible
 from probcell.spatial import distance_transform
-from probcell.synth import replace
 
 
 class TestGenerateCoords:
