@@ -442,10 +442,10 @@ def load_model(path):
                 n_features=int(payload["n_features"]),
                 trees=[
                     Tree(
-                        feature=np.asarray(t["feature"], dtype=np.int64),
+                        feature=_node_indices(t["feature"]),
                         threshold=np.asarray(t["threshold"], dtype=np.float64),
-                        left=np.asarray(t["left"], dtype=np.int64),
-                        right=np.asarray(t["right"], dtype=np.int64),
+                        left=_node_indices(t["left"]),
+                        right=_node_indices(t["right"]),
                         n_pos=np.asarray(t["n_pos"], dtype=np.float64),
                         n_total=np.asarray(t["n_total"], dtype=np.float64),
                     )
@@ -473,6 +473,16 @@ def load_model(path):
     else:
         raise InvalidModel(f"unknown model format {fmt!r}")
     return model
+
+
+def _node_indices(values) -> np.ndarray:
+    """A JSON list of feature or child indices. A fixed int64 dtype would turn
+    1.5 into 1, and numpy promotes true to 1 in a list of integers, so
+    anything but plain integers is malformed."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "i" or any(isinstance(v, bool) for v in values):
+        raise TypeError("feature and child indices must be integers")
+    return arr
 
 
 def _check_forest(model: ForestModel) -> None:

@@ -3,8 +3,7 @@
 Every subcommand takes ``--config FILE`` (a flat JSON object of the same
 keys as the flags) with precedence CLI > file > built-in defaults. Domain
 errors exit with status 1 and a machine-readable JSON payload on stderr;
-usage errors exit with status 2. PROBCELL_THREADS sets the patch-level
-thread count where tiled detection is used.
+usage errors exit with status 2.
 """
 from __future__ import annotations
 
@@ -386,11 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProbcellError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ProbcellError, OSError, ValueError, KeyError, TypeError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1

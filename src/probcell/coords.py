@@ -106,9 +106,9 @@ def load_coords(path) -> CoordSet:
     for required in ("z_um", "y_um", "x_um"):
         if required not in idx:
             raise ValueError(f"coordinate CSV missing column {required!r}")
-    if not rows:
-        return CoordSet.empty()
     data = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
+    # (0, columns) for a header-only file; rows of another width fail here
+    data = data.reshape(len(rows), len(header))
     coords = data[:, [idx["z_um"], idx["y_um"], idx["x_um"]]]
     p = data[:, idx["p"]] if "p" in idx else None
     dm = data[:, idx["dm_value"]] if "dm_value" in idx else None

@@ -5,8 +5,10 @@ above both the threshold and zero (zero plateaus are never peaks, which
 keeps threshold-0 proposal mode finite). Candidates are processed in
 descending value order (ties broken lexicographically by voxel index) and
 accepted unless a previously accepted peak lies closer than the minimum
-distance. This is equivalent to classic iterative NMS but runs in
-O(V + C log C) via a spatial hash with bucket size equal to the radius.
+distance. This is equivalent to classic iterative NMS: a KD-tree lists
+every candidate pair closer than the distance, and one greedy pass over the
+pairs, in priority order, suppresses the later candidate of each pair whose
+earlier candidate was kept.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .coords import CoordSet
 from .errors import NonFiniteInput
@@ -57,31 +60,18 @@ def detect_peaks(dm: Volume3D, cfg: NmsConfig = NmsConfig()) -> CoordSet:
     values = values[order]
     vs = np.asarray(dm.voxel_size, dtype=np.float64)
     coords = (idx.astype(np.float64) + 0.5) * vs
-    radius = cfg.min_distance_um
-    r2 = radius * radius
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    accepted: list[int] = []
-    keys = np.floor(coords / radius).astype(np.int64)
-    for i in range(coords.shape[0]):
-        kz, ky, kx = keys[i]
-        ok = True
-        c = coords[i]
-        for bz in (kz - 1, kz, kz + 1):
-            for by in (ky - 1, ky, ky + 1):
-                for bx in (kx - 1, kx, kx + 1):
-                    for j in buckets.get((bz, by, bx), ()):
-                        d = coords[j] - c
-                        if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < r2:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            buckets.setdefault((kz, ky, kx), []).append(i)
-            accepted.append(i)
-    sel = np.asarray(accepted, dtype=int)
-    return CoordSet(coords[sel], dm_value=values[sel].astype(np.float64))
+    r = cfg.min_distance_um
+    # query a hair wider than r, so that rounding inside the tree loses no
+    # pair that the strict squared test below counts as closer than r
+    pairs = cKDTree(coords).query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    d = coords[pairs[:, 1]] - coords[pairs[:, 0]]
+    close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] < r * r
+    pairs = pairs[close]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    # candidates are in priority order, so i < j means i wins; every pair
+    # (k, i) with k < i is settled before keep[i] is read
+    keep = np.ones(coords.shape[0], dtype=bool)
+    for i, j in pairs.tolist():
+        if keep[i]:
+            keep[j] = False
+    return CoordSet(coords[keep], dm_value=values[keep].astype(np.float64))

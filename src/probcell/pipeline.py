@@ -15,8 +15,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +28,6 @@ from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spati
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
 from .volume import (
     M_PEAK,
-    PatchGrid,
     TilingConfig,
     Volume3D,
     extract_box,
@@ -98,38 +95,18 @@ def _tiling_config(cfg: dict) -> TilingConfig:
     )
 
 
-def tiled_detect(
-    dm: Volume3D,
-    tiling: TilingConfig,
-    nms: NmsConfig,
-    grid: PatchGrid | None = None,
-    n_threads: int | None = None,
-) -> CoordSet:
-    """Patch-wise NMS over a full-volume map, reconstructed to the original frame.
-
-    Patches are independent; with n_threads > 1 (default from the
-    PROBCELL_THREADS environment variable) they run on a thread pool and the
-    merge stays ordered by patch index, so results do not depend on timing.
-    """
-    if grid is None:
-        grid = plan_tiling(dm.shape, tiling)
+def tiled_detect(dm: Volume3D, tiling: TilingConfig, nms: NmsConfig) -> CoordSet:
+    """Patch-wise NMS over a full-volume map, reconstructed to the original frame."""
+    grid = plan_tiling(dm.shape, tiling)
     padded = pad_volume(dm, grid)
     vs = np.asarray(dm.voxel_size, dtype=np.float64)
     margin_um = np.asarray(tiling.peak_margin, dtype=np.float64) * vs
-
-    def run_patch(patch):
-        local = detect_peaks(extract_box(padded, patch.cnn_box), nms)
-        # detect works in the predicted-box frame; reconstruction expects the
-        # output-window (core) frame, peak_margin further in
-        return local.shifted(-margin_um)
-
-    if n_threads is None:
-        n_threads = int(os.environ.get("PROBCELL_THREADS", "1") or "1")
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_patch = list(pool.map(run_patch, grid.patches))
-    else:
-        per_patch = [run_patch(p) for p in grid.patches]
+    # detect works in the predicted-box frame; reconstruction expects the
+    # output-window (core) frame, peak_margin further in
+    per_patch = [
+        detect_peaks(extract_box(padded, patch.cnn_box), nms).shifted(-margin_um)
+        for patch in grid.patches
+    ]
     return reconstruct_coordinates(per_patch, grid, tiling, dm.voxel_size)
 
 

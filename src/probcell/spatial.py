@@ -176,6 +176,14 @@ class StructureAnalysis:
         return out
 
 
+def _replicate_mean_sd(pct: np.ndarray) -> tuple[float, float]:
+    """Mean and SD over the replicates that were not empty (NaN entries);
+    NaN, reported as null, when every replicate was empty."""
+    if np.isnan(pct).all():
+        return float("nan"), float("nan")
+    return float(np.nanmean(pct)), float(np.nanstd(pct))
+
+
 def _opt(x):
     x = float(x)
     return None if np.isnan(x) else x
@@ -342,12 +350,14 @@ def analyze_probabilistic(
         det_dists = all_dists[name][p >= 0.5]
         cell_stack = np.stack(cell_curves[name]) if cell_curves[name] else None
         esd_stack = np.stack(esd_curves[name]) if esd_curves[name] else None
+        cells_mean, cells_sd = _replicate_mean_sd(pct_cells[name])
+        vol_mean, vol_sd = _replicate_mean_sd(pct_vol[name])
         out[name] = StructureAnalysis(
             name=name,
-            pct_cells_adjacent=float(np.nanmean(pct_cells[name])),
-            pct_cells_adjacent_sd=float(np.nanstd(pct_cells[name])),
-            pct_volume_adjacent=float(np.nanmean(pct_vol[name])),
-            pct_volume_adjacent_sd=float(np.nanstd(pct_vol[name])),
+            pct_cells_adjacent=cells_mean,
+            pct_cells_adjacent_sd=cells_sd,
+            pct_volume_adjacent=vol_mean,
+            pct_volume_adjacent_sd=vol_sd,
             distance_grid=grids[name],
             cell_cdf=(
                 DistanceCdf(det_dists).evaluate(grids[name], mode=cdf_mode)

@@ -232,6 +232,10 @@ MALFORMED_FORESTS = {
     "zero_leaf_count": _stump(n_total=[2.0, 0.0, 1.0], n_pos=[0.0, 0.0, 1.0]),
     "unequal_lengths": _stump(threshold=[0.5, 0.0]),
     "leaf_fraction_above_one": _stump(n_pos=[0.0, 0.0, 2.0]),
+    # each of these used to load as a valid stump: 1.5 -> 1, 0.5 -> 0, true -> 1
+    "float_child_index": _stump(left=[1.5, -1, -1]),
+    "float_feature_index": _stump(feature=[0.5, -1, -1]),
+    "boolean_child_index": _stump(right=[True, -1, -1]),
 }
 
 
@@ -248,7 +252,9 @@ class TestModelValidation:
             load_model(tmp_path / "m.json")
 
     @pytest.mark.parametrize("case", ["two_node_cycle", "child_out_of_range",
-                                      "bad_feature_index", "zero_leaf_count"])
+                                      "bad_feature_index", "zero_leaf_count",
+                                      "float_child_index", "float_feature_index",
+                                      "boolean_child_index"])
     def test_classify_cli_exit_1_with_json(self, case, tmp_path, capsys):
         (tmp_path / "m.json").write_text(json.dumps(MALFORMED_FORESTS[case]))
         save_volume(vol(np.ones((8, 8, 8))), tmp_path / "dm")

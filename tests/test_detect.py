@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from probcell import (
     CoordSet,
@@ -113,3 +116,43 @@ class TestProperties:
             assert len(peaks) == len(gt)
             pairs = hungarian_match(gt, peaks)
             assert max(p[2] for p in pairs) <= np.sqrt(3.0)  # within one voxel
+
+
+# Dyadic voxel sizes and radii keep every squared distance and r * r exact, so
+# the oracle's norm >= r and the squared d2 < r2 test agree even for peaks that
+# sit exactly r apart on the lattice.
+_DYADIC_VOXELS = st.tuples(*[st.sampled_from([0.5, 1.0, 2.0])] * 3)
+_LEVEL_MAPS = st.tuples(*[st.integers(1, 9)] * 3).flatmap(
+    lambda shape: arrays(np.float32, shape, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
+)
+
+
+class TestNmsPropertyOracle:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        data=_LEVEL_MAPS,
+        voxel=_DYADIC_VOXELS,
+        radius=st.integers(2, 16).map(lambda k: 0.25 * k),
+        threshold=st.sampled_from([0.0, 0.3, 0.5]),
+    )
+    def test_matches_greedy_oracle(self, data, voxel, radius, threshold):
+        got = detect_peaks(vol(data, voxel), NmsConfig(radius, threshold))
+        ref = greedy_nms_oracle(data, voxel, radius, threshold)
+        assert np.array_equal(got.coords, np.asarray([r[2] for r in ref]).reshape(-1, 3))
+        got_values = [] if got.dm_value is None else got.dm_value  # None when no peak
+        assert np.array_equal(got_values, [r[1] for r in ref])
+
+    @pytest.mark.parametrize("offset, radius, n_kept", [
+        ((0, 0, 4), 4.0, 2),  # exactly r apart: both kept
+        ((0, 3, 4), 5.0, 2),
+        ((1, 2, 2), 3.0, 2),
+        ((0, 2, 2), np.sqrt(8.0), 1),  # float sqrt(8) ** 2 rounds above 8
+        ((0, 2, 4), np.sqrt(20.0), 1),  # likewise above 20
+        ((2, 2, 2), np.sqrt(12.0), 2),  # below 12, so the pair is not closer than r
+    ])
+    def test_pair_at_lattice_radius(self, offset, radius, n_kept):
+        data = np.zeros((8, 8, 8))
+        data[1, 1, 1] = 2.0
+        data[1 + offset[0], 1 + offset[1], 1 + offset[2]] = 1.0
+        peaks = detect_peaks(vol(data), NmsConfig(radius, 0.0))
+        assert np.array_equal(peaks.dm_value, [2.0, 1.0][:n_kept])

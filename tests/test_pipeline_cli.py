@@ -48,16 +48,6 @@ class TestTiledDetect:
         d[np.diag_indices(len(tiled))] = np.inf
         assert d.min() < 4.0
 
-    def test_thread_pool_matches_serial(self):
-        cfg = TilingConfig.m_peak((24, 24, 24), (4, 4, 4), (4, 4, 4))
-        rng = np.random.default_rng(3)
-        cells = CoordSet(rng.random((15, 3)) * 40)
-        dm = render_dm(cells, (40, 40, 40), (1, 1, 1), KernelSpec(2.0))
-        nms = NmsConfig(4.0, 0.0)
-        serial = tiled_detect(dm, cfg, nms, n_threads=1)
-        threaded = tiled_detect(dm, cfg, nms, n_threads=4)
-        assert np.array_equal(serial.coords, threaded.coords)
-
 
 class TestHelpers:
     def test_threshold_filter_equals_direct_detection(self, rng):

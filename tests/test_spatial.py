@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,25 @@ class TestProbabilisticAnalysis:
                 prob.structures["s"].pct_cells_adjacent
                 < det.structures["s"].pct_cells_adjacent
             )
+
+    def test_all_empty_replicates_report_null_without_warnings(self):
+        shape = (16, 16, 16)
+        line = np.zeros(shape)
+        line[:, 8, 8] = 1.0
+        cells = CoordSet(
+            np.array([[4.5, 4.5, 4.5], [8.5, 3.5, 12.5], [12.5, 12.5, 2.5]]),
+            p=np.full(3, 0.05),
+        )
+        prelude = prepare_spatial({"line": mask(line)}, mask(np.ones(shape)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze_probabilistic(cells, prelude, replicates=12, seed=1).to_dict()
+        line_report = report["structures"]["line"]
+        for key in ("pct_cells_adjacent", "pct_cells_adjacent_sd",
+                    "pct_volume_adjacent", "pct_volume_adjacent_sd"):
+            assert line_report[key] is None
+        for kind in ("EmptyReplicate", "EmptyESDReplicate"):
+            assert sum(f.startswith(kind + ":line:") for f in report["flags"]) == 12
 
 
 def _oracle_case(case):

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from probcell import (
     CoordSet,
@@ -260,6 +266,21 @@ class TestVolumeIO:
         back = load_volume(tmp_path / "vol")
         assert back.voxel_size == v.voxel_size
         assert np.array_equal(back.data, v.data)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.tuples(*[st.integers(1, 5)] * 3).flatmap(
+            lambda shape: arrays(np.float32, shape, elements=st.floats(width=32))
+        ),
+        voxel=st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 3),
+    )
+    def test_round_trip_bit_exact(self, data, voxel):
+        with tempfile.TemporaryDirectory() as d:
+            save_volume(Volume3D(data, voxel), Path(d) / "vol")
+            back = load_volume(Path(d) / "vol")
+        assert back.data.dtype == np.float32 and back.shape == data.shape
+        assert back.data.tobytes() == data.tobytes()
+        assert back.voxel_size == voxel
 
     @pytest.mark.parametrize("delta", [-4, -1, 4])
     def test_raw_size_must_match_sidecar(self, tmp_path, rng, delta):
