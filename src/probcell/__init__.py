@@ -1,13 +1,6 @@
 """Probabilistic 3D cell detection and spatial analysis on density maps."""
 
-from .bayescore import (
-    RegressorOutput,
-    bayes_loss,
-    l2_loss,
-    load_regressor_output,
-    mc_aggregate,
-    save_regressor_output,
-)
+from .bayescore import RegressorOutput, bayes_loss, l2_loss, mc_aggregate
 from .classifier import (
     ForestModel,
     MlpModel,
@@ -36,10 +29,8 @@ from .spatial import (
     SpatialReport,
     analyze_deterministic,
     analyze_probabilistic,
-    cell_distance_cdf,
     cell_distances,
     distance_transform,
-    esd_cdf,
     esd_pool,
     ks_2sample,
     prepare_spatial,
@@ -54,10 +45,8 @@ from .volume import (
     TilingConfig,
     Volume3D,
     load_volume,
-    normalize_gaussian,
     plan_tiling,
     reconstruct_coordinates,
-    resample_isotropic,
     save_volume,
 )
 

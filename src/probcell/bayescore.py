@@ -7,20 +7,22 @@ aggregation of stochastic forward passes into a mean prediction with
 aleatoric (mean of per-sample variance maps) and epistemic (pixel-wise
 population SD of the prediction samples) uncertainty maps.
 
+A regressor hands its three maps over as one volume pair each
+(``<name>.raw`` + ``<name>.json``, see ``volume.save_volume``); the CLI reads
+them through ``--dm``, ``--u-a`` and ``--u-e``.
+
 The loss functions validate positivity of u_a rather than rectifying it:
 clamping is the network head's job, and validating keeps the functions
 testable in isolation (gradients are checked against finite differences).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptySampleList, NonPositiveAleatoric, ShapeMismatch
-from .volume import Volume3D, load_volume, save_volume
+from .volume import Volume3D
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,33 +109,3 @@ def mc_aggregate(samples: list[tuple], voxel_size=None) -> RegressorOutput:
         aleatoric=Volume3D(aleatoric.astype(np.float32), vs),
         epistemic=Volume3D(epistemic.astype(np.float32), vs),
     )
-
-
-_VOLUME_KEYS = ("dm", "aleatoric", "epistemic")
-
-
-def save_regressor_output(ro: RegressorOutput, out_dir) -> Path:
-    """Write the three volume files plus one shared sidecar; returns the sidecar path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for key in _VOLUME_KEYS:
-        save_volume(getattr(ro, key), out_dir / key)
-    sidecar = {
-        "format": "probcell-regressor-output",
-        "version": 1,
-        "shape": [int(s) for s in ro.dm.shape],
-        "voxel_size_um": [float(s) for s in ro.dm.voxel_size],
-        "volumes": {key: f"{key}.raw" for key in _VOLUME_KEYS},
-    }
-    path = out_dir / "regressor_output.json"
-    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_regressor_output(out_dir) -> RegressorOutput:
-    out_dir = Path(out_dir)
-    meta = json.loads((out_dir / "regressor_output.json").read_text())
-    if meta.get("format") != "probcell-regressor-output":
-        raise ValueError("not a regressor output directory")
-    vols = {key: load_volume(out_dir / key) for key in _VOLUME_KEYS}
-    return RegressorOutput(**vols)

@@ -10,9 +10,10 @@ no depth limit. A leaf predicts its positive fraction and the forest
 predicts the mean over trees, so outputs live in [0, 1].
 
 The comparison model is a small rectifier MLP (hidden widths 50, 50, 20, 20,
-logistic output) trained with minibatch adaptive-moment updates on the
-binary cross-entropy; the returned weights are those of the epoch with the
-best held-out accuracy.
+logistic output) trained with minibatch adaptive-moment updates (step
+1e-3, betas 0.9/0.999, batches of 32) on the binary cross-entropy; the
+returned weights are those of the epoch with the best accuracy on a
+stratified 20% held out of the training data.
 
 Everything is deterministic given the seed: tree t uses seed + t, so trees
 could be built in parallel without changing the result.
@@ -192,13 +193,12 @@ def train_forest(
     labels,
     seed: int,
     n_trees: int = 128,
-    n_feature_subset: int | None = None,
     bootstrap: bool = True,
 ) -> ForestModel:
-    """Train the bagged gini forest.
+    """Train the bagged gini forest; each split searches ceil(sqrt(d)) features.
 
-    n_feature_subset defaults to ceil(sqrt(d)). bootstrap=False trains every
-    tree on the data as given (used by the split-oracle tests).
+    bootstrap=False trains every tree on the data as given (used by the
+    split-oracle tests).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -207,7 +207,7 @@ def train_forest(
     if np.unique(y).size < 2:
         raise SingleClass("need at least one example of each class")
     d = X.shape[1]
-    n_sub = n_feature_subset if n_feature_subset is not None else math.ceil(math.sqrt(d))
+    n_sub = math.ceil(math.sqrt(d))
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(seed + t)
@@ -224,6 +224,10 @@ def train_forest(
 # ---------------------------------------------------------------------------
 
 DEFAULT_HIDDEN = (50, 50, 20, 20)
+LEARNING_RATE = 1e-3
+BETAS = (0.9, 0.999)
+BATCH_SIZE = 32
+VALIDATION_FRACTION = 0.2
 
 
 @dataclass
@@ -300,17 +304,11 @@ def train_mlp(
     seed: int,
     epochs: int = 200,
     hidden=DEFAULT_HIDDEN,
-    learning_rate: float = 1e-3,
-    betas: tuple[float, float] = (0.9, 0.999),
-    batch_size: int = 32,
-    validation=None,
-    validation_fraction: float = 0.2,
 ) -> MlpModel:
     """Minibatch adaptive-moment training, returning the best-validation epoch.
 
-    ``validation`` may be an explicit (X_val, y_val) pair; otherwise a
-    stratified fraction of the training data is held out for epoch
-    selection. epochs=0 returns the freshly initialized model.
+    A stratified VALIDATION_FRACTION of the training data is held out for
+    epoch selection. epochs=0 returns the freshly initialized model.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -320,27 +318,22 @@ def train_mlp(
     if epochs == 0:
         return model
     rng = np.random.default_rng(seed)
-    if validation is not None:
-        X_tr, y_tr = X, y
-        X_val = np.asarray(validation[0], dtype=np.float64)
-        y_val = np.asarray(validation[1], dtype=np.float64).reshape(-1)
-    else:
-        val_idx = []
-        for cls in (0, 1):
-            cls_idx = np.nonzero(y == cls)[0]
-            cls_idx = cls_idx[rng.permutation(cls_idx.size)]
-            take = int(round(validation_fraction * cls_idx.size))
-            if cls_idx.size >= 2:
-                take = max(take, 1)
-            val_idx.extend(cls_idx[:take].tolist())
-        val_mask = np.zeros(y.size, dtype=bool)
-        val_mask[val_idx] = True
-        if val_mask.all() or np.unique(y[~val_mask]).size < 2:
-            raise SingleClass("not enough data to carve a validation split")
-        X_tr, y_tr = X[~val_mask], y[~val_mask]
-        X_val, y_val = X[val_mask], y[val_mask]
+    val_idx = []
+    for cls in (0, 1):
+        cls_idx = np.nonzero(y == cls)[0]
+        cls_idx = cls_idx[rng.permutation(cls_idx.size)]
+        take = int(round(VALIDATION_FRACTION * cls_idx.size))
+        if cls_idx.size >= 2:
+            take = max(take, 1)
+        val_idx.extend(cls_idx[:take].tolist())
+    val_mask = np.zeros(y.size, dtype=bool)
+    val_mask[val_idx] = True
+    if val_mask.all() or np.unique(y[~val_mask]).size < 2:
+        raise SingleClass("not enough data to carve a validation split")
+    X_tr, y_tr = X[~val_mask], y[~val_mask]
+    X_val, y_val = X[val_mask], y[val_mask]
 
-    b1, b2 = betas
+    b1, b2 = BETAS
     eps = 1e-8
     m_w = [np.zeros_like(W) for W in model.weights]
     v_w = [np.zeros_like(W) for W in model.weights]
@@ -352,8 +345,8 @@ def train_mlp(
     n = X_tr.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
             loss, grad_w, grad_b = mlp_loss_and_grads(model, X_tr[batch], y_tr[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss became {loss}")
@@ -363,10 +356,10 @@ def train_mlp(
             for k in range(len(model.weights)):
                 m_w[k] = b1 * m_w[k] + (1 - b1) * grad_w[k]
                 v_w[k] = b2 * v_w[k] + (1 - b2) * grad_w[k] ** 2
-                model.weights[k] -= learning_rate * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
+                model.weights[k] -= LEARNING_RATE * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
                 m_b[k] = b1 * m_b[k] + (1 - b1) * grad_b[k]
                 v_b[k] = b2 * v_b[k] + (1 - b2) * grad_b[k] ** 2
-                model.biases[k] -= learning_rate * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
+                model.biases[k] -= LEARNING_RATE * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
         acc = float(np.mean((model.predict_proba(X_val) >= 0.5) == (y_val == 1)))
         if acc > best_acc:
             best_acc = acc

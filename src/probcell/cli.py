@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import pipeline as pipeline_mod
-from .bayescore import save_regressor_output
 from .classifier import (
     classify_proposals,
     load_model,
@@ -46,6 +45,14 @@ def _summary(cfg: dict, outputs: dict, extra: dict | None = None) -> int:
     payload.update(extra or {})
     print(json.dumps(payload, sort_keys=True))
     return 0
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """A header line, then each row's values as repr floats."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
@@ -95,7 +102,9 @@ def cmd_synth(args) -> int:
     gt = generate_coords(spec)
     ro = oracle_regress(gt, spec)
     structure, tissue = generate_structures(spec)
-    save_regressor_output(ro, out)
+    save_volume(ro.dm, out / "dm")
+    save_volume(ro.aleatoric, out / "aleatoric")
+    save_volume(ro.epistemic, out / "epistemic")
     save_volume(structure, out / "structure")
     save_volume(tissue, out / "tissue")
     save_coords(gt, out / "gt.csv")
@@ -152,10 +161,7 @@ def cmd_features(args) -> int:
     spec = FeatureSpec()
     X = extract_features(maps, proposals, spec)
     names = feature_names([name for name, _ in maps], spec)
-    with open(cfg["out"], "w") as f:
-        f.write(",".join(names) + "\n")
-        for row in X:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(cfg["out"], names, X)
     return _summary(cfg, {"features": cfg["out"]},
                     {"n_rows": int(X.shape[0]), "d": int(X.shape[1])})
 
@@ -244,23 +250,15 @@ def cmd_spatial(args) -> int:
         )
         report["probabilistic"] = prob.to_dict()
         for name, sa in prob.structures.items():
-            rows = [sa.distance_grid]
-            header = ["distance_um"]
+            cols = {"distance_um": sa.distance_grid}
             if sa.cell_cdf is not None:
-                rows.append(sa.cell_cdf)
-                header.append("cell_cdf")
+                cols["cell_cdf"] = sa.cell_cdf
             if sa.cell_envelope is not None:
-                rows.extend(sa.cell_envelope)
-                header.extend(["cell_lower", "cell_upper"])
-            rows.append(sa.esd_cdf)
-            header.append("esd_cdf")
+                cols["cell_lower"], cols["cell_upper"] = sa.cell_envelope
+            cols["esd_cdf"] = sa.esd_cdf
             if sa.esd_envelope is not None:
-                rows.extend(sa.esd_envelope)
-                header.extend(["esd_lower", "esd_upper"])
-            with open(out_dir / f"curves_{name}.csv", "w") as f:
-                f.write(",".join(header) + "\n")
-                for vals in zip(*rows):
-                    f.write(",".join(repr(float(v)) for v in vals) + "\n")
+                cols["esd_lower"], cols["esd_upper"] = sa.esd_envelope
+            _write_csv(out_dir / f"curves_{name}.csv", list(cols), zip(*cols.values()))
     _write_json(out_dir / "report.json", report)
     return _summary(cfg, {"report": out_dir / "report.json"})
 

@@ -29,9 +29,10 @@ class NmsConfig:
     threshold: float = 0.0
 
     def __post_init__(self):
-        if self.min_distance_um <= 0:
+        # written so that NaN fails both checks
+        if not self.min_distance_um > 0:
             raise ValueError("min_distance must be positive")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError("threshold must be >= 0 (0 selects proposal mode)")
 
 
@@ -54,7 +55,7 @@ def detect_peaks(dm: Volume3D, cfg: NmsConfig = NmsConfig()) -> CoordSet:
     """
     idx, values = local_maxima(dm, cfg.threshold)
     if idx.shape[0] == 0:
-        return CoordSet.empty()
+        return CoordSet(np.zeros((0, 3)), dm_value=np.zeros(0))
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -values))
     idx = idx[order]
     values = values[order]

@@ -9,10 +9,6 @@ class ProbcellError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class ConstantVolume(ProbcellError):
-    """Normalization is undefined: the volume has zero variance."""
-
-
 class VolumeTooSmall(ProbcellError):
     """The volume (plus padding) cannot host a single input patch."""
 

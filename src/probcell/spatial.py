@@ -36,7 +36,7 @@ from .errors import (
     EmptyStructure,
     ShapeMismatch,
 )
-from .volume import Volume3D, sample_trilinear, um_to_voxel
+from .volume import Volume3D, sample_trilinear
 
 ADJACENCY_UM = 4.0
 CDF_GRID_POINTS = 512
@@ -47,13 +47,6 @@ def _require_mask(v: Volume3D, name: str) -> np.ndarray:
     if not ((data == 0.0) | (data == 1.0)).all():
         raise ValueError(f"{name} mask must be binary")
     return data > 0
-
-
-def _require_tissue(tissue: Volume3D) -> np.ndarray:
-    ts = _require_mask(tissue, "tissue")
-    if not ts.any():
-        raise ValueError("tissue mask is empty")
-    return ts
 
 
 def distance_transform(structure: Volume3D) -> Volume3D:
@@ -100,46 +93,29 @@ def scott_bandwidth(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) * x.size ** (-1.0 / 5.0))
 
 
-def esd_pool(edt: Volume3D, tissue: Volume3D) -> np.ndarray:
+def esd_pool(edt: Volume3D, tissue_mask: np.ndarray) -> np.ndarray:
     """EDT values over tissue background voxels (tissue minus structure).
 
-    Structure voxels are exactly those at EDT 0, so the background is the
-    tissue where the EDT is positive.
+    tissue_mask is the boolean tissue grid as ``prepare_spatial`` checked
+    it. Structure voxels are exactly those at EDT 0, so the background is
+    the tissue where the EDT is positive.
     """
-    if edt.shape != tissue.shape:
+    if edt.shape != tissue_mask.shape:
         raise ShapeMismatch("structure and tissue masks must share the grid")
-    background = _require_tissue(tissue) & (edt.data > 0)
+    background = tissue_mask & (edt.data > 0)
     if not background.any():
         raise DegenerateESD("no background voxels remain inside the tissue")
     return edt.data[background]
 
 
-def esd_cdf(edt: Volume3D, tissue: Volume3D) -> DistanceCdf:
-    return DistanceCdf(esd_pool(edt, tissue))
-
-
-def cell_distances(
-    cells: CoordSet, edt: Volume3D, interpolation: str = "linear"
-) -> np.ndarray:
-    """Per-cell distance to the structure by interpolating the EDT (um)."""
+def cell_distances(cells: CoordSet, edt: Volume3D) -> np.ndarray:
+    """Per-cell distance to the structure by trilinear interpolation of the EDT (um)."""
     if len(cells) == 0:
         raise EmptyCells("no cells to measure")
     extent = edt.extent_um
     if np.any(cells.coords < 0) or np.any(cells.coords >= extent):
         raise ValueError("cells must lie inside the volume")
-    if interpolation == "linear":
-        return sample_trilinear(edt, cells.coords)
-    if interpolation == "nearest":
-        idx = np.rint(um_to_voxel(cells.coords, edt.voxel_size)).astype(int)
-        idx = np.clip(idx, 0, np.asarray(edt.shape) - 1)
-        return edt.data[idx[:, 0], idx[:, 1], idx[:, 2]].astype(np.float64)
-    raise ValueError(f"unknown interpolation {interpolation!r}")
-
-
-def cell_distance_cdf(
-    cells: CoordSet, edt: Volume3D, interpolation: str = "linear"
-) -> DistanceCdf:
-    return DistanceCdf(cell_distances(cells, edt, interpolation))
+    return sample_trilinear(edt, cells.coords)
 
 
 @dataclass
@@ -233,12 +209,18 @@ class SpatialPrelude:
 
 
 def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> SpatialPrelude:
-    """Compute each structure's EDT and ESD pool once for both analyses."""
-    tissue_mm3 = float(_require_tissue(tissue).sum()) * tissue.voxel_volume_um3 / 1e9
+    """Check the tissue mask once, then compute each structure's EDT and ESD
+    pool for both analyses."""
+    n_tissue = int(_require_mask(tissue, "tissue").sum())
+    if n_tissue == 0:
+        raise ValueError("tissue mask is empty")
+    tissue_mm3 = n_tissue * tissue.voxel_volume_um3 / 1e9
     prepared = {}
     for name, structure in structures.items():
         edt = distance_transform(structure)
-        prepared[name] = PreparedStructure(edt, esd_pool(edt, tissue))
+        # the boolean mask is rebuilt after each EDT, not held across it:
+        # at 256^3 it would add 16 MB to the EDT's peak memory
+        prepared[name] = PreparedStructure(edt, esd_pool(edt, tissue.data > 0))
     return SpatialPrelude(tissue_mm3, prepared)
 
 
@@ -256,16 +238,13 @@ def analyze_deterministic(
     adjacency_um: float = ADJACENCY_UM,
     n_grid: int = CDF_GRID_POINTS,
     cdf_mode: str = "kde",
-    interpolation: str = "linear",
 ) -> SpatialReport:
     """Single-pass analysis of all proposals with p >= 0.5 at full weight."""
     kept = cells if cells.p is None else cells.select(cells.p >= 0.5)
     flags = [] if len(kept) else ["EmptyCells"]
     out = {}
     for name, prep in prelude.structures.items():
-        dists = (
-            cell_distances(kept, prep.edt, interpolation) if len(kept) else np.empty(0)
-        )
+        dists = cell_distances(kept, prep.edt) if len(kept) else np.empty(0)
         grid = _distance_grid(prep.pool, dists, n_grid)
         out[name] = StructureAnalysis(
             name=name,
@@ -296,7 +275,6 @@ def analyze_probabilistic(
     adjacency_um: float = ADJACENCY_UM,
     n_grid: int = CDF_GRID_POINTS,
     cdf_mode: str = "kde",
-    interpolation: str = "linear",
 ) -> SpatialReport:
     """Monte-Carlo analysis sampling each proposal by its probability.
 
@@ -314,7 +292,7 @@ def analyze_probabilistic(
 
     all_dists, grids = {}, {}
     for name, prep in structures.items():
-        all_dists[name] = cell_distances(cells, prep.edt, interpolation)
+        all_dists[name] = cell_distances(cells, prep.edt)
         grids[name] = _distance_grid(prep.pool, all_dists[name], n_grid)
 
     counts = np.empty(replicates)

@@ -16,7 +16,7 @@ noisy draw, so the epistemic surrogate is genuinely elevated where the
 Cell amplitudes can be jittered (shared across draws) to make peak value
 alone an imperfect detector, as for a real regressor.
 
-By default the predicted map is rectified at zero: a real regressor emits a
+The predicted map is rectified at zero: a real regressor emits a
 flat near-zero background, and without the clip, sign-symmetric background
 noise would turn a large fraction of the volume into spurious threshold-0
 proposals at any scale.
@@ -33,6 +33,9 @@ from .coords import CoordSet
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible
 from .volume import Volume3D
+
+# SD (um) of the Gaussian that smooths the surrogate's noise
+NOISE_SMOOTH_UM = 2.0
 
 __all__ = [
     "SynthSpec",
@@ -52,7 +55,6 @@ class SynthSpec:
     cutoff_um: float = 16.0
     cell_amp_range: tuple[float, float] = (1.0, 1.0)
     noise_sd: float = 0.05
-    noise_smooth_um: float = 2.0
     amp_field_range: tuple[float, float] = (0.5, 1.5)
     n_distractors: int = 0
     distractor_amp_range: tuple[float, float] = (0.3, 0.7)
@@ -60,7 +62,6 @@ class SynthSpec:
     tube_radius_um: float = 5.0
     tube_length_um: float | None = None
     margin_um: float = 0.0
-    clip_background: bool = True
     background_bias_sd: float = 3.0
     seed: int = 0
 
@@ -145,14 +146,13 @@ def _smooth_field(shape, rng, lo, hi):
     return (lo + (hi - lo) * field).reshape(shape)
 
 
-def _smooth_noise(shape, rng, voxel_size, smooth_um):
+def _smooth_noise(shape, rng, voxel_size):
     noise = rng.standard_normal(shape)
-    sigmas = smooth_um / np.asarray(voxel_size, dtype=np.float64)
-    if smooth_um > 0:
-        noise = ndimage.gaussian_filter(noise, sigma=sigmas)
-        sd = noise.std()
-        if sd > 0:
-            noise /= sd  # restore unit SD after smoothing
+    sigmas = NOISE_SMOOTH_UM / np.asarray(voxel_size, dtype=np.float64)
+    noise = ndimage.gaussian_filter(noise, sigma=sigmas)
+    sd = noise.std()
+    if sd > 0:
+        noise /= sd  # restore unit SD after smoothing
     return noise
 
 
@@ -170,10 +170,7 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
         for _ in range(2)
     ]
     amp_field = _smooth_field(spec.shape, rng, *spec.amp_field_range) * spec.noise_sd
-    noise = [
-        _smooth_noise(spec.shape, rng, spec.voxel_size, spec.noise_smooth_um)
-        for _ in range(2)
-    ]
+    noise = [_smooth_noise(spec.shape, rng, spec.voxel_size) for _ in range(2)]
     kernel = spec.kernel()
     all_coords = CoordSet(np.concatenate([coords.coords, distractors], axis=0))
     cleans = []
@@ -195,9 +192,7 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
     else:
         bias = 0.0
     draws = [c + amp_field * (n - bias) for c, n in zip(cleans, noise)]
-    dm = draws[0]
-    if spec.clip_background:
-        dm = np.maximum(dm, 0.0)
+    dm = np.maximum(draws[0], 0.0)
     epistemic = np.abs(draws[1] - draws[0]) / np.sqrt(2.0)
     vs = tuple(spec.voxel_size)
     return RegressorOutput(

@@ -1,8 +1,13 @@
-"""Dense 3D volumes, normalization, isotropic resampling, and tiling.
+"""Dense 3D volumes, their raw + sidecar files, and tiling.
 
 Axis order is (z, y, x) with z slowest (C order). Physical positions are in
 micrometers; voxel (i, j, k) is centered at ((i + 0.5) * sz, (j + 0.5) * sy,
 (k + 0.5) * sx).
+
+On disk a volume is a pair: ``<base>.raw`` (little-endian float32) and a
+``<base>.json`` sidecar holding its integer shape and positive finite voxel
+size. A density-map regressor's dm, aleatoric and epistemic maps are one
+such pair each.
 
 Two tiling strategies are supported for patch-wise inference on large
 volumes. Both pad the volume, extract overlapping input windows and map
@@ -25,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .coords import CoordSet, concat_coordsets
-from .errors import ConstantVolume, VolumeSizeMismatch, VolumeTooSmall
+from .errors import VolumeSizeMismatch, VolumeTooSmall
 
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
@@ -50,8 +55,8 @@ class Volume3D:
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError("volume data must be a non-empty 3D array")
         vs = tuple(float(v) for v in self.voxel_size)
-        if len(vs) != 3 or any(v <= 0 for v in vs):
-            raise ValueError("voxel_size must be three positive values")
+        if len(vs) != 3 or not all(0 < v < math.inf for v in vs):
+            raise ValueError(f"voxel_size must be three positive finite values, got {vs}")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "voxel_size", vs)
 
@@ -89,47 +94,6 @@ def sample_trilinear(v: Volume3D, coords_um: np.ndarray) -> np.ndarray:
     return ndimage.map_coordinates(
         v.data.astype(np.float64, copy=False), pts.T, order=1, mode="nearest"
     )
-
-
-def normalize_gaussian(v: Volume3D) -> Volume3D:
-    """Zero-mean unit-SD normalization over all voxels (population SD).
-
-    Raises ConstantVolume when the SD is zero so callers can decide how to
-    treat degenerate inputs.
-    """
-    data = v.data.astype(np.float64, copy=False)
-    mean = data.mean()
-    sd = data.std()
-    if sd == 0.0:
-        raise ConstantVolume("cannot normalize a constant volume")
-    out = (data - mean) / sd
-    return v.like(out.astype(v.data.dtype))
-
-
-def resample_isotropic(v: Volume3D, target_um: float) -> Volume3D:
-    """Resample to an isotropic grid of target_um per voxel.
-
-    New shape per axis is round(n * s / target), at least 1. Values come from
-    trilinear interpolation between voxel centers with edge clamping.
-    """
-    if target_um <= 0:
-        raise ValueError("target voxel size must be positive")
-    old_shape = np.asarray(v.shape, dtype=np.float64)
-    old_vs = np.asarray(v.voxel_size, dtype=np.float64)
-    new_shape = np.maximum(np.round(old_shape * old_vs / target_um), 1).astype(int)
-    if tuple(new_shape) == v.shape and all(s == target_um for s in v.voxel_size):
-        return Volume3D(v.data.copy(), (target_um,) * 3)
-    # source voxel-index coordinate of each output voxel center
-    axes = [
-        (np.arange(n, dtype=np.float64) + 0.5) * target_um / s - 0.5
-        for n, s in zip(new_shape, old_vs)
-    ]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=0)
-    out = ndimage.map_coordinates(
-        v.data.astype(np.float64, copy=False), pts, order=1, mode="nearest"
-    )
-    return Volume3D(out.reshape(tuple(new_shape)).astype(v.data.dtype), (target_um,) * 3)
 
 
 @dataclass(frozen=True)
@@ -278,10 +242,10 @@ def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
     )
 
 
-def pad_volume(v: Volume3D, grid: PatchGrid, value: float = 0.0) -> Volume3D:
-    """Zero-pad (after normalization: padding value 0) to the grid's padded shape."""
+def pad_volume(v: Volume3D, grid: PatchGrid) -> Volume3D:
+    """Zero-pad to the grid's padded shape."""
     pad = grid.origin_offset
-    out = np.full(grid.padded_shape, value, dtype=v.data.dtype)
+    out = np.zeros(grid.padded_shape, dtype=v.data.dtype)
     out[pad[0] : pad[0] + v.shape[0], pad[1] : pad[1] + v.shape[1], pad[2] : pad[2] + v.shape[2]] = v.data
     return v.like(out)
 
@@ -352,7 +316,9 @@ def load_volume(base_path) -> Volume3D:
     raw_path = base.with_suffix(".raw")
     json_path = base.with_suffix(".json")
     sidecar = json.loads(json_path.read_text())
-    shape = tuple(int(s) for s in sidecar["shape"])
+    shape = tuple(sidecar["shape"])
+    if not all(type(s) is int for s in shape):
+        raise ValueError(f"{json_path}: shape {list(shape)} must hold JSON integers")
     raw = raw_path.read_bytes()
     expected = math.prod(shape) * 4
     if len(raw) != expected:

@@ -262,7 +262,6 @@ def _reference_shared_grid(pools, dists, n_grid):
 
 def reference_analyze_deterministic(
     cells, structures, tissue, adjacency_um=4.0, n_grid=512, cdf_mode="kde",
-    interpolation="linear",
 ):
     from probcell.spatial import (
         DistanceCdf, SpatialReport, StructureAnalysis, cell_distances, distance_transform,
@@ -281,9 +280,7 @@ def reference_analyze_deterministic(
     for name, structure in structures.items():
         edt = distance_transform(structure)
         pool = _reference_esd_pool(structure, tissue)
-        dists = (
-            cell_distances(kept, edt, interpolation) if len(kept) else np.empty(0)
-        )
+        dists = cell_distances(kept, edt) if len(kept) else np.empty(0)
         grid = _reference_shared_grid({name: pool}, {name: dists}, n_grid)[name]
         esd_curve = DistanceCdf(pool).evaluate(grid, mode="empirical")
         cell_curve = (
@@ -310,7 +307,7 @@ def reference_analyze_deterministic(
 
 def reference_analyze_probabilistic(
     cells, structures, tissue, replicates=50, seed=0, adjacency_um=4.0, n_grid=512,
-    cdf_mode="kde", interpolation="linear",
+    cdf_mode="kde",
 ):
     from probcell.errors import EmptyCells
     from probcell.spatial import (
@@ -331,7 +328,7 @@ def reference_analyze_probabilistic(
     for name, structure in structures.items():
         edts[name] = distance_transform(structure)
         pools[name] = _reference_esd_pool(structure, tissue)
-        all_dists[name] = cell_distances(cells, edts[name], interpolation)
+        all_dists[name] = cell_distances(cells, edts[name])
     grids = _reference_shared_grid(pools, all_dists, n_grid)
 
     counts = np.empty(replicates)

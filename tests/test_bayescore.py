@@ -6,9 +6,7 @@ from probcell import (
     Volume3D,
     bayes_loss,
     l2_loss,
-    load_regressor_output,
     mc_aggregate,
-    save_regressor_output,
 )
 from probcell.errors import EmptySampleList, NonPositiveAleatoric, ShapeMismatch
 
@@ -124,19 +122,6 @@ class TestMcAggregate:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path, rng):
-        vs = (1.0, 1.0, 2.0)
-        ro = RegressorOutput(
-            dm=Volume3D(rng.normal(size=(3, 4, 5)).astype(np.float32), vs),
-            aleatoric=Volume3D(rng.random((3, 4, 5)).astype(np.float32), vs),
-            epistemic=Volume3D(rng.random((3, 4, 5)).astype(np.float32), vs),
-        )
-        save_regressor_output(ro, tmp_path)
-        back = load_regressor_output(tmp_path)
-        for key in ("dm", "aleatoric", "epistemic"):
-            assert np.array_equal(getattr(back, key).data, getattr(ro, key).data)
-            assert getattr(back, key).voxel_size == vs
-
     def test_negative_uncertainty_rejected(self, rng):
         vs = (1.0, 1.0, 1.0)
         with pytest.raises(ValueError):

@@ -35,7 +35,16 @@ class TestBasics:
         assert len(got) == len(ref) == 1
 
     def test_all_zero_dm_empty(self):
-        assert len(detect_peaks(vol(np.zeros((6, 6, 6))), NmsConfig(4.0, 0.0))) == 0
+        peaks = detect_peaks(vol(np.zeros((6, 6, 6))), NmsConfig(4.0, 0.0))
+        assert len(peaks) == 0
+        assert peaks.dm_value.dtype == np.float64 and peaks.dm_value.shape == (0,)
+
+    @pytest.mark.parametrize("min_distance, threshold", [
+        (np.nan, 0.0), (4.0, np.nan), (0.0, 0.0), (4.0, -0.1),
+    ])
+    def test_config_rejects_nan_and_out_of_range(self, min_distance, threshold):
+        with pytest.raises(ValueError):
+            NmsConfig(min_distance, threshold)
 
     def test_negative_plateaus_not_candidates(self):
         data = np.full((6, 6, 6), -1.0)
@@ -139,8 +148,7 @@ class TestNmsPropertyOracle:
         got = detect_peaks(vol(data, voxel), NmsConfig(radius, threshold))
         ref = greedy_nms_oracle(data, voxel, radius, threshold)
         assert np.array_equal(got.coords, np.asarray([r[2] for r in ref]).reshape(-1, 3))
-        got_values = [] if got.dm_value is None else got.dm_value  # None when no peak
-        assert np.array_equal(got_values, [r[1] for r in ref])
+        assert np.array_equal(got.dm_value, [r[1] for r in ref])
 
     @pytest.mark.parametrize("offset, radius, n_kept", [
         ((0, 0, 4), 4.0, 2),  # exactly r apart: both kept

@@ -123,7 +123,8 @@ class TestCli:
             "--n-cells", "10", "--n-distractors", "0", "--n-tubes", "1", "--seed", "5",
         ])
         assert rc == 0
-        assert (scene / "manifest.json").exists()
+        files = json.loads((scene / "manifest.json").read_text())["files"]
+        assert {"dm.raw", "aleatoric.raw", "epistemic.raw"} <= set(files)
         rc = main([
             "detect", "--volume", str(scene / "dm"),
             "--out", str(tmp_path / "peaks.csv"),
@@ -204,6 +205,41 @@ class TestCli:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"]["type"] == "VolumeSizeMismatch"
+
+    def test_peak_free_map_keeps_dm_value_column(self, tmp_path):
+        from conftest import vol
+
+        save_volume(vol(np.zeros((6, 6, 6))), tmp_path / "dm")
+        rc = main(["detect", "--volume", str(tmp_path / "dm"), "--out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        assert (tmp_path / "p.csv").read_text() == "z_um,y_um,x_um,dm_value\n"
+
+    def test_nan_threshold_exit_1_with_json(self, tmp_path, capsys):
+        from conftest import vol
+
+        save_volume(vol(np.ones((4, 4, 4))), tmp_path / "dm")
+        rc = main(["detect", "--volume", str(tmp_path / "dm"), "--threshold", "nan",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ValueError"
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("voxel_size_um", [float("nan"), 1.0, 1.0]),
+        ("shape", [4, 4, 4.7]),
+    ])
+    def test_bad_sidecar_exit_1_with_json(self, tmp_path, capsys, key, value):
+        from conftest import vol
+
+        save_volume(vol(np.zeros((4, 4, 4))), tmp_path / "dm")
+        sidecar = json.loads((tmp_path / "dm.json").read_text())
+        sidecar[key] = value
+        (tmp_path / "dm.json").write_text(json.dumps(sidecar))
+        rc = main(["detect", "--volume", str(tmp_path / "dm"), "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ValueError"
 
     def test_classify_non_finite_map_exit_1_with_json(self, tmp_path, capsys):
         from probcell import load_volume

@@ -7,10 +7,8 @@ from probcell import (
     CoordSet,
     analyze_deterministic,
     analyze_probabilistic,
-    cell_distance_cdf,
     cell_distances,
     distance_transform,
-    esd_cdf,
     esd_pool,
     ks_2sample,
     prepare_spatial,
@@ -71,14 +69,14 @@ class TestEsd:
     def test_structure_equals_tissue_degenerate(self):
         m = np.ones((3, 3, 3))
         with pytest.raises(DegenerateESD):
-            esd_cdf(distance_transform(mask(m)), mask(m))
+            esd_pool(distance_transform(mask(m)), m > 0)
 
     def test_slab_gives_linear_cdf(self):
         shape = (4, 4, 32)
         m = np.zeros(shape)
         m[:, :, 0] = 1.0
         tissue = np.ones(shape)
-        cdf = esd_cdf(distance_transform(mask(m)), mask(tissue))
+        cdf = DistanceCdf(esd_pool(distance_transform(mask(m)), tissue > 0))
         # distances over background are x = 1..31 um, uniform
         grid = np.arange(1, 32, dtype=float)
         values = cdf.evaluate(grid, mode="empirical")
@@ -89,7 +87,7 @@ class TestEsd:
         m = np.zeros(shape)
         m[4, 4, 4] = 1.0
         tissue = np.ones(shape)
-        pool = esd_pool(distance_transform(mask(m)), mask(tissue))
+        pool = esd_pool(distance_transform(mask(m)), tissue > 0)
         assert pool.size == 8**3 - 1
         target = 3.0
         direct = (brute_force_edt(m > 0, (1, 1, 1)) < target) & (m == 0)
@@ -103,7 +101,7 @@ class TestCellDistances:
         m[1, 1, 1] = 1.0
         edt = distance_transform(mask(m))
         cells = CoordSet(np.array([[2.5, 3.5, 4.5], [1.5, 1.5, 1.5]]))
-        cdf = cell_distance_cdf(cells, edt)
+        cdf = DistanceCdf(cell_distances(cells, edt))
         assert np.array_equal(cdf.samples, [0.0, 0.0])
         assert cdf.evaluate(np.array([0.0]))[0] == 1.0
 
@@ -112,20 +110,10 @@ class TestCellDistances:
         m = np.zeros(shape)
         m[:, :, 0] = 1.0
         edt = distance_transform(mask(m))
-        cells = CoordSet(np.array([[2.0, 2.0, 5.5]]))  # 5 voxel steps from the slab
+        # 5 voxel steps from the slab, then between the centers at EDT 4 and 5
+        cells = CoordSet(np.array([[2.0, 2.0, 5.5], [2.0, 2.0, 5.1]]))
         d = cell_distances(cells, edt)
-        assert d[0] == pytest.approx(5.0)
-
-    def test_nearest_interpolation_option(self):
-        shape = (4, 4, 16)
-        m = np.zeros(shape)
-        m[:, :, 0] = 1.0
-        edt = distance_transform(mask(m))
-        cells = CoordSet(np.array([[2.0, 2.0, 5.1]]))
-        linear = cell_distances(cells, edt, "linear")[0]
-        nearest = cell_distances(cells, edt, "nearest")[0]
-        assert linear == pytest.approx(4.6)  # between voxels with EDT 4 and 5
-        assert nearest == pytest.approx(5.0)  # closest center is at 5.5 um
+        assert d == pytest.approx([5.0, 4.6])
 
     def test_empty_cells_raise(self):
         m = np.zeros((3, 3, 3))
@@ -140,7 +128,7 @@ class TestCellDistances:
         m[10:14, 10:14, :] = 1.0
         tissue = np.ones(shape)
         edt = distance_transform(mask(m))
-        pool = esd_pool(edt, mask(tissue))
+        pool = esd_pool(edt, tissue > 0)
         bg = np.argwhere((m == 0))
         take = bg[rng.integers(0, len(bg), size=400)]
         cells = CoordSet((take + 0.5).astype(float))
@@ -301,17 +289,13 @@ def _oracle_case(case):
         p = np.full(n, 0.25)
     else:
         p = rng.uniform(0.2, 1.0, n)
-    kwargs = {
-        "empirical": {"cdf_mode": "empirical"},
-        "nearest": {"interpolation": "nearest"},
-    }.get(case, {})
+    kwargs = {"cdf_mode": "empirical"} if case == "empirical" else {}
     return CoordSet(coords, p=p), structures, mask(tissue, voxel), kwargs
 
 
 class TestPreparedPrelude:
     CASES = [
-        "two_structures", "anisotropic", "empty_kept", "empirical", "nearest",
-        "empty_replicates",
+        "two_structures", "anisotropic", "empty_kept", "empirical", "empty_replicates",
     ]
 
     @pytest.mark.parametrize("case", CASES)

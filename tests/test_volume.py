@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -13,61 +14,15 @@ from probcell import (
     TilingConfig,
     Volume3D,
     load_volume,
-    normalize_gaussian,
     plan_tiling,
     reconstruct_coordinates,
     render_dm,
-    resample_isotropic,
     save_volume,
 )
-from probcell.errors import ConstantVolume, VolumeSizeMismatch, VolumeTooSmall
+from probcell.errors import VolumeSizeMismatch, VolumeTooSmall
 from probcell.volume import M_CONV, M_PEAK, extract_box, pad_volume
 
 from conftest import vol
-
-
-class TestNormalize:
-    def test_constant_volume_raises(self):
-        with pytest.raises(ConstantVolume):
-            normalize_gaussian(vol(np.full((2, 3, 4), 5.0)))
-
-    def test_two_voxel_symmetry(self):
-        out = normalize_gaussian(vol(np.array([[[0.0, 2.0]]])))
-        assert np.allclose(out.data, [[[-1.0, 1.0]]])
-
-    def test_random_volume_moments(self, rng):
-        v = vol(rng.normal(3.0, 2.5, size=(16, 16, 16)))
-        out = normalize_gaussian(v)
-        data = out.data.astype(np.float64)
-        assert abs(data.mean()) < 1e-6
-        assert abs(data.std() - 1.0) < 1e-5
-        assert out.shape == v.shape and out.voxel_size == v.voxel_size
-
-
-class TestResample:
-    def test_identity_when_isotropic(self, rng):
-        v = vol(rng.random((4, 5, 6)))
-        out = resample_isotropic(v, 1.0)
-        assert out.voxel_size == (1.0, 1.0, 1.0)
-        assert np.array_equal(out.data, v.data)
-
-    def test_ramp_hand_computed(self):
-        # 1x1x4 at 2 um/voxel, values 0..3, to 1 um: centers at
-        # (k+0.5) um map to source index (k-0.5)/2, clamped at the edges
-        v = Volume3D(np.arange(4, dtype=np.float32).reshape(1, 1, 4), (2.0, 2.0, 2.0))
-        out = resample_isotropic(v, 1.0)
-        expected = [0.0, 0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.0]
-        assert out.shape == (2, 2, 8)  # round(1*2/1) = 2 on the degenerate axes
-        for z in range(2):
-            for y in range(2):
-                assert np.allclose(out.data[z, y], expected)
-
-    def test_constant_stays_constant(self):
-        v = Volume3D(np.full((3, 7, 5), 2.5, dtype=np.float32), (2.0, 0.8, 1.3))
-        out = resample_isotropic(v, 1.0)
-        assert np.allclose(out.data, 2.5)
-        # round(3*2), round(7*0.8)=round(5.6), round(5*1.3)=round(6.5) half-to-even
-        assert out.shape == (6, 6, 6)
 
 
 SUPP_TABLE_CONV = TilingConfig.m_conv((64, 156, 156), (20, 20, 20))
@@ -290,6 +245,27 @@ class TestVolumeIO:
         cut = raw[:delta] if delta < 0 else raw + bytes(delta)
         (tmp_path / "vol.raw").write_bytes(cut)
         with pytest.raises(VolumeSizeMismatch):
+            load_volume(tmp_path / "vol")
+
+    @pytest.mark.parametrize("voxel", [
+        (np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, -np.inf), (0.0, 1.0, 1.0),
+    ])
+    def test_voxel_size_must_be_positive_and_finite(self, voxel):
+        with pytest.raises(ValueError, match="voxel_size"):
+            vol(np.zeros((2, 2, 2)), voxel)
+
+    @pytest.mark.parametrize("key, value", [
+        ("voxel_size_um", [float("nan"), 1.0, 1.0]),
+        ("voxel_size_um", [1.0, float("inf"), 1.0]),
+        ("shape", [4, 4, 4.7]),
+        ("shape", [4, 4, "4"]),
+    ])
+    def test_sidecar_numbers_checked(self, tmp_path, key, value):
+        save_volume(vol(np.zeros((4, 4, 4))), tmp_path / "vol")
+        sidecar = json.loads((tmp_path / "vol.json").read_text())
+        sidecar[key] = value
+        (tmp_path / "vol.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError):
             load_volume(tmp_path / "vol")
 
     def test_pad_and_extract(self):
