@@ -384,11 +384,8 @@ def classify_proposals(
     spec: FeatureSpec = FeatureSpec(),
 ) -> CoordSet:
     """Attach cell probabilities to proposals (positives are p >= 0.5)."""
-    if len(proposals) == 0:
-        return CoordSet.empty()
-    X = extract_features(maps, proposals, spec)
-    p = predict_proba(model, X)
-    return CoordSet(proposals.coords.copy(), p=p, dm_value=None if proposals.dm_value is None else proposals.dm_value.copy())
+    p = predict_proba(model, extract_features(maps, proposals, spec))
+    return CoordSet(proposals.coords, p, proposals.dm_value)
 
 
 def save_model(model, path) -> None:

@@ -1,15 +1,21 @@
 """Batch command-line front-end.
 
-Every subcommand takes ``--config FILE`` (a flat JSON object of the same
-keys as the flags) with precedence CLI > file > built-in defaults. Domain
-errors exit with status 1 and a machine-readable JSON payload on stderr;
-usage errors exit with status 2.
+Each subcommand's flags and their defaults are written once, in the flag
+table of ``build_parser``. ``--config FILE`` names a JSON object keyed by
+flag destinations (``min_distance_um`` for ``--min-distance-um``); its
+values replace the flag defaults and a flag on the command line still wins
+(CLI > file > default). ``synth`` also takes any ``SynthSpec`` field and
+``pipeline`` any top-level ``run_pipeline`` config key. Any other key, a
+file that is not a JSON object, or a string value that its flag's ``type``
+rejects raises ``InvalidConfig``. Domain errors exit with status 1 and a
+machine-readable JSON payload on stderr; usage errors exit with status 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pipeline_mod
@@ -23,7 +29,7 @@ from .classifier import (
 from .coords import load_coords, save_coords
 from .densitymap import KernelSpec, render_dm
 from .detect import NmsConfig, detect_peaks
-from .errors import ProbcellError
+from .errors import InvalidConfig, ProbcellError
 from .evalmetrics import aggregate_reports, score_detection
 from .features import FeatureSpec, extract_features, feature_names
 from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
@@ -55,18 +61,6 @@ def _write_csv(path, header: list[str], rows) -> None:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Config precedence: CLI flag > config file entry > default."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        cfg.update(json.loads(Path(args.config).read_text()))
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func") or value is None:
-            continue
-        cfg[key] = value
-    return cfg
-
-
 def _load_maps(cfg) -> list[tuple[str, Volume3D]]:
     maps = [("dm", load_volume(cfg["dm"]))]
     if cfg.get("u_a"):
@@ -80,25 +74,10 @@ def _load_maps(cfg) -> list[tuple[str, Volume3D]]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    defaults = {
-        "shape": [96, 96, 96],
-        "voxel_size": [1.0, 1.0, 1.0],
-        "n_cells": 60,
-        "n_distractors": 20,
-        "n_tubes": 2,
-        "sigma_um": 2.0,
-        "noise_sd": 0.05,
-        "seed": 0,
-        "out": "scene",
-    }
-    cfg = _merged(args, defaults)
-    out = Path(cfg["out"])
+def cmd_synth(cfg) -> int:
+    out = Path(cfg.pop("out"))
     out.mkdir(parents=True, exist_ok=True)
-    spec_kwargs = {k: v for k, v in cfg.items() if k not in ("out",)}
-    spec_kwargs["shape"] = tuple(spec_kwargs["shape"])
-    spec_kwargs["voxel_size"] = tuple(spec_kwargs["voxel_size"])
-    spec = SynthSpec(**spec_kwargs)
+    spec = SynthSpec(**dict(cfg, shape=tuple(cfg["shape"]), voxel_size=tuple(cfg["voxel_size"])))
     gt = generate_coords(spec)
     ro = oracle_regress(gt, spec)
     structure, tissue = generate_structures(spec)
@@ -112,24 +91,14 @@ def cmd_synth(args) -> int:
         str(p.relative_to(out)) for p in out.iterdir() if p.suffix in (".raw", ".csv")
     )
     manifest = {
-        "spec": {k: (list(v) if isinstance(v, tuple) else v) for k, v in spec_kwargs.items()},
+        "spec": cfg,
         "files": {name: pipeline_mod.sha256_file(out / name) for name in files},
     }
     _write_json(out / "manifest.json", manifest)
-    return _summary(manifest["spec"], {"manifest": out / "manifest.json"},
-                    {"n_cells": len(gt)})
+    return _summary(cfg, {"manifest": out / "manifest.json"}, {"n_cells": len(gt)})
 
 
-def cmd_render_dm(args) -> int:
-    defaults = {
-        "voxel_size": [1.0, 1.0, 1.0],
-        "sigma_um": 2.0,
-        "cutoff_um": 16.0,
-        "compounding": "max",
-        "amplitude": "unit_peak",
-        "out": "dm",
-    }
-    cfg = _merged(args, defaults)
+def cmd_render_dm(cfg) -> int:
     coords = load_coords(cfg["coords"])
     kernel = KernelSpec(
         sigma_um=float(cfg["sigma_um"]),
@@ -142,9 +111,7 @@ def cmd_render_dm(args) -> int:
     return _summary(cfg, {"volume": raw_path}, {"max": float(dm.data.max(initial=0.0))})
 
 
-def cmd_detect(args) -> int:
-    defaults = {"min_distance_um": 4.0, "threshold": 0.0, "out": "peaks.csv"}
-    cfg = _merged(args, defaults)
+def cmd_detect(cfg) -> int:
     dm = load_volume(cfg["volume"])
     peaks = detect_peaks(
         dm, NmsConfig(float(cfg["min_distance_um"]), float(cfg["threshold"]))
@@ -153,9 +120,7 @@ def cmd_detect(args) -> int:
     return _summary(cfg, {"peaks": cfg["out"]}, {"n_peaks": len(peaks)})
 
 
-def cmd_features(args) -> int:
-    defaults = {"out": "features.csv"}
-    cfg = _merged(args, defaults)
+def cmd_features(cfg) -> int:
     maps = _load_maps(cfg)
     proposals = load_coords(cfg["proposals"])
     spec = FeatureSpec()
@@ -166,9 +131,7 @@ def cmd_features(args) -> int:
                     {"n_rows": int(X.shape[0]), "d": int(X.shape[1])})
 
 
-def cmd_train_classifier(args) -> int:
-    defaults = {"model_type": "forest", "seed": 0, "t_match_um": 4.0, "out": "model.json"}
-    cfg = _merged(args, defaults)
+def cmd_train_classifier(cfg) -> int:
     maps = _load_maps(cfg)
     proposals = load_coords(cfg["proposals"])
     gt = load_coords(cfg["gt"])
@@ -183,29 +146,23 @@ def cmd_train_classifier(args) -> int:
                     {"n_train": int(X.shape[0]), "n_positive": int(labels.sum())})
 
 
-def cmd_classify(args) -> int:
-    defaults = {"out": "classified.csv"}
-    cfg = _merged(args, defaults)
+def cmd_classify(cfg) -> int:
     model = load_model(cfg["model"])
     maps = _load_maps(cfg)
     proposals = load_coords(cfg["proposals"])
     classified = classify_proposals(model, maps, proposals, FeatureSpec())
     save_coords(classified, cfg["out"])
-    n_pos = int((classified.p >= 0.5).sum()) if len(classified) else 0
     return _summary(cfg, {"classified": cfg["out"]},
-                    {"n_proposals": len(classified), "n_positive": n_pos})
+                    {"n_proposals": len(classified),
+                     "n_positive": int((classified.p >= 0.5).sum())})
 
 
-def cmd_eval(args) -> int:
-    defaults = {"t_match_um": 4.0, "out": None}
-    cfg = _merged(args, defaults)
-    gt_paths = cfg["gt"] if isinstance(cfg["gt"], list) else [cfg["gt"]]
-    pred_paths = cfg["pred"] if isinstance(cfg["pred"], list) else [cfg["pred"]]
-    if len(gt_paths) != len(pred_paths):
+def cmd_eval(cfg) -> int:
+    if len(cfg["gt"]) != len(cfg["pred"]):
         raise ValueError("need one prediction file per ground-truth file")
     reports = [
         score_detection(load_coords(g), load_coords(p), float(cfg["t_match_um"]))
-        for g, p in zip(gt_paths, pred_paths)
+        for g, p in zip(cfg["gt"], cfg["pred"])
     ]
     if len(reports) == 1:
         report = reports[0].to_dict()
@@ -220,16 +177,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_spatial(args) -> int:
-    defaults = {
-        "mode": "both",
-        "replicates": 50,
-        "seed": 0,
-        "adjacency_um": 4.0,
-        "cdf_mode": "kde",
-        "out_dir": "spatial_out",
-    }
-    cfg = _merged(args, defaults)
+def cmd_spatial(cfg) -> int:
     cells = load_coords(cfg["cells"])
     prelude = prepare_spatial(
         {"structure": load_volume(cfg["structure"])}, load_volume(cfg["tissue"])
@@ -263,16 +211,11 @@ def cmd_spatial(args) -> int:
     return _summary(cfg, {"report": out_dir / "report.json"})
 
 
-def cmd_pipeline(args) -> int:
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    out_dir = args.out_dir or "pipeline_out"
-    report = pipeline_mod.run_pipeline(overrides, out_dir=out_dir)
+def cmd_pipeline(cfg) -> int:
+    out_dir = Path(cfg.pop("out_dir"))
+    report = pipeline_mod.run_pipeline(cfg, out_dir=out_dir)
     summary = {
-        "out": str(Path(out_dir) / "report.json"),
+        "out": str(out_dir / "report.json"),
         "classifier_f1": report["classifier"]["test_detection"]["f1"],
         "classifier_brier": report["classifier"]["test_brier"],
         "classifier_nll": report["classifier"]["test_nll"],
@@ -283,106 +226,125 @@ def cmd_pipeline(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and config files
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="probcell",
         description="Probabilistic 3D cell detection and spatial analysis on density maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, func, flags):
-        p = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name)
         p.add_argument("--config", help="JSON file of flag defaults")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        return p
 
+    maps = {"--dm": {"required": True}, "--u-a": {}, "--u-e": {},
+            "--proposals": {"required": True}}
     add("synth", cmd_synth, {
-        "--out": {},
-        "--shape": {"nargs": 3, "type": int},
-        "--voxel-size": {"nargs": 3, "type": float, "dest": "voxel_size"},
-        "--n-cells": {"type": int, "dest": "n_cells"},
-        "--n-distractors": {"type": int, "dest": "n_distractors"},
-        "--n-tubes": {"type": int, "dest": "n_tubes"},
-        "--sigma-um": {"type": float, "dest": "sigma_um"},
-        "--noise-sd": {"type": float, "dest": "noise_sd"},
-        "--seed": {"type": int},
+        "--out": {"default": "scene"},
+        "--shape": {"nargs": 3, "type": int, "default": [96, 96, 96]},
+        "--voxel-size": {"nargs": 3, "type": float, "default": [1.0, 1.0, 1.0]},
+        "--n-cells": {"type": int, "default": 60},
+        "--n-distractors": {"type": int, "default": 20},
+        "--n-tubes": {"type": int, "default": 2},
+        "--sigma-um": {"type": float, "default": 2.0},
+        "--noise-sd": {"type": float, "default": 0.05},
+        "--seed": {"type": int, "default": 0},
     })
     add("render-dm", cmd_render_dm, {
         "--coords": {"required": True},
         "--shape": {"nargs": 3, "type": int, "required": True},
-        "--voxel-size": {"nargs": 3, "type": float, "dest": "voxel_size"},
-        "--sigma-um": {"type": float, "dest": "sigma_um"},
-        "--cutoff-um": {"type": float, "dest": "cutoff_um"},
-        "--compounding": {"choices": ["sum", "max"]},
-        "--amplitude": {"choices": ["normalized", "unit_peak"]},
-        "--out": {},
+        "--voxel-size": {"nargs": 3, "type": float, "default": [1.0, 1.0, 1.0]},
+        "--sigma-um": {"type": float, "default": 2.0},
+        "--cutoff-um": {"type": float, "default": 16.0},
+        "--compounding": {"choices": ["sum", "max"], "default": "max"},
+        "--amplitude": {"choices": ["normalized", "unit_peak"], "default": "unit_peak"},
+        "--out": {"default": "dm"},
     })
     add("detect", cmd_detect, {
         "--volume": {"required": True},
-        "--min-distance-um": {"type": float, "dest": "min_distance_um"},
-        "--threshold": {"type": float},
-        "--out": {},
+        "--min-distance-um": {"type": float, "default": 4.0},
+        "--threshold": {"type": float, "default": 0.0},
+        "--out": {"default": "peaks.csv"},
     })
-    add("features", cmd_features, {
-        "--dm": {"required": True},
-        "--u-a": {"dest": "u_a"},
-        "--u-e": {"dest": "u_e"},
-        "--proposals": {"required": True},
-        "--out": {},
-    })
+    add("features", cmd_features, {**maps, "--out": {"default": "features.csv"}})
     add("train-classifier", cmd_train_classifier, {
-        "--dm": {"required": True},
-        "--u-a": {"dest": "u_a"},
-        "--u-e": {"dest": "u_e"},
-        "--proposals": {"required": True},
+        **maps,
         "--gt": {"required": True},
-        "--model-type": {"choices": ["forest", "mlp"], "dest": "model_type"},
-        "--t-match-um": {"type": float, "dest": "t_match_um"},
-        "--seed": {"type": int},
-        "--out": {},
+        "--model-type": {"choices": ["forest", "mlp"], "default": "forest"},
+        "--t-match-um": {"type": float, "default": 4.0},
+        "--seed": {"type": int, "default": 0},
+        "--out": {"default": "model.json"},
     })
     add("classify", cmd_classify, {
-        "--model": {"required": True},
-        "--dm": {"required": True},
-        "--u-a": {"dest": "u_a"},
-        "--u-e": {"dest": "u_e"},
-        "--proposals": {"required": True},
-        "--out": {},
+        "--model": {"required": True}, **maps, "--out": {"default": "classified.csv"},
     })
     add("eval", cmd_eval, {
         "--gt": {"required": True, "nargs": "+"},
         "--pred": {"required": True, "nargs": "+"},
-        "--t-match-um": {"type": float, "dest": "t_match_um"},
+        "--t-match-um": {"type": float, "default": 4.0},
         "--out": {},
     })
     add("spatial", cmd_spatial, {
         "--cells": {"required": True},
         "--structure": {"required": True},
         "--tissue": {"required": True},
-        "--mode": {"choices": ["deterministic", "probabilistic", "both"]},
-        "--replicates": {"type": int},
-        "--seed": {"type": int},
-        "--adjacency-um": {"type": float, "dest": "adjacency_um"},
-        "--cdf-mode": {"choices": ["kde", "empirical"], "dest": "cdf_mode"},
-        "--out-dir": {"dest": "out_dir"},
+        "--mode": {"choices": ["deterministic", "probabilistic", "both"], "default": "both"},
+        "--replicates": {"type": int, "default": 50},
+        "--seed": {"type": int, "default": 0},
+        "--adjacency-um": {"type": float, "default": 4.0},
+        "--cdf-mode": {"choices": ["kde", "empirical"], "default": "kde"},
+        "--out-dir": {"default": "spatial_out"},
     })
     add("pipeline", cmd_pipeline, {
         "--seed": {"type": int},
-        "--out-dir": {"dest": "out_dir"},
+        "--out-dir": {"default": "pipeline_out"},
     })
-    return parser
+    return parser, commands
+
+
+# Settings a config file may hold beyond its subcommand's flags.
+_FILE_ONLY_KEYS = {
+    "synth": {f.name for f in fields(SynthSpec)},
+    "pipeline": set(pipeline_mod.DEFAULT_CONFIG),
+}
+_NOT_SETTINGS = ("config", "command", "func")
+
+
+def _read_config(args: argparse.Namespace) -> dict:
+    """The --config file's object; each key must name a setting of the subcommand."""
+    file = json.loads(Path(args.config).read_text())
+    if not isinstance(file, dict):
+        raise InvalidConfig(f"{args.config}: a config file holds one JSON object")
+    known = set(vars(args)).union(_FILE_ONLY_KEYS.get(args.command, ())) - set(_NOT_SETTINGS)
+    unknown = sorted(set(file) - known)
+    if unknown:
+        raise InvalidConfig(f"{args.config}: {args.command} has no setting {unknown}")
+    return file
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.config:
+            command = commands[args.command]
+            command.set_defaults(**_read_config(args))
+            # argv parsed once already, so an error now comes from a file value
+            parser.exit_on_error = command.exit_on_error = False
+            try:
+                args = parser.parse_args(argv)
+            except argparse.ArgumentError as exc:
+                raise InvalidConfig(f"{args.config}: {exc}") from None
+        cfg = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS and v is not None}
+        return args.func(cfg)
     except (ProbcellError, OSError, ValueError, KeyError, TypeError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)

@@ -75,3 +75,7 @@ class AllZeroDifferences(ProbcellError):
 
 class PackingInfeasible(ProbcellError):
     """Rejection sampling could not place the requested points."""
+
+
+class InvalidConfig(ProbcellError, ValueError):
+    """A config file is not a JSON object or names a setting that does not exist."""

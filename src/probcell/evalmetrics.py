@@ -107,8 +107,8 @@ def score_probability_terms(targets, probs, eps: float = NLL_EPS) -> tuple[float
     return brier, nll
 
 
-def _calibration_targets(gt, pred, t_match_um):
-    tp_pairs, far_pairs, un_gt, un_pred = _match_terms(gt, pred, t_match_um)
+def _calibration_targets(pred, tp_pairs, far_pairs, un_gt, un_pred):
+    """Binary targets and probabilities of every scored term of one match."""
     p_pred = pred.p if pred.p is not None else np.ones(len(pred), dtype=np.float64)
     targets = []
     probs = []
@@ -137,7 +137,7 @@ def score_calibration(
 
     Predictions without probabilities are treated as deterministic (p = 1).
     """
-    targets, probs = _calibration_targets(gt, pred, t_match_um)
+    targets, probs = _calibration_targets(pred, *_match_terms(gt, pred, t_match_um))
     return score_probability_terms(targets, probs)
 
 
@@ -160,7 +160,8 @@ def score_detection(
     """Full detection + calibration report at the given match radius."""
     if t_match_um <= 0:
         raise ValueError("t_match must be positive")
-    tp_pairs, far_pairs, un_gt, un_pred = _match_terms(gt, pred, t_match_um)
+    terms = _match_terms(gt, pred, t_match_um)
+    tp_pairs, far_pairs, un_gt, un_pred = terms
     tp = len(tp_pairs)
     fp = len(far_pairs) + len(un_pred)
     fn = len(far_pairs) + len(un_gt)
@@ -168,7 +169,7 @@ def score_detection(
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = 0.0 if tp == 0 else 2.0 * precision * recall / (precision + recall)
-    brier, nll = score_calibration(gt, pred, t_match_um)
+    brier, nll = score_probability_terms(*_calibration_targets(pred, *terms))
     return MatchReport(
         t_match_um=t_match_um,
         pairs=tp_pairs,

@@ -151,10 +151,13 @@ def _maps(ro) -> list[tuple[str, Volume3D]]:
 
 
 def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: int):
-    """Best-F1 stopping threshold on a validation scene (lowest such threshold)."""
-    if values.dm_value is None or len(values) == 0:
+    """Best-F1 stopping threshold on a validation scene (lowest such threshold).
+
+    An empty set gives (0.0, 0.0); any other set needs dm_value.
+    """
+    if len(values) == 0:
         return 0.0, 0.0
-    top = float(values.dm_value.max())
+    top = float(proposals_by_threshold(values, -np.inf).dm_value.max())
     grid = np.linspace(0.0, 0.95 * top, n_grid)
     best = (0.0, -1.0)
     for t in grid:
@@ -211,7 +214,6 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     test_spec = _scene_spec(cfg["test_scene"], seed=seed)
     test_gt, test_ro, test_proposals = _detect_scene(test_spec, tiling, nms)
     classified = classify_proposals(model, _maps(test_ro), test_proposals, feature_spec)
-    classified = CoordSet(classified.coords, p=classified.p, dm_value=test_proposals.dm_value)
 
     positives = classified.select(classified.p >= 0.5)
     det_report = score_detection(test_gt, CoordSet(positives.coords), t_match)

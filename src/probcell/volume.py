@@ -276,21 +276,15 @@ def reconstruct_coordinates(
     offset = np.asarray(grid.origin_offset, dtype=np.float64)
     kept = []
     for cs, patch in zip(per_patch, grid.patches):
-        if len(cs) == 0:
-            continue
         out_start = np.asarray(patch.out_box[0], dtype=np.float64)
         if cfg.strategy == M_PEAK:
             keep_lo = (np.asarray(patch.keep_box[0]) - out_start) * voxel
             keep_hi = (np.asarray(patch.keep_box[1]) - out_start) * voxel
             mask = np.all((cs.coords >= keep_lo) & (cs.coords < keep_hi), axis=1)
             cs = cs.select(mask)
-            if len(cs) == 0:
-                continue
         shift = (out_start - offset) * voxel
         kept.append(cs.shifted(shift))
     merged = concat_coordsets(kept)
-    if len(merged) == 0:
-        return merged
     extent = np.asarray(grid.original_shape, dtype=np.float64) * voxel
     inside = np.all((merged.coords >= 0.0) & (merged.coords < extent), axis=1)
     return merged.select(inside)

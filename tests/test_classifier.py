@@ -305,10 +305,12 @@ class TestNonFiniteRows:
 
 class TestClassifyProposals:
     def test_empty_proposals(self, rng):
-        X, y = separable_1d(rng)
-        model = train_forest(X, y, seed=0, n_trees=4)
-        out = classify_proposals(model, [("dm", vol(rng.random((8, 8, 8))))], CoordSet.empty())
+        model = train_forest(rng.random((30, 56)), np.array([0, 1] * 15), seed=0, n_trees=4)
+        empty = CoordSet(np.zeros((0, 3)), dm_value=np.zeros(0))
+        out = classify_proposals(model, [("dm", vol(rng.random((8, 8, 8))))], empty)
         assert len(out) == 0
+        for column in (out.p, out.dm_value):
+            assert column.dtype == np.float64 and column.shape == (0,)
 
     def test_feature_width_contract(self, rng):
         maps3 = [

@@ -127,6 +127,24 @@ class TestDetectionMetrics:
 
 
 class TestCalibration:
+    def test_one_match_per_detection_report(self, rng, monkeypatch):
+        import probcell.evalmetrics as evalmetrics
+
+        calls = []
+        real = evalmetrics.hungarian_match
+
+        def counting(gt, pred):
+            calls.append((len(gt), len(pred)))
+            return real(gt, pred)
+
+        gt = CoordSet(rng.random((12, 3)) * 30)
+        pred = CoordSet(gt.coords[:9] + rng.normal(0, 3, (9, 3)), p=rng.random(9))
+        brier, nll = score_calibration(gt, pred, 4.0)
+        monkeypatch.setattr(evalmetrics, "hungarian_match", counting)
+        report = score_detection(gt, pred, 4.0)
+        assert calls == [(12, 9)]
+        assert (report.brier, report.nll) == (brier, nll)
+
     def test_perfect_deterministic_detector(self):
         gt = cs([0, 0, 0], [10, 0, 0])
         brier, nll = score_calibration(gt, cs([0, 0, 0], [10, 0, 0]), 4.0)

@@ -12,7 +12,9 @@ from probcell import (
     load_coords,
     render_dm,
     save_coords,
+    save_model,
     save_volume,
+    train_forest,
 )
 from probcell.cli import main
 from probcell.pipeline import (
@@ -48,6 +50,13 @@ class TestTiledDetect:
         d[np.diag_indices(len(tiled))] = np.inf
         assert d.min() < 4.0
 
+    def test_peak_free_map_keeps_dm_value(self):
+        dm = render_dm(CoordSet.empty(), (40, 40, 40), (1, 1, 1), KernelSpec(2.0))
+        tiled = tiled_detect(dm, TilingConfig.m_peak((24, 24, 24), (4, 4, 4), (4, 4, 4)),
+                             NmsConfig(4.0, 0.0))
+        assert len(tiled) == 0
+        assert tiled.dm_value.dtype == np.float64 and tiled.dm_value.shape == (0,)
+
 
 class TestHelpers:
     def test_threshold_filter_equals_direct_detection(self, rng):
@@ -79,6 +88,14 @@ class TestHelpers:
         thr, f1 = select_threshold(proposals, gt, 4.0, n_grid=20)
         assert f1 == 1.0
         assert 0.2 < thr < 0.9
+
+    def test_select_threshold_empty_and_missing_dm_value(self):
+        gt = CoordSet(np.asarray([[5.0, 5.0, 5.0]]))
+        assert select_threshold(CoordSet.empty(), gt, 4.0, n_grid=5) == (0.0, 0.0)
+        empty = CoordSet(np.zeros((0, 3)), dm_value=np.zeros(0))
+        assert select_threshold(empty, gt, 4.0, n_grid=5) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="dm_value"):
+            select_threshold(CoordSet(gt.coords), gt, 4.0, n_grid=5)
 
 
 PIPE_CFG = {
@@ -315,3 +332,81 @@ class TestCli:
         assert rc == 0
         header = (tmp_path / "f.csv").read_text().splitlines()[0]
         assert len(header.split(",")) == 168
+
+
+def _record(capsys) -> dict:
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def _error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+class TestCliConfig:
+    @pytest.fixture
+    def dm(self, tmp_path):
+        from conftest import vol
+
+        save_volume(vol(np.zeros((6, 6, 6))), tmp_path / "dm")
+        return str(tmp_path / "dm")
+
+    def test_threshold_precedence(self, tmp_path, capsys, dm):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 0.5}))
+        out = ["--out", str(tmp_path / "p.csv")]
+        assert main(["detect", "--volume", dm, *out]) == 0
+        assert _record(capsys)["config"]["threshold"] == 0.0
+        assert main(["detect", "--config", str(cfg), "--volume", dm, *out]) == 0
+        assert _record(capsys)["config"]["threshold"] == 0.5
+        assert main(["detect", "--config", str(cfg), "--volume", dm, "--threshold", "0.7",
+                     *out]) == 0
+        assert _record(capsys)["config"]["threshold"] == 0.7
+
+    def test_pipeline_seed_flag_wins_over_file(self, tmp_path, capsys):
+        cfg = tmp_path / "pipe.json"
+        cfg.write_text(json.dumps(PIPE_CFG))
+        rc = main(["pipeline", "--config", str(cfg), "--seed", "4",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["seed"] == 4
+
+    @pytest.mark.parametrize("content, error", [
+        (None, "FileNotFoundError"),
+        ("{not json", "JSONDecodeError"),
+        ("[0.5]", "InvalidConfig"),
+        ('{"detect_x": 1}', "InvalidConfig"),
+        ('{"func": 1}', "InvalidConfig"),
+        ('{"command": "synth"}', "InvalidConfig"),
+        ('{"background_bias_sd": 1.0}', "InvalidConfig"),
+        ('{"threshold": "abc"}', "InvalidConfig"),
+    ])
+    def test_bad_config_exit_1_with_json(self, tmp_path, capsys, dm, content, error):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        rc = main(["detect", "--config", str(cfg), "--volume", dm,
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert _error(capsys)["type"] == error
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_synth_takes_spec_fields_only(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps({"shape": [24, 24, 24], "n_cells": 2, "n_distractors": 0,
+                                   "n_tubes": 0, "margin_um": 4.0, "background_bias_sd": 1.0}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        spec = json.loads((tmp_path / "s" / "manifest.json").read_text())["spec"]
+        assert spec["background_bias_sd"] == 1.0 and spec["margin_um"] == 4.0
+        cfg.write_text(json.dumps({"shape": [24, 24, 24], "n_cell": 2}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
+        assert _error(capsys)["type"] == "InvalidConfig"
+
+    def test_classify_peak_free_map_keeps_p_column(self, tmp_path, dm):
+        assert main(["detect", "--volume", dm, "--out", str(tmp_path / "p.csv")]) == 0
+        rng = np.random.default_rng(0)
+        model = train_forest(rng.random((20, 56)), np.array([0, 1] * 10), seed=0, n_trees=4)
+        save_model(model, tmp_path / "model.json")
+        rc = main(["classify", "--model", str(tmp_path / "model.json"), "--dm", dm,
+                   "--proposals", str(tmp_path / "p.csv"), "--out", str(tmp_path / "c.csv")])
+        assert rc == 0
+        assert (tmp_path / "c.csv").read_text() == "z_um,y_um,x_um,p,dm_value\n"
