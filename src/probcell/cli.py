@@ -5,10 +5,11 @@ table of ``build_parser``. ``--config FILE`` names a JSON object keyed by
 flag destinations (``min_distance_um`` for ``--min-distance-um``); its
 values replace the flag defaults and a flag on the command line still wins
 (CLI > file > default). ``synth`` also takes any ``SynthSpec`` field and
-``pipeline`` any top-level ``run_pipeline`` config key. Any other key, a
-file that is not a JSON object, or a string value that its flag's ``type``
-rejects raises ``InvalidConfig``. Domain errors exit with status 1 and a
-machine-readable JSON payload on stderr; usage errors exit with status 2.
+``pipeline`` any ``run_pipeline`` config key, whose sections and value types
+``merge_config`` checks. Any other key, a file that is not a JSON object, or
+a string value that its flag's ``type`` rejects raises ``InvalidConfig``.
+Domain errors exit with status 1 and a machine-readable JSON payload on
+stderr; usage errors exit with status 2.
 """
 from __future__ import annotations
 

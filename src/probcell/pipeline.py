@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
+import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +25,13 @@ import numpy as np
 from .classifier import classify_proposals, save_model, train_forest, train_mlp
 from .coords import CoordSet, save_coords
 from .detect import NmsConfig, detect_peaks
+from .errors import InvalidConfig
 from .evalmetrics import hungarian_match, score_calibration, score_detection
 from .features import FeatureSpec, extract_features
 from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
 from .volume import (
+    M_CONV,
     M_PEAK,
     TilingConfig,
     Volume3D,
@@ -76,10 +81,76 @@ DEFAULT_CONFIG = {
 }
 
 
+_MLP_EPOCHS = inspect.signature(train_mlp).parameters["epochs"].default
+
+# Every setting with a value of its type: DEFAULT_CONFIG, plus any SynthSpec
+# field in a scene (the run sets the seed) and the MLP's epochs.
+_SCENE_FIELDS = {
+    f.name: f.default for f in fields(SynthSpec) if f.default is not MISSING and f.name != "seed"
+}
+_SCHEMA = {
+    **DEFAULT_CONFIG,
+    "test_scene": {**_SCENE_FIELDS, **DEFAULT_CONFIG["test_scene"]},
+    "train_scene": {**_SCENE_FIELDS, **DEFAULT_CONFIG["train_scene"]},
+    "classifier": {**DEFAULT_CONFIG["classifier"], "epochs": _MLP_EPOCHS},
+}
+# The values each string setting may take.
+_CHOICES = {
+    "strategy": (M_CONV, M_PEAK),
+    "type": ("forest", "mlp"),
+    "cdf_mode": ("kde", "empirical"),
+}
+
+
+def _check_setting(value, template, name: str) -> None:
+    """InvalidConfig unless value is of its template's kind: an object with
+    known keys, a list of the same length, an integer for an integer, a
+    finite number for a float (or null where the default is null), one of
+    the choices for a string."""
+    if isinstance(template, dict):
+        if not isinstance(value, dict):
+            raise InvalidConfig(f"{name} must be an object, got {value!r}")
+        unknown = [key for key in value if key not in template]
+        if unknown:
+            raise InvalidConfig(f"{name} has no setting {unknown}")
+        for key, item in value.items():
+            _check_setting(item, template[key], f"{name}.{key}")
+        return
+    if isinstance(template, (list, tuple)):
+        if not isinstance(value, (list, tuple)) or len(value) != len(template):
+            raise InvalidConfig(f"{name} must be {len(template)} values, got {value!r}")
+        for item, item_template in zip(value, template):
+            _check_setting(item, item_template, name)
+        return
+    if isinstance(template, str):
+        choices = _CHOICES[name.rsplit(".", 1)[-1]]
+        if not (isinstance(value, str) and value in choices):
+            raise InvalidConfig(f"{name} = {value!r} is not one of {list(choices)}")
+        return
+    if isinstance(value, bool):
+        ok = False
+    elif isinstance(template, int):
+        ok = isinstance(value, int)
+    else:
+        # the comparison is False for NaN and for integers beyond float range
+        ok = (value is None and template is None) or (
+            isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        )
+    if not ok:
+        raise InvalidConfig(f"{name} = {value!r} does not fit its default {template!r}")
+
+
 def merge_config(overrides: dict | None) -> dict:
+    """DEFAULT_CONFIG with the overrides applied, sections merged key by key.
+
+    An unknown key at any level, or a value of the wrong kind, raises
+    InvalidConfig before anything runs.
+    """
+    overrides = {} if overrides is None else overrides
+    _check_setting(overrides, _SCHEMA, "config")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    for key, value in (overrides or {}).items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+    for key, value in overrides.items():
+        if isinstance(value, dict):
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -175,7 +246,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     and seed produce byte-identical artifacts.
     """
     cfg = merge_config(config)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     t_match = float(cfg["t_match_um"])
     tiling = _tiling_config(cfg["tiling"])
     nms = NmsConfig(**cfg["nms"])
@@ -184,7 +255,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     # training scenes
     X_parts, y_parts = [], []
     train_stats = []
-    for i in range(int(cfg["train_scenes"])):
+    for i in range(cfg["train_scenes"]):
         spec = _scene_spec(cfg["train_scene"], seed=seed + 1000 + i)
         gt, ro, proposals = _detect_scene(spec, tiling, nms)
         X = extract_features(_maps(ro), proposals, feature_spec)
@@ -197,17 +268,15 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
 
     cls_cfg = cfg["classifier"]
     if cls_cfg["type"] == "forest":
-        model = train_forest(X_train, y_train, seed=seed, n_trees=int(cls_cfg.get("n_trees", 128)))
-    elif cls_cfg["type"] == "mlp":
-        model = train_mlp(X_train, y_train, seed=seed, epochs=int(cls_cfg.get("epochs", 200)))
+        model = train_forest(X_train, y_train, seed=seed, n_trees=cls_cfg["n_trees"])
     else:
-        raise ValueError(f"unknown classifier type {cls_cfg['type']!r}")
+        model = train_mlp(X_train, y_train, seed=seed, epochs=cls_cfg.get("epochs", _MLP_EPOCHS))
 
     # validation scene: stopping threshold for the deterministic baseline
     val_spec = _scene_spec(cfg["train_scene"], seed=seed + 2000)
     val_gt, val_ro, val_proposals = _detect_scene(val_spec, tiling, nms)
     threshold, val_f1 = select_threshold(
-        val_proposals, val_gt, t_match, int(cfg["threshold_grid"])
+        val_proposals, val_gt, t_match, cfg["threshold_grid"]
     )
 
     # test scene
@@ -234,7 +303,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     prob_spatial = analyze_probabilistic(
         classified,
         prelude,
-        replicates=int(spatial_cfg["replicates"]),
+        replicates=spatial_cfg["replicates"],
         seed=seed + 3000,
         adjacency_um=float(spatial_cfg["adjacency_um"]),
         cdf_mode=spatial_cfg["cdf_mode"],

@@ -141,23 +141,53 @@ def generate_coords(spec: SynthSpec) -> CoordSet:
 def _smooth_field(shape, rng, lo, hi):
     coarse = rng.random((4, 4, 4))
     axes = [np.linspace(0.0, 3.0, n) for n in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    field = ndimage.map_coordinates(coarse, [m.ravel() for m in mesh], order=1)
-    return (lo + (hi - lo) * field).reshape(shape)
+    yy, xx = np.meshgrid(axes[1], axes[2], indexing="ij")
+    field = np.empty(shape)
+    for z, plane in zip(axes[0], field):
+        ndimage.map_coordinates(coarse, [np.full_like(yy, z), yy, xx], output=plane, order=1)
+    field *= hi - lo
+    field += lo
+    return field
 
 
 def _smooth_noise(shape, rng, voxel_size):
     noise = rng.standard_normal(shape)
     sigmas = NOISE_SMOOTH_UM / np.asarray(voxel_size, dtype=np.float64)
-    noise = ndimage.gaussian_filter(noise, sigma=sigmas)
+    # in place, as gaussian_filter already runs its second and third axes
+    ndimage.gaussian_filter(noise, sigma=sigmas, output=noise)
     sd = noise.std()
     if sd > 0:
         noise /= sd  # restore unit SD after smoothing
     return noise
 
 
+def _background_bias(clean: np.ndarray, spec: SynthSpec) -> np.ndarray:
+    """bias_sd * (1 - clip(4 * smoothed support, 0, 1)), built in one array.
+
+    Noise is unbiased on and around the signal but biased negative in the
+    far background, where a trained regressor sits at or below zero; after
+    rectification only occasional background bumps survive as proposals,
+    keeping threshold-0 proposal counts proportional to the object count.
+    """
+    # float64 threshold: clean is float32, and 0.1 must not round to float32.
+    # The support is filtered as float64: a boolean input is twice as slow.
+    bias = (clean > np.float64(0.1)).astype(np.float64)
+    sigmas = 2.0 / np.asarray(spec.voxel_size, dtype=np.float64)
+    ndimage.gaussian_filter(bias, sigma=sigmas, output=bias)
+    bias *= 4.0
+    np.clip(bias, 0.0, 1.0, out=bias)
+    np.subtract(1.0, bias, out=bias)
+    bias *= spec.background_bias_sd
+    return bias
+
+
 def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
-    """Surrogate for a trained regressor: ground truth plus seeded degradation."""
+    """Surrogate for a trained regressor: ground truth plus seeded degradation.
+
+    Each draw is clean + amp_field * (noise - bias), built in place in its
+    noise array, so the whole-volume float64 arrays alive at once are the
+    amplitude field, the two noises and the bias.
+    """
     rng = np.random.default_rng([spec.seed, 1])
     cell_amps = rng.uniform(*spec.cell_amp_range, size=len(coords))
     lo = np.full(3, spec.margin_um)
@@ -169,34 +199,30 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
         rng.uniform(*spec.distractor_amp_range, size=spec.n_distractors)
         for _ in range(2)
     ]
-    amp_field = _smooth_field(spec.shape, rng, *spec.amp_field_range) * spec.noise_sd
-    noise = [_smooth_noise(spec.shape, rng, spec.voxel_size) for _ in range(2)]
+    amp_field = _smooth_field(spec.shape, rng, *spec.amp_field_range)
+    amp_field *= spec.noise_sd
+    draws = [_smooth_noise(spec.shape, rng, spec.voxel_size) for _ in range(2)]
     kernel = spec.kernel()
     all_coords = CoordSet(np.concatenate([coords.coords, distractors], axis=0))
-    cleans = []
-    for t in range(2):
+    bias = 0.0
+    for t, draw in enumerate(draws):
         scales = np.concatenate([cell_amps, distractor_amps[t]])
-        cleans.append(
-            render_dm(all_coords, spec.shape, spec.voxel_size, kernel, scales=scales)
-            .data.astype(np.float64)
-        )
-    # Noise is unbiased on and around the signal but biased negative in the
-    # far background, where a trained regressor sits at or below zero; after
-    # rectification only occasional background bumps survive as proposals,
-    # keeping threshold-0 proposal counts proportional to the object count.
-    if spec.background_bias_sd > 0 and len(all_coords):
-        support = (cleans[0] > 0.1).astype(np.float64)
-        sigmas = 2.0 / np.asarray(spec.voxel_size, dtype=np.float64)
-        env = np.clip(ndimage.gaussian_filter(support, sigma=sigmas) * 4.0, 0.0, 1.0)
-        bias = spec.background_bias_sd * (1.0 - env)
-    else:
-        bias = 0.0
-    draws = [c + amp_field * (n - bias) for c, n in zip(cleans, noise)]
-    dm = np.maximum(draws[0], 0.0)
-    epistemic = np.abs(draws[1] - draws[0]) / np.sqrt(2.0)
+        # float32; `draw += clean` casts it to float64 exactly
+        clean = render_dm(all_coords, spec.shape, spec.voxel_size, kernel, scales=scales).data
+        if t == 0 and spec.background_bias_sd > 0 and len(all_coords):
+            bias = _background_bias(clean, spec)
+        draw -= bias
+        draw *= amp_field
+        draw += clean
+        del clean
+    del bias
+    draw0, epistemic = draws
+    epistemic -= draw0
+    np.abs(epistemic, out=epistemic)
+    epistemic /= np.sqrt(2.0)
     vs = tuple(spec.voxel_size)
     return RegressorOutput(
-        dm=Volume3D(dm.astype(np.float32), vs),
+        dm=Volume3D(np.maximum(draw0, 0.0, out=draw0).astype(np.float32), vs),
         aleatoric=Volume3D(amp_field.astype(np.float32), vs),
         epistemic=Volume3D(epistemic.astype(np.float32), vs),
     )
@@ -238,11 +264,17 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
             direction /= np.linalg.norm(direction)
             pos = pos + direction * step
             pos = np.clip(pos, 0.0, extent - 1e-9)
+    structure = np.zeros(shape, dtype=bool)
     if centerline.any():
-        dist = ndimage.distance_transform_edt(~centerline, sampling=tuple(vs))
-        structure = (dist <= spec.tube_radius_um) & tissue
-    else:
-        structure = np.zeros(shape, dtype=bool)
+        # voxels further than the padding from the centerline's bounding box
+        # lie beyond the radius, so the EDT runs on the padded box only
+        pad = np.ceil(spec.tube_radius_um / vs).astype(int) + 1
+        hits = np.nonzero(centerline)
+        box = tuple(
+            slice(max(int(h.min()) - p, 0), int(h.max()) + p + 1) for h, p in zip(hits, pad)
+        )
+        dist = ndimage.distance_transform_edt(~centerline[box], sampling=tuple(vs))
+        structure[box] = (dist <= spec.tube_radius_um) & tissue[box]
     return (
         Volume3D(structure.astype(np.float32), tuple(vs)),
         Volume3D(tissue.astype(np.float32), tuple(vs)),

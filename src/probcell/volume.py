@@ -313,12 +313,13 @@ def load_volume(base_path) -> Volume3D:
     shape = tuple(sidecar["shape"])
     if not all(type(s) is int for s in shape):
         raise ValueError(f"{json_path}: shape {list(shape)} must hold JSON integers")
-    raw = raw_path.read_bytes()
+    size = raw_path.stat().st_size
     expected = math.prod(shape) * 4
-    if len(raw) != expected:
+    if size != expected:
         raise VolumeSizeMismatch(
-            f"{raw_path} holds {len(raw)} bytes; its sidecar shape {list(shape)} "
+            f"{raw_path} holds {size} bytes; its sidecar shape {list(shape)} "
             f"needs {expected} (float32)"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    return Volume3D(data.astype(np.float32), tuple(sidecar["voxel_size_um"]))
+    # read once, straight into the array: no bytes object beside it
+    data = np.fromfile(raw_path, dtype="<f4").reshape(shape)
+    return Volume3D(data.astype(np.float32, copy=False), tuple(sidecar["voxel_size_um"]))

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 def naive_render_dm(coords, shape, voxel_size, sigma, cutoff, compounding, amplitude="unit_peak"):
@@ -399,3 +400,107 @@ def reference_analyze_probabilistic(
         alpha=2.0 / (replicates + 1),
         flags=flags,
     )
+
+
+# ---------------------------------------------------------------------------
+# The surrogate regressor and the tube mask as they stood before they were
+# rewritten to bound their memory (one z-plane of map_coordinates at a time,
+# draws built in place, the tube EDT on the centerline's padded bounding box).
+# Each builds whole-volume float64 temporaries; the rewrite must match them
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_smooth_field(shape, rng, lo, hi):
+    """Trilinear upsampling of a 4^3 random grid, all voxels in one call."""
+    coarse = rng.random((4, 4, 4))
+    axes = [np.linspace(0.0, 3.0, n) for n in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    field = ndimage.map_coordinates(coarse, [m.ravel() for m in mesh], order=1)
+    return (lo + (hi - lo) * field).reshape(shape)
+
+
+def _reference_smooth_noise(shape, rng, voxel_size):
+    noise = rng.standard_normal(shape)
+    sigmas = 2.0 / np.asarray(voxel_size, dtype=np.float64)
+    noise = ndimage.gaussian_filter(noise, sigma=sigmas)
+    sd = noise.std()
+    if sd > 0:
+        noise /= sd
+    return noise
+
+
+def reference_oracle_regress(coords, spec):
+    """(dm, aleatoric, epistemic) float32 arrays of the surrogate regressor:
+    both clean maps as float64, then each draw as c + a * (n - b)."""
+    from probcell.coords import CoordSet
+    from probcell.densitymap import render_dm
+    from probcell.synth import _sample_separated
+
+    rng = np.random.default_rng([spec.seed, 1])
+    cell_amps = rng.uniform(*spec.cell_amp_range, size=len(coords))
+    lo = np.full(3, spec.margin_um)
+    hi = spec.extent_um - spec.margin_um
+    distractors = _sample_separated(
+        rng, spec.n_distractors, lo, hi, spec.min_separation_um, existing=coords.coords
+    )
+    distractor_amps = [
+        rng.uniform(*spec.distractor_amp_range, size=spec.n_distractors)
+        for _ in range(2)
+    ]
+    amp_field = reference_smooth_field(spec.shape, rng, *spec.amp_field_range) * spec.noise_sd
+    noise = [_reference_smooth_noise(spec.shape, rng, spec.voxel_size) for _ in range(2)]
+    all_coords = np.concatenate([coords.coords, distractors], axis=0)
+    cleans = []
+    for t in range(2):
+        scales = np.concatenate([cell_amps, distractor_amps[t]])
+        cleans.append(
+            render_dm(CoordSet(all_coords), spec.shape, spec.voxel_size, spec.kernel(),
+                      scales=scales).data.astype(np.float64)
+        )
+    if spec.background_bias_sd > 0 and len(all_coords):
+        support = (cleans[0] > 0.1).astype(np.float64)
+        sigmas = 2.0 / np.asarray(spec.voxel_size, dtype=np.float64)
+        env = np.clip(ndimage.gaussian_filter(support, sigma=sigmas) * 4.0, 0.0, 1.0)
+        bias = spec.background_bias_sd * (1.0 - env)
+    else:
+        bias = 0.0
+    draws = [c + amp_field * (n - bias) for c, n in zip(cleans, noise)]
+    dm = np.maximum(draws[0], 0.0)
+    epistemic = np.abs(draws[1] - draws[0]) / np.sqrt(2.0)
+    return dm.astype(np.float32), amp_field.astype(np.float32), epistemic.astype(np.float32)
+
+
+def reference_generate_structures(spec):
+    """(structure, tissue) boolean masks, the tube mask thresholding a
+    full-volume EDT of the random-walk centerline."""
+    rng = np.random.default_rng([spec.seed, 2])
+    shape = spec.shape
+    vs = np.asarray(spec.voxel_size, dtype=np.float64)
+    extent = spec.extent_um
+    centers = [(np.arange(n, dtype=np.float64) + 0.5) * v for n, v in zip(shape, vs)]
+    half = extent / 2.0
+    zz = ((centers[0] - half[0]) / half[0]) ** 2
+    yy = ((centers[1] - half[1]) / half[1]) ** 2
+    xx = ((centers[2] - half[2]) / half[2]) ** 2
+    tissue = (zz[:, None, None] + yy[None, :, None] + xx[None, None, :]) <= 1.0
+    centerline = np.zeros(shape, dtype=bool)
+    length = (
+        spec.tube_length_um if spec.tube_length_um is not None else 0.8 * float(extent.max())
+    )
+    step = float(vs.min())
+    for _ in range(spec.n_tubes):
+        pos = half + (rng.random(3) - 0.5) * extent * 0.5
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        for _ in range(int(length / step)):
+            idx = np.floor(pos / vs).astype(int)
+            if np.all(idx >= 0) and np.all(idx < shape):
+                centerline[idx[0], idx[1], idx[2]] = True
+            direction = direction + 0.25 * rng.standard_normal(3)
+            direction /= np.linalg.norm(direction)
+            pos = pos + direction * step
+            pos = np.clip(pos, 0.0, extent - 1e-9)
+    if not centerline.any():
+        return np.zeros(shape, dtype=bool), tissue
+    dist = ndimage.distance_transform_edt(~centerline, sampling=tuple(vs))
+    return (dist <= spec.tube_radius_um) & tissue, tissue

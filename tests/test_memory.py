@@ -1,0 +1,66 @@
+"""Peak memory of the three whole-volume stages, per voxel.
+
+Each bound is the bytes per voxel of the arrays a function holds at its
+peak, plus a fixed 1 MiB for per-plane temporaries and small arrays. A
+return to a whole-volume float64 temporary adds at least 8 bytes per voxel
+and fails here. ``tracemalloc`` sees numpy's buffers, not the C work space
+inside scipy, so the bounds are traced bytes, not RSS.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from probcell import SynthSpec, Volume3D, generate_coords, generate_structures, oracle_regress
+from probcell.spatial import EDT_SLAB, distance_transform
+
+SMALL = 1 << 20
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak traced bytes while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (67, 64, 64), (96, 96, 96)])
+def test_distance_transform_peak(shape):
+    m = np.zeros(shape, dtype=np.float32)
+    m[shape[0] // 2, 5, 7] = m[3, 40, 40] = 1.0
+    structure = Volume3D(m, (1.0, 1.0, 1.0))
+    n = m.size
+    slab = EDT_SLAB * shape[1] * shape[2]
+    # kept: the int32 feature transform (3 x 4 B) and the float64 EDT (8 B);
+    # one slab: its int32 index stack (12 B) and float64 stack (24 B),
+    # allocated while the previous slab's float64 stack (24 B) is still bound
+    bound = 20 * n + 60 * slab + SMALL
+    assert traced_peak(distance_transform, structure) <= bound
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
+def test_oracle_regress_peak(shape):
+    spec = SynthSpec(shape=shape, n_cells=20, n_distractors=5, seed=1)
+    coords = generate_coords(spec)
+    # float64: amplitude field, two noises, background bias (4 x 8 B); and
+    # render_dm's float64 accumulator with its float32 copy (12 B) while the
+    # second clean map is rendered
+    bound = 44 * np.prod(shape) + SMALL
+    assert traced_peak(oracle_regress, coords, spec) <= bound
+
+
+def test_generate_structures_peak():
+    spec = SynthSpec(shape=(96, 96, 96), n_cells=0, n_tubes=1, tube_length_um=10.0, seed=1)
+    n = np.prod(spec.shape)
+    # kept: tissue, centerline and structure booleans (3 B) and the two
+    # float32 masks returned (8 B). The tube EDT runs on the centerline's box,
+    # at most (10 um walk + 1 voxel + 2 x 6 voxels of padding)^3 voxels, each
+    # with scipy's int8 input, int32 feature transform, and int32 and float64
+    # distance stacks (1 + 12 + 12 + 24 + 8 B): a full-volume EDT would add
+    # 57 B per voxel.
+    box = (10 + 1 + 2 * 6) ** 3
+    bound = 11 * n + 57 * box + SMALL
+    assert traced_peak(generate_structures, spec) <= bound

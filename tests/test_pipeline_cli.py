@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probcell import (
     CoordSet,
     KernelSpec,
     NmsConfig,
+    SynthSpec,
     TilingConfig,
     detect_peaks,
     load_coords,
@@ -17,8 +21,13 @@ from probcell import (
     train_forest,
 )
 from probcell.cli import main
+from probcell.errors import InvalidConfig, ProbcellError
 from probcell.pipeline import (
+    DEFAULT_CONFIG,
+    _scene_spec,
+    _tiling_config,
     label_proposals,
+    merge_config,
     proposals_by_threshold,
     run_pipeline,
     select_threshold,
@@ -130,6 +139,115 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         assert report["classifier"]["type"] == "mlp"
         assert 0.0 <= report["classifier"]["test_brier"] <= 1.0
+
+
+_NAMES = st.sampled_from(["n_tres", "n_cell", "seed", "epochs"]) | st.text(max_size=4)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.integers(min_value=2**1024)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _near(default):
+    """Overrides shaped like a setting's default: often of its kind, at
+    times with a misspelt key, a wrong length, a wrong type or junk."""
+    if isinstance(default, dict):
+        optional = {key: _near(value) for key, value in default.items()}
+        optional["n_tres"] = _VALUES
+        return st.fixed_dictionaries({}, optional=optional) | _VALUES
+    if isinstance(default, list):
+        n = len(default)
+        return st.lists(_near(default[0]), min_size=n - 1, max_size=n + 1) | _VALUES
+    if isinstance(default, str):
+        kind = st.sampled_from(["kde", "empirical", "m_conv", "m_peak", "forest", "mlp", "svm"])
+    else:
+        kind = st.integers(-2, 300) | st.floats()
+    return st.just(default) | kind | _VALUES
+
+
+# DEFAULT_CONFIG with some of the SynthSpec fields a scene also takes and
+# the MLP's epochs, as lists where run_pipeline reads JSON
+_TEMPLATE = json.loads(json.dumps(DEFAULT_CONFIG))
+for _scene in ("test_scene", "train_scene"):
+    _TEMPLATE[_scene].update(voxel_size=[1.0, 1.0, 1.0], tube_length_um=10.0)
+_TEMPLATE["classifier"]["epochs"] = 10
+_OVERRIDES = _near(_TEMPLATE)
+
+
+def _of_kind(value, default) -> bool:
+    """value has the JSON kind of a template value: known keys, the same list
+    length, an integer for an integer, a string for a string, otherwise a
+    finite number or (where the default is null) null."""
+    if isinstance(default, dict):
+        return isinstance(value, dict) and all(
+            key in default and _of_kind(item, default[key]) for key, item in value.items()
+        )
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(
+            _of_kind(item, d) for item, d in zip(value, default)
+        )
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, int):
+        return type(value) is int
+    return value is None or type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+class TestMergeConfig:
+    @pytest.mark.parametrize("overrides", [
+        {"classifier": {"n_tres": 8}},
+        {"test_scene": {"n_cell": 5}},
+        {"test_scene": {"seed": 5}},
+        {"classifier": {"n_trees": 12.7}},
+        {"classifier": {"type": "svm"}},
+        {"spatial": {"cdf_mode": "step"}},
+        {"t_match_um": float("nan")},
+        {"tiling": {"l_in": [48, 48]}},
+        {"nms": 4.0},
+        {"seed": True},
+        {"unknown": 1},
+    ])
+    def test_rejects(self, overrides):
+        with pytest.raises(InvalidConfig):
+            merge_config(overrides)
+
+    def test_accepts_spec_fields_and_epochs(self):
+        cfg = merge_config({
+            "test_scene": {"voxel_size": [2.0, 1.0, 1.0], "tube_length_um": None},
+            "train_scene": {"background_bias_sd": 1, "tube_length_um": 30.0},
+            "classifier": {"type": "mlp", "epochs": 10},
+        })
+        assert cfg["test_scene"]["n_cells"] == DEFAULT_CONFIG["test_scene"]["n_cells"]
+        assert cfg["classifier"] == {"type": "mlp", "n_trees": 128, "epochs": 10}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_OVERRIDES)
+    def test_random_overrides_valid_or_probcell_error(self, overrides):
+        """Any override gives a ProbcellError or a config whose every value is
+        of its setting's kind and from which run_pipeline's settings objects
+        build without a TypeError or KeyError (a range check's ValueError is
+        fine)."""
+        try:
+            cfg = merge_config(overrides)
+        except ProbcellError:
+            return
+        assert _of_kind(cfg, _TEMPLATE)
+        json.dumps(cfg, allow_nan=False)
+        builders = [
+            lambda: _scene_spec(cfg["test_scene"], seed=cfg["seed"]),
+            lambda: _scene_spec(cfg["train_scene"], seed=cfg["seed"] + 1000),
+            lambda: _tiling_config(cfg["tiling"]),
+            lambda: NmsConfig(**cfg["nms"]),
+            lambda: range(cfg["train_scenes"]),
+            lambda: range(cfg["spatial"]["replicates"] + cfg["threshold_grid"]),
+        ]
+        for build in builders:
+            try:
+                build()
+            except ValueError:
+                pass
 
 
 class TestCli:
@@ -389,6 +507,19 @@ class TestCliConfig:
         assert rc == 1
         assert _error(capsys)["type"] == error
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"classifier": {"n_tres": 8}},
+        {"test_scene": {"n_cell": 5}},
+        {"classifier": {"n_trees": 12.7}},
+    ])
+    def test_pipeline_nested_config_exit_1(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "pipe.json"
+        cfg.write_text(json.dumps(overrides))
+        rc = main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert _error(capsys)["type"] == "InvalidConfig"
+        assert not (tmp_path / "out").exists()
 
     def test_synth_takes_spec_fields_only(self, tmp_path, capsys):
         cfg = tmp_path / "scene.json"

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from probcell import (
     CoordSet,
@@ -20,7 +21,7 @@ from probcell import (
 from probcell.cli import main
 from probcell.errors import AllZeroDifferences, DegenerateESD, EmptyCells, EmptyStructure
 from probcell.pipeline import run_pipeline
-from probcell.spatial import DistanceCdf
+from probcell.spatial import EDT_SLAB, DistanceCdf
 
 from conftest import vol
 from oracles import (
@@ -63,6 +64,20 @@ class TestDistanceTransform:
             edt = distance_transform(mask(m, voxel))
             ref = brute_force_edt(m > 0, voxel)
             assert np.max(np.abs(edt.data - ref)) < 1e-6
+
+    @pytest.mark.parametrize("shape, voxel", [
+        ((19, 12, 15), (1.0, 1.0, 1.0)),
+        ((EDT_SLAB + 1, 9, 7), (2.0, 1.0, 0.5)),
+        ((3 * EDT_SLAB, 6, 11), (0.3, 1.7, 1.1)),
+        ((1, 8, 8), (1.0, 0.5, 0.25)),
+    ])
+    def test_equals_scipy_distance_transform(self, rng, shape, voxel):
+        """Slab-wise distances repeat scipy's own arithmetic, so a scipy that
+        changes it fails here instead of drifting."""
+        m = rng.random(shape) < 0.05
+        m[shape[0] // 2, 0, 0] = True
+        edt = distance_transform(mask(m.astype(np.float32), voxel))
+        assert np.array_equal(edt.data, ndimage.distance_transform_edt(~m, sampling=voxel))
 
 
 class TestEsd:

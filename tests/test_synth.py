@@ -17,6 +17,13 @@ from probcell import (
 )
 from probcell.errors import EmptyStructure, PackingInfeasible
 from probcell.spatial import distance_transform
+from probcell.synth import _smooth_field
+
+from oracles import (
+    reference_generate_structures,
+    reference_oracle_regress,
+    reference_smooth_field,
+)
 
 
 class TestGenerateCoords:
@@ -132,6 +139,59 @@ class TestGenerateStructures:
         a, _ = generate_structures(spec)
         b, _ = generate_structures(spec)
         assert np.array_equal(a.data, b.data)
+
+
+# Scenes for the comparison with the whole-volume reference implementations.
+REFERENCE_SCENES = {
+    "anisotropic": SynthSpec(
+        shape=(30, 26, 34), n_cells=6, n_distractors=3, voxel_size=(2.0, 1.0, 0.7),
+        n_tubes=2, tube_radius_um=3.0, amp_field_range=(0.3, 1.7), seed=21,
+    ),
+    "odd_shape": SynthSpec(
+        shape=(21, 18, 19), n_cells=4, n_distractors=2, n_tubes=1,
+        amp_field_range=(0.4, 1.9), noise_sd=0.3, seed=22,
+    ),
+    "tubes_at_border": SynthSpec(
+        shape=(20, 24, 22), n_cells=3, n_tubes=3, tube_length_um=400.0,
+        tube_radius_um=4.0, voxel_size=(1.5, 1.0, 1.0), seed=23,
+    ),
+    "no_tubes": SynthSpec(shape=(24, 24, 24), n_cells=5, n_distractors=2, n_tubes=0, seed=24),
+    "no_bias": SynthSpec(
+        shape=(24, 20, 28), n_cells=5, n_distractors=2, background_bias_sd=0.0, seed=25,
+    ),
+    "no_objects": SynthSpec(shape=(16, 16, 16), n_cells=0, n_tubes=1, seed=26),
+}
+
+
+class TestMatchesWholeVolumeReference:
+    """The memory-bounded synth code reproduces the whole-volume form bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(13, 7, 9), (1, 5, 4), (40, 3, 2)])
+    def test_smooth_field(self, shape):
+        got = _smooth_field(shape, np.random.default_rng(3), 0.3, 1.7)
+        want = reference_smooth_field(shape, np.random.default_rng(3), 0.3, 1.7)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+    def test_oracle_regress(self, name):
+        spec = REFERENCE_SCENES[name]
+        coords = generate_coords(spec)
+        ro = oracle_regress(coords, spec)
+        dm, aleatoric, epistemic = reference_oracle_regress(coords, spec)
+        assert np.array_equal(ro.dm.data, dm)
+        assert np.array_equal(ro.aleatoric.data, aleatoric)
+        assert np.array_equal(ro.epistemic.data, epistemic)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+    def test_generate_structures(self, name):
+        spec = REFERENCE_SCENES[name]
+        structure, tissue = generate_structures(spec)
+        want_structure, want_tissue = reference_generate_structures(spec)
+        assert np.array_equal(structure.data, want_structure.astype(np.float32))
+        assert np.array_equal(tissue.data, want_tissue.astype(np.float32))
+        if name == "tubes_at_border":
+            faces = [structure.data.take(i, axis=a) for a in range(3) for i in (0, -1)]
+            assert sum(face.any() for face in faces) >= 2
 
 
 class TestFidelityKnob:
