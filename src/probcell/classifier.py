@@ -200,6 +200,8 @@ def train_forest(
     bootstrap=False trains every tree on the data as given (used by the
     split-oracle tests).
     """
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:

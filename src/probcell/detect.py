@@ -2,7 +2,9 @@
 
 Candidates are voxels that are >= all of their 26 neighbors and strictly
 above both the threshold and zero (zero plateaus are never peaks, which
-keeps threshold-0 proposal mode finite). Candidates are processed in
+keeps threshold-0 proposal mode finite). The 3x3x3 neighborhood maximum is a
+separable running max, one numpy pass per axis; a neighbor beyond the
+border is simply not compared. Candidates are processed in
 descending value order (ties broken lexicographically by voxel index) and
 accepted unless a previously accepted peak lies closer than the minimum
 distance. This is equivalent to classic iterative NMS: a KD-tree lists
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .coords import CoordSet
@@ -41,8 +42,21 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
     data = dm.data
     if not np.all(np.isfinite(data)):
         raise NonFiniteInput("density map must be finite-valued")
-    footprint_max = ndimage.maximum_filter(data, size=3, mode="constant", cval=-np.inf)
-    mask = (data >= footprint_max) & (data > threshold) & (data > 0)
+    # 3x3x3 max, one axis at a time: each voxel takes the larger of itself
+    # and each neighbor along the axis, read from the previous pass's copy
+    footprint_max = data.copy()
+    prev = np.empty_like(data)
+    for axis in range(data.ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        np.copyto(prev, footprint_max)
+        np.maximum(footprint_max[lo], prev[hi], out=footprint_max[lo])
+        np.maximum(footprint_max[hi], prev[lo], out=footprint_max[hi])
+    del prev
+    mask = data >= footprint_max
+    del footprint_max
+    mask &= data > threshold
+    mask &= data > 0
     idx = np.argwhere(mask)
     return idx, data[mask]
 

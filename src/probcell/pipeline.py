@@ -100,13 +100,19 @@ _CHOICES = {
     "type": ("forest", "mlp"),
     "cdf_mode": ("kde", "empirical"),
 }
+# The least value of each integer setting that has one.
+_MINIMA = {
+    "config.classifier.n_trees": 1,
+    "config.threshold_grid": 1,
+    "config.spatial.replicates": 2,
+}
 
 
 def _check_setting(value, template, name: str) -> None:
     """InvalidConfig unless value is of its template's kind: an object with
     known keys, a list of the same length, an integer for an integer, a
     finite number for a float (or null where the default is null), one of
-    the choices for a string."""
+    the choices for a string, and no less than its entry in _MINIMA."""
     if isinstance(template, dict):
         if not isinstance(value, dict):
             raise InvalidConfig(f"{name} must be an object, got {value!r}")
@@ -138,6 +144,9 @@ def _check_setting(value, template, name: str) -> None:
         )
     if not ok:
         raise InvalidConfig(f"{name} = {value!r} does not fit its default {template!r}")
+    least = _MINIMA.get(name)
+    if least is not None and value < least:
+        raise InvalidConfig(f"{name} = {value!r} must be at least {least}")
 
 
 def merge_config(overrides: dict | None) -> dict:

@@ -32,7 +32,7 @@ from .bayescore import RegressorOutput
 from .coords import CoordSet
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible
-from .volume import Volume3D
+from .volume import Volume3D, on_two_cores
 
 # SD (um) of the Gaussian that smooths the surrogate's noise
 NOISE_SMOOTH_UM = 2.0
@@ -143,18 +143,40 @@ def _smooth_field(shape, rng, lo, hi):
     axes = [np.linspace(0.0, 3.0, n) for n in shape]
     yy, xx = np.meshgrid(axes[1], axes[2], indexing="ij")
     field = np.empty(shape)
-    for z, plane in zip(axes[0], field):
-        ndimage.map_coordinates(coarse, [np.full_like(yy, z), yy, xx], output=plane, order=1)
+
+    def planes(start, stop):
+        for z, plane in zip(axes[0][start:stop], field[start:stop]):
+            ndimage.map_coordinates(coarse, [np.full_like(yy, z), yy, xx], output=plane, order=1)
+
+    on_two_cores(planes, shape[0])
     field *= hi - lo
     field += lo
     return field
 
 
+def _gaussian_in_place(a: np.ndarray, sigmas) -> None:
+    """ndimage.gaussian_filter(a, sigmas, output=a), each pass on two cores.
+
+    scipy's own sequence: one gaussian_filter1d per axis, in order, with the
+    default reflect mode and truncate, skipping an axis whose sigma is
+    <= 1e-15. Each pass is split along an axis it does not filter, and every
+    line is filtered on its own, so the result is bit-identical to the call.
+    """
+    for axis, sigma in enumerate(sigmas):
+        if sigma <= 1e-15:
+            continue
+        split = 1 if axis == 0 else 0
+
+        def lines(start, stop):
+            part = a[(slice(None),) * split + (slice(start, stop),)]
+            ndimage.gaussian_filter1d(part, sigma, axis=axis, output=part)
+
+        on_two_cores(lines, a.shape[split])
+
+
 def _smooth_noise(shape, rng, voxel_size):
     noise = rng.standard_normal(shape)
-    sigmas = NOISE_SMOOTH_UM / np.asarray(voxel_size, dtype=np.float64)
-    # in place, as gaussian_filter already runs its second and third axes
-    ndimage.gaussian_filter(noise, sigma=sigmas, output=noise)
+    _gaussian_in_place(noise, NOISE_SMOOTH_UM / np.asarray(voxel_size, dtype=np.float64))
     sd = noise.std()
     if sd > 0:
         noise /= sd  # restore unit SD after smoothing
@@ -172,8 +194,7 @@ def _background_bias(clean: np.ndarray, spec: SynthSpec) -> np.ndarray:
     # float64 threshold: clean is float32, and 0.1 must not round to float32.
     # The support is filtered as float64: a boolean input is twice as slow.
     bias = (clean > np.float64(0.1)).astype(np.float64)
-    sigmas = 2.0 / np.asarray(spec.voxel_size, dtype=np.float64)
-    ndimage.gaussian_filter(bias, sigma=sigmas, output=bias)
+    _gaussian_in_place(bias, 2.0 / np.asarray(spec.voxel_size, dtype=np.float64))
     bias *= 4.0
     np.clip(bias, 0.0, 1.0, out=bias)
     np.subtract(1.0, bias, out=bias)

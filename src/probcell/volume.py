@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,22 @@ from .errors import VolumeSizeMismatch, VolumeTooSmall
 
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
+
+
+def on_two_cores(fn, n: int) -> None:
+    """Run fn(0, n // 2) on a worker thread while the caller runs fn(n // 2, n).
+
+    Meant for numpy/scipy kernels that release the GIL and write disjoint
+    halves of an array. fn must not call back into probcell: the benchmark's
+    call tracing assumes one thread of probcell calls. The caller always
+    waits for the worker, and re-raises the worker's exception. The worker
+    lives for one call, so no thread outlives it (a forked child inherits
+    no pool whose thread it lacks).
+    """
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        future = worker.submit(fn, 0, n // 2)
+        fn(n // 2, n)  # leaving the block waits for the worker, also on error
+    future.result()
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,6 +57,12 @@ class TestForestTraining:
         with pytest.raises(SingleClass):
             train_forest(rng.random((10, 2)), np.ones(10), seed=0)
 
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, rng, n_trees):
+        X, y = separable_1d(rng)
+        with pytest.raises(ValueError, match="n_trees"):
+            train_forest(X, y, seed=0, n_trees=n_trees)
+
     def test_deterministic_given_seed(self, rng):
         X = rng.random((40, 6))
         y = (X[:, 0] + 0.3 * rng.random(40) > 0.5).astype(int)

@@ -8,14 +8,16 @@ from probcell import (
     CoordSet,
     KernelSpec,
     NmsConfig,
+    Volume3D,
     detect_peaks,
     hungarian_match,
     render_dm,
 )
 from probcell.densitymap import K_MAX
+from probcell.detect import local_maxima
 
 from conftest import vol
-from oracles import greedy_nms_oracle
+from oracles import greedy_nms_oracle, reference_local_maxima
 
 
 class TestBasics:
@@ -164,3 +166,36 @@ class TestNmsPropertyOracle:
         data[1 + offset[0], 1 + offset[1], 1 + offset[2]] = 1.0
         peaks = detect_peaks(vol(data), NmsConfig(radius, 0.0))
         assert np.array_equal(peaks.dm_value, [2.0, 1.0][:n_kept])
+
+
+# Levels give plateaus, zeros, negative regions and values equal to the
+# threshold; axes of length 1 and 2 put every voxel on a border.
+_MAXIMA_MAPS = st.tuples(
+    st.tuples(*[st.integers(1, 7)] * 3), st.sampled_from([np.float32, np.float64])
+).flatmap(
+    lambda sd: arrays(
+        sd[1], sd[0],
+        elements=st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]) | st.floats(-2, 2, width=32),
+    )
+)
+
+
+class TestLocalMaximaOracle:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=_MAXIMA_MAPS, threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_matches_maximum_filter(self, data, threshold):
+        idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
+        ref_idx, ref_values = reference_local_maxima(data, threshold)
+        assert np.array_equal(idx, ref_idx)
+        assert values.dtype == ref_values.dtype == data.dtype
+        assert np.array_equal(values, ref_values)
+
+    def test_matches_maximum_filter_on_a_density_map(self, rng):
+        data = render_dm(
+            CoordSet(rng.uniform(0, 40, size=(30, 3))), (40, 33, 41), (1, 1, 1), KernelSpec(2.0)
+        ).data
+        data += rng.normal(0, 0.01, size=data.shape).astype(np.float32)
+        idx, values = local_maxima(vol(data), 0.0)
+        ref_idx, ref_values = reference_local_maxima(data, 0.0)
+        assert len(idx) > 30
+        assert np.array_equal(idx, ref_idx) and np.array_equal(values, ref_values)

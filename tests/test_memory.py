@@ -1,4 +1,4 @@
-"""Peak memory of the three whole-volume stages, per voxel.
+"""Peak memory of the whole-volume stages, per voxel.
 
 Each bound is the bytes per voxel of the arrays a function holds at its
 peak, plus a fixed 1 MiB for per-plane temporaries and small arrays. A
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from probcell import SynthSpec, Volume3D, generate_coords, generate_structures, oracle_regress
+from probcell.detect import local_maxima
 from probcell.spatial import EDT_SLAB, distance_transform
 
 SMALL = 1 << 20
@@ -64,3 +65,17 @@ def test_generate_structures_peak():
     box = (10 + 1 + 2 * 6) ** 3
     bound = 11 * n + 57 * box + SMALL
     assert traced_peak(generate_structures, spec) <= bound
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
+def test_local_maxima_peak(shape):
+    spec = SynthSpec(shape=shape, n_cells=20, n_distractors=5, seed=1)
+    dm = oracle_regress(generate_coords(spec), spec).dm
+    assert dm.data.dtype == np.float32
+    # The float32 map is allocated before tracing. At the peak: the running
+    # max and the previous pass's copy, float32 like the map (2 x 4 B). The
+    # boolean mask (1 B) is built after the copy is freed, one comparison
+    # temporary (1 B) after the running max is freed; 2 B of slack covers
+    # them. A third float32 buffer (12 B) or float64 buffers (16 B) fail.
+    bound = 10 * np.prod(shape) + SMALL
+    assert traced_peak(local_maxima, dm) <= bound

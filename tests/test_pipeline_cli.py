@@ -208,10 +208,21 @@ class TestMergeConfig:
         {"nms": 4.0},
         {"seed": True},
         {"unknown": 1},
+        {"classifier": {"n_trees": 0}},
+        {"classifier": {"n_trees": -2}},
+        {"threshold_grid": 0},
+        {"spatial": {"replicates": 1}},
+        {"spatial": {"replicates": 0}},
     ])
     def test_rejects(self, overrides):
         with pytest.raises(InvalidConfig):
             merge_config(overrides)
+
+    def test_accepts_least_values(self):
+        cfg = merge_config({"classifier": {"n_trees": 1}, "threshold_grid": 1,
+                            "spatial": {"replicates": 2}})
+        assert cfg["classifier"]["n_trees"] == 1 and cfg["threshold_grid"] == 1
+        assert cfg["spatial"]["replicates"] == 2
 
     def test_accepts_spec_fields_and_epochs(self):
         cfg = merge_config({
@@ -512,6 +523,9 @@ class TestCliConfig:
         {"classifier": {"n_tres": 8}},
         {"test_scene": {"n_cell": 5}},
         {"classifier": {"n_trees": 12.7}},
+        {"classifier": {"n_trees": 0}},
+        {"threshold_grid": 0},
+        {"spatial": {"replicates": 1}},
     ])
     def test_pipeline_nested_config_exit_1(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "pipe.json"

@@ -160,6 +160,17 @@ REFERENCE_SCENES = {
         shape=(24, 20, 28), n_cells=5, n_distractors=2, background_bias_sd=0.0, seed=25,
     ),
     "no_objects": SynthSpec(shape=(16, 16, 16), n_cells=0, n_tubes=1, seed=26),
+    # the two-core passes split 67 planes unevenly, and a single z-plane into
+    # an empty and a full half
+    "odd_planes": SynthSpec(
+        shape=(67, 64, 64), n_cells=12, n_distractors=4, voxel_size=(1.5, 1.0, 0.7), seed=27,
+    ),
+    "single_plane": SynthSpec(shape=(1, 40, 36), n_cells=3, n_distractors=1, seed=28),
+    # smoothing sigma 2 / 1e16 <= 1e-15 on axis 1, which scipy skips
+    "sigma_skipped": SynthSpec(
+        shape=(6, 5, 30), n_cells=4, n_distractors=2, voxel_size=(1.0, 1e16, 1.0), n_tubes=0,
+        seed=29,
+    ),
 }
 
 

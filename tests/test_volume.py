@@ -1,5 +1,9 @@
 import json
+import multiprocessing
+import os
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,7 @@ from probcell import (
     save_volume,
 )
 from probcell.errors import VolumeSizeMismatch, VolumeTooSmall
-from probcell.volume import M_CONV, M_PEAK, extract_box, pad_volume
+from probcell.volume import M_CONV, M_PEAK, extract_box, on_two_cores, pad_volume
 
 from conftest import vol
 
@@ -277,3 +281,52 @@ class TestVolumeIO:
         assert padded.data.sum() == v.data.sum()  # zero padding
         box = extract_box(padded, grid.patches[0].in_box)
         assert box.shape == cfg.l_in
+
+
+class TestOnTwoCores:
+    @pytest.mark.parametrize("n, halves", [(7, [(0, 3), (3, 7)]), (1, [(0, 0), (0, 1)])])
+    def test_worker_takes_the_first_half(self, n, halves):
+        calls = {}
+        on_two_cores(lambda lo, hi: calls.update({(lo, hi): threading.get_ident()}), n)
+        assert sorted(calls) == halves
+        assert calls[halves[1]] == threading.get_ident() != calls[halves[0]]
+
+    def test_waits_for_worker_when_caller_raises(self):
+        finished = threading.Event()
+
+        def fn(lo, hi):
+            if lo == 0:
+                time.sleep(0.2)
+                finished.set()
+            else:
+                raise RuntimeError("caller half")
+
+        with pytest.raises(RuntimeError, match="caller half"):
+            on_two_cores(fn, 4)
+        assert finished.is_set()
+
+    def test_reraises_worker_exception(self):
+        finished = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise KeyError("worker half")
+            finished.append((lo, hi))
+
+        with pytest.raises(KeyError, match="worker half"):
+            on_two_cores(fn, 4)
+        assert finished == [(2, 4)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_usable_in_a_forked_child(self):
+        on_two_cores(lambda lo, hi: None, 2)  # a worker has run in this process
+        child = multiprocessing.get_context("fork").Process(
+            target=on_two_cores, args=(lambda lo, hi: None, 2)
+        )
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join(timeout=30)
+        assert not hung and child.exitcode == 0
