@@ -233,8 +233,11 @@ def _maps(ro) -> list[tuple[str, Volume3D]]:
 def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: int):
     """Best-F1 stopping threshold on a validation scene (lowest such threshold).
 
-    An empty set gives (0.0, 0.0); any other set needs dm_value.
+    An empty set gives (0.0, 0.0); any other set needs dm_value. The grid
+    needs at least one threshold.
     """
+    if n_grid < 1:
+        raise ValueError(f"threshold grid needs at least one point, got {n_grid}")
     if len(values) == 0:
         return 0.0, 0.0
     top = float(proposals_by_threshold(values, -np.inf).dm_value.max())

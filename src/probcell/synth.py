@@ -32,6 +32,7 @@ from .bayescore import RegressorOutput
 from .coords import CoordSet
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible
+from .spatial import _exact_edt
 from .volume import Volume3D, on_two_cores
 
 # SD (um) of the Gaussian that smooths the surrogate's noise
@@ -294,7 +295,7 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
         box = tuple(
             slice(max(int(h.min()) - p, 0), int(h.max()) + p + 1) for h, p in zip(hits, pad)
         )
-        dist = ndimage.distance_transform_edt(~centerline[box], sampling=tuple(vs))
+        dist = _exact_edt(centerline[box], vs)
         structure[box] = (dist <= spec.tube_radius_um) & tissue[box]
     return (
         Volume3D(structure.astype(np.float32), tuple(vs)),

@@ -1,10 +1,11 @@
 """Peak memory of the whole-volume stages, per voxel.
 
 Each bound is the bytes per voxel of the arrays a function holds at its
-peak, plus a fixed 1 MiB for per-plane temporaries and small arrays. A
-return to a whole-volume float64 temporary adds at least 8 bytes per voxel
-and fails here. ``tracemalloc`` sees numpy's buffers, not the C work space
-inside scipy, so the bounds are traced bytes, not RSS.
+peak, plus a fixed 512 KiB for per-plane temporaries and small arrays. That
+is half a float32 volume at 64^3, the smallest shape tested, so one more
+whole-volume float32 buffer fails at every shape. ``tracemalloc`` sees
+numpy's buffers, not the C work space inside scipy, so the bounds are
+traced bytes, not RSS.
 """
 import tracemalloc
 
@@ -15,7 +16,7 @@ from probcell import SynthSpec, Volume3D, generate_coords, generate_structures, 
 from probcell.detect import local_maxima
 from probcell.spatial import EDT_SLAB, distance_transform
 
-SMALL = 1 << 20
+SMALL = 1 << 19
 
 
 def traced_peak(fn, *args) -> int:
@@ -37,7 +38,10 @@ def test_distance_transform_peak(shape):
     slab = EDT_SLAB * shape[1] * shape[2]
     # kept: the int32 feature transform (3 x 4 B) and the float64 EDT (8 B);
     # one slab: its int32 index stack (12 B) and float64 stack (24 B),
-    # allocated while the previous slab's float64 stack (24 B) is still bound
+    # allocated while the previous slab's float64 stack (24 B) is still bound.
+    # While the transform runs: the x-major background (1 B), the feature
+    # transform and scipy's int64 and int8 copies of its input (9 B), 22 B
+    # in all, which is below the slab phase at these shapes.
     bound = 20 * n + 60 * slab + SMALL
     assert traced_peak(distance_transform, structure) <= bound
 
@@ -58,12 +62,16 @@ def test_generate_structures_peak():
     n = np.prod(spec.shape)
     # kept: tissue, centerline and structure booleans (3 B) and the two
     # float32 masks returned (8 B). The tube EDT runs on the centerline's box,
-    # at most (10 um walk + 1 voxel + 2 x 6 voxels of padding)^3 voxels, each
-    # with scipy's int8 input, int32 feature transform, and int32 and float64
-    # distance stacks (1 + 12 + 12 + 24 + 8 B): a full-volume EDT would add
-    # 57 B per voxel.
-    box = (10 + 1 + 2 * 6) ** 3
-    bound = 11 * n + 57 * box + SMALL
+    # at most side = 10 um walk + 1 voxel + 2 x 6 voxels of padding on each
+    # axis, as distance_transform does: first the x-major background (1 B),
+    # the int32 feature transform (12 B) and scipy's int64 and int8 copies of
+    # the input (9 B); then the feature transform, the float64 distances (8 B)
+    # and one slab's stacks (60 B per slab voxel, see above). A full-volume
+    # EDT would add at least 20 B per voxel.
+    side = 10 + 1 + 2 * 6
+    box = side**3
+    slab = EDT_SLAB * side**2
+    bound = 11 * n + max(22 * box, 20 * box + 60 * slab) + SMALL
     assert traced_peak(generate_structures, spec) <= bound
 
 

@@ -106,6 +106,18 @@ class TestHelpers:
         with pytest.raises(ValueError, match="dm_value"):
             select_threshold(CoordSet(gt.coords), gt, 4.0, n_grid=5)
 
+    @pytest.mark.parametrize("n_grid", [0, -3])
+    def test_select_threshold_rejects_empty_grid(self, n_grid):
+        """An empty grid has no threshold to pick; it raises instead of
+        returning a placeholder score as if it were a result."""
+        gt = CoordSet(np.asarray([[5.0, 5.0, 5.0]]))
+        proposals = CoordSet(
+            np.asarray([[5.0, 5.0, 5.0], [5.0, 5.0, 25.0]]), dm_value=np.asarray([1.0, 0.2])
+        )
+        for values in (proposals, CoordSet.empty()):
+            with pytest.raises(ValueError, match="at least one"):
+                select_threshold(values, gt, 4.0, n_grid=n_grid)
+
 
 PIPE_CFG = {
     "seed": 1,

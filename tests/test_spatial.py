@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from probcell import (
@@ -21,7 +23,7 @@ from probcell import (
 from probcell.cli import main
 from probcell.errors import AllZeroDifferences, DegenerateESD, EmptyCells, EmptyStructure
 from probcell.pipeline import run_pipeline
-from probcell.spatial import EDT_SLAB, DistanceCdf
+from probcell.spatial import EDT_SLAB, DistanceCdf, _exact_edt
 
 from conftest import vol
 from oracles import (
@@ -35,6 +37,27 @@ from oracles import (
 
 def mask(data, voxel_size=(1.0, 1.0, 1.0)):
     return vol(np.asarray(data, dtype=np.float32), voxel_size)
+
+
+_AXIS = st.one_of(
+    st.sampled_from([1, 2, EDT_SLAB - 1, EDT_SLAB + 1, 2 * EDT_SLAB + 3]), st.integers(1, 20)
+)
+_SPACING = st.floats(0.25, 3.0)
+
+
+@st.composite
+def _edt_cases(draw):
+    """A boolean mask with 1 to n - 1 foreground voxels (1 when n is 1) and
+    an isotropic or anisotropic voxel size."""
+    shape = tuple(draw(_AXIS) for _ in range(3))
+    n = int(np.prod(shape))
+    most = max(n - 1, 1)
+    k = draw(st.one_of(st.sampled_from([1, most]), st.integers(1, most)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = np.zeros(n, dtype=bool)
+    m[np.random.default_rng(seed).choice(n, k, replace=False)] = True
+    voxel = draw(st.one_of(_SPACING.map(lambda s: (s, s, s)), st.tuples(_SPACING, _SPACING, _SPACING)))
+    return m.reshape(shape), voxel
 
 
 class TestDistanceTransform:
@@ -78,6 +101,17 @@ class TestDistanceTransform:
         m[shape[0] // 2, 0, 0] = True
         edt = distance_transform(mask(m.astype(np.float32), voxel))
         assert np.array_equal(edt.data, ndimage.distance_transform_edt(~m, sampling=voxel))
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(case=_edt_cases())
+    def test_equals_scipy_on_random_masks(self, case):
+        """The x-major feature transform and the slab-wise distances give
+        scipy's distances bit for bit, down to axes of length 1 and 2, slabs
+        cut short, and masks of one voxel up to all voxels but one."""
+        m, voxel = case
+        expected = ndimage.distance_transform_edt(~m, sampling=voxel)
+        assert np.array_equal(distance_transform(mask(m, voxel)).data, expected)
+        assert np.array_equal(_exact_edt(m, voxel), expected)
 
 
 class TestEsd:
