@@ -1,6 +1,6 @@
 """Probabilistic 3D cell detection and spatial analysis on density maps."""
 
-from .bayescore import RegressorOutput, bayes_loss, l2_loss, mc_aggregate
+from .bayescore import RegressorOutput, bayes_loss, l2_loss
 from .classifier import (
     ForestModel,
     MlpModel,

@@ -1,15 +1,14 @@
-"""Regression losses and Monte-Carlo uncertainty aggregation.
+"""Regression losses and the regressor's output maps.
 
-These are the numerical contracts any external density-map regressor must
-satisfy: a plain squared-error loss, an uncertainty-weighted loss whose
-per-voxel terms are (y - yhat)^2 / (2 u_a) + log(u_a) / 2, and the
-aggregation of stochastic forward passes into a mean prediction with
-aleatoric (mean of per-sample variance maps) and epistemic (pixel-wise
-population SD of the prediction samples) uncertainty maps.
+The losses are the ones a density-map regressor trains with: a plain
+squared-error loss, and an uncertainty-weighted loss whose per-voxel terms
+are (y - yhat)^2 / (2 u_a) + log(u_a) / 2.
 
-A regressor hands its three maps over as one volume pair each
-(``<name>.raw`` + ``<name>.json``, see ``volume.save_volume``); the CLI reads
-them through ``--dm``, ``--u-a`` and ``--u-e``.
+The whole contract between a regressor and this package is its three maps,
+one volume pair each (``<name>.raw`` + ``<name>.json``, see
+``volume.save_volume``): the density map, the aleatoric and the epistemic
+uncertainty. The CLI reads them through ``--dm``, ``--u-a`` and ``--u-e``.
+The package does not prescribe how a regressor derives its uncertainty.
 
 The loss functions validate positivity of u_a rather than rectifying it:
 clamping is the network head's job, and validating keeps the functions
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleList, NonPositiveAleatoric, ShapeMismatch
+from .errors import NonPositiveAleatoric, ShapeMismatch
 from .volume import Volume3D
 
 
@@ -80,32 +79,3 @@ def bayes_loss(y, y_hat, u_a) -> tuple[float, np.ndarray, np.ndarray]:
     grad_u_a = -r * r / (2.0 * u_a * u_a) + 0.5 / u_a
     return loss, grad_y_hat, grad_u_a
 
-
-def mc_aggregate(samples: list[tuple], voxel_size=None) -> RegressorOutput:
-    """Combine T stochastic samples [(y_hat_t, u_a_t), ...] into one output.
-
-    dm is the mean prediction, aleatoric the mean of the u_a samples, and
-    epistemic the population SD of the predictions across samples.
-    """
-    if len(samples) == 0:
-        raise EmptySampleList("need at least one Monte-Carlo sample")
-    dm_stack = []
-    ua_stack = []
-    vs = voxel_size
-    for y_hat, u_a in samples:
-        if vs is None and isinstance(y_hat, Volume3D):
-            vs = y_hat.voxel_size
-        dm_stack.append(_as_array(y_hat).astype(np.float64, copy=False))
-        ua_stack.append(_as_array(u_a).astype(np.float64, copy=False))
-    _check_shapes(*dm_stack, *ua_stack)
-    vs = vs if vs is not None else (1.0, 1.0, 1.0)
-    dm_stack = np.stack(dm_stack)
-    ua_stack = np.stack(ua_stack)
-    dm = dm_stack.mean(axis=0)
-    aleatoric = ua_stack.mean(axis=0)
-    epistemic = dm_stack.std(axis=0)
-    return RegressorOutput(
-        dm=Volume3D(dm.astype(np.float32), vs),
-        aleatoric=Volume3D(aleatoric.astype(np.float32), vs),
-        epistemic=Volume3D(epistemic.astype(np.float32), vs),
-    )

@@ -8,8 +8,9 @@ values replace the flag defaults and a flag on the command line still wins
 ``pipeline`` any ``run_pipeline`` config key, whose sections and value types
 ``merge_config`` checks. Any other key, a file that is not a JSON object, or
 a string value that its flag's ``type`` rejects raises ``InvalidConfig``.
-Domain errors exit with status 1 and a machine-readable JSON payload on
-stderr; usage errors exit with status 2.
+Domain errors, and arithmetic that overflows on a value it was given, exit
+with status 1 and a machine-readable JSON payload on stderr; usage errors
+exit with status 2.
 """
 from __future__ import annotations
 
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
                 raise InvalidConfig(f"{args.config}: {exc}") from None
         cfg = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS and v is not None}
         return args.func(cfg)
-    except (ProbcellError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (ProbcellError, OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1

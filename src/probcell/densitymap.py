@@ -37,10 +37,11 @@ class KernelSpec:
     amplitude: str = AMP_UNIT
 
     def __post_init__(self):
-        if self.sigma_um <= 0:
-            raise ValueError("sigma must be positive")
-        if self.cutoff_um <= 0:
-            raise ValueError("cutoff must be positive")
+        # written so that NaN fails both checks
+        if not self.sigma_um > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma_um!r}")
+        if not self.cutoff_um > 0:
+            raise ValueError(f"cutoff must be positive, got {self.cutoff_um!r}")
         if self.compounding not in (K_SUM, K_MAX):
             raise ValueError(f"compounding must be {K_SUM!r} or {K_MAX!r}")
         if self.amplitude not in (AMP_NORMALIZED, AMP_UNIT):
@@ -57,8 +58,8 @@ def gaussian_value(s, sigma: float, amplitude: str = AMP_NORMALIZED):
     ``normalized``: (1 / (sigma * sqrt(2 pi))) * exp(-s^2 / (2 sigma^2));
     ``unit_peak``: exp(-s^2 / (2 sigma^2)).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not sigma > 0:  # False for NaN too
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     s = np.asarray(s, dtype=np.float64)
     value = np.exp(-(s**2) / (2.0 * sigma**2))
     if amplitude == AMP_NORMALIZED:

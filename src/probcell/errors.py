@@ -10,7 +10,7 @@ class ProbcellError(Exception):
 
 
 class VolumeTooSmall(ProbcellError):
-    """The volume (plus padding) cannot host a single input patch."""
+    """The volume is smaller than one output tile along some axis."""
 
 
 class ShapeMismatch(ProbcellError):
@@ -19,10 +19,6 @@ class ShapeMismatch(ProbcellError):
 
 class NonPositiveAleatoric(ProbcellError):
     """Aleatoric variance map contains values <= 0."""
-
-
-class EmptySampleList(ProbcellError):
-    """Monte-Carlo aggregation needs at least one sample."""
 
 
 class EmptyWindow(ProbcellError):

@@ -158,8 +158,8 @@ def score_detection(
     gt: CoordSet, pred: CoordSet, t_match_um: float = DEFAULT_T_MATCH_UM
 ) -> MatchReport:
     """Full detection + calibration report at the given match radius."""
-    if t_match_um <= 0:
-        raise ValueError("t_match must be positive")
+    if not t_match_um > 0:  # False for NaN too
+        raise ValueError(f"t_match must be positive, got {t_match_um!r}")
     terms = _match_terms(gt, pred, t_match_um)
     tp_pairs, far_pairs, un_gt, un_pred = terms
     tp = len(tp_pairs)

@@ -6,9 +6,10 @@ analyses into one seeded, reproducible run. Also provides the
 threshold-based deterministic baseline (stopping threshold selected on a
 validation scene) that the probabilistic route is compared against.
 
-Detection on a predicted map happens per tile: each patch is sliced from
-the padded map over the regressor's output box, peaks are found locally and
-reconstructed into the original frame according to the tiling strategy.
+Detection on a predicted map happens per tile: each patch is the part of
+the regressor's output box that lies inside the map, sliced from the map
+itself; its peaks are placed in the map's frame and merged according to the
+tiling strategy.
 """
 from __future__ import annotations
 
@@ -35,10 +36,9 @@ from .volume import (
     M_PEAK,
     TilingConfig,
     Volume3D,
-    extract_box,
-    pad_volume,
     plan_tiling,
     reconstruct_coordinates,
+    um_to_voxel,
 )
 
 DEFAULT_CONFIG = {
@@ -176,17 +176,23 @@ def _tiling_config(cfg: dict) -> TilingConfig:
 
 
 def tiled_detect(dm: Volume3D, tiling: TilingConfig, nms: NmsConfig) -> CoordSet:
-    """Patch-wise NMS over a full-volume map, reconstructed to the original frame."""
+    """Patch-wise NMS over a full-volume map, in the map's frame.
+
+    A patch's predicted box may overhang the map. Zeros there would be no
+    candidates (a candidate is > 0) and would suppress none (0 never exceeds
+    a candidate), so each patch reads only the part of its box in the map.
+    """
     grid = plan_tiling(dm.shape, tiling)
-    padded = pad_volume(dm, grid)
     vs = np.asarray(dm.voxel_size, dtype=np.float64)
-    margin_um = np.asarray(tiling.peak_margin, dtype=np.float64) * vs
-    # detect works in the predicted-box frame; reconstruction expects the
-    # output-window (core) frame, peak_margin further in
-    per_patch = [
-        detect_peaks(extract_box(padded, patch.cnn_box), nms).shifted(-margin_um)
-        for patch in grid.patches
-    ]
+    per_patch = []
+    for patch in grid.patches:
+        lo = np.maximum(patch.cnn_box[0], 0)
+        hi = np.minimum(patch.cnn_box[1], dm.shape)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        peaks = detect_peaks(dm.like(dm.data[box]), nms)
+        # each peak's voxel index in the map, placed as detect_peaks places it
+        g = np.rint(um_to_voxel(peaks.coords, vs)) + lo
+        per_patch.append(CoordSet((g + 0.5) * vs, dm_value=peaks.dm_value))
     return reconstruct_coordinates(per_patch, grid, tiling, dm.voxel_size)
 
 

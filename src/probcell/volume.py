@@ -10,8 +10,9 @@ size. A density-map regressor's dm, aleatoric and epistemic maps are one
 such pair each.
 
 Two tiling strategies are supported for patch-wise inference on large
-volumes. Both pad the volume, extract overlapping input windows and map
-model outputs back:
+volumes. Both lay overlapping windows out in the volume's own voxel frame;
+an input window may overhang the volume by at most its padding, and a
+patch reads only the part of its window that lies inside:
 
 * ``m_conv``: the output window is exactly the region the regressor predicts
   (input shrunk by the convolutional margin). Detections at window borders
@@ -169,11 +170,12 @@ class TilingConfig:
 
 @dataclass(frozen=True)
 class Patch:
-    """One tile. All boxes are (start, stop) voxel indices in padded coordinates.
+    """One tile. All boxes are (start, stop) voxel indices of the volume.
 
-    in_box   input window, size l_in
-    cnn_box  region the regressor predicts, size l_out
-    out_box  output window (core), size l_out_tile
+    in_box   input window, size l_in; may overhang [0, shape) by l_pad
+    cnn_box  region the regressor predicts, size l_out; may overhang
+             [0, shape) by peak_margin
+    out_box  output window (core), size l_out_tile, inside [0, shape)
     keep_box region whose detections this patch owns under m_peak; equals
              out_box except where a trailing-border overlap would otherwise
              assign the same region to two patches
@@ -189,9 +191,6 @@ class Patch:
 @dataclass(frozen=True)
 class PatchGrid:
     patches: tuple[Patch, ...]
-    padded_shape: tuple[int, int, int]
-    origin_offset: tuple[int, int, int]
-    original_shape: tuple[int, int, int]
 
 
 def _axis_starts(extent: int, tile: int) -> list[int]:
@@ -204,18 +203,14 @@ def _axis_starts(extent: int, tile: int) -> list[int]:
 def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
     """Lay out input/output windows over a volume of the given voxel shape.
 
-    Output windows tile the original volume; interior windows are disjoint
-    and only the trailing window per axis may overlap its predecessor.
+    Output windows tile the volume; interior windows are disjoint and only
+    the trailing window per axis may overlap its predecessor.
     """
     shape = tuple(int(s) for s in shape)
-    pad = cfg.l_pad
     tile = cfg.l_out_tile
     for ax in range(3):
-        if shape[ax] + 2 * pad[ax] < cfg.l_in[ax]:
-            raise VolumeTooSmall(
-                f"axis {ax}: shape {shape[ax]} + 2*{pad[ax]} padding < input size {cfg.l_in[ax]}"
-            )
-    padded = tuple(s + 2 * p for s, p in zip(shape, pad))
+        if shape[ax] < tile[ax]:
+            raise VolumeTooSmall(f"axis {ax}: shape {shape[ax]} < output tile {tile[ax]}")
     axis_starts = [_axis_starts(shape[ax], tile[ax]) for ax in range(3)]
     # keep regions partition [0, extent): the trailing patch hands its overlap
     # back to the previous one
@@ -232,44 +227,24 @@ def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
     for iz, sz in enumerate(axis_starts[0]):
         for iy, sy in enumerate(axis_starts[1]):
             for ix, sx in enumerate(axis_starts[2]):
-                core_start = (sz + pad[0], sy + pad[1], sx + pad[2])
+                core_start = (sz, sy, sx)
                 core_stop = tuple(c + t for c, t in zip(core_start, tile))
                 cnn_start = tuple(c - m for c, m in zip(core_start, cfg.peak_margin))
                 cnn_stop = tuple(c + m for c, m in zip(core_stop, cfg.peak_margin))
                 in_start = tuple(c - m for c, m in zip(cnn_start, cfg.conv_margin))
                 in_stop = tuple(c + m for c, m in zip(cnn_stop, cfg.conv_margin))
-                keep = [axis_keeps[0][iz], axis_keeps[1][iy], axis_keeps[2][ix]]
-                keep_start = tuple(keep[ax][0] + pad[ax] for ax in range(3))
-                keep_stop = tuple(keep[ax][1] + pad[ax] for ax in range(3))
+                keep = (axis_keeps[0][iz], axis_keeps[1][iy], axis_keeps[2][ix])
                 patches.append(
                     Patch(
                         index=index,
                         in_box=(in_start, in_stop),
                         cnn_box=(cnn_start, cnn_stop),
                         out_box=(core_start, core_stop),
-                        keep_box=(keep_start, keep_stop),
+                        keep_box=tuple(zip(*keep)),
                     )
                 )
                 index += 1
-    return PatchGrid(
-        patches=tuple(patches),
-        padded_shape=padded,
-        origin_offset=pad,
-        original_shape=shape,
-    )
-
-
-def pad_volume(v: Volume3D, grid: PatchGrid) -> Volume3D:
-    """Zero-pad to the grid's padded shape."""
-    pad = grid.origin_offset
-    out = np.zeros(grid.padded_shape, dtype=v.data.dtype)
-    out[pad[0] : pad[0] + v.shape[0], pad[1] : pad[1] + v.shape[1], pad[2] : pad[2] + v.shape[2]] = v.data
-    return v.like(out)
-
-
-def extract_box(padded: Volume3D, box) -> Volume3D:
-    (z0, y0, x0), (z1, y1, x1) = box
-    return padded.like(padded.data[z0:z1, y0:y1, x0:x1].copy())
+    return PatchGrid(patches=tuple(patches))
 
 
 def reconstruct_coordinates(
@@ -278,33 +253,26 @@ def reconstruct_coordinates(
     cfg: TilingConfig,
     voxel_size=(1.0, 1.0, 1.0),
 ) -> CoordSet:
-    """Merge per-patch detections back into original-volume coordinates.
+    """Merge per-patch detections into one set.
 
-    Each CoordSet holds micrometer coordinates local to its patch's output
-    window origin (list order matches grid.patches). Under m_peak a
-    coordinate is retained only by the patch whose keep region contains it;
-    under m_conv everything is kept. Retained coordinates are shifted by the
-    output window origin minus the padding offset, and anything falling
-    outside the original volume is dropped.
+    Each CoordSet holds micrometer coordinates in the volume's frame (list
+    order matches grid.patches). Under m_peak a coordinate is retained only
+    by the patch whose keep region contains it; under m_conv everything is
+    kept.
     """
     if len(per_patch) != len(grid.patches):
         raise ValueError("need one CoordSet per patch")
-    voxel = np.asarray(voxel_size, dtype=np.float64)
-    offset = np.asarray(grid.origin_offset, dtype=np.float64)
-    kept = []
-    for cs, patch in zip(per_patch, grid.patches):
-        out_start = np.asarray(patch.out_box[0], dtype=np.float64)
-        if cfg.strategy == M_PEAK:
-            keep_lo = (np.asarray(patch.keep_box[0]) - out_start) * voxel
-            keep_hi = (np.asarray(patch.keep_box[1]) - out_start) * voxel
-            mask = np.all((cs.coords >= keep_lo) & (cs.coords < keep_hi), axis=1)
-            cs = cs.select(mask)
-        shift = (out_start - offset) * voxel
-        kept.append(cs.shifted(shift))
-    merged = concat_coordsets(kept)
-    extent = np.asarray(grid.original_shape, dtype=np.float64) * voxel
-    inside = np.all((merged.coords >= 0.0) & (merged.coords < extent), axis=1)
-    return merged.select(inside)
+    if cfg.strategy == M_PEAK:
+        voxel = np.asarray(voxel_size, dtype=np.float64)
+        per_patch = [
+            cs.select(np.all(
+                (cs.coords >= np.multiply(patch.keep_box[0], voxel))
+                & (cs.coords < np.multiply(patch.keep_box[1], voxel)),
+                axis=1,
+            ))
+            for cs, patch in zip(per_patch, grid.patches)
+        ]
+    return concat_coordsets(per_patch)
 
 
 def save_volume(v: Volume3D, base_path) -> tuple[Path, Path]:

@@ -198,13 +198,6 @@ def ks_statistic_sweep(a, b):
     return float(stat)
 
 
-def two_pass_sd(stack):
-    """Population SD along axis 0, textbook two-pass formula."""
-    stack = np.asarray(stack, dtype=np.float64)
-    mean = stack.sum(axis=0) / stack.shape[0]
-    return np.sqrt(((stack - mean) ** 2).sum(axis=0) / stack.shape[0])
-
-
 def reference_window_stats(values, pcts, thresholds):
     """Window statistics as first implemented: np.percentile (linear), one
     comparison pass per threshold, and moments through the generic pow."""

@@ -6,11 +6,10 @@ from probcell import (
     Volume3D,
     bayes_loss,
     l2_loss,
-    mc_aggregate,
 )
-from probcell.errors import EmptySampleList, NonPositiveAleatoric, ShapeMismatch
+from probcell.errors import NonPositiveAleatoric, ShapeMismatch
 
-from oracles import central_difference_gradient, two_pass_sd
+from oracles import central_difference_gradient
 
 
 class TestL2Loss:
@@ -80,45 +79,6 @@ class TestBayesLoss:
         y = np.zeros((2, 2, 2))
         with pytest.raises(NonPositiveAleatoric):
             bayes_loss(y, y, np.zeros_like(y))
-
-
-class TestMcAggregate:
-    def test_identical_samples_zero_epistemic(self, rng):
-        y = rng.random((4, 4, 4)).astype(np.float32)
-        u = rng.random((4, 4, 4)).astype(np.float32)
-        out = mc_aggregate([(y, u)] * 5, voxel_size=(1, 1, 1))
-        assert not out.epistemic.data.any()
-        assert np.allclose(out.dm.data, y)
-        assert np.allclose(out.aleatoric.data, u)
-
-    def test_two_sample_hand_example(self):
-        zeros = np.zeros((1, 1, 1))
-        twos = np.full((1, 1, 1), 2.0)
-        out = mc_aggregate([(zeros, zeros), (twos, zeros)], voxel_size=(1, 1, 1))
-        assert out.dm.data[0, 0, 0] == 1.0
-        assert out.epistemic.data[0, 0, 0] == 1.0  # population SD
-
-    def test_matches_two_pass_sd(self, rng):
-        stack = [(rng.normal(size=(5, 5, 5)), rng.random((5, 5, 5))) for _ in range(9)]
-        out = mc_aggregate(stack, voxel_size=(1, 1, 1))
-        want = two_pass_sd(np.stack([s[0] for s in stack]))
-        assert np.max(np.abs(out.epistemic.data.astype(np.float64) - want)) < 1e-6
-
-    def test_permutation_invariant(self, rng):
-        stack = [(rng.normal(size=(3, 3, 3)), rng.random((3, 3, 3))) for _ in range(6)]
-        a = mc_aggregate(stack, voxel_size=(1, 1, 1))
-        b = mc_aggregate(stack[::-1], voxel_size=(1, 1, 1))
-        assert np.array_equal(a.dm.data, b.dm.data)
-        assert np.array_equal(a.epistemic.data, b.epistemic.data)
-
-    def test_empty_list_raises(self):
-        with pytest.raises(EmptySampleList):
-            mc_aggregate([])
-
-    def test_volume_inputs_carry_voxel_size(self, rng):
-        v = Volume3D(rng.random((2, 2, 2)).astype(np.float32), (2.0, 1.0, 1.0))
-        out = mc_aggregate([(v, v), (v, v)])
-        assert out.dm.voxel_size == (2.0, 1.0, 1.0)
 
 
 class TestSerialization:

@@ -29,8 +29,16 @@ class TestGaussianValue:
         assert np.all(np.diff(v) <= 0)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_value(1.0, 0.0)
+        for sigma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="sigma"):
+                gaussian_value(1.0, sigma)
+
+    @pytest.mark.parametrize("sigma, cutoff", [
+        (float("nan"), 16.0), (2.0, float("nan")), (0.0, 16.0), (2.0, -1.0),
+    ])
+    def test_kernel_spec_rejects_nan_or_nonpositive(self, sigma, cutoff):
+        with pytest.raises(ValueError, match="sigma|cutoff"):
+            KernelSpec(sigma, cutoff_um=cutoff)
 
 
 class TestRenderDm:

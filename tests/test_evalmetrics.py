@@ -104,6 +104,11 @@ class TestDetectionMetrics:
         tps = [score_detection(gt, pred, t).tp for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert tps == sorted(tps)
 
+    @pytest.mark.parametrize("t_match", [float("nan"), 0.0, -4.0])
+    def test_t_match_must_be_positive(self, t_match):
+        with pytest.raises(ValueError, match="t_match"):
+            score_detection(cs([1, 1, 1]), cs([1, 1, 1]), t_match)
+
     def test_count_identities(self, rng):
         for _ in range(10):
             gt = CoordSet(rng.random((int(rng.integers(0, 8)), 3)) * 20)

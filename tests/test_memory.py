@@ -12,7 +12,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from probcell import SynthSpec, Volume3D, generate_coords, generate_structures, oracle_regress
+from probcell import (
+    NmsConfig,
+    SynthSpec,
+    TilingConfig,
+    Volume3D,
+    generate_coords,
+    generate_structures,
+    oracle_regress,
+    tiled_detect,
+)
 from probcell.detect import local_maxima
 from probcell.spatial import EDT_SLAB, distance_transform
 
@@ -87,3 +96,17 @@ def test_local_maxima_peak(shape):
     # them. A third float32 buffer (12 B) or float64 buffers (16 B) fail.
     bound = 10 * np.prod(shape) + SMALL
     assert traced_peak(local_maxima, dm) <= bound
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
+def test_tiled_detect_peak(shape):
+    spec = SynthSpec(shape=shape, n_cells=20, n_distractors=5, seed=1)
+    dm = oracle_regress(generate_coords(spec), spec).dm
+    tiling = TilingConfig.m_peak((48, 48, 48), (8, 8, 8), (4, 4, 4))
+    # One patch at a time: the float32 copy of its predicted box (4 B per
+    # box voxel) and local_maxima on it (10 B, see above). What grows with
+    # the map is the patch list and its peaks, about 2 KB per patch (64
+    # patches at 96^3); a float32 copy of the whole map fails at every shape.
+    patch = np.prod(tiling.l_out)
+    bound = 14 * patch + SMALL
+    assert traced_peak(tiled_detect, dm, tiling, NmsConfig()) <= bound

@@ -13,7 +13,9 @@ from probcell import (
     SynthSpec,
     TilingConfig,
     detect_peaks,
+    generate_coords,
     load_coords,
+    oracle_regress,
     render_dm,
     save_coords,
     save_model,
@@ -47,6 +49,22 @@ class TestTiledDetect:
         untiled = detect_peaks(dm, nms)
         tiled = tiled_detect(dm, cfg, nms)
         assert set(map(tuple, tiled.coords)) == set(map(tuple, untiled.coords))
+
+    def test_m_peak_equals_untiled_bit_for_bit_on_anisotropic_grid(self):
+        spec = SynthSpec(shape=(70, 90, 83), voxel_size=(1.5, 1.0, 0.7), n_cells=40,
+                         n_distractors=10, n_tubes=0, seed=0)
+        dm = oracle_regress(generate_coords(spec), spec).dm
+        nms = NmsConfig(4.0, 0.0)
+        tiled = tiled_detect(dm, TilingConfig.m_peak((48, 48, 48), (8, 8, 8)), nms)
+        untiled = detect_peaks(dm, nms)
+
+        def ordered(cs):
+            order = np.lexsort(cs.coords.T[::-1])
+            return cs.coords[order], cs.dm_value[order]
+
+        (tc, tv), (uc, uv) = ordered(tiled), ordered(untiled)
+        assert len(untiled) > 100
+        assert np.array_equal(tc, uc) and np.array_equal(tv, uv)
 
     def test_m_conv_duplicates_near_boundaries(self):
         cfg = TilingConfig.m_conv((24, 24, 24), (4, 4, 4))
@@ -382,6 +400,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"]["type"] == "ValueError"
         assert not (tmp_path / "p.csv").exists()
+
+    def test_nan_t_match_exit_1_with_json(self, tmp_path, capsys):
+        save_coords(CoordSet(np.arange(15.0).reshape(5, 3)), tmp_path / "gt.csv")
+        rc = main(["eval", "--gt", str(tmp_path / "gt.csv"), "--pred", str(tmp_path / "gt.csv"),
+                   "--t-match-um", "nan", "--out", str(tmp_path / "eval.json")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ValueError"
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_nan_sigma_render_dm_exit_1_with_json(self, tmp_path, capsys):
+        save_coords(CoordSet(np.asarray([[8.5, 8.5, 8.5]])), tmp_path / "c.csv")
+        rc = main(["render-dm", "--coords", str(tmp_path / "c.csv"), "--shape", "16", "16", "16",
+                   "--sigma-um", "nan", "--out", str(tmp_path / "dm")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ValueError"
+        assert not (tmp_path / "dm.raw").exists()
+
+    def test_overflowing_sigma_exit_1_with_json(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "s"), "--shape", "32", "32", "32",
+                   "--n-cells", "5", "--n-tubes", "0", "--sigma-um", "1e300"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "OverflowError"
 
     @pytest.mark.parametrize("key, value", [
         ("voxel_size_um", [float("nan"), 1.0, 1.0]),

@@ -24,7 +24,7 @@ from probcell import (
     save_volume,
 )
 from probcell.errors import VolumeSizeMismatch, VolumeTooSmall
-from probcell.volume import M_CONV, M_PEAK, extract_box, on_two_cores, pad_volume
+from probcell.volume import M_CONV, M_PEAK, on_two_cores
 
 from conftest import vol
 
@@ -74,8 +74,9 @@ class TestPlanTiling:
         grid = plan_tiling(cfg.l_out_tile, cfg)
         assert len(grid.patches) == 1
         patch = grid.patches[0]
-        assert patch.out_box == ((4, 4, 4), (12, 12, 12))
-        assert patch.in_box == ((0, 0, 0), (16, 16, 16))
+        assert patch.out_box == patch.keep_box == ((0, 0, 0), (8, 8, 8))
+        assert patch.cnn_box == ((-2, -2, -2), (10, 10, 10))
+        assert patch.in_box == ((-4, -4, -4), (12, 12, 12))
 
     def test_two_and_a_half_tiles_gives_three_overlapping_last(self):
         cfg = TilingConfig.m_peak((16, 16, 16), (2, 2, 2), (2, 2, 2))
@@ -83,7 +84,7 @@ class TestPlanTiling:
         shape = (tile, tile, int(2.5 * tile))
         grid = plan_tiling(shape, cfg)
         assert len(grid.patches) == 3
-        x_starts = sorted(p.out_box[0][2] - grid.origin_offset[2] for p in grid.patches)
+        x_starts = sorted(p.out_box[0][2] for p in grid.patches)
         assert x_starts == [0, tile, shape[2] - tile]
         assert x_starts[2] < 2 * tile  # trailing window overlaps the second
 
@@ -103,15 +104,13 @@ class TestPlanTiling:
             cover = np.zeros(shape, dtype=int)
             keep_cover = np.zeros(shape, dtype=int)
             for p in grid.patches:
-                lo = tuple(a - b for a, b in zip(p.out_box[0], grid.origin_offset))
-                hi = tuple(a - b for a, b in zip(p.out_box[1], grid.origin_offset))
+                (lo, hi), (klo, khi) = p.out_box, p.keep_box
                 cover[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] += 1
-                klo = tuple(a - b for a, b in zip(p.keep_box[0], grid.origin_offset))
-                khi = tuple(a - b for a, b in zip(p.keep_box[1], grid.origin_offset))
                 keep_cover[klo[0] : khi[0], klo[1] : khi[1], klo[2] : khi[2]] += 1
                 for ax in range(3):
-                    assert p.in_box[0][ax] >= 0
-                    assert p.in_box[1][ax] <= grid.padded_shape[ax]
+                    assert 0 <= lo[ax] and hi[ax] <= shape[ax]
+                    assert -cfg.l_pad[ax] <= p.in_box[0][ax]
+                    assert p.in_box[1][ax] <= shape[ax] + cfg.l_pad[ax]
             assert (cover >= 1).all()
             assert (keep_cover == 1).all()
             for ax in range(3):
@@ -123,28 +122,29 @@ class TestPlanTiling:
                     assert 0 < gaps[-1] <= cfg.l_out_tile[ax]
 
 
-def _perfect_patch_detections(coords, grid, cfg, voxel=1.0):
+def _perfect_patch_detections(coords, grid, voxel=1.0):
     """Simulate flawless per-patch detection: every cell visible in a patch's
-    predicted box reported in output-window-local micrometers."""
+    predicted box, reported in the volume's micrometers."""
     per_patch = []
     for patch in grid.patches:
-        lo = (np.asarray(patch.cnn_box[0]) - grid.origin_offset) * voxel
-        hi = (np.asarray(patch.cnn_box[1]) - grid.origin_offset) * voxel
+        lo = np.asarray(patch.cnn_box[0]) * voxel
+        hi = np.asarray(patch.cnn_box[1]) * voxel
         inside = np.all((coords >= lo) & (coords < hi), axis=1)
-        out_start = (np.asarray(patch.out_box[0]) - grid.origin_offset) * voxel
-        per_patch.append(CoordSet(coords[inside] - out_start))
+        per_patch.append(CoordSet(coords[inside]))
     return per_patch
 
 
 class TestReconstruct:
     def test_offsets_cancel_single_patch(self):
+        # the input window starts l_pad before the volume, yet detections
+        # need no shift: every box is in the volume's own frame
         cfg = SUPP_TABLE_PEAK
         grid = plan_tiling(cfg.l_out_tile, cfg)
-        assert grid.origin_offset == (24, 24, 24)
-        assert grid.patches[0].out_box[0] == (24, 24, 24)
-        local = CoordSet(np.array([[8.0, 8.0, 8.0]]))
-        out = reconstruct_coordinates([local], grid, cfg)
-        assert np.allclose(out.coords, [[8.0, 8.0, 8.0]])
+        assert grid.patches[0].in_box[0] == (-24, -24, -24)
+        assert grid.patches[0].out_box[0] == (0, 0, 0)
+        found = CoordSet(np.array([[8.0, 8.0, 8.0]]))
+        out = reconstruct_coordinates([found], grid, cfg)
+        assert np.array_equal(out.coords, [[8.0, 8.0, 8.0]])
 
     def test_m_peak_deduplicates_margin_detection(self):
         cfg = TilingConfig.m_peak((16, 16, 16), (2, 2, 2), (2, 2, 2))
@@ -152,11 +152,10 @@ class TestReconstruct:
         grid = plan_tiling(shape, cfg)
         assert len(grid.patches) == 2
         cell = np.array([[4.5, 4.5, 8.5]])  # inside patch 1's core, patch 0's margin
-        per_patch = _perfect_patch_detections(cell, grid, cfg)
+        per_patch = _perfect_patch_detections(cell, grid)
         assert len(per_patch[0]) == 1 and len(per_patch[1]) == 1
         out = reconstruct_coordinates(per_patch, grid, cfg)
-        assert len(out) == 1
-        assert np.allclose(out.coords, cell)
+        assert np.array_equal(out.coords, cell)
 
     def test_m_conv_keeps_both_detections(self):
         cfg = TilingConfig.m_conv((16, 16, 16), (4, 4, 4))
@@ -165,19 +164,10 @@ class TestReconstruct:
         assert len(grid.patches) == 2
         # the same physical cell reported by both patches at slightly
         # different positions (border kernel truncation)
-        out_starts = [
-            (np.asarray(p.out_box[0]) - grid.origin_offset) * 1.0 for p in grid.patches
-        ]
-        true_pos = np.array([6.5, 4.5, 7.5])
-        artifact = np.array([6.5, 4.5, 8.5])
-        per_patch = [
-            CoordSet((true_pos - out_starts[0]).reshape(1, 3)),
-            CoordSet((artifact - out_starts[1]).reshape(1, 3)),
-        ]
-        out = reconstruct_coordinates(per_patch, grid, cfg)
-        assert len(out) == 2
-        dist = np.linalg.norm(out.coords[0] - out.coords[1])
-        assert dist < 4.0
+        true_pos = np.array([[6.5, 4.5, 7.5]])
+        artifact = np.array([[6.5, 4.5, 8.5]])
+        out = reconstruct_coordinates([CoordSet(true_pos), CoordSet(artifact)], grid, cfg)
+        assert np.array_equal(out.coords, np.concatenate([true_pos, artifact]))
 
     def test_split_then_reconstruct_is_identity(self, rng):
         cfg = TilingConfig.m_peak((20, 20, 20), (3, 3, 3), (2, 2, 2))
@@ -187,7 +177,7 @@ class TestReconstruct:
             n = 25
             coords = (rng.integers(0, shape, size=(n, 3)) + 0.5) * 1.0
             coords = np.unique(coords, axis=0)
-            per_patch = _perfect_patch_detections(coords, grid, cfg)
+            per_patch = _perfect_patch_detections(coords, grid)
             out = reconstruct_coordinates(per_patch, grid, cfg)
             got = set(map(tuple, out.coords))
             want = set(map(tuple, coords))
@@ -204,8 +194,7 @@ class TestStitchingInvariant:
         coords = CoordSet(rng.random((30, 3)) * np.asarray(shape))
         whole = render_dm(coords, shape, (1.0, 1.0, 1.0), kernel)
         for patch in grid.patches:
-            lo = np.asarray(patch.out_box[0]) - grid.origin_offset
-            hi = np.asarray(patch.out_box[1]) - grid.origin_offset
+            lo, hi = np.asarray(patch.out_box)
             piece = render_dm(
                 coords,
                 tuple(hi - lo),
@@ -271,16 +260,6 @@ class TestVolumeIO:
         (tmp_path / "vol.json").write_text(json.dumps(sidecar))
         with pytest.raises(ValueError):
             load_volume(tmp_path / "vol")
-
-    def test_pad_and_extract(self):
-        v = vol(np.ones((4, 4, 4)))
-        cfg = TilingConfig.m_peak((8, 8, 8), (1, 1, 1), (1, 1, 1))
-        grid = plan_tiling(v.shape, cfg)
-        padded = pad_volume(v, grid)
-        assert padded.shape == grid.padded_shape
-        assert padded.data.sum() == v.data.sum()  # zero padding
-        box = extract_box(padded, grid.patches[0].in_box)
-        assert box.shape == cfg.l_in
 
 
 class TestOnTwoCores:
