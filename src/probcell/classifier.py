@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -398,17 +398,8 @@ def save_model(model, path) -> None:
             "version": 1,
             "n_features": model.n_features,
             "seed": model.seed,
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "n_pos": t.n_pos.tolist(),
-                    "n_total": t.n_total.tolist(),
-                }
-                for t in model.trees
-            ],
+            "trees": [{f.name: getattr(t, f.name).tolist() for f in fields(Tree)}
+                      for t in model.trees],
         }
     elif isinstance(model, MlpModel):
         payload = {
@@ -421,7 +412,7 @@ def save_model(model, path) -> None:
         }
     else:
         raise TypeError(f"unknown model type {type(model)!r}")
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_model(path):

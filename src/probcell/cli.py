@@ -1,23 +1,22 @@
 """Batch command-line front-end.
 
 Each subcommand's flags and their defaults are written once, in the flag
-table of ``build_parser``. ``--config FILE`` names a JSON object keyed by
-flag destinations (``min_distance_um`` for ``--min-distance-um``); its
-values replace the flag defaults and a flag on the command line still wins
-(CLI > file > default). ``synth`` also takes any ``SynthSpec`` field and
-``pipeline`` any ``run_pipeline`` config key, whose sections and value types
-``merge_config`` checks. Any other key, a file that is not a JSON object, or
-a string value that its flag's ``type`` rejects raises ``InvalidConfig``.
-Domain errors, and arithmetic that overflows on a value it was given, exit
-with status 1 and a machine-readable JSON payload on stderr; usage errors
-exit with status 2.
+table of ``build_parser``; string choices come from ``pipeline._CHOICES``.
+``--config FILE`` names a JSON object keyed by flag destinations
+(``min_distance_um`` for ``--min-distance-um``); its values replace the flag
+defaults and a flag on the command line still wins (CLI > file > default).
+``synth`` also takes any ``SynthSpec`` field and ``pipeline`` any
+``run_pipeline`` config key. The file goes through ``run_pipeline``'s own
+kind check, ``pipeline._check_setting``; ranges are checked by the objects
+the values build (``SynthSpec``, ``NmsConfig``, ...). Domain errors, and
+arithmetic that overflows on a given value, exit with status 1 and a JSON
+payload on stderr; usage errors exit with status 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pipeline_mod
@@ -31,7 +30,7 @@ from .classifier import (
 from .coords import load_coords, save_coords
 from .densitymap import KernelSpec, render_dm
 from .detect import NmsConfig, detect_peaks
-from .errors import InvalidConfig, ProbcellError
+from .errors import ProbcellError
 from .evalmetrics import aggregate_reports, score_detection
 from .features import FeatureSpec, extract_features, feature_names
 from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
@@ -40,7 +39,7 @@ from .volume import Volume3D, load_volume, save_volume
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _summary(cfg: dict, outputs: dict, extra: dict | None = None) -> int:
@@ -51,7 +50,7 @@ def _summary(cfg: dict, outputs: dict, extra: dict | None = None) -> int:
                     for name, path in outputs.items()},
     }
     payload.update(extra or {})
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -64,12 +63,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _load_maps(cfg) -> list[tuple[str, Volume3D]]:
-    maps = [("dm", load_volume(cfg["dm"]))]
-    if cfg.get("u_a"):
-        maps.append(("u_a", load_volume(cfg["u_a"])))
-    if cfg.get("u_e"):
-        maps.append(("u_e", load_volume(cfg["u_e"])))
-    return maps
+    return [(name, load_volume(cfg[name])) for name in ("dm", "u_a", "u_e") if cfg.get(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +72,11 @@ def _load_maps(cfg) -> list[tuple[str, Volume3D]]:
 
 def cmd_synth(cfg) -> int:
     out = Path(cfg.pop("out"))
-    out.mkdir(parents=True, exist_ok=True)
-    spec = SynthSpec(**dict(cfg, shape=tuple(cfg["shape"]), voxel_size=tuple(cfg["voxel_size"])))
+    spec = SynthSpec(**cfg)
     gt = generate_coords(spec)
     ro = oracle_regress(gt, spec)
     structure, tissue = generate_structures(spec)
+    out.mkdir(parents=True, exist_ok=True)
     save_volume(ro.dm, out / "dm")
     save_volume(ro.aleatoric, out / "aleatoric")
     save_volume(ro.epistemic, out / "epistemic")
@@ -102,22 +96,15 @@ def cmd_synth(cfg) -> int:
 
 def cmd_render_dm(cfg) -> int:
     coords = load_coords(cfg["coords"])
-    kernel = KernelSpec(
-        sigma_um=float(cfg["sigma_um"]),
-        cutoff_um=float(cfg["cutoff_um"]),
-        compounding=cfg["compounding"],
-        amplitude=cfg["amplitude"],
-    )
-    dm = render_dm(coords, tuple(cfg["shape"]), tuple(cfg["voxel_size"]), kernel)
+    kernel = KernelSpec(cfg["sigma_um"], cfg["cutoff_um"], cfg["compounding"], cfg["amplitude"])
+    dm = render_dm(coords, cfg["shape"], cfg["voxel_size"], kernel)
     raw_path, _ = save_volume(dm, cfg["out"])
     return _summary(cfg, {"volume": raw_path}, {"max": float(dm.data.max(initial=0.0))})
 
 
 def cmd_detect(cfg) -> int:
     dm = load_volume(cfg["volume"])
-    peaks = detect_peaks(
-        dm, NmsConfig(float(cfg["min_distance_um"]), float(cfg["threshold"]))
-    )
+    peaks = detect_peaks(dm, NmsConfig(cfg["min_distance_um"], cfg["threshold"]))
     save_coords(peaks, cfg["out"])
     return _summary(cfg, {"peaks": cfg["out"]}, {"n_peaks": len(peaks)})
 
@@ -138,11 +125,9 @@ def cmd_train_classifier(cfg) -> int:
     proposals = load_coords(cfg["proposals"])
     gt = load_coords(cfg["gt"])
     X = extract_features(maps, proposals, FeatureSpec())
-    labels = pipeline_mod.label_proposals(proposals, gt, float(cfg["t_match_um"]))
-    if cfg["model_type"] == "forest":
-        model = train_forest(X, labels, seed=int(cfg["seed"]))
-    else:
-        model = train_mlp(X, labels, seed=int(cfg["seed"]))
+    labels = pipeline_mod.label_proposals(proposals, gt, cfg["t_match_um"])
+    train = train_forest if cfg["model_type"] == "forest" else train_mlp
+    model = train(X, labels, seed=cfg["seed"])
     save_model(model, cfg["out"])
     return _summary(cfg, {"model": cfg["out"]},
                     {"n_train": int(X.shape[0]), "n_positive": int(labels.sum())})
@@ -162,6 +147,7 @@ def cmd_classify(cfg) -> int:
 def cmd_eval(cfg) -> int:
     if len(cfg["gt"]) != len(cfg["pred"]):
         raise ValueError("need one prediction file per ground-truth file")
+    # float: the radius is written into the report
     reports = [
         score_detection(load_coords(g), load_coords(p), float(cfg["t_match_um"]))
         for g, p in zip(cfg["gt"], cfg["pred"])
@@ -175,7 +161,7 @@ def cmd_eval(cfg) -> int:
         }
     if cfg.get("out"):
         _write_json(Path(cfg["out"]), report)
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -187,16 +173,12 @@ def cmd_spatial(cfg) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {}
+    settings = {"adjacency_um": cfg["adjacency_um"], "cdf_mode": cfg["cdf_mode"]}
     if cfg["mode"] in ("deterministic", "both"):
-        report["deterministic"] = analyze_deterministic(
-            cells, prelude,
-            adjacency_um=float(cfg["adjacency_um"]), cdf_mode=cfg["cdf_mode"],
-        ).to_dict()
+        report["deterministic"] = analyze_deterministic(cells, prelude, **settings).to_dict()
     if cfg["mode"] in ("probabilistic", "both"):
         prob = analyze_probabilistic(
-            cells, prelude,
-            replicates=int(cfg["replicates"]), seed=int(cfg["seed"]),
-            adjacency_um=float(cfg["adjacency_um"]), cdf_mode=cfg["cdf_mode"],
+            cells, prelude, replicates=cfg["replicates"], seed=cfg["seed"], **settings
         )
         report["probabilistic"] = prob.to_dict()
         for name, sa in prob.structures.items():
@@ -223,7 +205,7 @@ def cmd_pipeline(cfg) -> int:
         "classifier_nll": report["classifier"]["test_nll"],
         "baseline_f1": report["threshold_baseline"]["test"]["f1"],
     }
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -239,6 +221,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
+    choices = pipeline_mod._CHOICES
 
     def add(name, func, flags):
         p = commands[name] = sub.add_parser(name)
@@ -266,8 +249,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--voxel-size": {"nargs": 3, "type": float, "default": [1.0, 1.0, 1.0]},
         "--sigma-um": {"type": float, "default": 2.0},
         "--cutoff-um": {"type": float, "default": 16.0},
-        "--compounding": {"choices": ["sum", "max"], "default": "max"},
-        "--amplitude": {"choices": ["normalized", "unit_peak"], "default": "unit_peak"},
+        "--compounding": {"choices": choices["compounding"], "default": "max"},
+        "--amplitude": {"choices": choices["amplitude"], "default": "unit_peak"},
         "--out": {"default": "dm"},
     })
     add("detect", cmd_detect, {
@@ -280,7 +263,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add("train-classifier", cmd_train_classifier, {
         **maps,
         "--gt": {"required": True},
-        "--model-type": {"choices": ["forest", "mlp"], "default": "forest"},
+        "--model-type": {"choices": choices["model_type"], "default": "forest"},
         "--t-match-um": {"type": float, "default": 4.0},
         "--seed": {"type": int, "default": 0},
         "--out": {"default": "model.json"},
@@ -298,11 +281,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--cells": {"required": True},
         "--structure": {"required": True},
         "--tissue": {"required": True},
-        "--mode": {"choices": ["deterministic", "probabilistic", "both"], "default": "both"},
+        "--mode": {"choices": choices["mode"], "default": "both"},
         "--replicates": {"type": int, "default": 50},
         "--seed": {"type": int, "default": 0},
         "--adjacency-um": {"type": float, "default": 4.0},
-        "--cdf-mode": {"choices": ["kde", "empirical"], "default": "kde"},
+        "--cdf-mode": {"choices": choices["cdf_mode"], "default": "kde"},
         "--out-dir": {"default": "spatial_out"},
     })
     add("pipeline", cmd_pipeline, {
@@ -312,23 +295,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-# Settings a config file may hold beyond its subcommand's flags.
-_FILE_ONLY_KEYS = {
-    "synth": {f.name for f in fields(SynthSpec)},
-    "pipeline": set(pipeline_mod.DEFAULT_CONFIG),
-}
+# Settings a subcommand takes beyond its flags, with values of their kind.
+_EXTRA_SETTINGS = {"synth": pipeline_mod._SCENE_FIELDS, "pipeline": pipeline_mod._SCHEMA}
 _NOT_SETTINGS = ("config", "command", "func")
 
 
-def _read_config(args: argparse.Namespace) -> dict:
-    """The --config file's object; each key must name a setting of the subcommand."""
+def _read_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
+    """The --config file's object, checked by pipeline._check_setting against
+    a value of each flag's type and nargs (a string flag's choices are found
+    by its name)."""
     file = json.loads(Path(args.config).read_text())
-    if not isinstance(file, dict):
-        raise InvalidConfig(f"{args.config}: a config file holds one JSON object")
-    known = set(vars(args)).union(_FILE_ONLY_KEYS.get(args.command, ())) - set(_NOT_SETTINGS)
-    unknown = sorted(set(file) - known)
-    if unknown:
-        raise InvalidConfig(f"{args.config}: {args.command} has no setting {unknown}")
+    given = file if isinstance(file, dict) else {}
+    template = dict(_EXTRA_SETTINGS.get(args.command, {}))
+    for action in command._actions[2:]:  # after --help and --config
+        kind, n = (action.type or str)(), action.nargs
+        if n == "+":  # as many values as the file gives
+            n = len(given[action.dest]) if isinstance(given.get(action.dest), list) else 1
+        template[action.dest] = kind if n is None else [kind] * n
+    pipeline_mod._check_setting(file, template, "config")
     return file
 
 
@@ -338,13 +322,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             command = commands[args.command]
-            command.set_defaults(**_read_config(args))
-            # argv parsed once already, so an error now comes from a file value
-            parser.exit_on_error = command.exit_on_error = False
-            try:
-                args = parser.parse_args(argv)
-            except argparse.ArgumentError as exc:
-                raise InvalidConfig(f"{args.config}: {exc}") from None
+            command.set_defaults(**_read_config(args, command))
+            args = parser.parse_args(argv)  # CLI > file > default
         cfg = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS and v is not None}
         return args.func(cfg)
     except (ProbcellError, OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:

@@ -56,14 +56,6 @@ class CoordSet:
             None if self.dm_value is None else self.dm_value[mask],
         )
 
-    def shifted(self, offset_um) -> "CoordSet":
-        off = np.asarray(offset_um, dtype=np.float64).reshape(3)
-        return CoordSet(
-            self.coords + off,
-            None if self.p is None else self.p.copy(),
-            None if self.dm_value is None else self.dm_value.copy(),
-        )
-
 
 def concat_coordsets(sets: list[CoordSet]) -> CoordSet:
     """Concatenate in list order. Optional columns survive only if present everywhere."""

@@ -16,6 +16,7 @@ range can never fire. The synthetic pipeline therefore defaults to
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ K_SUM = "sum"
 K_MAX = "max"
 AMP_NORMALIZED = "normalized"
 AMP_UNIT = "unit_peak"
+COMPOUNDINGS = (K_SUM, K_MAX)
+AMPLITUDES = (AMP_NORMALIZED, AMP_UNIT)
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,14 @@ class KernelSpec:
 
     def __post_init__(self):
         # written so that NaN fails both checks
-        if not self.sigma_um > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma_um!r}")
-        if not self.cutoff_um > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff_um!r}")
-        if self.compounding not in (K_SUM, K_MAX):
-            raise ValueError(f"compounding must be {K_SUM!r} or {K_MAX!r}")
-        if self.amplitude not in (AMP_NORMALIZED, AMP_UNIT):
-            raise ValueError(f"amplitude must be {AMP_NORMALIZED!r} or {AMP_UNIT!r}")
+        if not 0 < self.sigma_um < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma_um!r}")
+        if not 0 < self.cutoff_um < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff_um!r}")
+        if self.compounding not in COMPOUNDINGS:
+            raise ValueError(f"compounding must be one of {list(COMPOUNDINGS)}")
+        if self.amplitude not in AMPLITUDES:
+            raise ValueError(f"amplitude must be one of {list(AMPLITUDES)}")
 
     @property
     def peak_value(self) -> float:

@@ -14,6 +14,7 @@ earlier candidate was kept.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,11 @@ class NmsConfig:
     threshold: float = 0.0
 
     def __post_init__(self):
-        # written so that NaN fails both checks
-        if not self.min_distance_um > 0:
-            raise ValueError("min_distance must be positive")
-        if not self.threshold >= 0:
-            raise ValueError("threshold must be >= 0 (0 selects proposal mode)")
+        # written so that NaN and infinity fail both checks
+        if not 0 < self.min_distance_um < math.inf:
+            raise ValueError(f"min_distance must be finite and > 0, got {self.min_distance_um!r}")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold!r}")
 
 
 def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

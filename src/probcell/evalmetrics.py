@@ -15,6 +15,7 @@ mistakes stay finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,12 @@ class MatchReport:
             "n_pred": self.tp + self.fp,
             "zero_prediction_precision": self.zero_prediction_precision,
         }
+
+
+def check_t_match(t_match_um: float) -> None:
+    """ValueError unless the match radius is finite and > 0 (False for NaN)."""
+    if not 0 < t_match_um < math.inf:
+        raise ValueError(f"t_match must be positive and finite, got {t_match_um!r}")
 
 
 def hungarian_match(gt: CoordSet, pred: CoordSet) -> list[tuple[int, int, float]]:
@@ -158,8 +165,7 @@ def score_detection(
     gt: CoordSet, pred: CoordSet, t_match_um: float = DEFAULT_T_MATCH_UM
 ) -> MatchReport:
     """Full detection + calibration report at the given match radius."""
-    if not t_match_um > 0:  # False for NaN too
-        raise ValueError(f"t_match must be positive, got {t_match_um!r}")
+    check_t_match(t_match_um)
     terms = _match_terms(gt, pred, t_match_um)
     tp_pairs, far_pairs, un_gt, un_pred = terms
     tp = len(tp_pairs)

@@ -10,6 +10,11 @@ Detection on a predicted map happens per tile: each patch is the part of
 the regressor's output box that lies inside the map, sliced from the map
 itself; its peaks are placed in the map's frame and merged according to the
 tiling strategy.
+
+A config is checked before the first scene: ``_check_setting`` (also run
+on the CLI's ``--config`` files) checks each value's kind, then every
+settings object is built and checks its own ranges; either error is an
+``InvalidConfig``.
 """
 from __future__ import annotations
 
@@ -26,14 +31,21 @@ import numpy as np
 from .classifier import classify_proposals, save_model, train_forest, train_mlp
 from .coords import CoordSet, save_coords
 from .detect import NmsConfig, detect_peaks
+from .densitymap import AMPLITUDES, COMPOUNDINGS
 from .errors import InvalidConfig
-from .evalmetrics import hungarian_match, score_calibration, score_detection
+from .evalmetrics import check_t_match, hungarian_match, score_calibration, score_detection
 from .features import FeatureSpec, extract_features
-from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
+from .spatial import (
+    CDF_MODES,
+    _check_analysis,
+    analyze_deterministic,
+    analyze_probabilistic,
+    prepare_spatial,
+)
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
 from .volume import (
-    M_CONV,
     M_PEAK,
+    STRATEGIES,
     TilingConfig,
     Volume3D,
     plan_tiling,
@@ -94,16 +106,21 @@ _SCHEMA = {
     "train_scene": {**_SCENE_FIELDS, **DEFAULT_CONFIG["train_scene"]},
     "classifier": {**DEFAULT_CONFIG["classifier"], "epochs": _MLP_EPOCHS},
 }
-# The values each string setting may take.
+# The values of each string setting, here and in the CLI; a path takes any.
 _CHOICES = {
-    "strategy": (M_CONV, M_PEAK),
+    "strategy": STRATEGIES,
     "type": ("forest", "mlp"),
-    "cdf_mode": ("kde", "empirical"),
+    "cdf_mode": CDF_MODES,
+    "compounding": COMPOUNDINGS,
+    "amplitude": AMPLITUDES,
+    "mode": ("deterministic", "probabilistic", "both"),
 }
+_CHOICES["model_type"] = _CHOICES["type"]
 # The least value of each integer setting that has one.
 _MINIMA = {
     "config.classifier.n_trees": 1,
     "config.threshold_grid": 1,
+    "config.train_scenes": 1,
     "config.spatial.replicates": 2,
 }
 
@@ -112,7 +129,7 @@ def _check_setting(value, template, name: str) -> None:
     """InvalidConfig unless value is of its template's kind: an object with
     known keys, a list of the same length, an integer for an integer, a
     finite number for a float (or null where the default is null), one of
-    the choices for a string, and no less than its entry in _MINIMA."""
+    its _CHOICES for a string, and no less than its entry in _MINIMA."""
     if isinstance(template, dict):
         if not isinstance(value, dict):
             raise InvalidConfig(f"{name} must be an object, got {value!r}")
@@ -129,9 +146,9 @@ def _check_setting(value, template, name: str) -> None:
             _check_setting(item, item_template, name)
         return
     if isinstance(template, str):
-        choices = _CHOICES[name.rsplit(".", 1)[-1]]
-        if not (isinstance(value, str) and value in choices):
-            raise InvalidConfig(f"{name} = {value!r} is not one of {list(choices)}")
+        choices = _CHOICES.get(name.rsplit(".", 1)[-1])
+        if not isinstance(value, str) or choices is not None and value not in choices:
+            raise InvalidConfig(f"{name} = {value!r} is not a string in {choices or 'any'}")
         return
     if isinstance(value, bool):
         ok = False
@@ -167,12 +184,8 @@ def merge_config(overrides: dict | None) -> dict:
 
 
 def _tiling_config(cfg: dict) -> TilingConfig:
-    return TilingConfig(
-        l_in=tuple(cfg["l_in"]),
-        conv_margin=tuple(cfg["conv_margin"]),
-        peak_margin=tuple(cfg["peak_margin"]) if cfg["strategy"] == M_PEAK else (0, 0, 0),
-        strategy=cfg["strategy"],
-    )
+    peak_margin = cfg["peak_margin"] if cfg["strategy"] == M_PEAK else (0, 0, 0)
+    return TilingConfig(cfg["l_in"], cfg["conv_margin"], peak_margin, cfg["strategy"])
 
 
 def tiled_detect(dm: Volume3D, tiling: TilingConfig, nms: NmsConfig) -> CoordSet:
@@ -210,19 +223,12 @@ def proposals_by_threshold(proposals: CoordSet, threshold: float) -> CoordSet:
 
 def label_proposals(proposals: CoordSet, gt: CoordSet, t_match_um: float) -> np.ndarray:
     """1 for proposals assigned to a ground-truth cell within t_match, else 0."""
+    check_t_match(t_match_um)
     labels = np.zeros(len(proposals), dtype=np.int64)
     for _, pj, dist in hungarian_match(gt, proposals):
         if dist <= t_match_um:
             labels[pj] = 1
     return labels
-
-
-def _scene_spec(base: dict, seed: int) -> SynthSpec:
-    kwargs = {k: v for k, v in base.items()}
-    for key in ("shape", "voxel_size", "cell_amp_range", "distractor_amp_range", "amp_field_range"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return SynthSpec(seed=seed, **kwargs)
 
 
 def _detect_scene(spec: SynthSpec, tiling: TilingConfig, nms: NmsConfig):
@@ -265,16 +271,25 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     """
     cfg = merge_config(config)
     seed = cfg["seed"]
-    t_match = float(cfg["t_match_um"])
-    tiling = _tiling_config(cfg["tiling"])
-    nms = NmsConfig(**cfg["nms"])
+    t_match = float(cfg["t_match_um"])  # float: the radius is written into the report
+    spatial_cfg = cfg["spatial"]
+    try:
+        train = cfg["train_scene"]
+        train_specs = [SynthSpec(seed=seed + 1000 + i, **train) for i in range(cfg["train_scenes"])]
+        val_spec = SynthSpec(seed=seed + 2000, **train)
+        test_spec = SynthSpec(seed=seed, **cfg["test_scene"])
+        tiling = _tiling_config(cfg["tiling"])
+        nms = NmsConfig(**cfg["nms"])
+        check_t_match(t_match)
+        _check_analysis(spatial_cfg["adjacency_um"], spatial_cfg["cdf_mode"])
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from None
     feature_spec = FeatureSpec()
 
     # training scenes
     X_parts, y_parts = [], []
     train_stats = []
-    for i in range(cfg["train_scenes"]):
-        spec = _scene_spec(cfg["train_scene"], seed=seed + 1000 + i)
+    for spec in train_specs:
         gt, ro, proposals = _detect_scene(spec, tiling, nms)
         X = extract_features(_maps(ro), proposals, feature_spec)
         y = label_proposals(proposals, gt, t_match)
@@ -291,14 +306,12 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         model = train_mlp(X_train, y_train, seed=seed, epochs=cls_cfg.get("epochs", _MLP_EPOCHS))
 
     # validation scene: stopping threshold for the deterministic baseline
-    val_spec = _scene_spec(cfg["train_scene"], seed=seed + 2000)
     val_gt, val_ro, val_proposals = _detect_scene(val_spec, tiling, nms)
     threshold, val_f1 = select_threshold(
         val_proposals, val_gt, t_match, cfg["threshold_grid"]
     )
 
     # test scene
-    test_spec = _scene_spec(cfg["test_scene"], seed=seed)
     test_gt, test_ro, test_proposals = _detect_scene(test_spec, tiling, nms)
     classified = classify_proposals(model, _maps(test_ro), test_proposals, feature_spec)
 
@@ -310,21 +323,11 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     baseline_report = score_detection(test_gt, CoordSet(baseline_pred.coords), t_match)
 
     structure, tissue = generate_structures(test_spec)
-    spatial_cfg = cfg["spatial"]
     prelude = prepare_spatial({"structure": structure}, tissue)
-    det_spatial = analyze_deterministic(
-        classified,
-        prelude,
-        adjacency_um=float(spatial_cfg["adjacency_um"]),
-        cdf_mode=spatial_cfg["cdf_mode"],
-    )
+    settings = {"adjacency_um": spatial_cfg["adjacency_um"], "cdf_mode": spatial_cfg["cdf_mode"]}
+    det_spatial = analyze_deterministic(classified, prelude, **settings)
     prob_spatial = analyze_probabilistic(
-        classified,
-        prelude,
-        replicates=spatial_cfg["replicates"],
-        seed=seed + 3000,
-        adjacency_um=float(spatial_cfg["adjacency_um"]),
-        cdf_mode=spatial_cfg["cdf_mode"],
+        classified, prelude, replicates=spatial_cfg["replicates"], seed=seed + 3000, **settings
     )
 
     report = {
@@ -359,7 +362,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
             name: sha256_file(out_dir / name) for name in ("model.json", "proposals.csv")
         }
         (out_dir / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+            json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     return report
 

@@ -30,6 +30,7 @@ which makes the transform about 3x faster at 256^3 with the same features.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ from .errors import (
 from .volume import Volume3D, sample_trilinear
 
 ADJACENCY_UM = 4.0
+CDF_MODES = ("kde", "empirical")
 CDF_GRID_POINTS = 512
 # z-planes per slab when the feature transform is turned into distances
 EDT_SLAB = 8
@@ -209,6 +211,14 @@ def _replicate_mean_sd(pct: np.ndarray) -> tuple[float, float]:
     return float(np.nanmean(pct)), float(np.nanstd(pct))
 
 
+def _envelope(curves: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Pointwise min and max over the replicate curves; None without any."""
+    if not curves:
+        return None
+    stack = np.stack(curves)
+    return stack.min(axis=0), stack.max(axis=0)
+
+
 def _opt(x):
     x = float(x)
     return None if np.isnan(x) else x
@@ -281,6 +291,14 @@ def _distance_grid(pool: np.ndarray, dists: np.ndarray, n_grid: int) -> np.ndarr
     return np.linspace(0.0, top, n_grid)
 
 
+def _check_analysis(adjacency_um: float, cdf_mode: str) -> None:
+    """Both analyses' entry check: 0 < adjacency_um < inf, False for NaN."""
+    if not 0 < adjacency_um < math.inf:
+        raise ValueError(f"adjacency_um must be positive and finite, got {adjacency_um!r}")
+    if cdf_mode not in CDF_MODES:
+        raise ValueError(f"cdf_mode must be one of {list(CDF_MODES)}, got {cdf_mode!r}")
+
+
 def analyze_deterministic(
     cells: CoordSet,
     prelude: SpatialPrelude,
@@ -289,6 +307,7 @@ def analyze_deterministic(
     cdf_mode: str = "kde",
 ) -> SpatialReport:
     """Single-pass analysis of all proposals with p >= 0.5 at full weight."""
+    _check_analysis(adjacency_um, cdf_mode)
     kept = cells if cells.p is None else cells.select(cells.p >= 0.5)
     flags = [] if len(kept) else ["EmptyCells"]
     out = {}
@@ -302,9 +321,7 @@ def analyze_deterministic(
             ),
             pct_volume_adjacent=100.0 * float(np.mean(prep.pool < adjacency_um)),
             distance_grid=grid,
-            cell_cdf=(
-                DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None
-            ),
+            cell_cdf=DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None,
             esd_cdf=DistanceCdf(prep.pool).evaluate(grid, mode="empirical"),
         )
     return SpatialReport(
@@ -331,6 +348,7 @@ def analyze_probabilistic(
     independent of execution order. ESD replicates resample the pooled
     distances with a Poisson(count of sampled cells) sample size.
     """
+    _check_analysis(adjacency_um, cdf_mode)
     if replicates < 2:
         raise ValueError("need at least two replicates")
     if len(cells) == 0:
@@ -375,8 +393,6 @@ def analyze_probabilistic(
     out = {}
     for name, prep in structures.items():
         det_dists = all_dists[name][p >= 0.5]
-        cell_stack = np.stack(cell_curves[name]) if cell_curves[name] else None
-        esd_stack = np.stack(esd_curves[name]) if esd_curves[name] else None
         cells_mean, cells_sd = _replicate_mean_sd(pct_cells[name])
         vol_mean, vol_sd = _replicate_mean_sd(pct_vol[name])
         out[name] = StructureAnalysis(
@@ -392,16 +408,8 @@ def analyze_probabilistic(
                 else None
             ),
             esd_cdf=DistanceCdf(prep.pool).evaluate(grids[name], mode="empirical"),
-            cell_envelope=(
-                (cell_stack.min(axis=0), cell_stack.max(axis=0))
-                if cell_stack is not None
-                else None
-            ),
-            esd_envelope=(
-                (esd_stack.min(axis=0), esd_stack.max(axis=0))
-                if esd_stack is not None
-                else None
-            ),
+            cell_envelope=_envelope(cell_curves[name]),
+            esd_envelope=_envelope(esd_curves[name]),
         )
     return SpatialReport(
         mode="probabilistic",

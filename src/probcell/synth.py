@@ -23,6 +23,8 @@ proposals at any scale.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +39,6 @@ from .volume import Volume3D, on_two_cores
 
 # SD (um) of the Gaussian that smooths the surrogate's noise
 NOISE_SMOOTH_UM = 2.0
-
-__all__ = [
-    "SynthSpec",
-    "generate_coords",
-    "oracle_regress",
-    "generate_structures",
-]
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,43 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_cells < 0 or self.n_distractors < 0 or self.n_tubes < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.min_separation_um <= 0:
-            raise ValueError("min separation must be positive")
+        # every range test below is False for NaN
+        for name in ("shape", "voxel_size", "cell_amp_range", "amp_field_range",
+                     "distractor_amp_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.shape) != 3 or not all(operator.index(n) >= 1 for n in self.shape):
+            raise ValueError(f"shape must be three integers >= 1, got {self.shape}")
+        if len(self.voxel_size) != 3 or not all(0 < v < math.inf for v in self.voxel_size):
+            raise ValueError(f"voxel_size must be three finite values > 0, got {self.voxel_size}")
+        if min(self.n_cells, self.n_distractors, self.n_tubes, self.seed) < 0:
+            raise ValueError("counts and seed must be nonnegative")
+        self.kernel()  # checks sigma_um and cutoff_um
+        for name in ("noise_sd", "margin_um", "background_bias_sd"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        for name in ("tube_radius_um", "min_separation_um", "tube_length"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        for name in ("cell_amp_range", "distractor_amp_range", "amp_field_range"):
+            lo, hi = getattr(self, name)
+            least = 0 if name == "amp_field_range" else -math.inf
+            if not least <= lo <= hi < math.inf:
+                raise ValueError(f"{name} must be finite, {least} <= lo <= hi, got {(lo, hi)}")
+        # one walk step per smallest voxel side; a walk no longer than the
+        # voxel count costs no more than one pass over the volume
+        if self.n_tubes and not self.tube_length / min(self.voxel_size) <= math.prod(self.shape):
+            raise ValueError("a tube walk would take more steps than the volume has voxels")
 
     @property
     def extent_um(self) -> np.ndarray:
         return np.asarray(self.shape, dtype=np.float64) * np.asarray(self.voxel_size)
+
+    @property
+    def tube_length(self) -> float:
+        """Each tube's length: tube_length_um, else 0.8 of the longest extent."""
+        if self.tube_length_um is not None:
+            return self.tube_length_um
+        return 0.8 * float(self.extent_um.max())
 
     def kernel(self) -> KernelSpec:
         return KernelSpec(
@@ -203,12 +227,14 @@ def _background_bias(clean: np.ndarray, spec: SynthSpec) -> np.ndarray:
     return bias
 
 
+@np.errstate(over="raise")
 def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
     """Surrogate for a trained regressor: ground truth plus seeded degradation.
 
     Each draw is clean + amp_field * (noise - bias), built in place in its
     noise array, so the whole-volume float64 arrays alive at once are the
-    amplitude field, the two noises and the bias.
+    amplitude field, the two noises and the bias. A map that overflows
+    float64 or float32 (a huge noise_sd) raises FloatingPointError.
     """
     rng = np.random.default_rng([spec.seed, 1])
     cell_amps = rng.uniform(*spec.cell_amp_range, size=len(coords))
@@ -242,11 +268,10 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
     epistemic -= draw0
     np.abs(epistemic, out=epistemic)
     epistemic /= np.sqrt(2.0)
-    vs = tuple(spec.voxel_size)
     return RegressorOutput(
-        dm=Volume3D(np.maximum(draw0, 0.0, out=draw0).astype(np.float32), vs),
-        aleatoric=Volume3D(amp_field.astype(np.float32), vs),
-        epistemic=Volume3D(epistemic.astype(np.float32), vs),
+        dm=Volume3D(np.maximum(draw0, 0.0, out=draw0).astype(np.float32), spec.voxel_size),
+        aleatoric=Volume3D(amp_field.astype(np.float32), spec.voxel_size),
+        epistemic=Volume3D(epistemic.astype(np.float32), spec.voxel_size),
     )
 
 
@@ -268,17 +293,12 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
     ) <= 1.0
 
     centerline = np.zeros(shape, dtype=bool)
-    length = (
-        spec.tube_length_um
-        if spec.tube_length_um is not None
-        else 0.8 * float(extent.max())
-    )
     step = float(vs.min())
     for _ in range(spec.n_tubes):
         pos = half + (rng.random(3) - 0.5) * extent * 0.5
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
-        for _ in range(int(length / step)):
+        for _ in range(int(spec.tube_length / step)):
             idx = np.floor(pos / vs).astype(int)
             if np.all(idx >= 0) and np.all(idx < shape):
                 centerline[idx[0], idx[1], idx[2]] = True

@@ -36,6 +36,7 @@ from .errors import VolumeSizeMismatch, VolumeTooSmall
 
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
+STRATEGIES = (M_CONV, M_PEAK)
 
 
 def on_two_cores(fn, n: int) -> None:
@@ -134,8 +135,8 @@ class TilingConfig:
             if len(val) != 3:
                 raise ValueError(f"{name} must have three entries")
             object.__setattr__(self, name, val)
-        if self.strategy not in (M_CONV, M_PEAK):
-            raise ValueError(f"strategy must be {M_CONV!r} or {M_PEAK!r}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {list(STRATEGIES)}, got {self.strategy!r}")
         if self.strategy == M_CONV and any(m != 0 for m in self.peak_margin):
             raise ValueError("m_conv uses no supplementary margin")
         if any(o < 1 for o in self.l_out):
@@ -181,7 +182,6 @@ class Patch:
              assign the same region to two patches
     """
 
-    index: int
     in_box: tuple[tuple[int, int, int], tuple[int, int, int]]
     cnn_box: tuple[tuple[int, int, int], tuple[int, int, int]]
     out_box: tuple[tuple[int, int, int], tuple[int, int, int]]
@@ -223,7 +223,6 @@ def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
             keeps.append((lo, s + tile[ax]))
         axis_keeps.append(keeps)
     patches = []
-    index = 0
     for iz, sz in enumerate(axis_starts[0]):
         for iy, sy in enumerate(axis_starts[1]):
             for ix, sx in enumerate(axis_starts[2]):
@@ -236,14 +235,12 @@ def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
                 keep = (axis_keeps[0][iz], axis_keeps[1][iy], axis_keeps[2][ix])
                 patches.append(
                     Patch(
-                        index=index,
                         in_box=(in_start, in_stop),
                         cnn_box=(cnn_start, cnn_stop),
                         out_box=(core_start, core_stop),
                         keep_box=tuple(zip(*keep)),
                     )
                 )
-                index += 1
     return PatchGrid(patches=tuple(patches))
 
 
@@ -286,7 +283,7 @@ def save_volume(v: Volume3D, base_path) -> tuple[Path, Path]:
         "shape": [int(s) for s in v.shape],
         "voxel_size_um": [float(s) for s in v.voxel_size],
     }
-    json_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(sidecar, sort_keys=True, allow_nan=False) + "\n")
     return raw_path, json_path
 
 

@@ -1,0 +1,268 @@
+"""One settings check for both front ends.
+
+A ``--config`` file goes through ``pipeline._check_setting``, the walk
+``run_pipeline`` applies to its config, and each range is checked by the
+object that uses it. Bad numbers must end as exit 1 with the JSON payload and
+no output, never as a result.
+"""
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from probcell import (
+    CoordSet,
+    NmsConfig,
+    SynthSpec,
+    analyze_deterministic,
+    analyze_probabilistic,
+    prepare_spatial,
+)
+from probcell import pipeline as pipeline_mod
+from probcell.cli import build_parser, main
+
+# run_pipeline on two 32^3 scenes: a second or less
+TINY_PIPE = {
+    "test_scene": {"shape": [32, 32, 32], "n_cells": 6, "n_distractors": 3, "n_tubes": 1},
+    "train_scenes": 1,
+    "train_scene": {"shape": [32, 32, 32], "n_cells": 6, "n_distractors": 3},
+    "classifier": {"n_trees": 4},
+    "threshold_grid": 3,
+    "spatial": {"replicates": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """A 24^3 synthetic scene with its threshold-0 peaks."""
+    root = tmp_path_factory.mktemp("scene")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(root), "--shape", "24", "24", "24",
+                     "--n-cells", "6", "--n-distractors", "3", "--n-tubes", "1",
+                     "--seed", "1"]) == 0
+        assert main(["detect", "--volume", str(root / "dm"),
+                     "--out", str(root / "peaks.csv")]) == 0
+    assert np.fromfile(root / "structure.raw", dtype="<f4").any()
+    return root
+
+
+def _base(command: str, scene: Path, out: Path) -> dict[str, list[str]]:
+    """Flags that make one subcommand run on the scene, writing under out."""
+    maps = {"--dm": [scene / "dm"], "--proposals": [scene / "peaks.csv"]}
+    flags = {
+        "synth": {"--shape": [16, 16, 16], "--n-cells": [2], "--n-distractors": [1],
+                  "--n-tubes": [1], "--out": [out / "scene"]},
+        "render-dm": {"--coords": [scene / "gt.csv"], "--shape": [16, 16, 16],
+                      "--out": [out / "dm"]},
+        "detect": {"--volume": [scene / "dm"], "--out": [out / "peaks.csv"]},
+        "train-classifier": {**maps, "--gt": [scene / "gt.csv"], "--out": [out / "model.json"]},
+        "eval": {"--gt": [scene / "gt.csv"], "--pred": [scene / "peaks.csv"],
+                 "--out": [out / "eval.json"]},
+        "spatial": {"--cells": [scene / "gt.csv"], "--structure": [scene / "structure"],
+                    "--tissue": [scene / "tissue"], "--replicates": [4],
+                    "--out-dir": [out / "spatial"]},
+        "pipeline": {"--out-dir": [out / "pipeline"]},
+    }[command]
+    return {flag: [str(v) for v in values] for flag, values in flags.items()}
+
+
+def _run(command, flags: dict, file: dict | None, out: Path):
+    """Exit status, stdout and stderr of one CLI call writing under out; the
+    file, if any, is written beside out and passed as --config."""
+    out.mkdir(parents=True)
+    argv = [command]
+    if command == "pipeline":
+        file = {**TINY_PIPE, **(file or {})}
+    if file is not None:
+        config = out.parent / "config.json"
+        config.write_text(json.dumps(file))
+        argv += ["--config", str(config)]
+    for flag, values in flags.items():
+        argv += [flag, *values]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, stdout.getvalue(), stderr.getvalue()
+
+
+def _files(out: Path) -> list[Path]:
+    return sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
+
+
+def _error(stderr: str) -> dict:
+    return json.loads(stderr.strip().splitlines()[-1])["error"]
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _no_scene(*args, **kwargs):
+    raise AssertionError("a pipeline config error must stop the run before any scene")
+
+
+# (subcommand, --config object or None, extra flags, error type): each exited
+# 0, or failed without InvalidConfig, before settings were checked once
+REPRODUCTIONS = [
+    ("spatial", {"replicates": 2.7, "seed": 1.9}, {}, "InvalidConfig"),
+    ("spatial", {"mode": "neither"}, {}, "InvalidConfig"),
+    ("detect", {"threshold": True}, {}, "InvalidConfig"),
+    ("synth", {"cell_amp_range": [1]}, {}, "InvalidConfig"),
+    ("synth", {"tube_radius_um": -3}, {}, "ValueError"),
+    ("synth", None, {"--noise-sd": ["nan"]}, "ValueError"),
+    ("detect", None, {"--min-distance-um": ["inf"]}, "ValueError"),
+    ("detect", None, {"--threshold": ["inf"]}, "ValueError"),
+    ("spatial", None, {"--adjacency-um": ["nan"]}, "ValueError"),
+    ("spatial", None, {"--adjacency-um": ["-5"]}, "ValueError"),
+    ("eval", None, {"--t-match-um": ["inf"]}, "ValueError"),
+    ("train-classifier", None, {"--t-match-um": ["inf"]}, "ValueError"),
+    ("pipeline", {"spatial": {"adjacency_um": -1}}, {}, "InvalidConfig"),
+    ("pipeline", {"t_match_um": 0}, {}, "InvalidConfig"),
+    ("pipeline", {"test_scene": {"noise_sd": -1}}, {}, "InvalidConfig"),
+]
+
+
+@pytest.mark.parametrize("command, file, extra, error", REPRODUCTIONS)
+def test_bad_setting_exit_1_without_output(
+    tmp_path, scene, monkeypatch, command, file, extra, error
+):
+    monkeypatch.setattr(pipeline_mod, "generate_coords", _no_scene)
+    out = tmp_path / "out"
+    rc, stdout, stderr = _run(command, {**_base(command, scene, out), **extra}, file, out)
+    assert rc == 1, stdout
+    assert _error(stderr)["type"] == error
+    assert _files(out) == []
+
+
+# (subcommand, flag) -> its argparse action, for every flag of every subcommand
+_ACTIONS = {
+    (name, action.option_strings[0]): action
+    for name, command in build_parser()[1].items()
+    for action in command._actions
+}
+NUMERIC_FLAGS = [flag for flag, action in _ACTIONS.items() if action.type in (int, float)]
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e300, 5e-324]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flag=st.sampled_from(NUMERIC_FLAGS),
+    value=st.sampled_from(EDGE_VALUES),
+    route=st.sampled_from(["cli", "file"]),
+)
+@example(flag=("detect", "--min-distance-um"), value=math.inf, route="cli")
+def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
+    """One numeric setting of one subcommand at an edge value, on the command
+    line or in a --config file, on a tiny scene:
+    - exit 0 writes only strict JSON and finite volumes;
+    - exit 1 prints the JSON payload and writes nothing, and a file value
+      that is not finite, or not an integer for an integer setting, is
+      InvalidConfig;
+    - exit 2 (argparse's usage error) only for a command-line string that
+      argparse itself rejects ("nan" for an integer, "-inf" among nargs);
+    - anything else, a traceback included, fails the test."""
+    command, option = flag
+    action = _ACTIONS[flag]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        flags = _base(command, scene, out)
+        values = [value]
+        if action.nargs:  # the first of its values
+            others = flags.get(option) or [str(v) for v in action.default]
+            values += [action.type(v) for v in others[1:]]
+        file = None
+        if route == "cli":
+            flags[option] = [str(v) for v in values]
+        else:  # a required flag stays on the command line, which wins
+            if not action.required:
+                flags.pop(option, None)
+            file = {action.dest: values if action.nargs else value}
+        rc, stdout, stderr = _run(command, flags, file, out)
+        assert "Traceback" not in stderr
+        fits = math.isfinite(value) and (action.type is float or type(value) is int)
+        if route == "file" and not fits:
+            assert rc == 1 and _error(stderr)["type"] == "InvalidConfig", (rc, stderr)
+        if rc == 2:
+            assert route == "cli" and "usage:" in stderr
+            return
+        if rc == 1:
+            assert _files(out) == [], _error(stderr)
+            return
+        assert rc == 0
+        for line in stdout.strip().splitlines():
+            _strict_json(line)
+        for path in _files(out):
+            if path.suffix == ".json":
+                _strict_json(path.read_text())
+            elif path.suffix == ".raw":
+                assert np.isfinite(np.fromfile(path, dtype="<f4")).all(), path
+
+
+@pytest.mark.parametrize("overrides", [
+    {"shape": (16, 16, 0)},
+    {"shape": (16, 16, 4.5)},
+    {"voxel_size": (1.0, 1.0, math.nan)},
+    {"voxel_size": (1e300, 1.0, 1.0)},
+    {"noise_sd": math.inf},
+    {"margin_um": -1.0},
+    {"background_bias_sd": math.nan},
+    {"tube_radius_um": 0.0},
+    {"min_separation_um": math.inf},
+    {"tube_length_um": -2.0},
+    {"sigma_um": math.inf},
+    {"cutoff_um": math.nan},
+    {"cell_amp_range": (1.2, 1.0)},
+    {"distractor_amp_range": (0.2, math.inf)},
+    {"amp_field_range": (-0.5, 1.0)},
+    {"seed": -1},
+])
+def test_synth_spec_checks_its_ranges(overrides):
+    with pytest.raises((ValueError, TypeError)):
+        SynthSpec(**{"shape": (16, 16, 16), "n_cells": 2, **overrides})
+
+
+def test_synth_spec_holds_tuples():
+    spec = SynthSpec(shape=[16, 16, 16], n_cells=2, voxel_size=[1, 1, 2],
+                     cell_amp_range=[0.5, 1.0], tube_length_um=None)
+    assert spec.shape == (16, 16, 16) and spec.voxel_size == (1, 1, 2)
+    assert spec.cell_amp_range == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"min_distance_um": math.inf}, {"threshold": math.inf},
+])
+def test_nms_config_rejects_infinity(kwargs):
+    with pytest.raises(ValueError):
+        NmsConfig(**kwargs)
+
+
+@pytest.mark.parametrize("analyze", [analyze_deterministic, analyze_probabilistic])
+@pytest.mark.parametrize("kwargs, match", [
+    ({"cdf_mode": "step"}, "cdf_mode"),
+    ({"adjacency_um": math.nan}, "adjacency_um"),
+    ({"adjacency_um": math.inf}, "adjacency_um"),
+])
+def test_analyses_check_settings_without_kept_cells(analyze, kwargs, match):
+    """The settings are checked on entry, also when no cell is kept and no
+    CDF is ever evaluated."""
+    from conftest import vol
+
+    structure = np.zeros((8, 8, 8))
+    structure[4, 4, 4] = 1.0
+    prelude = prepare_spatial({"s": vol(structure)}, vol(np.ones((8, 8, 8))))
+    cells = CoordSet(np.asarray([[1.5, 1.5, 1.5]]), p=np.asarray([1e-9]))
+    with pytest.raises(ValueError, match=match):
+        analyze(cells, prelude, **kwargs)

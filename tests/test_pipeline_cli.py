@@ -26,7 +26,6 @@ from probcell.cli import main
 from probcell.errors import InvalidConfig, ProbcellError
 from probcell.pipeline import (
     DEFAULT_CONFIG,
-    _scene_spec,
     _tiling_config,
     label_proposals,
     merge_config,
@@ -241,6 +240,7 @@ class TestMergeConfig:
         {"classifier": {"n_trees": 0}},
         {"classifier": {"n_trees": -2}},
         {"threshold_grid": 0},
+        {"train_scenes": 0},
         {"spatial": {"replicates": 1}},
         {"spatial": {"replicates": 0}},
     ])
@@ -277,8 +277,8 @@ class TestMergeConfig:
         assert _of_kind(cfg, _TEMPLATE)
         json.dumps(cfg, allow_nan=False)
         builders = [
-            lambda: _scene_spec(cfg["test_scene"], seed=cfg["seed"]),
-            lambda: _scene_spec(cfg["train_scene"], seed=cfg["seed"] + 1000),
+            lambda: SynthSpec(seed=cfg["seed"], **cfg["test_scene"]),
+            lambda: SynthSpec(seed=cfg["seed"] + 1000, **cfg["train_scene"]),
             lambda: _tiling_config(cfg["tiling"]),
             lambda: NmsConfig(**cfg["nms"]),
             lambda: range(cfg["train_scenes"]),
