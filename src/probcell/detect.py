@@ -56,7 +56,9 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
     del prev
     mask = data >= footprint_max
     del footprint_max
-    mask &= data > threshold
+    # a threshold beyond the dtype's range would overflow when cast to it;
+    # the largest finite value keeps the same peaks of finite data
+    mask &= data > min(threshold, float(np.finfo(data.dtype).max))
     mask &= data > 0
     idx = np.argwhere(mask)
     return idx, data[mask]

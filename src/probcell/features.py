@@ -15,15 +15,18 @@ The per-map threshold ranges default to the reference values: dm in
 [1, 1.5], u_a in [1, 10], u_e from 1 down to 0.2 (the descending direction
 is kept as given; it spans the same value set as the ascending range).
 
-Each window is sorted once and every order statistic is read from that
-sorted copy. Percentiles repeat numpy's "linear" method step by step
-(virtual index (n - 1) * q, then a + (b - a) * g, or b - (b - a) * (1 - g)
-where g >= 0.5), so they are bit-identical to np.percentile; the fraction
-above t is (n - searchsorted(s, t, side="right")) / n, bit-identical to
-np.mean(values > t); mean and SD are np.mean / np.std of the window.
-Skewness and kurtosis are the means of z^2 * z and z^2 * z^2 instead of
-z**3 and z**4, which agree to within 1e-12 * (1 + |value|). A window holding
-NaN or an infinity raises NonFiniteInput instead of yielding NaN features.
+Each window is gathered once into a contiguous copy in the map's dtype,
+which is widened once to float64 for the moments and sorted in place for
+every order statistic. Percentiles repeat numpy's "linear" method step by
+step (virtual index (n - 1) * q, then a + (b - a) * g, or
+b - (b - a) * (1 - g) where g >= 0.5), so they are bit-identical to
+np.percentile; the fraction above t is
+(n - searchsorted(s, t, side="right")) / n, bit-identical to
+np.mean(values > t); mean and SD take np.mean's and np.std's own steps, so
+they equal them bit for bit. Skewness and kurtosis are the means of
+z^2 * z and z^2 * z^2 instead of z**3 and z**4, which agree to within
+1e-12 * (1 + |value|). A window holding NaN or an infinity raises
+NonFiniteInput instead of yielding NaN features.
 """
 from __future__ import annotations
 
@@ -53,8 +56,8 @@ class FeatureSpec:
 
     def __post_init__(self):
         sides = tuple(float(s) for s in self.window_sides_um)
-        if any(s <= 0 for s in sides) or list(sides) != sorted(sides):
-            raise ValueError("window sides must be positive and ascending")
+        if not all(0 < s < math.inf for s in sides) or list(sides) != sorted(sides):
+            raise ValueError(f"window sides must be positive, finite and ascending, got {sides}")
         lo, hi = self.percentile_range
         if not 0.0 <= lo <= hi <= 100.0:
             raise ValueError("percentile range must satisfy 0 <= lo <= hi <= 100")
@@ -93,10 +96,12 @@ def feature_names(map_names, spec: FeatureSpec) -> list[str]:
 
 
 def _window_stats(block: np.ndarray, pcts: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    values = np.asarray(block, dtype=np.float64).ravel()
-    # sorting in the map's own dtype and widening afterwards gives the same
-    # sequence as sorting the float64 copy, at half the cost for float32
-    s = np.sort(block, axis=None).astype(np.float64, copy=False)
+    # one strided gather in the map's own dtype: widened once for the
+    # moments, then sorted in place for the order statistics (the same
+    # sequence as sorting a float64 copy, at half the cost for float32)
+    s = block.flatten()
+    values = s.astype(np.float64)
+    s.sort()
     n = s.size
     if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
         raise NonFiniteInput("window contains NaN or infinite values")
@@ -106,21 +111,23 @@ def _window_stats(block: np.ndarray, pcts: np.ndarray, thresholds: np.ndarray) -
     below = np.floor(virtual)
     gamma = virtual - below
     below = below.astype(np.intp)
-    a = s[below]
-    b = s[np.minimum(below + 1, n - 1)]
+    a = s[below].astype(np.float64)
+    b = s[np.minimum(below + 1, n - 1)].astype(np.float64)
     out[: pcts.size] = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
     base = pcts.size
     out[base : base + thresholds.size] = (n - np.searchsorted(s, thresholds, side="right")) / n
     base += thresholds.size
-    mean = values.mean()
-    sd = values.std()
+    # mean and SD by np.std's own steps, keeping d for z
+    mean = np.add.reduce(values) / n
+    d = np.subtract(values, mean, out=values)
+    sd = math.sqrt(np.add.reduce(d * d) / n)
     out[base] = mean
     out[base + 1] = sd
     if sd == 0.0:
         out[base + 2] = 0.0
         out[base + 3] = 0.0
     else:
-        z = (values - mean) / sd
+        z = np.divide(d, sd, out=d)
         z2 = z * z
         out[base + 2] = (z2 * z).sum() / n
         out[base + 3] = (z2 * z2).sum() / n

@@ -17,8 +17,8 @@ Scott's bandwidth (SD * n^(-1/5)), evaluated in closed form on a shared
 distance grid; ``cdf_mode="empirical"`` switches to raw step CDFs.
 
 Both analyses read one prelude built by ``prepare_spatial``: the tissue
-volume and, per structure, its EDT and ESD pool, so a run computes each
-structure's EDT once.
+volume and, per structure, its EDT, its ESD pool and the pool's sorted CDF,
+so a run computes each structure's EDT and sorts its pool once.
 
 The EDT is scipy's exact feature transform, laid out for its access order.
 scipy fills each plane at fixed x, then runs one pass along x per (z, y)
@@ -26,6 +26,9 @@ line, writing through the strides of the index array it is handed. In the
 default C-order (3, z, y, x) array each such plane is spread over the whole
 array; in x-major memory, (x, z, y, component), it is one contiguous block,
 which makes the transform about 3x faster at 256^3 with the same features.
+The features become distances one z-plane at a time, with scipy's own
+arithmetic, on both cores (``volume.on_two_cores``): each plane reads its
+features as (x, y) rows, their memory order, into per-thread plane buffers.
 ``synth.generate_structures`` uses the same helper for its tube mask.
 """
 from __future__ import annotations
@@ -45,13 +48,11 @@ from .errors import (
     EmptyStructure,
     ShapeMismatch,
 )
-from .volume import Volume3D, sample_trilinear
+from .volume import Volume3D, on_two_cores, sample_trilinear
 
 ADJACENCY_UM = 4.0
 CDF_MODES = ("kde", "empirical")
 CDF_GRID_POINTS = 512
-# z-planes per slab when the feature transform is turned into distances
-EDT_SLAB = 8
 
 
 def _require_mask(v: Volume3D, name: str) -> np.ndarray:
@@ -66,7 +67,8 @@ def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
     nonzero voxel, in the units of sampling; the grid needs one.
 
     Equal to ``ndimage.distance_transform_edt(fg == 0, sampling)``, bit for
-    bit, with the feature transform run on x-major memory.
+    bit, with the feature transform run on x-major memory and the distances
+    taken per z-plane on two threads.
     """
     sampling = np.asarray(sampling, dtype=np.float64)
     shape = fg.shape
@@ -80,29 +82,33 @@ def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
         bg, sampling=sampling, return_distances=False, return_indices=True, indices=ft
     )
     del bg
-    # scipy's own distance arithmetic, one z-slab at a time, so no
-    # whole-volume (3, ...) int32 or float64 stack is built beside ft
+    # scipy's own arithmetic (int32 offset, times sampling, squared, summed
+    # z + y + x), one z-plane at a time and on both cores; each plane reads
+    # the features as (x, y) rows, their memory order, into per-thread buffers
     edt = np.empty(shape)
-    for z0 in range(0, edt.shape[0], EDT_SLAB):
-        block = ft[:, z0 : z0 + EDT_SLAB]
-        index = np.indices(block.shape[1:], dtype=np.int32)
-        index[0] += z0
-        dt = np.subtract(block, index, out=index).astype(np.float64)
-        for ii in range(3):
-            dt[ii] *= sampling[ii]
-        np.multiply(dt, dt, dt)
-        np.sqrt(np.add.reduce(dt, axis=0), out=edt[z0 : z0 + EDT_SLAB])
+    x = np.arange(shape[2], dtype=np.int32)[:, None]
+    y = np.arange(shape[1], dtype=np.int32)
+
+    def planes(lo: int, hi: int) -> None:
+        offset = np.empty((shape[2], shape[1]), np.int32)
+        total, term = np.empty(offset.shape), np.empty(offset.shape)
+        for z in range(lo, hi):
+            total.fill(0.0)  # 0 + d^2 is d^2 exactly, so the sum stays scipy's
+            for c, index in ((0, z), (1, y), (2, x)):
+                np.subtract(ft[c, z].T, index, out=offset)
+                np.multiply(offset, sampling[c], out=term)
+                np.multiply(term, term, out=term)
+                np.add(total, term, out=total)
+            np.sqrt(total.T, out=edt[z])
+
+    on_two_cores(planes, shape[0])
     return edt
 
 
 def distance_transform(structure: Volume3D) -> Volume3D:
-    """Exact Euclidean distance (um) of every voxel to the nearest foreground voxel.
-
-    scipy's feature transform fills each fixed-x plane, then runs one pass
-    along x per (z, y) line, through the strides of the arrays it is given.
-    It runs here on x-major memory, where each such plane is contiguous
-    instead of spread over the whole index array; the distances then follow
-    with scipy's own arithmetic a few z-planes at a time.
+    """Exact Euclidean distance (um) of every voxel to the nearest foreground
+    voxel: scipy's exact EDT, run by ``_exact_edt`` as the module docstring
+    describes (x-major features, distances per z-plane on both cores).
     """
     if not _require_mask(structure, "structure").any():
         raise EmptyStructure("structure mask has no foreground voxels")
@@ -253,10 +259,12 @@ class SpatialReport:
 
 @dataclass(frozen=True)
 class PreparedStructure:
-    """A structure's EDT and the ESD pool read from it."""
+    """A structure's EDT, the ESD pool read from it (in voxel order, which
+    the Monte-Carlo resampling indexes) and the pool's sorted CDF."""
 
     edt: Volume3D
     pool: np.ndarray
+    esd: DistanceCdf
 
 
 @dataclass(frozen=True)
@@ -268,8 +276,8 @@ class SpatialPrelude:
 
 
 def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> SpatialPrelude:
-    """Check the tissue mask once, then compute each structure's EDT and ESD
-    pool for both analyses."""
+    """Check the tissue mask once, then compute each structure's EDT, ESD
+    pool and sorted ESD CDF for both analyses."""
     n_tissue = int(_require_mask(tissue, "tissue").sum())
     if n_tissue == 0:
         raise ValueError("tissue mask is empty")
@@ -279,13 +287,14 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
         edt = distance_transform(structure)
         # the boolean mask is rebuilt after each EDT, not held across it:
         # at 256^3 it would add 16 MB to the EDT's 350 MB traced peak
-        prepared[name] = PreparedStructure(edt, esd_pool(edt, tissue.data > 0))
+        pool = esd_pool(edt, tissue.data > 0)
+        prepared[name] = PreparedStructure(edt, pool, DistanceCdf(pool))
     return SpatialPrelude(tissue_mm3, prepared)
 
 
-def _distance_grid(pool: np.ndarray, dists: np.ndarray, n_grid: int) -> np.ndarray:
+def _distance_grid(esd: DistanceCdf, dists: np.ndarray, n_grid: int) -> np.ndarray:
     """Grid from 0 to the largest ESD or cell distance."""
-    top = float(pool.max())
+    top = float(esd.samples[-1])
     if dists.size:
         top = max(top, float(dists.max()))
     return np.linspace(0.0, top, n_grid)
@@ -313,7 +322,7 @@ def analyze_deterministic(
     out = {}
     for name, prep in prelude.structures.items():
         dists = cell_distances(kept, prep.edt) if len(kept) else np.empty(0)
-        grid = _distance_grid(prep.pool, dists, n_grid)
+        grid = _distance_grid(prep.esd, dists, n_grid)
         out[name] = StructureAnalysis(
             name=name,
             pct_cells_adjacent=(
@@ -322,7 +331,7 @@ def analyze_deterministic(
             pct_volume_adjacent=100.0 * float(np.mean(prep.pool < adjacency_um)),
             distance_grid=grid,
             cell_cdf=DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None,
-            esd_cdf=DistanceCdf(prep.pool).evaluate(grid, mode="empirical"),
+            esd_cdf=prep.esd.evaluate(grid, mode="empirical"),
         )
     return SpatialReport(
         mode="deterministic",
@@ -360,7 +369,7 @@ def analyze_probabilistic(
     all_dists, grids = {}, {}
     for name, prep in structures.items():
         all_dists[name] = cell_distances(cells, prep.edt)
-        grids[name] = _distance_grid(prep.pool, all_dists[name], n_grid)
+        grids[name] = _distance_grid(prep.esd, all_dists[name], n_grid)
 
     counts = np.empty(replicates)
     pct_cells = {name: np.full(replicates, np.nan) for name in structures}
@@ -407,7 +416,7 @@ def analyze_probabilistic(
                 if det_dists.size
                 else None
             ),
-            esd_cdf=DistanceCdf(prep.pool).evaluate(grids[name], mode="empirical"),
+            esd_cdf=prep.esd.evaluate(grids[name], mode="empirical"),
             cell_envelope=_envelope(cell_curves[name]),
             esd_envelope=_envelope(esd_curves[name]),
         )

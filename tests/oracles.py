@@ -221,6 +221,46 @@ def reference_window_stats(values, pcts, thresholds):
     return out
 
 
+def sort_once_window_stats(block: np.ndarray, pcts: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The sort-once window kernel before its single gather: a float64 copy
+    of the block for the moments and a second, sorted copy in the block's
+    dtype for the order statistics; np.mean and np.std for mean and SD."""
+    from probcell.errors import NonFiniteInput
+
+    values = np.asarray(block, dtype=np.float64).ravel()
+    # sorting in the map's own dtype and widening afterwards gives the same
+    # sequence as sorting the float64 copy, at half the cost for float32
+    s = np.sort(block, axis=None).astype(np.float64, copy=False)
+    n = s.size
+    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
+        raise NonFiniteInput("window contains NaN or infinite values")
+    out = np.empty(pcts.size + thresholds.size + 4, dtype=np.float64)
+    # numpy's "linear" percentile, read off the sorted copy
+    virtual = (n - 1) * (pcts / 100)
+    below = np.floor(virtual)
+    gamma = virtual - below
+    below = below.astype(np.intp)
+    a = s[below]
+    b = s[np.minimum(below + 1, n - 1)]
+    out[: pcts.size] = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+    base = pcts.size
+    out[base : base + thresholds.size] = (n - np.searchsorted(s, thresholds, side="right")) / n
+    base += thresholds.size
+    mean = values.mean()
+    sd = values.std()
+    out[base] = mean
+    out[base + 1] = sd
+    if sd == 0.0:
+        out[base + 2] = 0.0
+        out[base + 3] = 0.0
+    else:
+        z = (values - mean) / sd
+        z2 = z * z
+        out[base + 2] = (z2 * z).sum() / n
+        out[base + 3] = (z2 * z2).sum() / n
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spatial analyses as first implemented: each analysis recomputes every
 # structure's EDT, and the ESD pool computes it once more. The shared

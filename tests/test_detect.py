@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,19 @@ class TestLocalMaximaOracle:
         assert np.array_equal(idx, ref_idx)
         assert values.dtype == ref_values.dtype == data.dtype
         assert np.array_equal(values, ref_values)
+
+    @pytest.mark.parametrize("threshold, expected", [
+        (1e300, []), (3.5e38, []), (float(np.finfo(np.float32).max), []), (3.4e38, [[2, 2, 2]]),
+    ])
+    def test_threshold_near_or_beyond_float32_max_without_warnings(self, threshold, expected):
+        data = np.zeros((5, 5, 5), np.float32)
+        data[2, 2, 2] = np.finfo(np.float32).max
+        data[0, 0, 4] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, _ = local_maxima(vol(data), threshold)
+            peaks = detect_peaks(vol(data), NmsConfig(2.0, threshold))
+        assert idx.tolist() == expected and len(peaks) == len(expected)
 
     def test_matches_maximum_filter_on_a_density_map(self, rng):
         data = render_dm(

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probcell import CoordSet, FeatureSpec, extract_features, feature_names
 from probcell.errors import NonFiniteInput
 from probcell.features import _window_stats
 
 from conftest import vol
-from oracles import reference_window_stats
+from oracles import reference_window_stats, sort_once_window_stats
 
 # Skewness and kurtosis are sums of z^2 * z and z^2 * z^2 instead of z**3 and
 # z**4; every other statistic must match the reference bit for bit.
@@ -173,6 +177,47 @@ class TestSortOnceKernel:
             assert np.all(np.abs(row[12:] - ref[12:]) <= MOMENT_RTOL * (1 + np.abs(ref[12:])))
 
 
+_WINDOW_AXIS = st.one_of(st.sampled_from([1, 2]), st.integers(1, 9))
+_WINDOW_VALUES = {
+    "uniform": lambda g, n: g.random(n) * 2.0,
+    "constant": lambda g, n: np.full(n, 1.25),
+    "ties": lambda g, n: np.round(g.normal(1.2, 0.3, n), 1),
+    "signed_zeros": lambda g, n: g.choice([-0.0, 0.0, 1.0], n),
+    "zeros": lambda g, n: g.choice([-0.0, 0.0], n),
+}
+
+
+@st.composite
+def _windows(draw):
+    """A float32 map and one window of it: the whole map (contiguous) or a
+    box inside it (strided), with axes of length 1 and 2 drawn often."""
+    window = tuple(draw(_WINDOW_AXIS) for _ in range(3))
+    pad = tuple(draw(st.integers(0, 2)) for _ in range(3))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(w + p for w, p in zip(window, pad))
+    kind = draw(st.sampled_from(sorted(_WINDOW_VALUES)))
+    data = _WINDOW_VALUES[kind](g, math.prod(shape)).reshape(shape).astype(np.float32)
+    lo = [int(g.integers(0, p + 1)) for p in pad]
+    box = tuple(slice(l, l + w) for l, w in zip(lo, window))
+    return data, box
+
+
+class TestSingleGatherKernel:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(case=_windows(), map_name=st.sampled_from(["dm", "u_a", "u_e"]))
+    def test_equals_sort_once_kernel(self, case, map_name):
+        """One gather, one widening cast and an in-place sort give the
+        previous kernel's statistics bit for bit, and leave the map as it
+        was."""
+        data, box = case
+        spec = FeatureSpec()
+        pcts, thresholds = spec.percentiles(), spec.thresholds_for(map_name)
+        before = data.copy()
+        new = _window_stats(data[box], pcts, thresholds)
+        assert np.array_equal(new, sort_once_window_stats(data[box], pcts, thresholds))
+        assert np.array_equal(data, before) and np.array_equal(np.signbit(data), np.signbit(before))
+
+
 class TestNonFiniteMaps:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_in_window_raises(self, rng, bad):
@@ -188,6 +233,13 @@ class TestNonFiniteMaps:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("sides", [
+        (math.nan, 8.0), (4.0, math.nan), (4.0, math.inf), (0.0, 8.0), (-4.0, 8.0),
+    ])
+    def test_window_side_outside_0_inf_rejected(self, sides):
+        with pytest.raises(ValueError, match="window sides"):
+            FeatureSpec(window_sides_um=sides)
+
     @pytest.mark.parametrize("bounds", [(-1.0, 99.0), (1.0, 101.0), (60.0, 40.0)])
     def test_percentile_range_outside_0_100_rejected(self, bounds):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from probcell import (
     tiled_detect,
 )
 from probcell.detect import local_maxima
-from probcell.spatial import EDT_SLAB, distance_transform
+from probcell.spatial import distance_transform
 
 SMALL = 1 << 19
 
@@ -44,14 +44,14 @@ def test_distance_transform_peak(shape):
     m[shape[0] // 2, 5, 7] = m[3, 40, 40] = 1.0
     structure = Volume3D(m, (1.0, 1.0, 1.0))
     n = m.size
-    slab = EDT_SLAB * shape[1] * shape[2]
-    # kept: the int32 feature transform (3 x 4 B) and the float64 EDT (8 B);
-    # one slab: its int32 index stack (12 B) and float64 stack (24 B),
-    # allocated while the previous slab's float64 stack (24 B) is still bound.
-    # While the transform runs: the x-major background (1 B), the feature
-    # transform and scipy's int64 and int8 copies of its input (9 B), 22 B
-    # in all, which is below the slab phase at these shapes.
-    bound = 20 * n + 60 * slab + SMALL
+    plane = shape[1] * shape[2]
+    # While the transform runs: the x-major background (1 B), the int32
+    # feature transform (3 x 4 B) and scipy's int64 and int8 copies of its
+    # input (9 B), 22 B in all. Then the feature transform, the float64 EDT
+    # (8 B) and, on each of the two threads, one plane's int32 offset and two
+    # float64 buffers (20 B per plane voxel); a whole-volume slab or stack
+    # fails.
+    bound = max(22 * n, 20 * n + 40 * plane) + SMALL
     assert traced_peak(distance_transform, structure) <= bound
 
 
@@ -75,12 +75,11 @@ def test_generate_structures_peak():
     # axis, as distance_transform does: first the x-major background (1 B),
     # the int32 feature transform (12 B) and scipy's int64 and int8 copies of
     # the input (9 B); then the feature transform, the float64 distances (8 B)
-    # and one slab's stacks (60 B per slab voxel, see above). A full-volume
-    # EDT would add at least 20 B per voxel.
+    # and two threads' plane buffers (40 B per plane voxel, see above). A
+    # full-volume EDT would add at least 20 B per voxel.
     side = 10 + 1 + 2 * 6
     box = side**3
-    slab = EDT_SLAB * side**2
-    bound = 11 * n + max(22 * box, 20 * box + 60 * slab) + SMALL
+    bound = 11 * n + max(22 * box, 20 * box + 40 * side**2) + SMALL
     assert traced_peak(generate_structures, spec) <= bound
 
 

@@ -23,7 +23,7 @@ from probcell import (
 from probcell.cli import main
 from probcell.errors import AllZeroDifferences, DegenerateESD, EmptyCells, EmptyStructure
 from probcell.pipeline import run_pipeline
-from probcell.spatial import EDT_SLAB, DistanceCdf, _exact_edt
+from probcell.spatial import DistanceCdf, _exact_edt
 
 from conftest import vol
 from oracles import (
@@ -39,9 +39,9 @@ def mask(data, voxel_size=(1.0, 1.0, 1.0)):
     return vol(np.asarray(data, dtype=np.float32), voxel_size)
 
 
-_AXIS = st.one_of(
-    st.sampled_from([1, 2, EDT_SLAB - 1, EDT_SLAB + 1, 2 * EDT_SLAB + 3]), st.integers(1, 20)
-)
+# z lengths of 1 (the worker's half of the planes is empty), 2 and 3, and
+# odd lengths (the halves of the planes differ by one)
+_AXIS = st.one_of(st.sampled_from([1, 2, 3, 5, 9, 17]), st.integers(1, 20))
 _SPACING = st.floats(0.25, 3.0)
 
 
@@ -90,12 +90,12 @@ class TestDistanceTransform:
 
     @pytest.mark.parametrize("shape, voxel", [
         ((19, 12, 15), (1.0, 1.0, 1.0)),
-        ((EDT_SLAB + 1, 9, 7), (2.0, 1.0, 0.5)),
-        ((3 * EDT_SLAB, 6, 11), (0.3, 1.7, 1.1)),
+        ((9, 9, 7), (2.0, 1.0, 0.5)),
+        ((24, 6, 11), (0.3, 1.7, 1.1)),
         ((1, 8, 8), (1.0, 0.5, 0.25)),
     ])
     def test_equals_scipy_distance_transform(self, rng, shape, voxel):
-        """Slab-wise distances repeat scipy's own arithmetic, so a scipy that
+        """Plane-wise distances repeat scipy's own arithmetic, so a scipy that
         changes it fails here instead of drifting."""
         m = rng.random(shape) < 0.05
         m[shape[0] // 2, 0, 0] = True
@@ -105,9 +105,10 @@ class TestDistanceTransform:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(case=_edt_cases())
     def test_equals_scipy_on_random_masks(self, case):
-        """The x-major feature transform and the slab-wise distances give
-        scipy's distances bit for bit, down to axes of length 1 and 2, slabs
-        cut short, and masks of one voxel up to all voxels but one."""
+        """The x-major feature transform and the plane-wise distances on two
+        cores give scipy's distances bit for bit, down to axes of length 1
+        and 2, uneven or empty halves of the planes, and masks of one voxel
+        up to all voxels but one."""
         m, voxel = case
         expected = ndimage.distance_transform_edt(~m, sampling=voxel)
         assert np.array_equal(distance_transform(mask(m, voxel)).data, expected)
@@ -313,6 +314,24 @@ class TestProbabilisticAnalysis:
             assert line_report[key] is None
         for kind in ("EmptyReplicate", "EmptyESDReplicate"):
             assert sum(f.startswith(kind + ":line:") for f in report["flags"]) == 12
+
+
+class TestSortedEsd:
+    def test_both_analyses_evaluate_the_pool_sorted_once(self, rng):
+        """prepare_spatial keeps the pool in voxel order beside its sorted
+        CDF; each analysis' esd_cdf is the empirical CDF of that pool."""
+        structure, tissue, cells = _scene(rng, p=rng.uniform(0.3, 1.0, 30))
+        prelude = prepare_spatial({"s": structure}, tissue)
+        pool = esd_pool(distance_transform(structure), tissue.data > 0)
+        assert np.array_equal(prelude.structures["s"].pool, pool)
+        for report in (
+            analyze_deterministic(cells, prelude),
+            analyze_probabilistic(cells, prelude, replicates=5, seed=2),
+        ):
+            sa = report.structures["s"]
+            expected = DistanceCdf(pool).evaluate(sa.distance_grid, "empirical")
+            assert np.array_equal(sa.esd_cdf, expected)
+            assert sa.distance_grid[-1] >= pool.max()
 
 
 def _oracle_case(case):
