@@ -40,9 +40,11 @@ class KernelSpec:
     amplitude: str = AMP_UNIT
 
     def __post_init__(self):
-        # written so that NaN fails both checks
-        if not 0 < self.sigma_um < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma_um!r}")
+        # written so that NaN fails both checks; the kernel divides by
+        # 2 sigma^2, which must neither overflow nor underflow to 0
+        sigma = self.sigma_um
+        if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
+            raise ValueError(f"sigma must be > 0 with 2 sigma^2 finite and > 0, got {sigma!r}")
         if not 0 < self.cutoff_um < math.inf:
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff_um!r}")
         if self.compounding not in COMPOUNDINGS:
@@ -109,18 +111,24 @@ def render_dm(
     order = np.lexsort((scale_arr, pts[:, 2], pts[:, 1], pts[:, 0]))
     axes = [voxel_centers_um(n, v) + o for n, v, o in zip(shape, vs, origin)]
     cutoff = kernel.cutoff_um
+    # each coordinate's voxel-center range within the cutoff, clipped to the
+    # grid; a voxel size so small that a bound overflows is rejected
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        first = np.ceil((pts - cutoff - origin) / vs - 0.5)
+        last = np.floor((pts + cutoff - origin) / vs - 0.5) + 1
+    if not (np.all(vs > 0) and np.isfinite(first).all() and np.isfinite(last).all()):
+        raise ValueError(
+            f"voxel_size {tuple(vs.tolist())} must be > 0 and leave every cutoff box "
+            "a finite number of voxels"
+        )
+    lo_all = np.clip(first, 0, shape).astype(int)
+    hi_all = np.clip(last, 0, shape).astype(int)
     inv_two_sigma2 = 1.0 / (2.0 * kernel.sigma_um**2)
     amp = 1.0
     if kernel.amplitude == AMP_NORMALIZED:
         amp = 1.0 / (kernel.sigma_um * np.sqrt(2.0 * np.pi))
     for idx in order:
-        c = pts[idx]
-        lo = np.empty(3, dtype=int)
-        hi = np.empty(3, dtype=int)
-        for ax in range(3):
-            # voxel-center range within the cutoff, clipped to the grid
-            lo[ax] = max(0, int(np.ceil((c[ax] - cutoff - origin[ax]) / vs[ax] - 0.5)))
-            hi[ax] = min(shape[ax], int(np.floor((c[ax] + cutoff - origin[ax]) / vs[ax] - 0.5)) + 1)
+        c, lo, hi = pts[idx], lo_all[idx], hi_all[idx]
         if np.any(lo >= hi):
             continue
         dz = axes[0][lo[0] : hi[0]] - c[0]

@@ -4,7 +4,13 @@ Candidates are voxels that are >= all of their 26 neighbors and strictly
 above both the threshold and zero (zero plateaus are never peaks, which
 keeps threshold-0 proposal mode finite). The 3x3x3 neighborhood maximum is a
 separable running max, one numpy pass per axis; a neighbor beyond the
-border is simply not compared. Candidates are processed in
+border is simply not compared. It runs in z-slabs of about 2 MiB, each
+with one halo plane on either side, on slab-sized buffers that stay in
+cache; a map of more than two slabs is split over both cores
+(``volume.on_two_cores``), while a smaller one, such as a tiled patch, stays
+on the calling thread, where a thread's start-up would cost more than it
+saves. Each slab checks its own planes for non-finite values, and the map is
+rejected once both halves are done. Candidates are processed in
 descending value order (ties broken lexicographically by voxel index) and
 accepted unless a previously accepted peak lies closer than the minimum
 distance. This is equivalent to classic iterative NMS: a KD-tree lists
@@ -22,7 +28,11 @@ from scipy.spatial import cKDTree
 
 from .coords import CoordSet
 from .errors import NonFiniteInput
-from .volume import Volume3D
+from .volume import Volume3D, on_two_cores
+
+# bytes of map per z-slab of local_maxima (8 planes of a float32 256^3 map),
+# so that a slab's buffers stay in cache across the three passes
+_SLAB_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -41,25 +51,50 @@ class NmsConfig:
 def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(N, 3) voxel indices and values of 26-neighborhood maxima above threshold."""
     data = dm.data
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteInput("density map must be finite-valued")
-    # 3x3x3 max, one axis at a time: each voxel takes the larger of itself
-    # and each neighbor along the axis, read from the previous pass's copy
-    footprint_max = data.copy()
-    prev = np.empty_like(data)
-    for axis in range(data.ndim):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        np.copyto(prev, footprint_max)
-        np.maximum(footprint_max[lo], prev[hi], out=footprint_max[lo])
-        np.maximum(footprint_max[hi], prev[lo], out=footprint_max[hi])
-    del prev
-    mask = data >= footprint_max
-    del footprint_max
-    # a threshold beyond the dtype's range would overflow when cast to it;
+    nz, ny, nx = data.shape
+    step = max(1, _SLAB_BYTES // (ny * nx * data.itemsize))
+    n_slabs = -(-nz // step)
+    mask = np.empty(data.shape, bool)
+    # strictly above the threshold and zero is strictly above the larger; a
+    # threshold beyond the dtype's range would overflow when cast to it, and
     # the largest finite value keeps the same peaks of finite data
-    mask &= data > min(threshold, float(np.finfo(data.dtype).max))
-    mask &= data > 0
+    floor = max(min(threshold, float(np.finfo(data.dtype).max)), 0.0)
+    non_finite = []
+
+    def slabs(first: int, stop: int) -> None:
+        # two copies of a slab with its halo planes, and its threshold test
+        buffers = np.empty((2, min(step + 2, nz), ny, nx), data.dtype)
+        above = np.empty((min(step, nz), ny, nx), bool)
+        for s in range(first, stop):
+            z0, z1 = s * step, min((s + 1) * step, nz)
+            own, out = data[z0:z1], mask[z0:z1]
+            np.isfinite(own, out=out)
+            if not out.all():
+                non_finite.append(s)
+                return
+            # 3x3x3 max over the slab and one halo plane on each side inside
+            # the map, one axis at a time: each voxel takes the larger of
+            # itself and each neighbor along the axis, read from the previous
+            # pass's copy
+            h0, h1 = max(z0 - 1, 0), min(z1 + 1, nz)
+            footprint_max, prev = buffers[:, : h1 - h0]
+            np.copyto(footprint_max, data[h0:h1])
+            for axis in range(3):
+                lo = (slice(None),) * axis + (slice(None, -1),)
+                hi = (slice(None),) * axis + (slice(1, None),)
+                np.copyto(prev, footprint_max)
+                np.maximum(footprint_max[lo], prev[hi], out=footprint_max[lo])
+                np.maximum(footprint_max[hi], prev[lo], out=footprint_max[hi])
+            np.greater_equal(own, footprint_max[z0 - h0 : z1 - h0], out=out)
+            np.greater(own, floor, out=above[: z1 - z0])
+            out &= above[: z1 - z0]
+
+    if n_slabs <= 2:
+        slabs(0, n_slabs)  # a patch-sized map is not worth a thread
+    else:
+        on_two_cores(slabs, n_slabs)
+    if non_finite:
+        raise NonFiniteInput("density map must be finite-valued")
     idx = np.argwhere(mask)
     return idx, data[mask]
 

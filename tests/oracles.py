@@ -75,6 +75,30 @@ def reference_local_maxima(data, threshold):
     return np.argwhere(mask), data[mask]
 
 
+def whole_volume_local_maxima(data, threshold):
+    """local_maxima as it stood before its z-slabs: the separable running max
+    on two whole-volume copies of the map, then three whole-volume masks."""
+    from probcell.errors import NonFiniteInput
+
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteInput("density map must be finite-valued")
+    footprint_max = data.copy()
+    prev = np.empty_like(data)
+    for axis in range(data.ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        np.copyto(prev, footprint_max)
+        np.maximum(footprint_max[lo], prev[hi], out=footprint_max[lo])
+        np.maximum(footprint_max[hi], prev[lo], out=footprint_max[hi])
+    del prev
+    mask = data >= footprint_max
+    del footprint_max
+    mask &= data > min(threshold, float(np.finfo(data.dtype).max))
+    mask &= data > 0
+    idx = np.argwhere(mask)
+    return idx, data[mask]
+
+
 def brute_force_edt(mask, voxel_size):
     """Min Euclidean distance from every voxel to any foreground voxel."""
     mask = np.asarray(mask, dtype=bool)
@@ -268,9 +292,17 @@ def sort_once_window_stats(block: np.ndarray, pcts: np.ndarray, thresholds: np.n
 # package's own; only the per-call prelude is frozen here.
 # ---------------------------------------------------------------------------
 
+def _require_mask(v, name):
+    """The spatial masks' check as first written: binary, then foreground."""
+    data = v.data
+    if not ((data == 0.0) | (data == 1.0)).all():
+        raise ValueError(f"{name} mask must be binary")
+    return data > 0
+
+
 def _reference_esd_pool(structure, tissue):
     from probcell.errors import DegenerateESD, ShapeMismatch
-    from probcell.spatial import _require_mask, distance_transform
+    from probcell.spatial import distance_transform
 
     if structure.shape != tissue.shape:
         raise ShapeMismatch("structure and tissue masks must share the grid")
@@ -286,8 +318,6 @@ def _reference_esd_pool(structure, tissue):
 
 
 def _reference_tissue_volume_mm3(tissue):
-    from probcell.spatial import _require_mask
-
     ts = _require_mask(tissue, "tissue")
     return float(ts.sum()) * tissue.voxel_volume_um3 / 1e9
 

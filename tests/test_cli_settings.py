@@ -10,6 +10,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,7 @@ REPRODUCTIONS = [
     ("pipeline", {"spatial": {"adjacency_um": -1}}, {}, "InvalidConfig"),
     ("pipeline", {"t_match_um": 0}, {}, "InvalidConfig"),
     ("pipeline", {"test_scene": {"noise_sd": -1}}, {}, "InvalidConfig"),
+    ("pipeline", {"test_scene": {"sigma_um": 1e300}}, {}, "InvalidConfig"),
 ]
 
 
@@ -145,6 +147,24 @@ def test_bad_setting_exit_1_without_output(
     assert rc == 1, stdout
     assert _error(stderr)["type"] == error
     assert _files(out) == []
+
+
+@pytest.mark.parametrize("flags, name", [
+    ({"--sigma-um": ["5e-324"]}, "sigma"),  # 2 sigma^2 underflows to 0
+    ({"--sigma-um": ["1e300"]}, "sigma"),  # 2 sigma^2 overflows
+    ({"--voxel-size": ["5e-324", "1", "1"]}, "voxel_size"),  # the cutoff box overflows
+])
+def test_render_dm_names_the_setting_without_warnings(tmp_path, scene, flags, name):
+    """Each exited 1 with an arithmetic error (ZeroDivisionError, OverflowError
+    after a RuntimeWarning) that named no setting."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, stdout, stderr = _run("render-dm", {**_base("render-dm", scene, out), **flags},
+                                  None, out)
+    assert rc == 1 and stdout == "" and _files(out) == []
+    assert stderr.count("\n") == 1 and _error(stderr)["type"] == "ValueError"
+    assert name in _error(stderr)["message"]
 
 
 # (subcommand, flag) -> its argparse action, for every flag of every subcommand

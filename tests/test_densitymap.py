@@ -35,10 +35,15 @@ class TestGaussianValue:
 
     @pytest.mark.parametrize("sigma, cutoff", [
         (float("nan"), 16.0), (2.0, float("nan")), (0.0, 16.0), (2.0, -1.0),
+        (1e300, 16.0), (1e155, 16.0), (5e-324, 16.0), (1e-170, 16.0),  # 2 sigma^2 inf or 0
     ])
     def test_kernel_spec_rejects_nan_or_nonpositive(self, sigma, cutoff):
         with pytest.raises(ValueError, match="sigma|cutoff"):
             KernelSpec(sigma, cutoff_um=cutoff)
+
+    def test_kernel_spec_accepts_sigma_with_finite_positive_variance(self):
+        for sigma in (1e-150, 1e150):
+            assert 0 < 2.0 * KernelSpec(sigma).sigma_um ** 2 < float("inf")
 
 
 class TestRenderDm:

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from probcell import (
     hungarian_match,
     render_dm,
 )
+from probcell import detect as detect_mod
 from probcell.densitymap import K_MAX
 from probcell.detect import local_maxima
+from probcell.errors import NonFiniteInput
+from probcell.volume import on_two_cores
 
 from conftest import vol
-from oracles import greedy_nms_oracle, reference_local_maxima
+from oracles import greedy_nms_oracle, reference_local_maxima, whole_volume_local_maxima
 
 
 class TestBasics:
@@ -214,3 +218,80 @@ class TestLocalMaximaOracle:
         ref_idx, ref_values = reference_local_maxima(data, 0.0)
         assert len(idx) > 30
         assert np.array_equal(idx, ref_idx) and np.array_equal(values, ref_values)
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def _slab_cases(draw):
+    """A map, a slab of 1-3 planes for it, a threshold, and optionally one
+    non-finite voxel placed in the worker's or the caller's half of the slabs."""
+    planes = draw(st.integers(1, 3))
+    nz = draw(st.sampled_from([1, 2, planes - 1, planes + 1, 2 * planes + 1, 3 * planes - 1])
+              | st.integers(0, 8).map(lambda k: 2 * k + 1))
+    nz = max(nz, 1)
+    shape = (nz, draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    levels = [-1.0, 0.0, 0.25, 1.0, 2.0, _F32_MAX, -_F32_MAX]
+    data = draw(arrays(dtype, shape, elements=st.sampled_from(levels) | st.floats(-2, 2, width=32)))
+    if draw(st.booleans()):  # the last plane of each slab repeated across its boundary
+        for z in range(planes, nz, planes):
+            data[z] = data[z - 1]
+    threshold = draw(st.sampled_from(
+        [0.0, 0.25, 1.0, 3.4e38, float(np.nextafter(np.float32(_F32_MAX), 0)), _F32_MAX, 3.5e38,
+         1e300]
+    ))
+    half = draw(st.sampled_from([None, "worker", "caller"]))
+    if half is not None:
+        n_slabs = -(-nz // planes)
+        split = n_slabs // 2 if n_slabs > 2 else 0  # on one thread, the caller holds all
+        slabs = range(split) if half == "worker" else range(split, n_slabs)
+        if not slabs:
+            half = None
+        else:
+            s = draw(st.sampled_from(slabs))
+            z = draw(st.integers(s * planes, min((s + 1) * planes, nz) - 1))
+            y, x = draw(st.integers(0, shape[1] - 1)), draw(st.integers(0, shape[2] - 1))
+            data[z, y, x] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return data, planes, threshold, half
+
+
+class TestSlabbedLocalMaxima:
+    """local_maxima with slabs of 1-3 planes, so that small maps span several
+    slabs and, beyond two, both threads: equal to scipy's maximum filter and
+    to the whole-volume running max it replaced."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(case=_slab_cases())
+    def test_matches_whole_volume_kernel(self, case):
+        data, planes, threshold, half = case
+        calls = []
+
+        def spy(fn, n):
+            calls.append(n)
+            on_two_cores(fn, n)
+
+        slab_bytes = planes * data.shape[1] * data.shape[2] * data.itemsize
+        with mock.patch.object(detect_mod, "_SLAB_BYTES", slab_bytes), \
+                mock.patch.object(detect_mod, "on_two_cores", spy), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if half is not None:
+                with pytest.raises(NonFiniteInput):
+                    local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
+            else:
+                idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
+        n_slabs = -(-data.shape[0] // planes)
+        assert calls == ([n_slabs] if n_slabs > 2 else [])
+        if half is not None:
+            with pytest.raises(NonFiniteInput):
+                whole_volume_local_maxima(data, threshold)
+            return
+        with np.errstate(over="ignore"):  # scipy's reference casts the threshold to float32
+            refs = (
+                whole_volume_local_maxima(data, threshold), reference_local_maxima(data, threshold)
+            )
+        for ref_idx, ref_values in refs:
+            assert np.array_equal(idx, ref_idx)
+            assert values.dtype == ref_values.dtype == data.dtype
+            assert np.array_equal(values, ref_values)

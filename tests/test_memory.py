@@ -22,6 +22,7 @@ from probcell import (
     oracle_regress,
     tiled_detect,
 )
+from probcell import detect
 from probcell.detect import local_maxima
 from probcell.spatial import distance_transform
 
@@ -84,16 +85,18 @@ def test_generate_structures_peak():
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
-def test_local_maxima_peak(shape):
+def test_local_maxima_peak(shape, monkeypatch):
     spec = SynthSpec(shape=shape, n_cells=20, n_distractors=5, seed=1)
     dm = oracle_regress(generate_coords(spec), spec).dm
     assert dm.data.dtype == np.float32
-    # The float32 map is allocated before tracing. At the peak: the running
-    # max and the previous pass's copy, float32 like the map (2 x 4 B). The
-    # boolean mask (1 B) is built after the copy is freed, one comparison
-    # temporary (1 B) after the running max is freed; 2 B of slack covers
-    # them. A third float32 buffer (12 B) or float64 buffers (16 B) fail.
-    bound = 10 * np.prod(shape) + SMALL
+    plane = shape[1] * shape[2]
+    planes = 3  # slabs of 3 planes, so the map spans many slabs on both threads
+    monkeypatch.setattr(detect, "_SLAB_BYTES", planes * plane * 4)
+    # The float32 map is allocated before tracing. At the peak: the boolean
+    # mask (1 B per voxel) and, on each of the two threads, a slab with one
+    # halo plane on each side in two float32 buffers (8 B per voxel) and the
+    # slab's threshold test (1 B per voxel). A whole-volume float32 copy fails.
+    bound = np.prod(shape) + 2 * (8 * (planes + 2) + planes) * plane + SMALL
     assert traced_peak(local_maxima, dm) <= bound
 
 
@@ -103,7 +106,9 @@ def test_tiled_detect_peak(shape):
     dm = oracle_regress(generate_coords(spec), spec).dm
     tiling = TilingConfig.m_peak((48, 48, 48), (8, 8, 8), (4, 4, 4))
     # One patch at a time: the float32 copy of its predicted box (4 B per
-    # box voxel) and local_maxima on it (10 B, see above). What grows with
+    # box voxel) and local_maxima on it, on the calling thread in one or two
+    # slabs: the mask, two float32 buffers of a slab with its halo planes and
+    # the slab's threshold test (10 B at most, see above). What grows with
     # the map is the patch list and its peaks, about 2 KB per patch (64
     # patches at 96^3); a float32 copy of the whole map fails at every shape.
     patch = np.prod(tiling.l_out)

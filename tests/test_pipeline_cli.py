@@ -424,7 +424,10 @@ class TestCli:
                    "--n-cells", "5", "--n-tubes", "0", "--sigma-um", "1e300"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"]["type"] == "OverflowError"
+        # KernelSpec rejects a sigma whose 2 sigma^2 overflows, before any arithmetic
+        assert payload["error"]["type"] == "ValueError"
+        assert "sigma" in payload["error"]["message"]
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("voxel_size_um", [float("nan"), 1.0, 1.0]),
