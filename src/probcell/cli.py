@@ -15,6 +15,7 @@ payload on stderr; usage errors exit with status 2.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ from .evalmetrics import aggregate_reports, score_detection
 from .features import FeatureSpec, extract_features, feature_names
 from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
-from .volume import Volume3D, load_volume, save_volume
+from .volume import Volume3D, load_volume, on_two_cores, raw_data, save_volume
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -76,20 +77,30 @@ def cmd_synth(cfg) -> int:
     gt = generate_coords(spec)
     ro = oracle_regress(gt, spec)
     structure, tissue = generate_structures(spec)
+    volumes = {"dm": ro.dm, "aleatoric": ro.aleatoric, "epistemic": ro.epistemic,
+               "structure": structure, "tissue": tissue}
     out.mkdir(parents=True, exist_ok=True)
-    save_volume(ro.dm, out / "dm")
-    save_volume(ro.aleatoric, out / "aleatoric")
-    save_volume(ro.epistemic, out / "epistemic")
-    save_volume(structure, out / "structure")
-    save_volume(tissue, out / "tissue")
+    written = {}
+    for name, v in volumes.items():
+        save_volume(v, out / name)
+        written[f"{name}.raw"] = raw_data(v)
     save_coords(gt, out / "gt.csv")
     files = sorted(
         str(p.relative_to(out)) for p in out.iterdir() if p.suffix in (".raw", ".csv")
     )
-    manifest = {
-        "spec": cfg,
-        "files": {name: pipeline_mod.sha256_file(out / name) for name in files},
-    }
+    digests = [""] * len(files)
+
+    def digest(start, stop):
+        # hashlib releases the GIL; a volume is hashed from the buffer just
+        # written, any other file from disk
+        for i in range(start, stop):
+            data = written.get(files[i])
+            if data is None:
+                data = (out / files[i]).read_bytes()
+            digests[i] = hashlib.sha256(data).hexdigest()
+
+    on_two_cores(digest, len(files))
+    manifest = {"spec": cfg, "files": dict(zip(files, digests))}
     _write_json(out / "manifest.json", manifest)
     return _summary(cfg, {"manifest": out / "manifest.json"}, {"n_cells": len(gt)})
 

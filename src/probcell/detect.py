@@ -95,7 +95,8 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
         on_two_cores(slabs, n_slabs)
     if non_finite:
         raise NonFiniteInput("density map must be finite-valued")
-    idx = np.argwhere(mask)
+    # np.argwhere(mask) from one flat scan: the same int64 (n, 3) array, faster
+    idx = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
     return idx, data[mask]
 
 

@@ -368,5 +368,5 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
 
 
 def sha256_file(path: Path) -> str:
-    """Hex SHA-256 of a file's bytes, as recorded in reports and manifests."""
+    """Hex SHA-256 of a file's bytes, as recorded in reports and run summaries."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -37,8 +37,13 @@ from .errors import PackingInfeasible
 from .spatial import _exact_edt
 from .volume import Volume3D, on_two_cores
 
-# SD (um) of the Gaussian that smooths the surrogate's noise
+# SD (um) of the Gaussians that smooth the surrogate's noise and the support
+# of its background bias
 NOISE_SMOOTH_UM = 2.0
+BIAS_SMOOTH_UM = 2.0
+# float64 bytes per z-block of _smooth_field: a block and its corner buffer
+# stay in one core's cache
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,10 @@ class SynthSpec:
             raise ValueError(f"shape must be three integers >= 1, got {self.shape}")
         if len(self.voxel_size) != 3 or not all(0 < v < math.inf for v in self.voxel_size):
             raise ValueError(f"voxel_size must be three finite values > 0, got {self.voxel_size}")
+        if not max(NOISE_SMOOTH_UM, BIAS_SMOOTH_UM) / min(self.voxel_size) < math.inf:
+            raise ValueError(
+                f"voxel_size {self.voxel_size} makes the surrogate's smoothing sigmas overflow"
+            )
         if min(self.n_cells, self.n_distractors, self.n_tubes, self.seed) < 0:
             raise ValueError("counts and seed must be nonnegative")
         self.kernel()  # checks sigma_um and cutoff_um
@@ -164,39 +173,96 @@ def generate_coords(spec: SynthSpec) -> CoordSet:
 
 
 def _smooth_field(shape, rng, lo, hi):
-    coarse = rng.random((4, 4, 4))
-    axes = [np.linspace(0.0, 3.0, n) for n in shape]
-    yy, xx = np.meshgrid(axes[1], axes[2], indexing="ij")
+    """lo + (hi - lo) * the trilinear upsampling of a random 4^3 grid.
+
+    Bit for bit ``ndimage.map_coordinates(grid, ..., order=1)`` at the points
+    linspace(0, 3, n) of each axis. scipy's order-1 arithmetic at a point: per
+    axis start = floor(c), w0 = 1 - (c - start) and w1 = 1 - w0; then a sum
+    from 0.0 of ((v * wz) * wy) * wx over the eight corners, z-major, where a
+    corner beyond the grid reads cval 0. Each weight depends on one axis, so
+    the products are built one axis at a time on z-blocks of the field: the
+    grid times wz, gathered along y times wy, gathered along x times wx.
+    """
+    grid = np.zeros((5, 5, 5))  # the zero faces beyond the grid are cval
+    grid[:4, :4, :4] = rng.random((4, 4, 4))
+    starts, weights = [], []
+    for n in shape:
+        c = np.linspace(0.0, 3.0, n)
+        start = np.floor(c)
+        w0 = 1.0 - (c - start)
+        starts.append(start.astype(np.intp))
+        weights.append((w0, 1.0 - w0))
+    (sz, sy, sx), (wz, wy, wx) = starts, weights
     field = np.empty(shape)
+    block = max(1, _BLOCK_BYTES // (8 * shape[1] * shape[2]))
 
-    def planes(start, stop):
-        for z, plane in zip(axes[0][start:stop], field[start:stop]):
-            ndimage.map_coordinates(coarse, [np.full_like(yy, z), yy, xx], output=plane, order=1)
+    def blocks(start, stop):
+        corner = np.empty((min(block, stop - start),) + field.shape[1:])
+        for z0 in range(start, stop, block):
+            z = slice(z0, min(z0 + block, stop))
+            out, part = field[z], corner[: z.stop - z0]
+            out.fill(0.0)
+            for dz in (0, 1):
+                vz = grid[sz[z] + dz] * wz[dz][z, None, None]
+                for dy in (0, 1):
+                    vzy = np.take(vz, sy + dy, axis=1)
+                    vzy *= wy[dy][:, None]
+                    for dx in (0, 1):
+                        np.take(vzy, sx + dx, axis=2, out=part, mode="clip")
+                        part *= wx[dx]
+                        out += part
 
-    on_two_cores(planes, shape[0])
+    on_two_cores(blocks, shape[0])
     field *= hi - lo
     field += lo
     return field
 
 
+def _gaussian_weights(sigma) -> np.ndarray:
+    """gaussian_filter1d's correlation weights: order 0, radius round(4 sigma)."""
+    radius = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return np.ascontiguousarray((phi / phi.sum())[::-1])
+
+
 def _gaussian_in_place(a: np.ndarray, sigmas) -> None:
-    """ndimage.gaussian_filter(a, sigmas, output=a), each pass on two cores.
+    """ndimage.gaussian_filter(a, sigmas, output=a) in two sweeps on two cores.
 
-    scipy's own sequence: one gaussian_filter1d per axis, in order, with the
-    default reflect mode and truncate, skipping an axis whose sigma is
-    <= 1e-15. Each pass is split along an axis it does not filter, and every
-    line is filtered on its own, so the result is bit-identical to the call.
+    scipy filters axis 0, 1 and 2 in turn, skipping an axis whose sigma is
+    <= 1e-15, each 1-D line on its own with correlate1d, its Gaussian weights
+    and the default reflect mode. Here every line goes through the same call
+    with the same weights, only in a cache-friendly order, so the result is
+    bit-identical. Sweep 1 filters axis 0 one y row at a time, on a
+    transposed (x, z) copy whose lines are contiguous; sweep 2 filters axis 1
+    (on a transposed (x, y) copy) and then axis 2 of each z-plane while the
+    plane is in cache.
     """
-    for axis, sigma in enumerate(sigmas):
-        if sigma <= 1e-15:
-            continue
-        split = 1 if axis == 0 else 0
+    w0, w1, w2 = (_gaussian_weights(s) if s > 1e-15 else None for s in sigmas)
+    nz, ny, nx = a.shape
 
-        def lines(start, stop):
-            part = a[(slice(None),) * split + (slice(start, stop),)]
-            ndimage.gaussian_filter1d(part, sigma, axis=axis, output=part)
+    def rows(start, stop):
+        row, lines = np.empty((nz, nx)), np.empty((nx, nz))
+        for y in range(start, stop):
+            np.copyto(row, a[:, y])
+            np.copyto(lines, row.T)
+            ndimage.correlate1d(lines, w0, axis=1, output=lines)
+            np.copyto(a[:, y], lines.T)
 
-        on_two_cores(lines, a.shape[split])
+    def planes(start, stop):
+        lines = np.empty((nx, ny))
+        for plane in a[start:stop]:
+            if w1 is not None:
+                np.copyto(lines, plane.T)
+                ndimage.correlate1d(lines, w1, axis=1, output=lines)
+                np.copyto(plane, lines.T)
+            if w2 is not None:
+                ndimage.correlate1d(plane, w2, axis=1, output=plane)
+
+    if w0 is not None:
+        on_two_cores(rows, ny)
+    if w1 is not None or w2 is not None:
+        on_two_cores(planes, nz)
 
 
 def _smooth_noise(shape, rng, voxel_size):
@@ -219,7 +285,7 @@ def _background_bias(clean: np.ndarray, spec: SynthSpec) -> np.ndarray:
     # float64 threshold: clean is float32, and 0.1 must not round to float32.
     # The support is filtered as float64: a boolean input is twice as slow.
     bias = (clean > np.float64(0.1)).astype(np.float64)
-    _gaussian_in_place(bias, 2.0 / np.asarray(spec.voxel_size, dtype=np.float64))
+    _gaussian_in_place(bias, BIAS_SMOOTH_UM / np.asarray(spec.voxel_size, dtype=np.float64))
     bias *= 4.0
     np.clip(bias, 0.0, 1.0, out=bias)
     np.subtract(1.0, bias, out=bias)

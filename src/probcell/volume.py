@@ -272,13 +272,20 @@ def reconstruct_coordinates(
     return concat_coordsets(per_patch)
 
 
+def raw_data(v: Volume3D) -> np.ndarray:
+    """The array whose buffer is <base>.raw: little-endian float32, C order.
+
+    A float32 volume's own data on a little-endian host, else one cast copy.
+    """
+    return v.data.astype("<f4", copy=False)
+
+
 def save_volume(v: Volume3D, base_path) -> tuple[Path, Path]:
-    """Write <base>.raw (little-endian float32, C order) and <base>.json sidecar."""
+    """Write <base>.raw (raw_data's buffer, not copied) and <base>.json sidecar."""
     base = Path(base_path)
     raw_path = base.with_suffix(".raw")
     json_path = base.with_suffix(".json")
-    data = np.ascontiguousarray(v.data.astype("<f4"))
-    raw_path.write_bytes(data.tobytes())
+    raw_path.write_bytes(raw_data(v))
     sidecar = {
         "shape": [int(s) for s in v.shape],
         "voxel_size_um": [float(s) for s in v.voxel_size],

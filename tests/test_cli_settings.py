@@ -167,6 +167,20 @@ def test_render_dm_names_the_setting_without_warnings(tmp_path, scene, flags, na
     assert name in _error(stderr)["message"]
 
 
+def test_synth_names_a_subnormal_voxel_size(tmp_path):
+    """Exited 1 with FloatingPointError from the noise smoothing's sigma
+    (NOISE_SMOOTH_UM / voxel_size overflows), which named no setting."""
+    out = tmp_path / "out"
+    flags = {"--shape": ["8", "8", "8"], "--n-cells": ["1"], "--n-distractors": ["0"],
+             "--voxel-size": ["5e-324", "1", "1"], "--n-tubes": ["0"], "--out": [str(out / "s")]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, stdout, stderr = _run("synth", flags, None, out)
+    assert rc == 1 and stdout == "" and _files(out) == []
+    assert _error(stderr)["type"] == "ValueError"
+    assert "voxel_size" in _error(stderr)["message"]
+
+
 # (subcommand, flag) -> its argparse action, for every flag of every subcommand
 _ACTIONS = {
     (name, action.option_strings[0]): action

@@ -20,6 +20,7 @@ from probcell import (
     generate_coords,
     generate_structures,
     oracle_regress,
+    save_volume,
     tiled_detect,
 )
 from probcell import detect
@@ -62,7 +63,10 @@ def test_oracle_regress_peak(shape):
     coords = generate_coords(spec)
     # float64: amplitude field, two noises, background bias (4 x 8 B); and
     # render_dm's float64 accumulator with its float32 copy (12 B) while the
-    # second clean map is rendered
+    # second clean map is rendered. The Gaussian sweeps hold, per thread, one
+    # y row and its transposed copy, or one transposed z-plane (16 B per row
+    # voxel at most), and _smooth_field one corner buffer of _BLOCK_BYTES
+    # while only the field exists; none is alive at the peak.
     bound = 44 * np.prod(shape) + SMALL
     assert traced_peak(oracle_regress, coords, spec) <= bound
 
@@ -114,3 +118,11 @@ def test_tiled_detect_peak(shape):
     patch = np.prod(tiling.l_out)
     bound = 14 * patch + SMALL
     assert traced_peak(tiled_detect, dm, tiling, NmsConfig()) <= bound
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
+def test_save_volume_peak(shape, tmp_path):
+    # A float32 volume's own buffer goes to the file: no cast copy, no bytes
+    # object, either of which is a whole float32 volume.
+    v = Volume3D(np.ones(shape, dtype=np.float32), (1.0, 1.0, 1.0))
+    assert traced_peak(save_volume, v, tmp_path / "v") <= SMALL

@@ -1,7 +1,11 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from probcell import (
     CoordSet,
@@ -17,7 +21,8 @@ from probcell import (
 )
 from probcell.errors import EmptyStructure, PackingInfeasible
 from probcell.spatial import distance_transform
-from probcell.synth import _smooth_field
+from probcell import synth as synth_mod
+from probcell.synth import _gaussian_in_place, _smooth_field
 
 from oracles import (
     reference_generate_structures,
@@ -203,6 +208,44 @@ class TestMatchesWholeVolumeReference:
         if name == "tubes_at_border":
             faces = [structure.data.take(i, axis=a) for a in range(3) for i in (0, -1)]
             assert sum(face.any() for face in faces) >= 2
+
+
+# axis lengths: 1-3, where a filter reflects on a single voxel or a pair, and
+# odd lengths, which the two cores split unevenly (1 leaves one half empty)
+_AXIS = st.one_of(st.integers(1, 3), st.integers(2, 20).map(lambda k: 2 * k + 1))
+# a sigma scipy skips (<= 1e-15), a usual one, or one whose radius 4 sigma
+# exceeds the axis, so the reflection repeats
+_SIGMA = st.one_of(st.sampled_from([0.0, 1e-16, 1e-15]), st.floats(0.3, 3.0),
+                   st.floats(8.0, 20.0))
+
+
+class TestCacheBlockedKernels:
+    """The two-sweep Gaussian and the separable amplitude field reproduce
+    scipy's whole-volume calls bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(shape=st.tuples(_AXIS, _AXIS, _AXIS), sigmas=st.tuples(_SIGMA, _SIGMA, _SIGMA),
+           seed=st.integers(0, 2**16))
+    @example(shape=(7, 5, 9), sigmas=(1.5, 0.7, 2.5), seed=0)  # anisotropic, uneven splits
+    def test_gaussian_in_place_is_gaussian_filter(self, shape, sigmas, seed):
+        sigmas = np.asarray(sigmas)
+        data = np.random.default_rng(seed).standard_normal(shape)
+        want = ndimage.gaussian_filter(data, sigmas)
+        _gaussian_in_place(data, sigmas)
+        assert np.array_equal(data, want)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(shape=st.tuples(_AXIS, st.integers(1, 48), st.integers(1, 48)),
+           planes=st.integers(1, 3), seed=st.integers(0, 2**16),
+           bounds=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(sorted))
+    @example(shape=(9, 8, 10), planes=2, seed=3, bounds=(0.3, 1.7))
+    def test_smooth_field_is_map_coordinates(self, shape, planes, seed, bounds):
+        """z-blocks of 1-3 planes, so most fields span several blocks per core."""
+        block_bytes = planes * 8 * shape[1] * shape[2]
+        with mock.patch.object(synth_mod, "_BLOCK_BYTES", block_bytes):
+            got = _smooth_field(shape, np.random.default_rng(seed), *bounds)
+        want = reference_smooth_field(shape, np.random.default_rng(seed), *bounds)
+        assert np.array_equal(got, want)
 
 
 class TestFidelityKnob:
