@@ -188,18 +188,14 @@ def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
     return tree.n_pos[node] / tree.n_total[node]
 
 
-def train_forest(
-    X,
-    labels,
-    seed: int,
-    n_trees: int = 128,
-    bootstrap: bool = True,
-) -> ForestModel:
-    """Train the bagged gini forest; each split searches ceil(sqrt(d)) features.
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
-    bootstrap=False trains every tree on the data as given (used by the
-    split-oracle tests).
-    """
+
+def train_forest(X, labels, seed: int, n_trees: int = 128) -> ForestModel:
+    """Train the bagged gini forest; each split searches ceil(sqrt(d)) features."""
+    _check_seed(seed)
     if n_trees < 1:
         raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     X = np.asarray(X, dtype=np.float64)
@@ -213,11 +209,8 @@ def train_forest(
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(seed + t)
-        if bootstrap:
-            idx = rng.integers(0, X.shape[0], size=X.shape[0])
-            trees.append(_build_tree(X[idx], y[idx], rng, n_sub))
-        else:
-            trees.append(_build_tree(X, y, rng, n_sub))
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(_build_tree(X[idx], y[idx], rng, n_sub))
     return ForestModel(n_features=d, trees=trees, seed=seed)
 
 
@@ -226,6 +219,7 @@ def train_forest(
 # ---------------------------------------------------------------------------
 
 DEFAULT_HIDDEN = (50, 50, 20, 20)
+MLP_EPOCHS = 200
 LEARNING_RATE = 1e-3
 BETAS = (0.9, 0.999)
 BATCH_SIZE = 32
@@ -300,18 +294,13 @@ def mlp_loss_and_grads(model: MlpModel, X, y):
     return loss, grad_w, grad_b
 
 
-def train_mlp(
-    X,
-    labels,
-    seed: int,
-    epochs: int = 200,
-    hidden=DEFAULT_HIDDEN,
-) -> MlpModel:
+def train_mlp(X, labels, seed: int, epochs: int = MLP_EPOCHS, hidden=DEFAULT_HIDDEN) -> MlpModel:
     """Minibatch adaptive-moment training, returning the best-validation epoch.
 
     A stratified VALIDATION_FRACTION of the training data is held out for
     epoch selection. epochs=0 returns the freshly initialized model.
     """
+    _check_seed(seed)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if np.unique(y).size < 2:

@@ -79,7 +79,6 @@ def render_dm(
     shape,
     voxel_size,
     kernel: KernelSpec,
-    origin_um=(0.0, 0.0, 0.0),
     scales=None,
 ) -> Volume3D:
     """Render the density map of a coordinate set on a voxel grid.
@@ -88,16 +87,13 @@ def render_dm(
     it, so cost is O(N_c * (2 l_g)^3) rather than per-voxel over all cells.
     Coordinates are processed in a canonical (z, y, x) order so the result
     is bit-identical under input permutations, including float32 summation.
-    ``origin_um`` places the grid's corner inside a larger frame, which lets
-    per-patch maps be rendered from the global coordinate list. ``scales``
-    optionally multiplies each coordinate's kernel (used by the synthetic
-    oracle for distractor blobs).
+    ``scales`` optionally multiplies each coordinate's kernel (used by the
+    synthetic oracle for distractor blobs).
 
     Out-of-grid coordinates still contribute while within the cutoff.
     """
     shape = tuple(int(s) for s in shape)
     vs = np.asarray(voxel_size, dtype=np.float64)
-    origin = np.asarray(origin_um, dtype=np.float64)
     acc = np.zeros(shape, dtype=np.float64)
     pts = coords.coords
     if len(coords) == 0:
@@ -109,13 +105,13 @@ def render_dm(
         if scale_arr.shape[0] != len(coords):
             raise ValueError("scales length must match coordinate count")
     order = np.lexsort((scale_arr, pts[:, 2], pts[:, 1], pts[:, 0]))
-    axes = [voxel_centers_um(n, v) + o for n, v, o in zip(shape, vs, origin)]
+    axes = [voxel_centers_um(n, v) for n, v in zip(shape, vs)]
     cutoff = kernel.cutoff_um
     # each coordinate's voxel-center range within the cutoff, clipped to the
     # grid; a voxel size so small that a bound overflows is rejected
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        first = np.ceil((pts - cutoff - origin) / vs - 0.5)
-        last = np.floor((pts + cutoff - origin) / vs - 0.5) + 1
+        first = np.ceil((pts - cutoff) / vs - 0.5)
+        last = np.floor((pts + cutoff) / vs - 0.5) + 1
     if not (np.all(vs > 0) and np.isfinite(first).all() and np.isfinite(last).all()):
         raise ValueError(
             f"voxel_size {tuple(vs.tolist())} must be > 0 and leave every cutoff box "

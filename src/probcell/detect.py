@@ -4,13 +4,8 @@ Candidates are voxels that are >= all of their 26 neighbors and strictly
 above both the threshold and zero (zero plateaus are never peaks, which
 keeps threshold-0 proposal mode finite). The 3x3x3 neighborhood maximum is a
 separable running max, one numpy pass per axis; a neighbor beyond the
-border is simply not compared. It runs in z-slabs of about 2 MiB, each
-with one halo plane on either side, on slab-sized buffers that stay in
-cache; a map of more than two slabs is split over both cores
-(``volume.on_two_cores``), while a smaller one, such as a tiled patch, stays
-on the calling thread, where a thread's start-up would cost more than it
-saves. Each slab checks its own planes for non-finite values, and the map is
-rejected once both halves are done. Candidates are processed in
+border is simply not compared. It runs in haloed z-slabs on two cores, as
+the README's "Kernels on two cores" explains. Candidates are processed in
 descending value order (ties broken lexicographically by voxel index) and
 accepted unless a previously accepted peak lies closer than the minimum
 distance. This is equivalent to classic iterative NMS: a KD-tree lists

@@ -10,13 +10,13 @@ Calibration scores (Brier, NLL) run over the union of scored terms:
 matched ground truth contributes (1, p of its prediction), ground truth
 without a usable match contributes (1, 0), and surplus predictions
 contribute (0, p). Deterministic detectors are scored with p = 1.
-Probabilities are clipped to [eps, 1 - eps] for the NLL so deterministic
-mistakes stay finite.
+Probabilities are clipped to [NLL_EPS, 1 - NLL_EPS] for the NLL so
+deterministic mistakes stay finite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -31,8 +31,6 @@ DEFAULT_T_MATCH_UM = 4.0
 class MatchReport:
     t_match_um: float
     pairs: list[tuple[int, int, float]]
-    unmatched_gt: list[int]
-    unmatched_pred: list[int]
     tp: int
     fp: int
     fn: int
@@ -42,7 +40,6 @@ class MatchReport:
     brier: float
     nll: float
     zero_prediction_precision: bool = False
-    notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -84,23 +81,11 @@ def hungarian_match(gt: CoordSet, pred: CoordSet) -> list[tuple[int, int, float]
     return pairs
 
 
-def _match_terms(gt: CoordSet, pred: CoordSet, t_match_um: float):
-    """Split the assignment into TP pairs and unmatched/far leftovers."""
-    pairs = hungarian_match(gt, pred)
-    tp_pairs = [p for p in pairs if p[2] <= t_match_um]
-    far_pairs = [p for p in pairs if p[2] > t_match_um]
-    matched_gt = {p[0] for p in pairs}
-    matched_pred = {p[1] for p in pairs}
-    un_gt = [i for i in range(len(gt)) if i not in matched_gt]
-    un_pred = [j for j in range(len(pred)) if j not in matched_pred]
-    return tp_pairs, far_pairs, un_gt, un_pred
-
-
-def score_probability_terms(targets, probs, eps: float = NLL_EPS) -> tuple[float, float]:
+def score_probability_terms(targets, probs) -> tuple[float, float]:
     """Brier and NLL of binary targets under predicted probabilities.
 
     Normalization is by the number of scored terms; probabilities are
-    clipped to [eps, 1 - eps] for the NLL only.
+    clipped to [NLL_EPS, 1 - NLL_EPS] for the NLL only.
     """
     targets = np.asarray(targets, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -109,43 +94,21 @@ def score_probability_terms(targets, probs, eps: float = NLL_EPS) -> tuple[float
     if targets.size == 0:
         return 0.0, 0.0
     brier = float(np.mean((targets - probs) ** 2))
-    q = np.clip(probs, eps, 1.0 - eps)
+    q = np.clip(probs, NLL_EPS, 1.0 - NLL_EPS)
     nll = float(-np.mean(targets * np.log(q) + (1.0 - targets) * np.log1p(-q)))
     return brier, nll
-
-
-def _calibration_targets(pred, tp_pairs, far_pairs, un_gt, un_pred):
-    """Binary targets and probabilities of every scored term of one match."""
-    p_pred = pred.p if pred.p is not None else np.ones(len(pred), dtype=np.float64)
-    targets = []
-    probs = []
-    for gi, pj, _ in tp_pairs:
-        targets.append(1.0)
-        probs.append(float(p_pred[pj]))
-    for gi, pj, _ in far_pairs:
-        # too far to count: the annotation is missed and the prediction is surplus
-        targets.append(1.0)
-        probs.append(0.0)
-        targets.append(0.0)
-        probs.append(float(p_pred[pj]))
-    for _ in un_gt:
-        targets.append(1.0)
-        probs.append(0.0)
-    for pj in un_pred:
-        targets.append(0.0)
-        probs.append(float(p_pred[pj]))
-    return targets, probs
 
 
 def score_calibration(
     gt: CoordSet, pred: CoordSet, t_match_um: float = DEFAULT_T_MATCH_UM
 ) -> tuple[float, float]:
-    """(brier, nll) of a prediction set against ground truth.
+    """(brier, nll) of a prediction set against ground truth, as
+    ``score_detection`` reports them.
 
     Predictions without probabilities are treated as deterministic (p = 1).
     """
-    targets, probs = _calibration_targets(pred, *_match_terms(gt, pred, t_match_um))
-    return score_probability_terms(targets, probs)
+    report = score_detection(gt, pred, t_match_um)
+    return report.brier, report.nll
 
 
 def aggregate_reports(reports: list[MatchReport]) -> dict:
@@ -166,21 +129,35 @@ def score_detection(
 ) -> MatchReport:
     """Full detection + calibration report at the given match radius."""
     check_t_match(t_match_um)
-    terms = _match_terms(gt, pred, t_match_um)
-    tp_pairs, far_pairs, un_gt, un_pred = terms
+    pairs = hungarian_match(gt, pred)
+    tp_pairs = [pair for pair in pairs if pair[2] <= t_match_um]
+    far_pred = [pj for _, pj, dist in pairs if dist > t_match_um]
+    matched_pred = {pj for _, pj, _ in pairs}
+    un_pred = [pj for pj in range(len(pred)) if pj not in matched_pred]
+    n_un_gt = len(gt) - len(pairs)
     tp = len(tp_pairs)
-    fp = len(far_pairs) + len(un_pred)
-    fn = len(far_pairs) + len(un_gt)
+    fp = len(far_pred) + len(un_pred)
+    fn = len(far_pred) + n_un_gt
     zero_pred = (tp + fp) == 0
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = 0.0 if tp == 0 else 2.0 * precision * recall / (precision + recall)
-    brier, nll = score_probability_terms(*_calibration_targets(pred, *terms))
+    # scored terms, in the order that fixes the means' rounding: matched
+    # ground truth (1, p); a pair too far to count, a missed annotation
+    # (1, 0) and a surplus prediction (0, p); unmatched ground truth (1, 0);
+    # unmatched predictions (0, p)
+    p_pred = pred.p if pred.p is not None else np.ones(len(pred))
+    targets = [1.0] * tp + [1.0, 0.0] * len(far_pred) + [1.0] * n_un_gt + [0.0] * len(un_pred)
+    probs = (
+        [p_pred[pj] for _, pj, _ in tp_pairs]
+        + [q for pj in far_pred for q in (0.0, p_pred[pj])]
+        + [0.0] * n_un_gt
+        + [p_pred[pj] for pj in un_pred]
+    )
+    brier, nll = score_probability_terms(targets, probs)
     return MatchReport(
         t_match_um=t_match_um,
         pairs=tp_pairs,
-        unmatched_gt=sorted(un_gt + [p[0] for p in far_pairs]),
-        unmatched_pred=sorted(un_pred + [p[1] for p in far_pairs]),
         tp=tp,
         fp=fp,
         fn=fn,

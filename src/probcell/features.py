@@ -11,9 +11,10 @@ Feature order is map-major, window-minor, statistic-innermost; window boxes
 are voxel-aligned with side round(side / voxel_size) per axis and clipped at
 volume borders.
 
-The per-map threshold ranges default to the reference values: dm in
-[1, 1.5], u_a in [1, 10], u_e from 1 down to 0.2 (the descending direction
-is kept as given; it spans the same value set as the ascending range).
+The per-map threshold ranges are the reference values: dm in [1, 1.5],
+u_a in [1, 10], u_e from 1 down to 0.2 (the descending direction is kept as
+given; it spans the same value set as the ascending range). Only the window
+sides are a setting (``FeatureSpec``).
 
 Each window is gathered once into a contiguous copy in the map's dtype,
 which is widened once to float64 for the moments and sorted in place for
@@ -31,7 +32,7 @@ NonFiniteInput instead of yielding NaN features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,57 +40,43 @@ from .coords import CoordSet
 from .errors import EmptyWindow, NonFiniteInput
 from .volume import Volume3D
 
-DEFAULT_THRESHOLD_RANGES = {
-    "dm": (1.0, 1.5),
-    "u_a": (1.0, 10.0),
-    "u_e": (1.0, 0.2),
-}
+N_PERCENTILES = 5
+PERCENTILE_RANGE = (1.0, 99.0)
+N_THRESHOLDS = 5
+THRESHOLD_RANGES = {"dm": (1.0, 1.5), "u_a": (1.0, 10.0), "u_e": (1.0, 0.2)}
+STATS_PER_BLOCK = N_PERCENTILES + N_THRESHOLDS + 4
+PERCENTILES = np.linspace(*PERCENTILE_RANGE, N_PERCENTILES)
+
+
+def thresholds_for(map_name: str) -> np.ndarray:
+    """N_THRESHOLDS exceedance thresholds of a map, uniform over its range."""
+    if map_name not in THRESHOLD_RANGES:
+        raise KeyError(f"no threshold range configured for map {map_name!r}")
+    return np.linspace(*THRESHOLD_RANGES[map_name], N_THRESHOLDS)
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
     window_sides_um: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0)
-    n_percentiles: int = 5
-    percentile_range: tuple[float, float] = (1.0, 99.0)
-    n_thresholds: int = 5
-    threshold_ranges: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLD_RANGES))
 
     def __post_init__(self):
         sides = tuple(float(s) for s in self.window_sides_um)
         if not all(0 < s < math.inf for s in sides) or list(sides) != sorted(sides):
             raise ValueError(f"window sides must be positive, finite and ascending, got {sides}")
-        lo, hi = self.percentile_range
-        if not 0.0 <= lo <= hi <= 100.0:
-            raise ValueError("percentile range must satisfy 0 <= lo <= hi <= 100")
         object.__setattr__(self, "window_sides_um", sides)
 
-    @property
-    def stats_per_block(self) -> int:
-        return self.n_percentiles + self.n_thresholds + 4
-
     def dimension(self, n_maps: int) -> int:
-        return len(self.window_sides_um) * n_maps * self.stats_per_block
-
-    def percentiles(self) -> np.ndarray:
-        lo, hi = self.percentile_range
-        return np.linspace(lo, hi, self.n_percentiles)
-
-    def thresholds_for(self, map_name: str) -> np.ndarray:
-        if map_name not in self.threshold_ranges:
-            raise KeyError(f"no threshold range configured for map {map_name!r}")
-        lo, hi = self.threshold_ranges[map_name]
-        return np.linspace(lo, hi, self.n_thresholds)
+        return len(self.window_sides_um) * n_maps * STATS_PER_BLOCK
 
 
 def feature_names(map_names, spec: FeatureSpec) -> list[str]:
     """Column names in extraction order."""
     names = []
-    pcts = spec.percentiles()
     for map_name in map_names:
-        thresholds = spec.thresholds_for(map_name)
+        thresholds = thresholds_for(map_name)
         for side in spec.window_sides_um:
             w = f"{map_name}_w{side:g}um"
-            names.extend(f"{w}_p{q:g}" for q in pcts)
+            names.extend(f"{w}_p{q:g}" for q in PERCENTILES)
             names.extend(f"{w}_above{t:g}" for t in thresholds)
             names.extend(f"{w}_{m}" for m in ("mean", "sd", "skew", "kurt"))
     return names
@@ -162,10 +149,9 @@ def extract_features(
     widths = [
         np.maximum(np.round(side / vs).astype(int), 1) for side in spec.window_sides_um
     ]
-    pcts = spec.percentiles()
     col = 0
     for name, vol in maps:
-        thresholds = spec.thresholds_for(name)
+        thresholds = thresholds_for(name)
         data = vol.data
         for w in widths:
             raw_lo = centers - w // 2
@@ -176,13 +162,13 @@ def extract_features(
                 if block.size == 0:
                     raise EmptyWindow(f"window around proposal {i} is empty")
                 try:
-                    out[i, col : col + spec.stats_per_block] = _window_stats(
-                        block, pcts, thresholds
+                    out[i, col : col + STATS_PER_BLOCK] = _window_stats(
+                        block, PERCENTILES, thresholds
                     )
                 except NonFiniteInput:
                     raise NonFiniteInput(
                         f"map {name!r} has NaN or infinite values in the window "
                         f"around proposal {i}"
                     ) from None
-            col += spec.stats_per_block
+            col += STATS_PER_BLOCK
     return out

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import inspect
 import json
 import sys
 from dataclasses import MISSING, fields
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import classify_proposals, save_model, train_forest, train_mlp
+from .classifier import MLP_EPOCHS, classify_proposals, save_model, train_forest, train_mlp
 from .coords import CoordSet, save_coords
 from .detect import NmsConfig, detect_peaks
 from .densitymap import AMPLITUDES, COMPOUNDINGS
@@ -93,8 +92,6 @@ DEFAULT_CONFIG = {
 }
 
 
-_MLP_EPOCHS = inspect.signature(train_mlp).parameters["epochs"].default
-
 # Every setting with a value of its type: DEFAULT_CONFIG, plus any SynthSpec
 # field in a scene (the run sets the seed) and the MLP's epochs.
 _SCENE_FIELDS = {
@@ -104,7 +101,7 @@ _SCHEMA = {
     **DEFAULT_CONFIG,
     "test_scene": {**_SCENE_FIELDS, **DEFAULT_CONFIG["test_scene"]},
     "train_scene": {**_SCENE_FIELDS, **DEFAULT_CONFIG["train_scene"]},
-    "classifier": {**DEFAULT_CONFIG["classifier"], "epochs": _MLP_EPOCHS},
+    "classifier": {**DEFAULT_CONFIG["classifier"], "epochs": MLP_EPOCHS},
 }
 # The values of each string setting, here and in the CLI; a path takes any.
 _CHOICES = {
@@ -303,7 +300,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     if cls_cfg["type"] == "forest":
         model = train_forest(X_train, y_train, seed=seed, n_trees=cls_cfg["n_trees"])
     else:
-        model = train_mlp(X_train, y_train, seed=seed, epochs=cls_cfg.get("epochs", _MLP_EPOCHS))
+        model = train_mlp(X_train, y_train, seed=seed, epochs=cls_cfg.get("epochs", MLP_EPOCHS))
 
     # validation scene: stopping threshold for the deterministic baseline
     val_gt, val_ro, val_proposals = _detect_scene(val_spec, tiling, nms)

@@ -20,19 +20,8 @@ Both analyses read one prelude built by ``prepare_spatial``: the tissue
 volume and, per structure, its EDT, its ESD pool and the pool's sorted CDF,
 so a run computes each structure's EDT and sorts its pool once.
 
-The EDT is scipy's exact feature transform, laid out for its access order.
-scipy fills each plane at fixed x, then runs one pass along x per (z, y)
-line, writing through the strides of the index array it is handed. In the
-default C-order (3, z, y, x) array each such plane is spread over the whole
-array; in x-major memory, (x, z, y, component), it is one contiguous block,
-which makes the transform about 3x faster at 256^3 with the same features.
-The passes around it run one z-plane at a time on both cores
-(``volume.on_two_cores``): the masks' binary check and count, the x-major
-background scipy reads (each plane transposed on its own, where one strided
-whole-volume transpose was 5x slower), and the distances, taken with scipy's
-own arithmetic from the features read as (x, y) rows, their memory order,
-into per-thread plane buffers. ``synth.generate_structures`` uses the same
-helper for its tube mask.
+The EDT in x-major memory and its per-plane passes on two cores are
+explained in the README ("The exact EDT in x-major memory").
 """
 from __future__ import annotations
 
@@ -127,9 +116,7 @@ def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
 
 def distance_transform(structure: Volume3D) -> Volume3D:
     """Exact Euclidean distance (um) of every voxel to the nearest foreground
-    voxel: scipy's exact EDT, run by ``_exact_edt`` as the module docstring
-    describes (x-major features, distances per z-plane on both cores).
-    """
+    voxel, by ``_exact_edt``."""
     if _mask_count(structure, "structure") == 0:
         raise EmptyStructure("structure mask has no foreground voxels")
     return Volume3D(_exact_edt(structure.data, structure.voxel_size), structure.voxel_size)
@@ -237,12 +224,12 @@ def _replicate_mean_sd(pct: np.ndarray) -> tuple[float, float]:
     return float(np.nanmean(pct)), float(np.nanstd(pct))
 
 
-def _envelope(curves: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pointwise min and max over the replicate curves; None without any."""
-    if not curves:
-        return None
-    stack = np.stack(curves)
-    return stack.min(axis=0), stack.max(axis=0)
+def _widen(envelope, curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pointwise (min, max) envelope grown by one replicate curve; the
+    envelope is None before the first curve."""
+    if envelope is None:
+        return curve, curve
+    return np.minimum(envelope[0], curve), np.maximum(envelope[1], curve)
 
 
 def _opt(x):
@@ -312,12 +299,12 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
     return SpatialPrelude(tissue_mm3, prepared)
 
 
-def _distance_grid(esd: DistanceCdf, dists: np.ndarray, n_grid: int) -> np.ndarray:
+def _distance_grid(esd: DistanceCdf, dists: np.ndarray) -> np.ndarray:
     """Grid from 0 to the largest ESD or cell distance."""
     top = float(esd.samples[-1])
     if dists.size:
         top = max(top, float(dists.max()))
-    return np.linspace(0.0, top, n_grid)
+    return np.linspace(0.0, top, CDF_GRID_POINTS)
 
 
 def _check_analysis(adjacency_um: float, cdf_mode: str) -> None:
@@ -332,7 +319,6 @@ def analyze_deterministic(
     cells: CoordSet,
     prelude: SpatialPrelude,
     adjacency_um: float = ADJACENCY_UM,
-    n_grid: int = CDF_GRID_POINTS,
     cdf_mode: str = "kde",
 ) -> SpatialReport:
     """Single-pass analysis of all proposals with p >= 0.5 at full weight."""
@@ -342,7 +328,7 @@ def analyze_deterministic(
     out = {}
     for name, prep in prelude.structures.items():
         dists = cell_distances(kept, prep.edt) if len(kept) else np.empty(0)
-        grid = _distance_grid(prep.esd, dists, n_grid)
+        grid = _distance_grid(prep.esd, dists)
         out[name] = StructureAnalysis(
             name=name,
             pct_cells_adjacent=(
@@ -368,18 +354,21 @@ def analyze_probabilistic(
     replicates: int = 50,
     seed: int = 0,
     adjacency_um: float = ADJACENCY_UM,
-    n_grid: int = CDF_GRID_POINTS,
     cdf_mode: str = "kde",
 ) -> SpatialReport:
     """Monte-Carlo analysis sampling each proposal by its probability.
 
     Replicate t draws its randomness from seed + t, so replicates are
     independent of execution order. ESD replicates resample the pooled
-    distances with a Poisson(count of sampled cells) sample size.
+    distances with a Poisson(count of sampled cells) sample size. The
+    envelopes are kept as a running pointwise min and max, so memory does not
+    grow with the replicate count.
     """
     _check_analysis(adjacency_um, cdf_mode)
     if replicates < 2:
         raise ValueError("need at least two replicates")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if len(cells) == 0:
         raise EmptyCells("probabilistic analysis needs at least one proposal")
     p = cells.p if cells.p is not None else np.ones(len(cells))
@@ -389,13 +378,13 @@ def analyze_probabilistic(
     all_dists, grids = {}, {}
     for name, prep in structures.items():
         all_dists[name] = cell_distances(cells, prep.edt)
-        grids[name] = _distance_grid(prep.esd, all_dists[name], n_grid)
+        grids[name] = _distance_grid(prep.esd, all_dists[name])
 
     counts = np.empty(replicates)
     pct_cells = {name: np.full(replicates, np.nan) for name in structures}
     pct_vol = {name: np.full(replicates, np.nan) for name in structures}
-    cell_curves = {name: [] for name in structures}
-    esd_curves = {name: [] for name in structures}
+    cell_envelope = dict.fromkeys(structures)
+    esd_envelope = dict.fromkeys(structures)
     for t in range(replicates):
         rng = np.random.default_rng(seed + t)
         include = rng.random(len(cells)) < p
@@ -404,8 +393,8 @@ def analyze_probabilistic(
             dists = all_dists[name][include]
             if dists.size:
                 pct_cells[name][t] = 100.0 * float(np.mean(dists < adjacency_um))
-                cell_curves[name].append(
-                    DistanceCdf(dists).evaluate(grids[name], mode=cdf_mode)
+                cell_envelope[name] = _widen(
+                    cell_envelope[name], DistanceCdf(dists).evaluate(grids[name], mode=cdf_mode)
                 )
             else:
                 flags.append(f"EmptyReplicate:{name}:{t}")
@@ -415,8 +404,8 @@ def analyze_probabilistic(
                 continue
             sample = prep.pool[rng.integers(0, prep.pool.size, size=w)]
             pct_vol[name][t] = 100.0 * float(np.mean(sample < adjacency_um))
-            esd_curves[name].append(
-                DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
+            esd_envelope[name] = _widen(
+                esd_envelope[name], DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
             )
 
     out = {}
@@ -437,8 +426,8 @@ def analyze_probabilistic(
                 else None
             ),
             esd_cdf=prep.esd.evaluate(grids[name], mode="empirical"),
-            cell_envelope=_envelope(cell_curves[name]),
-            esd_envelope=_envelope(esd_curves[name]),
+            cell_envelope=cell_envelope[name],
+            esd_envelope=esd_envelope[name],
         )
     return SpatialReport(
         mode="probabilistic",

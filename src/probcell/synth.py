@@ -20,6 +20,9 @@ The predicted map is rectified at zero: a real regressor emits a
 flat near-zero background, and without the clip, sign-symmetric background
 noise would turn a large fraction of the volume into spurious threshold-0
 proposals at any scale.
+
+The surrogate's Gaussian smoothing and amplitude field run on two cores, as
+the README's "Kernels on two cores" explains.
 """
 from __future__ import annotations
 
@@ -118,8 +121,9 @@ class SynthSpec:
         )
 
 
-def _sample_separated(rng, n, lo, hi, min_sep, existing=None, max_attempts=None):
-    """Uniform points in [lo, hi) with pairwise (and vs existing) separation."""
+def _sample_separated(rng, n, lo, hi, min_sep, existing=None):
+    """Uniform points in [lo, hi) with pairwise (and vs existing) separation,
+    within 200 n + 1000 attempts."""
     if n == 0:
         return np.zeros((0, 3))
     lo = np.asarray(lo, dtype=np.float64)
@@ -147,7 +151,7 @@ def _sample_separated(rng, n, lo, hi, min_sep, existing=None, max_attempts=None)
     if existing is not None:
         for pt in np.asarray(existing, dtype=np.float64):
             register(pt)
-    max_attempts = max_attempts if max_attempts is not None else 200 * n + 1000
+    max_attempts = 200 * n + 1000
     placed = []
     attempts = 0
     while len(placed) < n:
@@ -173,16 +177,10 @@ def generate_coords(spec: SynthSpec) -> CoordSet:
 
 
 def _smooth_field(shape, rng, lo, hi):
-    """lo + (hi - lo) * the trilinear upsampling of a random 4^3 grid.
-
-    Bit for bit ``ndimage.map_coordinates(grid, ..., order=1)`` at the points
-    linspace(0, 3, n) of each axis. scipy's order-1 arithmetic at a point: per
-    axis start = floor(c), w0 = 1 - (c - start) and w1 = 1 - w0; then a sum
-    from 0.0 of ((v * wz) * wy) * wx over the eight corners, z-major, where a
-    corner beyond the grid reads cval 0. Each weight depends on one axis, so
-    the products are built one axis at a time on z-blocks of the field: the
-    grid times wz, gathered along y times wy, gathered along x times wx.
-    """
+    """lo + (hi - lo) * the trilinear upsampling of a random 4^3 grid, bit for
+    bit ``ndimage.map_coordinates(grid, ..., order=1)`` at the points
+    linspace(0, 3, n) of each axis: scipy's order-1 arithmetic, one axis at a
+    time on z-blocks of the field."""
     grid = np.zeros((5, 5, 5))  # the zero faces beyond the grid are cval
     grid[:4, :4, :4] = rng.random((4, 4, 4))
     starts, weights = [], []
@@ -227,17 +225,9 @@ def _gaussian_weights(sigma) -> np.ndarray:
 
 
 def _gaussian_in_place(a: np.ndarray, sigmas) -> None:
-    """ndimage.gaussian_filter(a, sigmas, output=a) in two sweeps on two cores.
-
-    scipy filters axis 0, 1 and 2 in turn, skipping an axis whose sigma is
-    <= 1e-15, each 1-D line on its own with correlate1d, its Gaussian weights
-    and the default reflect mode. Here every line goes through the same call
-    with the same weights, only in a cache-friendly order, so the result is
-    bit-identical. Sweep 1 filters axis 0 one y row at a time, on a
-    transposed (x, z) copy whose lines are contiguous; sweep 2 filters axis 1
-    (on a transposed (x, y) copy) and then axis 2 of each z-plane while the
-    plane is in cache.
-    """
+    """ndimage.gaussian_filter(a, sigmas, output=a), bit for bit, in two
+    cache-blocked sweeps on two cores: axis 0 one y row at a time, then axes
+    1 and 2 of each z-plane."""
     w0, w1, w2 = (_gaussian_weights(s) if s > 1e-15 else None for s in sigmas)
     nz, ny, nx = a.shape
 

@@ -15,7 +15,7 @@ from probcell import (
     train_forest,
     train_mlp,
 )
-from probcell.classifier import init_mlp, mlp_loss_and_grads
+from probcell.classifier import ForestModel, _build_tree, init_mlp, mlp_loss_and_grads
 from probcell.cli import main
 from probcell.errors import (
     DimensionMismatch,
@@ -98,15 +98,16 @@ class TestGiniOracle:
             y = rng.integers(0, 2, size=n)
             if y.min() == y.max():
                 y[0] = 1 - y[0]
-            model = train_forest(X, y, seed=trial, n_trees=1, bootstrap=False)
-            _assert_tree_matches_oracle(model.trees[0], X, y.astype(np.float64))
+            # one tree on the data as given: no bootstrap resample
+            tree = _build_tree(X, y, np.random.default_rng(trial), 2)
+            _assert_tree_matches_oracle(tree, X, y.astype(np.float64))
 
 
 class TestForestPrediction:
     def test_single_tree_leaf_fraction(self, rng):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        model = train_forest(X, y, seed=1, n_trees=1, bootstrap=False)
+        model = ForestModel(1, [_build_tree(X, y, np.random.default_rng(1), 1)], seed=1)
         p = model.predict_proba(np.array([[0.5], [2.5]]))
         assert np.array_equal(p, [0.0, 1.0])
 

@@ -167,6 +167,18 @@ def test_render_dm_names_the_setting_without_warnings(tmp_path, scene, flags, na
     assert name in _error(stderr)["message"]
 
 
+@pytest.mark.parametrize("command", ["spatial", "train-classifier"])
+def test_negative_seed_names_the_setting(tmp_path, scene, command):
+    """Exited 1 with numpy's "expected non-negative integer", which named no
+    setting."""
+    out = tmp_path / "out"
+    rc, stdout, stderr = _run(command, {**_base(command, scene, out), "--seed": ["-1"]},
+                              None, out)
+    assert rc == 1 and stdout == "" and _files(out) == []
+    assert _error(stderr)["type"] == "ValueError"
+    assert "seed" in _error(stderr)["message"]
+
+
 def test_synth_names_a_subnormal_voxel_size(tmp_path):
     """Exited 1 with FloatingPointError from the noise smoothing's sigma
     (NOISE_SMOOTH_UM / voxel_size overflows), which named no setting."""

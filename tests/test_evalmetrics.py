@@ -150,6 +150,13 @@ class TestCalibration:
         assert calls == [(12, 9)]
         assert (report.brier, report.nll) == (brier, nll)
 
+    @pytest.mark.parametrize("t_match", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_t_match_must_be_positive_and_finite(self, t_match):
+        """score_calibration once skipped the radius check: it scored NaN as
+        (0.0, 0.0), a perfect score, since every pair fails both <= and >."""
+        with pytest.raises(ValueError, match="t_match"):
+            score_calibration(cs([0, 0, 0]), cs([0, 0, 1.0], p=[0.7]), t_match)
+
     def test_perfect_deterministic_detector(self):
         gt = cs([0, 0, 0], [10, 0, 0])
         brier, nll = score_calibration(gt, cs([0, 0, 0], [10, 0, 0]), 4.0)

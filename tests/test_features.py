@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from probcell import CoordSet, FeatureSpec, extract_features, feature_names
 from probcell.errors import NonFiniteInput
-from probcell.features import _window_stats
+from probcell.features import (
+    N_PERCENTILES,
+    N_THRESHOLDS,
+    PERCENTILES,
+    STATS_PER_BLOCK,
+    _window_stats,
+    thresholds_for,
+)
 
 from conftest import vol
 from oracles import reference_window_stats, sort_once_window_stats
@@ -55,7 +62,7 @@ class TestDegenerateWindow:
         X = extract_features(maps, CoordSet(np.array([[8.0, 8.0, 8.0]])), spec)
         row = X[0]
         assert np.allclose(row[:5], value)  # all percentiles
-        thresholds = spec.thresholds_for("dm")
+        thresholds = thresholds_for("dm")
         ratios = row[5:10]
         assert np.array_equal(ratios, (value > thresholds).astype(float))
         mean, sd, skew, kurt = row[10:14]
@@ -80,7 +87,7 @@ class TestInvariants:
         maps = three_maps(rng)
         spec = FeatureSpec()
         X = extract_features(maps, CoordSet(rng.random((5, 3)) * 20 + 2), spec)
-        per_block = spec.stats_per_block
+        per_block = STATS_PER_BLOCK
         for row in X:
             for b in range(len(maps) * len(spec.window_sides_um)):
                 pcts = row[b * per_block : b * per_block + 5]
@@ -90,7 +97,7 @@ class TestInvariants:
         maps = three_maps(rng)
         spec = FeatureSpec()
         X = extract_features(maps, CoordSet(rng.random((5, 3)) * 20 + 2), spec)
-        per_block = spec.stats_per_block
+        per_block = STATS_PER_BLOCK
         for row in X:
             for b in range(len(maps) * len(spec.window_sides_um)):
                 ratios = row[b * per_block + 5 : b * per_block + 10]
@@ -103,8 +110,7 @@ class TestInvariants:
         assert np.isfinite(X).all()
 
     def test_u_e_threshold_range_is_descending(self):
-        spec = FeatureSpec()
-        t = spec.thresholds_for("u_e")
+        t = thresholds_for("u_e")
         assert t[0] == 1.0 and t[-1] == pytest.approx(0.2)
         assert np.all(np.diff(t) < 0)
 
@@ -147,14 +153,13 @@ def window_cases(shape, rng):
 class TestSortOnceKernel:
     @pytest.mark.parametrize("shape", WINDOW_SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_matches_reference(self, shape, rng):
-        spec = FeatureSpec()
-        pcts = spec.percentiles()
-        exact = spec.n_percentiles + spec.n_thresholds + 2  # up to and including SD
+        pcts = PERCENTILES
+        exact = N_PERCENTILES + N_THRESHOLDS + 2  # up to and including SD
         for case, data in window_cases(shape, rng).items():
             block = data.astype(np.float32)
             values = block.astype(np.float64).ravel()
             for map_name in ("dm", "u_a", "u_e"):
-                thresholds = spec.thresholds_for(map_name)
+                thresholds = thresholds_for(map_name)
                 ref = reference_window_stats(values, pcts, thresholds)
                 for window in (block, values):
                     new = _window_stats(window, pcts, thresholds)
@@ -168,11 +173,11 @@ class TestSortOnceKernel:
         maps = [("dm", vol(data))]
         spec = FeatureSpec(window_sides_um=(3.0, 8.0))
         X = extract_features(maps, CoordSet(np.array([[0.5, 0.5, 0.5]])), spec)
-        pcts, thresholds = spec.percentiles(), spec.thresholds_for("dm")
+        pcts, thresholds = PERCENTILES, thresholds_for("dm")
         # the 3 um window starts at voxel -1 and the 8 um window at -4
         for k, block in enumerate((data[:2, :2, :2], data[:4, :4, :4])):
             ref = reference_window_stats(block.astype(np.float64).ravel(), pcts, thresholds)
-            row = X[0, k * spec.stats_per_block : (k + 1) * spec.stats_per_block]
+            row = X[0, k * STATS_PER_BLOCK : (k + 1) * STATS_PER_BLOCK]
             assert np.array_equal(row[:12], ref[:12])
             assert np.all(np.abs(row[12:] - ref[12:]) <= MOMENT_RTOL * (1 + np.abs(ref[12:])))
 
@@ -210,8 +215,7 @@ class TestSingleGatherKernel:
         previous kernel's statistics bit for bit, and leave the map as it
         was."""
         data, box = case
-        spec = FeatureSpec()
-        pcts, thresholds = spec.percentiles(), spec.thresholds_for(map_name)
+        pcts, thresholds = PERCENTILES, thresholds_for(map_name)
         before = data.copy()
         new = _window_stats(data[box], pcts, thresholds)
         assert np.array_equal(new, sort_once_window_stats(data[box], pcts, thresholds))
@@ -239,8 +243,3 @@ class TestSpecValidation:
     def test_window_side_outside_0_inf_rejected(self, sides):
         with pytest.raises(ValueError, match="window sides"):
             FeatureSpec(window_sides_um=sides)
-
-    @pytest.mark.parametrize("bounds", [(-1.0, 99.0), (1.0, 101.0), (60.0, 40.0)])
-    def test_percentile_range_outside_0_100_rejected(self, bounds):
-        with pytest.raises(ValueError):
-            FeatureSpec(percentile_range=bounds)

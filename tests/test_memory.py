@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 
 from probcell import (
+    CoordSet,
     NmsConfig,
     SynthSpec,
     TilingConfig,
     Volume3D,
+    analyze_probabilistic,
     generate_coords,
     generate_structures,
     oracle_regress,
+    prepare_spatial,
     save_volume,
     tiled_detect,
 )
@@ -126,3 +129,22 @@ def test_save_volume_peak(shape, tmp_path):
     # object, either of which is a whole float32 volume.
     v = Volume3D(np.ones(shape, dtype=np.float32), (1.0, 1.0, 1.0))
     assert traced_peak(save_volume, v, tmp_path / "v") <= SMALL
+
+
+def test_analyze_probabilistic_peak():
+    """The CDF envelopes are a running pointwise min and max, so the peak does
+    not grow with the replicate count. Keeping each replicate's two 512-point
+    float64 curves and stacking them at the end would hold about 12 KB per
+    replicate, 12 MB here. What remains is the per-replicate percentages and
+    counts (24 B per replicate) and one replicate's KDE temporaries (512 x 8 B
+    per kept cell)."""
+    shape = (32, 32, 32)
+    structure = np.zeros(shape, dtype=np.float32)
+    structure[16, 16, :] = 1.0
+    vs = (1.0, 1.0, 1.0)
+    prelude = prepare_spatial(
+        {"tube": Volume3D(structure, vs)}, Volume3D(np.ones(shape, np.float32), vs)
+    )
+    rng = np.random.default_rng(5)
+    cells = CoordSet(rng.uniform(1.0, 31.0, (20, 3)), p=rng.uniform(0.3, 1.0, 20))
+    assert traced_peak(analyze_probabilistic, cells, prelude, 1000) <= SMALL

@@ -14,13 +14,11 @@ from hypothesis.extra.numpy import arrays
 
 from probcell import (
     CoordSet,
-    KernelSpec,
     TilingConfig,
     Volume3D,
     load_volume,
     plan_tiling,
     reconstruct_coordinates,
-    render_dm,
     save_volume,
 )
 from probcell.errors import VolumeSizeMismatch, VolumeTooSmall
@@ -182,28 +180,6 @@ class TestReconstruct:
             got = set(map(tuple, out.coords))
             want = set(map(tuple, coords))
             assert got == want
-
-
-class TestStitchingInvariant:
-    @pytest.mark.parametrize("compounding", ["sum", "max"])
-    def test_patch_renders_stitch_exactly(self, rng, compounding):
-        kernel = KernelSpec(sigma_um=2.0, cutoff_um=8.0, compounding=compounding)
-        cfg = TilingConfig.m_peak((18, 18, 18), (2, 2, 2), (2, 2, 2))
-        shape = (12, 23, 30)
-        grid = plan_tiling(shape, cfg)
-        coords = CoordSet(rng.random((30, 3)) * np.asarray(shape))
-        whole = render_dm(coords, shape, (1.0, 1.0, 1.0), kernel)
-        for patch in grid.patches:
-            lo, hi = np.asarray(patch.out_box)
-            piece = render_dm(
-                coords,
-                tuple(hi - lo),
-                (1.0, 1.0, 1.0),
-                kernel,
-                origin_um=tuple(lo.astype(float)),
-            )
-            ref = whole.data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-            assert np.array_equal(piece.data, ref)
 
 
 class TestVolumeIO:
