@@ -11,7 +11,7 @@ from .classifier import (
     train_forest,
     train_mlp,
 )
-from .coords import CoordSet, concat_coordsets, load_coords, save_coords
+from .coords import CoordSet, load_coords, save_coords
 from .densitymap import KernelSpec, gaussian_value, render_dm
 from .detect import NmsConfig, detect_peaks
 from .evalmetrics import (
@@ -46,7 +46,6 @@ from .volume import (
     Volume3D,
     load_volume,
     plan_tiling,
-    reconstruct_coordinates,
     save_volume,
 )
 

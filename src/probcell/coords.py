@@ -40,6 +40,8 @@ class CoordSet:
             self.dm_value = np.asarray(self.dm_value, dtype=np.float64).reshape(-1)
             if self.dm_value.shape[0] != self.coords.shape[0]:
                 raise ValueError("dm_value length must match coordinate count")
+            if not np.isfinite(self.dm_value).all():
+                raise NonFiniteInput("dm_value must be finite")
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -55,20 +57,6 @@ class CoordSet:
             None if self.p is None else self.p[mask],
             None if self.dm_value is None else self.dm_value[mask],
         )
-
-
-def concat_coordsets(sets: list[CoordSet]) -> CoordSet:
-    """Concatenate in list order. Optional columns survive only if present everywhere."""
-    if not sets:
-        return CoordSet.empty()
-    coords = np.concatenate([s.coords for s in sets], axis=0)
-    p = None
-    if all(s.p is not None for s in sets):
-        p = np.concatenate([s.p for s in sets])
-    dm = None
-    if all(s.dm_value is not None for s in sets):
-        dm = np.concatenate([s.dm_value for s in sets])
-    return CoordSet(coords, p, dm)
 
 
 def save_coords(cs: CoordSet, path) -> None:
@@ -92,12 +80,12 @@ def load_coords(path) -> CoordSet:
     path = Path(path)
     with path.open(newline="") as f:
         r = csv.reader(f)
-        header = next(r)
+        header = next(r, [])  # an empty file has no header
         rows = [row for row in r if row]
     idx = {name: i for i, name in enumerate(header)}
     for required in ("z_um", "y_um", "x_um"):
         if required not in idx:
-            raise ValueError(f"coordinate CSV missing column {required!r}")
+            raise ValueError(f"coordinate CSV {path} missing column {required!r}")
     data = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
     # (0, columns) for a header-only file; rows of another width fail here
     data = data.reshape(len(rows), len(header))

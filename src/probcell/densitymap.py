@@ -12,7 +12,7 @@ Amplitude note: with the normalized formula peak = 1/(sigma*sqrt(2*pi)),
 which is below 1 for sigma >= 1 um, so fixed DM thresholds in the 1..1.5
 range can never fire. The synthetic pipeline therefore defaults to
 ``unit_peak`` (kernel value exp(-s^2 / 2 sigma^2), peak exactly 1);
-``paper`` selects the normalized amplitude where formula fidelity matters.
+``normalized`` selects the paper's amplitude where formula fidelity matters.
 """
 from __future__ import annotations
 

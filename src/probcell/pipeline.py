@@ -32,7 +32,7 @@ from .coords import CoordSet, save_coords
 from .detect import NmsConfig, detect_peaks
 from .densitymap import AMPLITUDES, COMPOUNDINGS
 from .errors import InvalidConfig
-from .evalmetrics import check_t_match, hungarian_match, score_calibration, score_detection
+from .evalmetrics import check_t_match, score_calibration, score_detection
 from .features import FeatureSpec, extract_features
 from .spatial import (
     CDF_MODES,
@@ -42,15 +42,7 @@ from .spatial import (
     prepare_spatial,
 )
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
-from .volume import (
-    M_PEAK,
-    STRATEGIES,
-    TilingConfig,
-    Volume3D,
-    plan_tiling,
-    reconstruct_coordinates,
-    um_to_voxel,
-)
+from .volume import M_PEAK, STRATEGIES, TilingConfig, Volume3D, plan_tiling, um_to_voxel
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -191,19 +183,25 @@ def tiled_detect(dm: Volume3D, tiling: TilingConfig, nms: NmsConfig) -> CoordSet
     A patch's predicted box may overhang the map. Zeros there would be no
     candidates (a candidate is > 0) and would suppress none (0 never exceeds
     a candidate), so each patch reads only the part of its box in the map.
+    Under m_peak a patch keeps the peaks whose map voxel lies in its keep
+    box, so each peak has one owner; under m_conv it keeps all its peaks.
     """
-    grid = plan_tiling(dm.shape, tiling)
     vs = np.asarray(dm.voxel_size, dtype=np.float64)
-    per_patch = []
-    for patch in grid.patches:
+    voxels, values = [], []
+    for patch in plan_tiling(dm.shape, tiling).patches:
         lo = np.maximum(patch.cnn_box[0], 0)
         hi = np.minimum(patch.cnn_box[1], dm.shape)
         box = tuple(slice(a, b) for a, b in zip(lo, hi))
         peaks = detect_peaks(dm.like(dm.data[box]), nms)
         # each peak's voxel index in the map, placed as detect_peaks places it
         g = np.rint(um_to_voxel(peaks.coords, vs)) + lo
-        per_patch.append(CoordSet((g + 0.5) * vs, dm_value=peaks.dm_value))
-    return reconstruct_coordinates(per_patch, grid, tiling, dm.voxel_size)
+        value = peaks.dm_value
+        if tiling.strategy == M_PEAK:
+            own = np.all((g >= patch.keep_box[0]) & (g < patch.keep_box[1]), axis=1)
+            g, value = g[own], value[own]
+        voxels.append(g)
+        values.append(value)
+    return CoordSet((np.concatenate(voxels) + 0.5) * vs, dm_value=np.concatenate(values))
 
 
 def proposals_by_threshold(proposals: CoordSet, threshold: float) -> CoordSet:
@@ -219,12 +217,10 @@ def proposals_by_threshold(proposals: CoordSet, threshold: float) -> CoordSet:
 
 
 def label_proposals(proposals: CoordSet, gt: CoordSet, t_match_um: float) -> np.ndarray:
-    """1 for proposals assigned to a ground-truth cell within t_match, else 0."""
-    check_t_match(t_match_um)
+    """1 for proposals that score_detection counts as true positives, else 0."""
     labels = np.zeros(len(proposals), dtype=np.int64)
-    for _, pj, dist in hungarian_match(gt, proposals):
-        if dist <= t_match_um:
-            labels[pj] = 1
+    for _, pj, _ in score_detection(gt, proposals, t_match_um).pairs:
+        labels[pj] = 1
     return labels
 
 

@@ -96,10 +96,15 @@ class SynthSpec:
             least = 0 if name == "amp_field_range" else -math.inf
             if not least <= lo <= hi < math.inf:
                 raise ValueError(f"{name} must be finite, {least} <= lo <= hi, got {(lo, hi)}")
-        # one walk step per smallest voxel side; a walk no longer than the
-        # voxel count costs no more than one pass over the volume
-        if self.n_tubes and not self.tube_length / min(self.voxel_size) <= math.prod(self.shape):
-            raise ValueError("a tube walk would take more steps than the volume has voxels")
+        # one walk step per smallest voxel side; walks no longer in all than
+        # the voxel count cost no more than one pass over the volume
+        if self.n_tubes:
+            steps = self.n_tubes * (self.tube_length / min(self.voxel_size))
+            if not steps <= math.prod(self.shape):
+                raise ValueError(
+                    f"n_tubes = {self.n_tubes} walks of {self.tube_length:.3g} um would take "
+                    f"{steps:.3g} steps, more than the volume's {math.prod(self.shape)} voxels"
+                )
 
     @property
     def extent_um(self) -> np.ndarray:
@@ -123,13 +128,28 @@ class SynthSpec:
 
 def _sample_separated(rng, n, lo, hi, min_sep, existing=None):
     """Uniform points in [lo, hi) with pairwise (and vs existing) separation,
-    within 200 n + 1000 attempts."""
+    within 200 n + 1000 attempts.
+
+    Balls of diameter min_sep around the points, existing ones included
+    (placed in the same box, as generate_coords places them), are disjoint
+    and lie in the box grown by min_sep / 2 per side; no more than Kepler's
+    density pi / sqrt(18) of it fits, so a larger request fails at once.
+    """
     if n == 0:
         return np.zeros((0, 3))
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if np.any(hi <= lo):
         raise PackingInfeasible("placement box is empty; margin too large?")
+    count = n + (0 if existing is None else len(existing))
+    # both sides over min_sep^3, which could overflow
+    room = math.prod(float(h - l) / float(min_sep) + 1.0 for l, h in zip(lo, hi))
+    if count * math.pi / 6 > math.pi / math.sqrt(18) * room:
+        name = "n_cells" if existing is None else "n_distractors"
+        raise PackingInfeasible(
+            f"{name} = {n}: {count} points {min_sep} um apart cannot fit in a "
+            f"{(hi - lo).tolist()} um box"
+        )
     bucket = min_sep
     grid: dict[tuple[int, int, int], list[np.ndarray]] = {}
 

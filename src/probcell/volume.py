@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .coords import CoordSet, concat_coordsets
 from .errors import VolumeSizeMismatch, VolumeTooSmall
 
 M_CONV = "m_conv"
@@ -242,34 +241,6 @@ def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
                     )
                 )
     return PatchGrid(patches=tuple(patches))
-
-
-def reconstruct_coordinates(
-    per_patch: list[CoordSet],
-    grid: PatchGrid,
-    cfg: TilingConfig,
-    voxel_size=(1.0, 1.0, 1.0),
-) -> CoordSet:
-    """Merge per-patch detections into one set.
-
-    Each CoordSet holds micrometer coordinates in the volume's frame (list
-    order matches grid.patches). Under m_peak a coordinate is retained only
-    by the patch whose keep region contains it; under m_conv everything is
-    kept.
-    """
-    if len(per_patch) != len(grid.patches):
-        raise ValueError("need one CoordSet per patch")
-    if cfg.strategy == M_PEAK:
-        voxel = np.asarray(voxel_size, dtype=np.float64)
-        per_patch = [
-            cs.select(np.all(
-                (cs.coords >= np.multiply(patch.keep_box[0], voxel))
-                & (cs.coords < np.multiply(patch.keep_box[1], voxel)),
-                axis=1,
-            ))
-            for cs, patch in zip(per_patch, grid.patches)
-        ]
-    return concat_coordsets(per_patch)
 
 
 def raw_data(v: Volume3D) -> np.ndarray:

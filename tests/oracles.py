@@ -575,3 +575,30 @@ def reference_generate_structures(spec):
         return np.zeros(shape, dtype=bool), tissue
     dist = ndimage.distance_transform_edt(~centerline, sampling=tuple(vs))
     return (dist <= spec.tube_radius_um) & tissue, tissue
+
+
+def reference_tiled_detect(dm, tiling, nms):
+    """(coords, dm_value) of tiled detection as it merged patches in
+    micrometres: one point set per patch at (voxel + 0.5) * voxel_size, kept
+    under m_peak where it lies in the patch's keep box scaled by the voxel
+    size, then concatenated in patch order."""
+    from probcell.detect import detect_peaks
+    from probcell.volume import M_PEAK, plan_tiling, um_to_voxel
+
+    vs = np.asarray(dm.voxel_size, dtype=np.float64)
+    coords, values = [], []
+    for patch in plan_tiling(dm.shape, tiling).patches:
+        lo = np.maximum(patch.cnn_box[0], 0)
+        hi = np.minimum(patch.cnn_box[1], dm.shape)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        peaks = detect_peaks(dm.like(dm.data[box]), nms)
+        c = (np.rint(um_to_voxel(peaks.coords, vs)) + lo + 0.5) * vs
+        keep = np.ones(len(c), dtype=bool)
+        if tiling.strategy == M_PEAK:
+            keep = np.all(
+                (c >= np.multiply(patch.keep_box[0], vs)) & (c < np.multiply(patch.keep_box[1], vs)),
+                axis=1,
+            )
+        coords.append(c[keep])
+        values.append(peaks.dm_value[keep])
+    return np.concatenate(coords), np.concatenate(values)

@@ -9,13 +9,14 @@ import contextlib
 import io
 import json
 import math
+import signal
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probcell import (
@@ -200,7 +201,29 @@ _ACTIONS = {
     for action in command._actions
 }
 NUMERIC_FLAGS = [flag for flag, action in _ACTIONS.items() if action.type in (int, float)]
-EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e300, 5e-324]
+# the large counts must fail fast or finish fast: no flag may buy hours of
+# work, except a shape (numpy would allocate gigabytes) or replicates (time
+# linear in what was asked for)
+LARGE_VALUES = [10**6, 2**31 - 1]
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e300, 5e-324, *LARGE_VALUES]
+UNBOUNDED_FLAGS = ("--shape", "--replicates")
+BUDGET_S = 20
+
+
+@contextlib.contextmanager
+def _wall_budget(seconds: int):
+    """Fail the test from a SIGALRM once the block has run for seconds; an
+    OSError such as TimeoutError would end as the CLI's exit 1."""
+    def expire(signum, frame):
+        pytest.fail(f"over the {seconds} s wall budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,6 +233,8 @@ EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e300, 5e-324]
     route=st.sampled_from(["cli", "file"]),
 )
 @example(flag=("detect", "--min-distance-um"), value=math.inf, route="cli")
+@example(flag=("synth", "--n-cells"), value=2**31 - 1, route="cli")
+@example(flag=("synth", "--n-tubes"), value=10**6, route="cli")
 def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
     """One numeric setting of one subcommand at an edge value, on the command
     line or in a --config file, on a tiny scene:
@@ -219,8 +244,10 @@ def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
       InvalidConfig;
     - exit 2 (argparse's usage error) only for a command-line string that
       argparse itself rejects ("nan" for an integer, "-inf" among nargs);
-    - anything else, a traceback included, fails the test."""
+    - anything else, a traceback included, fails the test;
+    - so does a call that runs over BUDGET_S seconds."""
     command, option = flag
+    assume(value not in LARGE_VALUES or option not in UNBOUNDED_FLAGS)
     action = _ACTIONS[flag]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -236,7 +263,8 @@ def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
             if not action.required:
                 flags.pop(option, None)
             file = {action.dest: values if action.nargs else value}
-        rc, stdout, stderr = _run(command, flags, file, out)
+        with _wall_budget(BUDGET_S):
+            rc, stdout, stderr = _run(command, flags, file, out)
         assert "Traceback" not in stderr
         fits = math.isfinite(value) and (action.type is float or type(value) is int)
         if route == "file" and not fits:

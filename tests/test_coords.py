@@ -22,6 +22,13 @@ class TestCoordSetValidation:
         with pytest.raises(ProbabilityOutOfRange):
             CoordSet(np.zeros((2, 3)), p=np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dm_value_rejected(self, bad):
+        # a NaN peak value used to pass into classify's output unchanged and
+        # drop silently out of every threshold filter
+        with pytest.raises(NonFiniteInput, match="dm_value"):
+            CoordSet(np.zeros((2, 3)), dm_value=np.array([0.5, bad]))
+
     def test_unit_interval_endpoints_accepted(self):
         cs = CoordSet(np.zeros((2, 3)), p=np.array([0.0, 1.0]))
         assert np.array_equal(cs.p, [0.0, 1.0])
@@ -37,6 +44,12 @@ class TestLoadCoordsValidation:
         (tmp_path / "c.csv").write_text("z_um,y_um,x_um,p\n1.0,2.0,3.0,1.7\n")
         with pytest.raises(ProbabilityOutOfRange):
             load_coords(tmp_path / "c.csv")
+
+    def test_empty_file_names_the_file(self, tmp_path):
+        # raised a bare StopIteration, reading a header that is not there
+        (tmp_path / "empty.csv").write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            load_coords(tmp_path / "empty.csv")
 
     @pytest.mark.parametrize("row", ["1.0,2.0,3.0,4.0", "1.0,2.0"])
     def test_row_width_must_match_header(self, row, tmp_path):

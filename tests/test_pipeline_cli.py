@@ -12,10 +12,12 @@ from probcell import (
     NmsConfig,
     SynthSpec,
     TilingConfig,
+    Volume3D,
     detect_peaks,
     generate_coords,
     load_coords,
     oracle_regress,
+    plan_tiling,
     render_dm,
     save_coords,
     save_model,
@@ -34,8 +36,63 @@ from probcell.pipeline import (
     select_threshold,
     tiled_detect,
 )
+from probcell.volume import M_CONV, M_PEAK
+
+from oracles import reference_tiled_detect
+
 
 class TestTiledDetect:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        strategy=st.sampled_from([M_CONV, M_PEAK]),
+        conv=st.tuples(*[st.integers(0, 3)] * 3),
+        peak=st.tuples(*[st.integers(1, 3)] * 3),
+        tile=st.tuples(*[st.integers(2, 9)] * 3),
+        extra=st.tuples(*[st.integers(0, 14)] * 3),
+        voxel=st.tuples(*[st.floats(0.1, 3.0)] * 3),
+        min_distance=st.floats(0.5, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_micrometre_merge_byte_for_byte(
+        self, strategy, conv, peak, tile, extra, voxel, min_distance, seed
+    ):
+        """Ownership decided on voxel indices keeps exactly the peaks that
+        the keep boxes scaled to micrometres kept, in the same order."""
+        peak = peak if strategy == M_PEAK else (0, 0, 0)
+        l_in = tuple(t + 2 * (c + p) for t, c, p in zip(tile, conv, peak))
+        tiling = TilingConfig(l_in, conv, peak, strategy)
+        shape = tuple(t + e for t, e in zip(tile, extra))
+        dm = Volume3D(np.random.default_rng(seed).random(shape, dtype=np.float32), voxel)
+        nms = NmsConfig(min_distance, 0.0)
+        tiled = tiled_detect(dm, tiling, nms)
+        coords, dm_value = reference_tiled_detect(dm, tiling, nms)
+        assert tiled.coords.tobytes() == coords.tobytes()
+        assert tiled.dm_value.tobytes() == dm_value.tobytes()
+
+    def test_offsets_cancel_when_the_input_window_overhangs(self):
+        # the input window starts l_pad before the map, yet peaks need no
+        # shift: every box is in the map's own frame
+        cfg = TilingConfig.m_peak((16, 16, 16), (2, 2, 2), (2, 2, 2))
+        (patch,) = plan_tiling(cfg.l_out_tile, cfg).patches
+        assert patch.in_box[0] == (-4, -4, -4) and patch.out_box[0] == (0, 0, 0)
+        vs = (1.5, 1.0, 0.5)
+        cell = (np.asarray([[4, 3, 2]]) + 0.5) * vs
+        dm = render_dm(CoordSet(cell), cfg.l_out_tile, vs, KernelSpec(2.0))
+        assert np.array_equal(tiled_detect(dm, cfg, NmsConfig(4.0, 0.0)).coords, cell)
+
+    def test_m_peak_one_patch_owns_a_margin_peak(self):
+        cfg = TilingConfig.m_peak((16, 16, 16), (2, 2, 2), (2, 2, 2))
+        shape = (8, 8, 16)
+        patches = plan_tiling(shape, cfg).patches
+        assert len(patches) == 2
+        cell = np.asarray([[4.5, 4.5, 8.5]])  # in patch 1's core, patch 0's margin
+        dm = render_dm(CoordSet(cell), shape, (1, 1, 1), KernelSpec(2.0))
+        nms = NmsConfig(4.0, 0.0)
+        for patch in patches:  # each patch finds the peak
+            box = tuple(slice(max(a, 0), b) for a, b in zip(*patch.cnn_box))
+            assert len(detect_peaks(dm.like(dm.data[box]), nms)) == 1
+        assert np.array_equal(tiled_detect(dm, cfg, nms).coords, cell)
+
     def test_m_peak_equals_untiled_with_boundary_cells(self):
         cfg = TilingConfig.m_peak((32, 32, 32), (4, 4, 4), (4, 4, 4))
         shape = (32, 32, 48)
@@ -408,6 +465,28 @@ class TestCli:
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"]["type"] == "ValueError"
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_empty_coordinate_file_exit_1_with_json(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "header_only.csv").write_text("z_um,y_um,x_um\n")
+        rc = main(["eval", "--gt", str(tmp_path / "empty.csv"),
+                   "--pred", str(tmp_path / "header_only.csv"),
+                   "--out", str(tmp_path / "eval.json")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ValueError"
+        assert "empty.csv" in payload["error"]["message"]
+        assert not (tmp_path / "eval.json").exists()
+
+    def test_nan_dm_value_exit_1_with_json(self, tmp_path, capsys):
+        save_coords(CoordSet(np.arange(6.0).reshape(2, 3)), tmp_path / "gt.csv")
+        (tmp_path / "pred.csv").write_text("z_um,y_um,x_um,dm_value\n0.0,1.0,2.0,nan\n")
+        rc = main(["eval", "--gt", str(tmp_path / "gt.csv"), "--pred", str(tmp_path / "pred.csv"),
+                   "--out", str(tmp_path / "eval.json")])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "NonFiniteInput"
         assert not (tmp_path / "eval.json").exists()
 
     def test_nan_sigma_render_dm_exit_1_with_json(self, tmp_path, capsys):

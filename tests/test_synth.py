@@ -22,7 +22,7 @@ from probcell import (
 from probcell.errors import EmptyStructure, PackingInfeasible
 from probcell.spatial import distance_transform
 from probcell import synth as synth_mod
-from probcell.synth import _gaussian_in_place, _smooth_field
+from probcell.synth import _gaussian_in_place, _sample_separated, _smooth_field
 
 from oracles import (
     reference_generate_structures,
@@ -55,6 +55,18 @@ class TestGenerateCoords:
         spec = SynthSpec(shape=(8, 8, 8), n_cells=100, min_separation_um=8.0)
         with pytest.raises(PackingInfeasible):
             generate_coords(spec)
+
+    def test_keplers_bound_fails_before_the_first_attempt(self):
+        """A 32 um cube holds at most 176 points 8 um apart: one more raised
+        only after 200 n + 1000 rejected draws."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(PackingInfeasible, match="n_cells = 177"):
+            _sample_separated(rng, 177, (0, 0, 0), (32, 32, 32), 8.0)
+        with pytest.raises(PackingInfeasible, match="n_distractors = 100: 177 points"):
+            _sample_separated(rng, 100, (0, 0, 0), (32, 32, 32), 8.0,
+                              existing=np.full((77, 3), 16.0))
+        assert rng.bit_generator.state == state
 
 
 class TestOracleRegress:
@@ -115,6 +127,13 @@ class TestOracleRegress:
 
 
 class TestGenerateStructures:
+    def test_tube_walks_bounded_by_the_voxel_count(self):
+        """10,000 tubes on 16^3 walked for seconds; 2^31 - 1 would for days."""
+        spec = SynthSpec(shape=(16, 16, 16), n_cells=0, n_tubes=256, tube_length_um=16.0)
+        assert spec.n_tubes * spec.tube_length == 16**3
+        with pytest.raises(ValueError, match="n_tubes = 257"):
+            replace(spec, n_tubes=257)
+
     def test_zero_tubes_empty_structure(self):
         spec = SynthSpec(shape=(24, 24, 24), n_cells=0, n_tubes=0)
         structure, tissue = generate_structures(spec)

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probcell import (
-    CoordSet,
     TilingConfig,
     Volume3D,
     load_volume,
     plan_tiling,
-    reconstruct_coordinates,
     save_volume,
 )
 from probcell.errors import VolumeSizeMismatch, VolumeTooSmall
@@ -118,68 +116,6 @@ class TestPlanTiling:
                 assert all(g == cfg.l_out_tile[ax] for g in gaps[:-1])
                 if len(gaps):
                     assert 0 < gaps[-1] <= cfg.l_out_tile[ax]
-
-
-def _perfect_patch_detections(coords, grid, voxel=1.0):
-    """Simulate flawless per-patch detection: every cell visible in a patch's
-    predicted box, reported in the volume's micrometers."""
-    per_patch = []
-    for patch in grid.patches:
-        lo = np.asarray(patch.cnn_box[0]) * voxel
-        hi = np.asarray(patch.cnn_box[1]) * voxel
-        inside = np.all((coords >= lo) & (coords < hi), axis=1)
-        per_patch.append(CoordSet(coords[inside]))
-    return per_patch
-
-
-class TestReconstruct:
-    def test_offsets_cancel_single_patch(self):
-        # the input window starts l_pad before the volume, yet detections
-        # need no shift: every box is in the volume's own frame
-        cfg = SUPP_TABLE_PEAK
-        grid = plan_tiling(cfg.l_out_tile, cfg)
-        assert grid.patches[0].in_box[0] == (-24, -24, -24)
-        assert grid.patches[0].out_box[0] == (0, 0, 0)
-        found = CoordSet(np.array([[8.0, 8.0, 8.0]]))
-        out = reconstruct_coordinates([found], grid, cfg)
-        assert np.array_equal(out.coords, [[8.0, 8.0, 8.0]])
-
-    def test_m_peak_deduplicates_margin_detection(self):
-        cfg = TilingConfig.m_peak((16, 16, 16), (2, 2, 2), (2, 2, 2))
-        shape = (8, 8, 16)
-        grid = plan_tiling(shape, cfg)
-        assert len(grid.patches) == 2
-        cell = np.array([[4.5, 4.5, 8.5]])  # inside patch 1's core, patch 0's margin
-        per_patch = _perfect_patch_detections(cell, grid)
-        assert len(per_patch[0]) == 1 and len(per_patch[1]) == 1
-        out = reconstruct_coordinates(per_patch, grid, cfg)
-        assert np.array_equal(out.coords, cell)
-
-    def test_m_conv_keeps_both_detections(self):
-        cfg = TilingConfig.m_conv((16, 16, 16), (4, 4, 4))
-        shape = (8, 8, 16)
-        grid = plan_tiling(shape, cfg)
-        assert len(grid.patches) == 2
-        # the same physical cell reported by both patches at slightly
-        # different positions (border kernel truncation)
-        true_pos = np.array([[6.5, 4.5, 7.5]])
-        artifact = np.array([[6.5, 4.5, 8.5]])
-        out = reconstruct_coordinates([CoordSet(true_pos), CoordSet(artifact)], grid, cfg)
-        assert np.array_equal(out.coords, np.concatenate([true_pos, artifact]))
-
-    def test_split_then_reconstruct_is_identity(self, rng):
-        cfg = TilingConfig.m_peak((20, 20, 20), (3, 3, 3), (2, 2, 2))
-        for trial in range(5):
-            shape = tuple(int(s) for s in rng.integers(10, 35, 3))
-            grid = plan_tiling(shape, cfg)
-            n = 25
-            coords = (rng.integers(0, shape, size=(n, 3)) + 0.5) * 1.0
-            coords = np.unique(coords, axis=0)
-            per_patch = _perfect_patch_detections(coords, grid)
-            out = reconstruct_coordinates(per_patch, grid, cfg)
-            got = set(map(tuple, out.coords))
-            want = set(map(tuple, coords))
-            assert got == want
 
 
 class TestVolumeIO:
