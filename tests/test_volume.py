@@ -13,13 +13,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probcell import (
+    CoordSet,
+    KernelSpec,
+    NmsConfig,
     TilingConfig,
     Volume3D,
     load_volume,
     plan_tiling,
+    render_dm,
     save_volume,
 )
 from probcell.errors import VolumeSizeMismatch, VolumeTooSmall
+from probcell.pipeline import tiled_detect
 from probcell.volume import M_CONV, M_PEAK, on_two_cores
 
 from conftest import vol
@@ -116,6 +121,37 @@ class TestPlanTiling:
                 assert all(g == cfg.l_out_tile[ax] for g in gaps[:-1])
                 if len(gaps):
                     assert 0 < gaps[-1] <= cfg.l_out_tile[ax]
+
+
+class TestReconstruct:
+    """Merging per-patch detections into the volume's frame, as tiled_detect
+    does it."""
+
+    def test_m_conv_keeps_both_detections(self):
+        cfg = TilingConfig.m_conv((16, 16, 16), (4, 4, 4))
+        shape = (8, 8, 16)
+        assert len(plan_tiling(shape, cfg).patches) == 2
+        # one cell near the patch border: patch 0 finds it, patch 1 sees only
+        # the kernel's tail and reports its own border voxel (truncation)
+        true_pos = np.array([[6.5, 4.5, 7.5]])
+        artifact = np.array([[6.5, 4.5, 8.5]])
+        dm = render_dm(CoordSet(true_pos), shape, (1, 1, 1), KernelSpec(2.0))
+        out = tiled_detect(dm, cfg, NmsConfig(4.0, 0.0))
+        assert np.array_equal(out.coords, np.concatenate([true_pos, artifact]))
+
+    def test_split_then_reconstruct_is_identity(self, rng):
+        cfg = TilingConfig.m_peak((20, 20, 20), (3, 3, 3), (2, 2, 2))
+        for trial in range(5):
+            shape = tuple(int(s) for s in rng.integers(10, 35, 3))
+            # one isolated maximum per cell (cells on even voxels never touch),
+            # each found by every patch that sees it and kept by exactly one
+            half = tuple((s + 1) // 2 for s in shape)
+            cells = np.unique(2 * rng.integers(0, half, size=(25, 3)), axis=0)
+            data = np.zeros(shape, dtype=np.float32)
+            data[tuple(cells.T)] = rng.random(len(cells)) + 0.5
+            out = tiled_detect(Volume3D(data, (1, 1, 1)), cfg, NmsConfig(0.5, 0.0))
+            assert len(out) == len(cells)
+            assert set(map(tuple, out.coords)) == set(map(tuple, cells + 0.5))
 
 
 class TestVolumeIO:
