@@ -237,13 +237,18 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        a = _feature_rows(X, self.n_features)
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ W + b, 0.0)
-        return (a @ self.weights[-1] + self.biases[-1]).ravel()
+        return _forward(self, _feature_rows(X, self.n_features))[1]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.logits(X))
+
+
+def _forward(model: MlpModel, X: np.ndarray):
+    """The rectified activations, input first, and the output logits."""
+    acts = [X]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+    return acts, (acts[-1] @ model.weights[-1] + model.biases[-1]).ravel()
 
 
 def _sigmoid(z):
@@ -270,12 +275,7 @@ def mlp_loss_and_grads(model: MlpModel, X, y):
     """Mean binary cross-entropy and its gradients for every weight and bias."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    acts = [X]
-    a = X
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ W + b, 0.0)
-        acts.append(a)
-    z = (a @ model.weights[-1] + model.biases[-1]).ravel()
+    acts, z = _forward(model, X)
     # stable BCE on logits
     loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
     n = X.shape[0]
@@ -301,6 +301,8 @@ def train_mlp(X, labels, seed: int, epochs: int = MLP_EPOCHS, hidden=DEFAULT_HID
     epoch selection. epochs=0 returns the freshly initialized model.
     """
     _check_seed(seed)
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if np.unique(y).size < 2:
@@ -326,10 +328,8 @@ def train_mlp(X, labels, seed: int, epochs: int = MLP_EPOCHS, hidden=DEFAULT_HID
 
     b1, b2 = BETAS
     eps = 1e-8
-    m_w = [np.zeros_like(W) for W in model.weights]
-    v_w = [np.zeros_like(W) for W in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases  # each updated in place
+    moments = [(np.zeros_like(q), np.zeros_like(q)) for q in params]
     step = 0
     best_acc = -1.0
     best = None
@@ -344,13 +344,10 @@ def train_mlp(X, labels, seed: int, epochs: int = MLP_EPOCHS, hidden=DEFAULT_HID
             step += 1
             corr1 = 1.0 - b1**step
             corr2 = 1.0 - b2**step
-            for k in range(len(model.weights)):
-                m_w[k] = b1 * m_w[k] + (1 - b1) * grad_w[k]
-                v_w[k] = b2 * v_w[k] + (1 - b2) * grad_w[k] ** 2
-                model.weights[k] -= LEARNING_RATE * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
-                m_b[k] = b1 * m_b[k] + (1 - b1) * grad_b[k]
-                v_b[k] = b2 * v_b[k] + (1 - b2) * grad_b[k] ** 2
-                model.biases[k] -= LEARNING_RATE * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
+            for q, (m, v), g in zip(params, moments, grad_w + grad_b):
+                m[...] = b1 * m + (1 - b1) * g
+                v[...] = b2 * v + (1 - b2) * g**2
+                q -= LEARNING_RATE * (m / corr1) / (np.sqrt(v / corr2) + eps)
         acc = float(np.mean((model.predict_proba(X_val) >= 0.5) == (y_val == 1)))
         if acc > best_acc:
             best_acc = acc

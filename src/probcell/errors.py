@@ -21,10 +21,6 @@ class NonPositiveAleatoric(ProbcellError):
     """Aleatoric variance map contains values <= 0."""
 
 
-class EmptyWindow(ProbcellError):
-    """A clipped feature window contains no voxels."""
-
-
 class NonFiniteInput(ProbcellError, ValueError):
     """A map, feature row or coordinate holds NaN or infinite values."""
 

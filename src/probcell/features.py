@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import CoordSet
-from .errors import EmptyWindow, NonFiniteInput
+from .errors import NonFiniteInput
 from .volume import Volume3D
 
 N_PERCENTILES = 5
@@ -159,8 +159,6 @@ def extract_features(
             hi = np.minimum(raw_lo + w, shape)
             for i in range(n):
                 block = data[lo[i, 0] : hi[i, 0], lo[i, 1] : hi[i, 1], lo[i, 2] : hi[i, 2]]
-                if block.size == 0:
-                    raise EmptyWindow(f"window around proposal {i} is empty")
                 try:
                     out[i, col : col + STATS_PER_BLOCK] = _window_stats(
                         block, PERCENTILES, thresholds

@@ -108,6 +108,7 @@ _CHOICES["model_type"] = _CHOICES["type"]
 # The least value of each integer setting that has one.
 _MINIMA = {
     "config.classifier.n_trees": 1,
+    "config.classifier.epochs": 0,
     "config.threshold_grid": 1,
     "config.train_scenes": 1,
     "config.spatial.replicates": 2,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .coords import CoordSet
 from .errors import (
@@ -131,22 +131,17 @@ class DistanceCdf:
     def __post_init__(self):
         self.samples = np.sort(np.asarray(self.samples, dtype=np.float64).ravel())
 
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
     def evaluate(self, grid, mode: str = "empirical") -> np.ndarray:
+        """The step CDF on grid; "kde" smooths it unless Scott's bandwidth is 0."""
         grid = np.asarray(grid, dtype=np.float64)
-        if self.n == 0:
+        if self.samples.size == 0:
             raise EmptyCells("cannot evaluate a CDF of zero samples")
-        if mode == "empirical":
-            return np.searchsorted(self.samples, grid, side="right") / self.n
-        if mode == "kde":
-            h = scott_bandwidth(self.samples)
-            if h == 0.0:
-                return np.searchsorted(self.samples, grid, side="right") / self.n
-            return ndtr((grid[:, None] - self.samples[None, :]) / h).mean(axis=1)
-        raise ValueError(f"unknown cdf mode {mode!r}")
+        if mode not in CDF_MODES:
+            raise ValueError(f"unknown cdf mode {mode!r}")
+        h = scott_bandwidth(self.samples) if mode == "kde" else 0.0
+        if h == 0.0:
+            return np.searchsorted(self.samples, grid, side="right") / self.samples.size
+        return ndtr((grid[:, None] - self.samples[None, :]) / h).mean(axis=1)
 
 
 def scott_bandwidth(x: np.ndarray) -> float:
@@ -284,13 +279,19 @@ class SpatialPrelude:
 
 def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> SpatialPrelude:
     """Check the tissue mask once, then compute each structure's EDT, ESD
-    pool and sorted ESD CDF for both analyses."""
+    pool and sorted ESD CDF for both analyses. A structure on another grid
+    than the tissue (shape or voxel size) raises ShapeMismatch before its EDT."""
     n_tissue = _mask_count(tissue, "tissue")
     if n_tissue == 0:
         raise ValueError("tissue mask is empty")
     tissue_mm3 = n_tissue * tissue.voxel_volume_um3 / 1e9
     prepared = {}
     for name, structure in structures.items():
+        if (structure.shape, structure.voxel_size) != (tissue.shape, tissue.voxel_size):
+            raise ShapeMismatch(
+                f"structure {name!r} is {structure.shape} voxels of {structure.voxel_size} um, "
+                f"the tissue {tissue.shape} voxels of {tissue.voxel_size} um"
+            )
         edt = distance_transform(structure)
         # the boolean mask is rebuilt after each EDT, not held across it:
         # at 256^3 it would add 16 MB to the EDT's 350 MB traced peak
@@ -456,33 +457,7 @@ def ks_2sample(a, b) -> tuple[float, float]:
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     en = a.size * b.size / (a.size + b.size)
-    return stat, _kolmogorov_sf(np.sqrt(en) * stat)
-
-
-def _kolmogorov_sf(lam: float) -> float:
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for k in range(1, 101):
-        term = 2.0 * (-1.0) ** (k - 1) * np.exp(-2.0 * k * k * lam * lam)
-        total += term
-        if abs(term) < 1e-12:
-            break
-    return float(min(max(total, 0.0), 1.0))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    return stat, float(kolmogorov(np.sqrt(en) * stat))
 
 
 def wilcoxon_signed_rank(diffs) -> tuple[float, float]:
@@ -497,7 +472,10 @@ def wilcoxon_signed_rank(diffs) -> tuple[float, float]:
     d = d[d != 0.0]
     if d.size == 0:
         raise AllZeroDifferences("all differences are zero")
-    ranks = _average_ranks(np.abs(d))
+    # 1-based ranks of |d|, tied values sharing the mean of the ranks they span
+    absd = np.abs(d)
+    s = np.sort(absd)
+    ranks = 0.5 * (np.searchsorted(s, absd, "left") + np.searchsorted(s, absd, "right") + 1)
     w_plus = float(ranks[d > 0].sum())
     n = d.size
     if n <= 12:

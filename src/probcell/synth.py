@@ -38,7 +38,7 @@ from .coords import CoordSet
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible
 from .spatial import _exact_edt
-from .volume import Volume3D, on_two_cores
+from .volume import Volume3D, on_two_cores, voxel_centers_um
 
 # SD (um) of the Gaussians that smooth the surrogate's noise and the support
 # of its background bias
@@ -357,9 +357,7 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
     shape = spec.shape
     vs = np.asarray(spec.voxel_size, dtype=np.float64)
     extent = spec.extent_um
-    centers = [
-        (np.arange(n, dtype=np.float64) + 0.5) * v for n, v in zip(shape, vs)
-    ]
+    centers = [voxel_centers_um(n, v) for n, v in zip(shape, vs)]
     half = extent / 2.0
     zz = ((centers[0] - half[0]) / half[0]) ** 2
     yy = ((centers[1] - half[1]) / half[1]) ** 2

@@ -181,22 +181,28 @@ def exhaustive_best_split(X, y):
     return best
 
 
+def loop_average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks by a walk over the stably sorted values, each run of
+    ties given the mean of the ranks it spans."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def wilcoxon_enumeration(diffs):
     """Exact two-sided p over all 2^n sign assignments of the realized ranks."""
     d = np.asarray(diffs, dtype=np.float64)
     d = d[d != 0]
     n = d.size
-    absd = np.abs(d)
-    order = np.argsort(absd, kind="stable")
-    ranks = np.empty(n)
-    sa = absd[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sa[j + 1] == sa[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = loop_average_ranks(np.abs(d))
     w_obs = ranks[d > 0].sum()
     n_le = 0
     n_ge = 0
@@ -220,6 +226,22 @@ def ks_statistic_sweep(a, b):
         fb = np.mean(b <= x)
         stat = max(stat, abs(fa - fb))
     return float(stat)
+
+
+def series_kolmogorov_sf(lam: float) -> float:
+    """Kolmogorov survival function by its alternating series,
+    2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2), truncated once a term drops below
+    1e-12 (at most 100 terms) and clipped to [0, 1]. Accurate for lam >= 0.5;
+    below about 0.2 the truncation leaves it far from the true value 1."""
+    if lam <= 0:
+        return 1.0
+    total = 0.0
+    for k in range(1, 101):
+        term = 2.0 * (-1.0) ** (k - 1) * np.exp(-2.0 * k * k * lam * lam)
+        total += term
+        if abs(term) < 1e-12:
+            break
+    return float(min(max(total, 0.0), 1.0))
 
 
 def reference_window_stats(values, pcts, thresholds):
@@ -602,3 +624,85 @@ def reference_tiled_detect(dm, tiling, nms):
         coords.append(c[keep])
         values.append(peaks.dm_value[keep])
     return np.concatenate(coords), np.concatenate(values)
+
+
+def reference_train_mlp(X, labels, seed, epochs, hidden, lr=1e-3, betas=(0.9, 0.999), batch=32):
+    """(weights, biases) of the MLP training loop written out layer by layer:
+    He-normal init, a stratified 20% validation split, a forward and backward
+    pass per minibatch and separate adaptive moments for weights and biases,
+    keeping the epoch with the best validation accuracy."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    rng = np.random.default_rng(seed)
+    sizes = [X.shape[1], *hidden, 1]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def forward(a):
+        acts = [a]
+        for W, b in zip(weights[:-1], biases[:-1]):
+            a = np.maximum(a @ W + b, 0.0)
+            acts.append(a)
+        return acts, (a @ weights[-1] + biases[-1]).ravel()
+
+    rng = np.random.default_rng(seed)
+    val_idx = []
+    for cls in (0, 1):
+        cls_idx = np.nonzero(y == cls)[0]
+        cls_idx = cls_idx[rng.permutation(cls_idx.size)]
+        take = int(round(0.2 * cls_idx.size))
+        if cls_idx.size >= 2:
+            take = max(take, 1)
+        val_idx.extend(cls_idx[:take].tolist())
+    val_mask = np.zeros(y.size, dtype=bool)
+    val_mask[val_idx] = True
+    X_tr, y_tr = X[~val_mask], y[~val_mask]
+    X_val, y_val = X[val_mask], y[val_mask]
+
+    b1, b2 = betas
+    m_w = [np.zeros_like(W) for W in weights]
+    v_w = [np.zeros_like(W) for W in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    step, best_acc, best = 0, -1.0, None
+    n = X_tr.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            acts, z = forward(X_tr[idx])
+            delta = ((sigmoid(z) - y_tr[idx]) / idx.size)[:, None]
+            grad_w, grad_b = [None] * len(weights), [None] * len(biases)
+            grad_w[-1] = acts[-1].T @ delta
+            grad_b[-1] = delta.sum(axis=0)
+            back = delta @ weights[-1].T
+            for layer in range(len(weights) - 2, -1, -1):
+                back = back * (acts[layer + 1] > 0)
+                grad_w[layer] = acts[layer].T @ back
+                grad_b[layer] = back.sum(axis=0)
+                if layer > 0:
+                    back = back @ weights[layer].T
+            step += 1
+            corr1, corr2 = 1.0 - b1**step, 1.0 - b2**step
+            for k in range(len(weights)):
+                m_w[k] = b1 * m_w[k] + (1 - b1) * grad_w[k]
+                v_w[k] = b2 * v_w[k] + (1 - b2) * grad_w[k] ** 2
+                weights[k] -= lr * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + 1e-8)
+                m_b[k] = b1 * m_b[k] + (1 - b1) * grad_b[k]
+                v_b[k] = b2 * v_b[k] + (1 - b2) * grad_b[k] ** 2
+                biases[k] -= lr * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + 1e-8)
+        acc = float(np.mean((sigmoid(forward(X_val)[1]) >= 0.5) == (y_val == 1)))
+        if acc > best_acc:
+            best_acc = acc
+            best = ([W.copy() for W in weights], [b.copy() for b in biases])
+    return best

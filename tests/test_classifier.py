@@ -26,7 +26,7 @@ from probcell.errors import (
 )
 
 from conftest import vol
-from oracles import central_difference_gradient, exhaustive_best_split
+from oracles import central_difference_gradient, exhaustive_best_split, reference_train_mlp
 
 
 def separable_1d(rng, n=60):
@@ -196,6 +196,27 @@ class TestMlp:
     def test_single_class_rejected(self, rng):
         with pytest.raises(SingleClass):
             train_mlp(rng.random((10, 2)), np.zeros(10), seed=0)
+
+    def test_negative_epochs_rejected(self, rng):
+        X = rng.random((20, 2))
+        y = np.arange(20) % 2
+        with pytest.raises(ValueError, match="epochs"):
+            train_mlp(X, y, seed=0, epochs=-1)
+
+    @pytest.mark.parametrize("n, hidden", [
+        (50, (6,)),         # 40 training rows: one full batch and a remainder of 8
+        (85, (8, 5)),       # 68 rows: two full batches and a remainder of 4
+        (80, (7, 6, 3)),    # 64 rows: two full batches, no remainder
+        (30, (50, 50, 20, 20)),  # 24 rows: one short batch
+    ])
+    def test_weights_equal_layer_by_layer_loop(self, n, hidden):
+        g = np.random.default_rng(n)
+        X = g.normal(size=(n, 3))
+        y = (X[:, 0] + 0.5 * g.normal(size=n) > 0).astype(float)
+        model = train_mlp(X, y, seed=3, epochs=5, hidden=hidden)
+        weights, biases = reference_train_mlp(X, y, seed=3, epochs=5, hidden=hidden)
+        for got, want in zip(model.weights + model.biases, weights + biases, strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSerialization:

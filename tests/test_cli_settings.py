@@ -135,6 +135,7 @@ REPRODUCTIONS = [
     ("pipeline", {"t_match_um": 0}, {}, "InvalidConfig"),
     ("pipeline", {"test_scene": {"noise_sd": -1}}, {}, "InvalidConfig"),
     ("pipeline", {"test_scene": {"sigma_um": 1e300}}, {}, "InvalidConfig"),
+    ("pipeline", {"classifier": {"type": "mlp", "epochs": -1}}, {}, "InvalidConfig"),
 ]
 
 

@@ -1,4 +1,8 @@
+import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,13 @@ from probcell import (
     wilcoxon_signed_rank,
 )
 from probcell.cli import main
-from probcell.errors import AllZeroDifferences, DegenerateESD, EmptyCells, EmptyStructure
+from probcell.errors import (
+    AllZeroDifferences,
+    DegenerateESD,
+    EmptyCells,
+    EmptyStructure,
+    ShapeMismatch,
+)
 from probcell.pipeline import run_pipeline
 from probcell.spatial import DistanceCdf, _exact_edt
 
@@ -29,8 +39,10 @@ from conftest import vol
 from oracles import (
     brute_force_edt,
     ks_statistic_sweep,
+    loop_average_ranks,
     reference_analyze_deterministic,
     reference_analyze_probabilistic,
+    series_kolmogorov_sf,
     wilcoxon_enumeration,
 )
 
@@ -422,6 +434,38 @@ class TestPreparedPrelude:
         assert rc == 0
         assert len(calls) == 1
 
+    @staticmethod
+    def _grids_1um_and_2um():
+        structure = np.zeros((16, 16, 16))
+        structure[8] = 1.0
+        return mask(structure, (1.0, 1.0, 1.0)), mask(np.ones((16, 16, 16)), (2.0, 2.0, 2.0))
+
+    def test_voxel_size_mismatch_raises_before_edt(self, monkeypatch):
+        import probcell.spatial as spatial
+
+        def no_edt(structure):
+            raise AssertionError("the EDT ran on a structure of another voxel size")
+
+        monkeypatch.setattr(spatial, "distance_transform", no_edt)
+        structure, tissue = self._grids_1um_and_2um()
+        with pytest.raises(ShapeMismatch, match=r"\(1\.0, 1\.0, 1\.0\).*\(2\.0, 2\.0, 2\.0\)"):
+            prepare_spatial({"tube": structure}, tissue)
+
+    def test_cli_voxel_size_mismatch_exit_1_with_json(self, tmp_path, capsys):
+        structure, tissue = self._grids_1um_and_2um()
+        save_coords(CoordSet(np.array([[3.0, 3.0, 3.0]])), tmp_path / "cells.csv")
+        save_volume(structure, tmp_path / "structure")
+        save_volume(tissue, tmp_path / "tissue")
+        rc = main([
+            "spatial", "--cells", str(tmp_path / "cells.csv"),
+            "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
+            "--out-dir", str(tmp_path / "sp"),
+        ])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ShapeMismatch"
+        assert not (tmp_path / "sp" / "report.json").exists()
+
 
 class TestKdeCdf:
     def test_scott_bandwidth_formula(self, rng):
@@ -440,6 +484,10 @@ class TestKdeCdf:
     def test_degenerate_sample_falls_back_to_step(self):
         values = DistanceCdf(np.array([2.0, 2.0])).evaluate(np.array([1.0, 2.0, 3.0]), mode="kde")
         assert np.array_equal(values, [0.0, 1.0, 1.0])
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="bogus"):
+            DistanceCdf(np.array([1.0, 2.0])).evaluate(np.array([1.5]), mode="bogus")
 
 
 class TestKs2Sample:
@@ -467,6 +515,37 @@ class TestKs2Sample:
         _, p_same = ks_2sample(same_a, same_b)
         _, p_diff = ks_2sample(same_a, shifted)
         assert p_diff < 1e-6 < p_same
+
+    def test_one_point_difference_p_one(self):
+        """A sample against itself minus one point has lambda = 0.0056, where
+        the true Kolmogorov survival is 1 (a truncated series gave 0.46)."""
+        a = np.random.default_rng(0).normal(size=5000)
+        _, p = ks_2sample(a, a[1:])
+        assert p == 1.0
+
+    def test_p_matches_series_for_lambda_at_least_half(self, rng):
+        checked = 0
+        for _ in range(200):
+            a = rng.normal(size=int(rng.integers(5, 200)))
+            b = rng.normal(rng.uniform(0.0, 2.0), size=int(rng.integers(5, 200)))
+            stat, p = ks_2sample(a, b)
+            lam = np.sqrt(a.size * b.size / (a.size + b.size)) * stat
+            if lam >= 0.5:
+                assert abs(p - series_kolmogorov_sf(lam)) <= 1e-13
+                checked += 1
+        assert checked > 100
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """The KS p-value comes from scipy.special; importing scipy.stats would
+    add about half a second to every start of the package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import probcell; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestWilcoxon:
@@ -508,3 +587,30 @@ class TestWilcoxon:
         shifted = np.abs(rng.normal(2.0, 0.2, size=40))
         _, p_shift = wilcoxon_signed_rank(shifted)
         assert p_shift < 1e-6
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        magnitudes=st.lists(st.integers(1, 4), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tied_ranks_equal_loop_reference(self, magnitudes, seed):
+        """Magnitudes from 1..4 force ties on both the exact (n <= 12) and
+        the normal-approximation branch. Flipping one difference positive
+        makes W+ that difference's rank, so each rank is read back through
+        the public test."""
+        absd = np.asarray(magnitudes, dtype=np.float64) / 4.0
+        d = absd * np.random.default_rng(seed).choice([-1.0, 1.0], size=absd.size)
+        want_ranks = loop_average_ranks(absd)
+        for i in range(absd.size):
+            one_positive = -absd
+            one_positive[i] = absd[i]
+            assert wilcoxon_signed_rank(one_positive)[0] == want_ranks[i]
+        w, p = wilcoxon_signed_rank(d)
+        assert w == want_ranks[d > 0].sum()
+        if d.size <= 12:
+            assert (w, p) == wilcoxon_enumeration(d)
+        else:
+            from scipy.stats import wilcoxon
+
+            want = wilcoxon(d, zero_method="wilcox", correction=False, method="approx")
+            assert p == pytest.approx(want.pvalue, rel=1e-12)
