@@ -408,7 +408,7 @@ def load_model(path):
         fmt = payload["format"]
         if fmt == FOREST_FORMAT:
             model = ForestModel(
-                n_features=int(payload["n_features"]),
+                n_features=_json_int(payload["n_features"]),
                 trees=[
                     Tree(
                         feature=_node_indices(t["feature"]),
@@ -420,7 +420,7 @@ def load_model(path):
                     )
                     for t in payload["trees"]
                 ],
-                seed=int(payload["seed"]),
+                seed=_json_int(payload["seed"]),
             )
         elif fmt == MLP_FORMAT:
             model = MlpModel(
@@ -429,7 +429,7 @@ def load_model(path):
                     for w, shape in zip(payload["weights"], payload["layers"], strict=True)
                 ],
                 biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-                seed=int(payload["seed"]),
+                seed=_json_int(payload["seed"]),
             )
         else:
             model = None
@@ -442,6 +442,13 @@ def load_model(path):
     else:
         raise InvalidModel(f"unknown model format {fmt!r}")
     return model
+
+
+def _json_int(value) -> int:
+    """A JSON integer as it was written: int() would turn 4.9 into 4 and true into 1."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} must be a JSON integer")
+    return value
 
 
 def _node_indices(values) -> np.ndarray:

@@ -28,7 +28,7 @@ from .classifier import (
     train_forest,
     train_mlp,
 )
-from .coords import load_coords, save_coords
+from .coords import load_coords, save_coords, write_csv
 from .densitymap import KernelSpec, render_dm
 from .detect import NmsConfig, detect_peaks
 from .errors import ProbcellError
@@ -37,10 +37,6 @@ from .features import FeatureSpec, extract_features, feature_names
 from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
 from .volume import Volume3D, load_volume, on_two_cores, raw_data, save_volume
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _summary(cfg: dict, outputs: dict, extra: dict | None = None) -> int:
@@ -53,14 +49,6 @@ def _summary(cfg: dict, outputs: dict, extra: dict | None = None) -> int:
     payload.update(extra or {})
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return 0
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    """A header line, then each row's values as repr floats."""
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _load_maps(cfg) -> list[tuple[str, Volume3D]]:
@@ -80,28 +68,22 @@ def cmd_synth(cfg) -> int:
     volumes = {"dm": ro.dm, "aleatoric": ro.aleatoric, "epistemic": ro.epistemic,
                "structure": structure, "tissue": tissue}
     out.mkdir(parents=True, exist_ok=True)
+    # the six files written, each hashed from the bytes just written
     written = {}
     for name, v in volumes.items():
         save_volume(v, out / name)
         written[f"{name}.raw"] = raw_data(v)
     save_coords(gt, out / "gt.csv")
-    files = sorted(
-        str(p.relative_to(out)) for p in out.iterdir() if p.suffix in (".raw", ".csv")
-    )
-    digests = [""] * len(files)
+    written["gt.csv"] = (out / "gt.csv").read_bytes()
+    files, digests = sorted(written), {}
 
     def digest(start, stop):
-        # hashlib releases the GIL; a volume is hashed from the buffer just
-        # written, any other file from disk
-        for i in range(start, stop):
-            data = written.get(files[i])
-            if data is None:
-                data = (out / files[i]).read_bytes()
-            digests[i] = hashlib.sha256(data).hexdigest()
+        for name in files[start:stop]:  # hashlib releases the GIL
+            digests[name] = hashlib.sha256(written[name]).hexdigest()
 
     on_two_cores(digest, len(files))
-    manifest = {"spec": cfg, "files": dict(zip(files, digests))}
-    _write_json(out / "manifest.json", manifest)
+    manifest = {"spec": cfg, "files": digests}  # written with sorted keys
+    pipeline_mod.write_json(out / "manifest.json", manifest)
     return _summary(cfg, {"manifest": out / "manifest.json"}, {"n_cells": len(gt)})
 
 
@@ -126,7 +108,7 @@ def cmd_features(cfg) -> int:
     spec = FeatureSpec()
     X = extract_features(maps, proposals, spec)
     names = feature_names([name for name, _ in maps], spec)
-    _write_csv(cfg["out"], names, X)
+    write_csv(cfg["out"], names, X)
     return _summary(cfg, {"features": cfg["out"]},
                     {"n_rows": int(X.shape[0]), "d": int(X.shape[1])})
 
@@ -171,7 +153,7 @@ def cmd_eval(cfg) -> int:
             "aggregate": aggregate_reports(reports),
         }
     if cfg.get("out"):
-        _write_json(Path(cfg["out"]), report)
+        pipeline_mod.write_json(Path(cfg["out"]), report)
     print(json.dumps(report, sort_keys=True, allow_nan=False))
     return 0
 
@@ -201,8 +183,8 @@ def cmd_spatial(cfg) -> int:
             cols["esd_cdf"] = sa.esd_cdf
             if sa.esd_envelope is not None:
                 cols["esd_lower"], cols["esd_upper"] = sa.esd_envelope
-            _write_csv(out_dir / f"curves_{name}.csv", list(cols), zip(*cols.values()))
-    _write_json(out_dir / "report.json", report)
+            write_csv(out_dir / f"curves_{name}.csv", list(cols), zip(*cols.values()))
+    pipeline_mod.write_json(out_dir / "report.json", report)
     return _summary(cfg, {"report": out_dir / "report.json"})
 
 

@@ -59,21 +59,21 @@ class CoordSet:
         )
 
 
-def save_coords(cs: CoordSet, path) -> None:
-    path = Path(path)
-    header = ["z_um", "y_um", "x_um"]
-    cols = [cs.coords[:, 0], cs.coords[:, 1], cs.coords[:, 2]]
-    if cs.p is not None:
-        header.append("p")
-        cols.append(cs.p)
-    if cs.dm_value is not None:
-        header.append("dm_value")
-        cols.append(cs.dm_value)
-    with path.open("w", newline="") as f:
+def write_csv(path, header: list[str], rows) -> None:
+    """A header row, then each row's values as repr floats, by ``csv.writer``
+    (CRLF line ends, RFC 4180)."""
+    with Path(path).open("w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in zip(*cols):
+        for row in rows:
             w.writerow([repr(float(v)) for v in row])
+
+
+def save_coords(cs: CoordSet, path) -> None:
+    cols = {"z_um": cs.coords[:, 0], "y_um": cs.coords[:, 1], "x_um": cs.coords[:, 2],
+            "p": cs.p, "dm_value": cs.dm_value}
+    cols = {name: col for name, col in cols.items() if col is not None}
+    write_csv(path, list(cols), zip(*cols.values()))
 
 
 def load_coords(path) -> CoordSet:

@@ -96,8 +96,6 @@ def render_dm(
     vs = np.asarray(voxel_size, dtype=np.float64)
     acc = np.zeros(shape, dtype=np.float64)
     pts = coords.coords
-    if len(coords) == 0:
-        return Volume3D(acc.astype(np.float32), tuple(vs))
     if scales is None:
         scale_arr = np.ones(len(coords), dtype=np.float64)
     else:

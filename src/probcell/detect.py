@@ -102,8 +102,6 @@ def detect_peaks(dm: Volume3D, cfg: NmsConfig = NmsConfig()) -> CoordSet:
     every returned pair of peaks is at least ``min_distance_um`` apart.
     """
     idx, values = local_maxima(dm, cfg.threshold)
-    if idx.shape[0] == 0:
-        return CoordSet(np.zeros((0, 3)), dm_value=np.zeros(0))
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -values))
     idx = idx[order]
     values = values[order]

@@ -70,9 +70,6 @@ def hungarian_match(gt: CoordSet, pred: CoordSet) -> list[tuple[int, int, float]
     Returns (gt_index, pred_index, distance_um) sorted by gt index. Either
     side may be empty.
     """
-    n, m = len(gt), len(pred)
-    if n == 0 or m == 0:
-        return []
     diff = gt.coords[:, None, :] - pred.coords[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     rows, cols = linear_sum_assignment(dist)

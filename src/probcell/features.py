@@ -141,8 +141,6 @@ def extract_features(
     n = len(proposals)
     d = spec.dimension(len(maps))
     out = np.empty((n, d), dtype=np.float64)
-    if n == 0:
-        return out
     centers = np.floor(proposals.coords / vs).astype(int)
     if np.any(centers < 0) or np.any(centers >= np.asarray(shape)):
         raise ValueError("proposals must lie inside the volume")

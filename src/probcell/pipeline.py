@@ -355,12 +355,15 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         report["artifacts"] = {
             name: sha256_file(out_dir / name) for name in ("model.json", "proposals.csv")
         }
-        (out_dir / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        )
+        write_json(out_dir / "report.json", report)
     return report
 
 
 def sha256_file(path: Path) -> str:
     """Hex SHA-256 of a file's bytes, as recorded in reports and run summaries."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """A report as indented, key-sorted, strict JSON with a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

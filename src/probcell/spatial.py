@@ -38,6 +38,7 @@ from .errors import (
     DegenerateESD,
     EmptyCells,
     EmptyStructure,
+    NonFiniteInput,
     ShapeMismatch,
 )
 from .volume import Volume3D, on_two_cores, sample_trilinear
@@ -130,6 +131,9 @@ class DistanceCdf:
 
     def __post_init__(self):
         self.samples = np.sort(np.asarray(self.samples, dtype=np.float64).ravel())
+        # NaN and +inf sort last, -inf first
+        if self.samples.size and not np.isfinite(self.samples[[0, -1]]).all():
+            raise NonFiniteInput("distance samples must be finite")
 
     def evaluate(self, grid, mode: str = "empirical") -> np.ndarray:
         """The step CDF on grid; "kde" smooths it unless Scott's bandwidth is 0."""
@@ -448,16 +452,13 @@ def analyze_probabilistic(
 
 def ks_2sample(a, b) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic with asymptotic two-sided p."""
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    if a.size == 0 or b.size == 0:
+    a, b = DistanceCdf(a), DistanceCdf(b)
+    n, m = a.samples.size, b.samples.size
+    if n == 0 or m == 0:
         raise ValueError("both samples must be nonempty")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    stat = float(np.max(np.abs(cdf_a - cdf_b)))
-    en = a.size * b.size / (a.size + b.size)
-    return stat, float(kolmogorov(np.sqrt(en) * stat))
+    grid = np.concatenate([a.samples, b.samples])
+    stat = float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid))))
+    return stat, float(kolmogorov(np.sqrt(n * m / (n + m)) * stat))
 
 
 def wilcoxon_signed_rank(diffs) -> tuple[float, float]:
@@ -469,6 +470,8 @@ def wilcoxon_signed_rank(diffs) -> tuple[float, float]:
     n <= 12 and a tie-corrected normal approximation otherwise.
     """
     d = np.asarray(diffs, dtype=np.float64).ravel()
+    if not np.isfinite(d).all():
+        raise NonFiniteInput("differences must be finite")
     d = d[d != 0.0]
     if d.size == 0:
         raise AllZeroDifferences("all differences are zero")

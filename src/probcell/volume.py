@@ -133,6 +133,9 @@ class TilingConfig:
             val = tuple(int(x) for x in getattr(self, name))
             if len(val) != 3:
                 raise ValueError(f"{name} must have three entries")
+            least = 1 if name == "l_in" else 0
+            if min(val) < least:
+                raise ValueError(f"{name} must be >= {least} per axis, got {val}")
             object.__setattr__(self, name, val)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {list(STRATEGIES)}, got {self.strategy!r}")
@@ -273,6 +276,9 @@ def load_volume(base_path) -> Volume3D:
     shape = tuple(sidecar["shape"])
     if not all(type(s) is int for s in shape):
         raise ValueError(f"{json_path}: shape {list(shape)} must hold JSON integers")
+    voxel_size = tuple(sidecar["voxel_size_um"])
+    if not all(type(v) in (int, float) for v in voxel_size):
+        raise ValueError(f"{json_path}: voxel_size_um {list(voxel_size)} must hold JSON numbers")
     size = raw_path.stat().st_size
     expected = math.prod(shape) * 4
     if size != expected:
@@ -282,4 +288,4 @@ def load_volume(base_path) -> Volume3D:
         )
     # read once, straight into the array: no bytes object beside it
     data = np.fromfile(raw_path, dtype="<f4").reshape(shape)
-    return Volume3D(data.astype(np.float32, copy=False), tuple(sidecar["voxel_size_um"]))
+    return Volume3D(data.astype(np.float32, copy=False), voxel_size)

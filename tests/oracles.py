@@ -228,6 +228,21 @@ def ks_statistic_sweep(a, b):
     return float(stat)
 
 
+def step_cdf_ks_2sample(a, b):
+    """Two-sample KS (statistic, p) with its own sorted samples and two
+    searchsorted step CDFs on the pooled points, as first implemented."""
+    from scipy.special import kolmogorov
+
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    stat = float(np.max(np.abs(cdf_a - cdf_b)))
+    en = a.size * b.size / (a.size + b.size)
+    return stat, float(kolmogorov(np.sqrt(en) * stat))
+
+
 def series_kolmogorov_sf(lam: float) -> float:
     """Kolmogorov survival function by its alternating series,
     2 sum_k (-1)^(k-1) exp(-2 k^2 lam^2), truncated once a term drops below

@@ -264,6 +264,9 @@ MALFORMED_FORESTS = {
     "float_child_index": _stump(left=[1.5, -1, -1]),
     "float_feature_index": _stump(feature=[0.5, -1, -1]),
     "boolean_child_index": _stump(right=[True, -1, -1]),
+    # and these as n_features 4 and seed 1
+    "float_n_features": {**_stump(), "n_features": 4.9},
+    "boolean_seed": {**_stump(), "seed": True},
 }
 
 
@@ -302,6 +305,16 @@ class TestModelValidation:
         payload = json.loads((tmp_path / "mlp.json").read_text())
         payload["layers"][1] = [2, 2]
         payload["weights"][1] = payload["weights"][1][:4]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(InvalidModel):
+            load_model(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_mlp_seed_must_be_json_integer(self, rng, tmp_path, seed):
+        model = train_mlp(rng.random((30, 3)), np.arange(30) % 2, seed=0, epochs=1, hidden=(4,))
+        save_model(model, tmp_path / "mlp.json")
+        payload = json.loads((tmp_path / "mlp.json").read_text())
+        payload["seed"] = seed
         (tmp_path / "bad.json").write_text(json.dumps(payload))
         with pytest.raises(InvalidModel):
             load_model(tmp_path / "bad.json")

@@ -27,6 +27,7 @@ class TestHungarian:
     def test_empty_sides(self):
         assert hungarian_match(CoordSet.empty(), cs([0, 0, 0])) == []
         assert hungarian_match(cs([0, 0, 0]), CoordSet.empty()) == []
+        assert hungarian_match(CoordSet.empty(), CoordSet.empty()) == []
 
     def test_matches_permutation_oracle(self, rng):
         for _ in range(100):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -14,8 +15,10 @@ from probcell import (
     TilingConfig,
     Volume3D,
     detect_peaks,
+    extract_features,
     generate_coords,
     load_coords,
+    load_volume,
     oracle_regress,
     plan_tiling,
     render_dm,
@@ -24,6 +27,7 @@ from probcell import (
     save_volume,
     train_forest,
 )
+from probcell import pipeline as pipeline_mod
 from probcell.cli import main
 from probcell.errors import InvalidConfig, ProbcellError
 from probcell.pipeline import (
@@ -226,6 +230,15 @@ class TestRunPipeline:
         assert report["classifier"]["type"] == "mlp"
         assert 0.0 <= report["classifier"]["test_brier"] <= 1.0
 
+    @pytest.mark.parametrize("field", ["conv_margin", "peak_margin"])
+    def test_negative_tiling_margin_raises_before_the_first_scene(self, monkeypatch, field):
+        def no_scene(spec):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(pipeline_mod, "generate_coords", no_scene)
+        with pytest.raises(InvalidConfig, match=field):
+            run_pipeline({"tiling": {field: [-2, -2, -2]}})
+
 
 _NAMES = st.sampled_from(["n_tres", "n_cell", "seed", "epochs"]) | st.text(max_size=4)
 _VALUES = st.recursive(
@@ -371,6 +384,64 @@ class TestCli:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["recall"] == 1.0
 
+    def test_synth_manifest_lists_exactly_its_outputs(self, tmp_path):
+        scene = tmp_path / "scene"
+        scene.mkdir()
+        (scene / "old.raw").write_bytes(b"stale")
+        (scene / "notes.csv").write_text("a,b\n")
+        rc = main(["synth", "--out", str(scene), "--shape", "24", "24", "24",
+                   "--n-cells", "3", "--n-distractors", "0", "--n-tubes", "1"])
+        assert rc == 0
+        files = json.loads((scene / "manifest.json").read_text())["files"]
+        assert list(files) == ["aleatoric.raw", "dm.raw", "epistemic.raw", "gt.csv",
+                               "structure.raw", "tissue.raw"]
+        for name, digest in files.items():
+            assert digest == hashlib.sha256((scene / name).read_bytes()).hexdigest()
+
+    def test_every_csv_ends_lines_with_crlf_and_loads_back(self, tmp_path):
+        scene = tmp_path / "scene"
+        maps = ["--dm", str(scene / "dm"), "--u-a", str(scene / "aleatoric"),
+                "--u-e", str(scene / "epistemic"), "--proposals", str(tmp_path / "peaks.csv")]
+        commands = [
+            ["synth", "--out", str(scene), "--shape", "40", "40", "40", "--n-cells", "8",
+             "--n-distractors", "4", "--n-tubes", "1", "--seed", "3"],
+            ["detect", "--volume", str(scene / "dm"), "--out", str(tmp_path / "peaks.csv")],
+            ["features", *maps, "--out", str(tmp_path / "features.csv")],
+            ["train-classifier", *maps, "--gt", str(scene / "gt.csv"),
+             "--out", str(tmp_path / "model.json")],
+            ["classify", "--model", str(tmp_path / "model.json"), *maps,
+             "--out", str(tmp_path / "classified.csv")],
+            ["spatial", "--cells", str(tmp_path / "classified.csv"),
+             "--structure", str(scene / "structure"), "--tissue", str(scene / "tissue"),
+             "--replicates", "4", "--out-dir", str(tmp_path / "sp")],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
+
+        def crlf_rows(path):
+            data = path.read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+            header, *rows = data.decode().split("\r\n")[:-1]
+            return header.split(","), [[float(v) for v in row.split(",")] for row in rows]
+
+        for path in (scene / "gt.csv", tmp_path / "peaks.csv", tmp_path / "classified.csv"):
+            crlf_rows(path)
+            save_coords(load_coords(path), tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+        names, rows = crlf_rows(tmp_path / "features.csv")
+        X = extract_features(
+            [(n, load_volume(scene / f)) for n, f in
+             (("dm", "dm"), ("u_a", "aleatoric"), ("u_e", "epistemic"))],
+            load_coords(tmp_path / "peaks.csv"),
+        )
+        assert len(names) == X.shape[1] and np.array_equal(np.asarray(rows), X)
+        curves = json.loads((tmp_path / "sp" / "report.json").read_text())
+        curves = curves["probabilistic"]["structures"]["structure"]
+        names, rows = crlf_rows(tmp_path / "sp" / "curves_structure.csv")
+        assert names[:2] == ["distance_um", "cell_cdf"] and len(rows) > 0
+        assert np.array_equal(np.asarray(rows)[:, 0], curves["distance_grid_um"])
+        assert np.array_equal(np.asarray(rows)[:, 1], curves["cell_cdf"])
+
     def test_train_and_classify(self, tmp_path, capsys):
         scene = tmp_path / "scene"
         main(["synth", "--out", str(scene), "--shape", "48", "48", "48",
@@ -511,6 +582,7 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("voxel_size_um", [float("nan"), 1.0, 1.0]),
         ("shape", [4, 4, 4.7]),
+        ("voxel_size_um", [1, 1, True]),
     ])
     def test_bad_sidecar_exit_1_with_json(self, tmp_path, capsys, key, value):
         from conftest import vol
@@ -663,6 +735,7 @@ class TestCliConfig:
         {"classifier": {"n_trees": 0}},
         {"threshold_grid": 0},
         {"spatial": {"replicates": 1}},
+        {"tiling": {"peak_margin": [-2, -2, -2]}},
     ])
     def test_pipeline_nested_config_exit_1(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "pipe.json"

@@ -30,6 +30,7 @@ from probcell.errors import (
     DegenerateESD,
     EmptyCells,
     EmptyStructure,
+    NonFiniteInput,
     ShapeMismatch,
 )
 from probcell.pipeline import run_pipeline
@@ -43,6 +44,7 @@ from oracles import (
     reference_analyze_deterministic,
     reference_analyze_probabilistic,
     series_kolmogorov_sf,
+    step_cdf_ks_2sample,
     wilcoxon_enumeration,
 )
 
@@ -485,6 +487,12 @@ class TestKdeCdf:
         values = DistanceCdf(np.array([2.0, 2.0])).evaluate(np.array([1.0, 2.0, 3.0]), mode="kde")
         assert np.array_equal(values, [0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["kde", "empirical"])
+    def test_non_finite_samples_raise(self, bad, mode):
+        with pytest.raises(NonFiniteInput):
+            DistanceCdf(np.array([bad, 1.0, 2.0])).evaluate(np.array([0.0, 1.0, 2.0]), mode)
+
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="bogus"):
             DistanceCdf(np.array([1.0, 2.0])).evaluate(np.array([1.5]), mode="bogus")
@@ -507,6 +515,25 @@ class TestKs2Sample:
             b = rng.normal(size=int(rng.integers(2, 30)))
             stat, _ = ks_2sample(a, b)
             assert stat == pytest.approx(ks_statistic_sweep(a, b), abs=1e-12)
+
+    def test_equals_step_cdf_reference_bit_for_bit(self, rng):
+        for _ in range(100):
+            a = np.round(rng.normal(size=int(rng.integers(1, 60))), 1)  # ties too
+            b = np.round(rng.normal(rng.uniform(0, 1), size=int(rng.integers(1, 60))), 1)
+            assert ks_2sample(a, b) == step_cdf_ks_2sample(a, b)
+
+    def test_empty_sample_raises_value_error(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ks_2sample([], [1.0])
+        with pytest.raises(ValueError, match="nonempty"):
+            ks_2sample([1.0], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(NonFiniteInput):
+            ks_2sample([bad, 1.0], [1.0, 2.0])
+        with pytest.raises(NonFiniteInput):
+            ks_2sample([1.0, 2.0], [1.0, bad])
 
     def test_p_value_direction(self, rng):
         same_a = rng.normal(size=300)
@@ -566,6 +593,11 @@ class TestWilcoxon:
     def test_all_zero_raises(self):
         with pytest.raises(AllZeroDifferences):
             wilcoxon_signed_rank([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(NonFiniteInput):
+            wilcoxon_signed_rank([bad, 1.0, 2.0])
 
     def test_exact_matches_enumeration(self, rng):
         for _ in range(50):

@@ -68,6 +68,17 @@ class TestTilingConfig:
         with pytest.raises(ValueError):
             TilingConfig((10, 10, 10), (2, 2, 2), (1, 1, 1), M_CONV)  # margin under m_conv
 
+    @pytest.mark.parametrize("field, args", [
+        ("l_in", ((-5,) * 3, (-4,) * 3, (0,) * 3, M_CONV)),  # l_out 3 from negatives
+        ("conv_margin", ((8,) * 3, (-1,) * 3, (0,) * 3, M_CONV)),
+        ("peak_margin", ((24,) * 3, (4,) * 3, (-2,) * 3, M_PEAK)),
+    ])
+    def test_negative_sizes_rejected_by_name(self, field, args):
+        """A negative peak margin would leave each predicted box short of its
+        own core, so peaks there would have no owner."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            TilingConfig(*args)
+
 
 class TestPlanTiling:
     def test_single_patch_when_shape_equals_tile(self):
@@ -200,6 +211,8 @@ class TestVolumeIO:
         ("voxel_size_um", [1.0, float("inf"), 1.0]),
         ("shape", [4, 4, 4.7]),
         ("shape", [4, 4, "4"]),
+        ("voxel_size_um", [1, 1, True]),  # used to load as (1.0, 1.0, 1.0)
+        ("voxel_size_um", ["1.5", 1, 1]),  # and as (1.5, 1.0, 1.0)
     ])
     def test_sidecar_numbers_checked(self, tmp_path, key, value):
         save_volume(vol(np.zeros((4, 4, 4))), tmp_path / "vol")
@@ -208,6 +221,11 @@ class TestVolumeIO:
         (tmp_path / "vol.json").write_text(json.dumps(sidecar))
         with pytest.raises(ValueError):
             load_volume(tmp_path / "vol")
+
+    def test_sidecar_integer_voxel_size_loads(self, tmp_path):
+        save_volume(vol(np.zeros((4, 4, 4))), tmp_path / "vol")
+        (tmp_path / "vol.json").write_text(json.dumps({"shape": [4, 4, 4], "voxel_size_um": [1, 2, 1]}))
+        assert load_volume(tmp_path / "vol").voxel_size == (1.0, 2.0, 1.0)
 
 
 class TestOnTwoCores:
