@@ -15,8 +15,8 @@ logistic output) trained with minibatch adaptive-moment updates (step
 returned weights are those of the epoch with the best accuracy on a
 stratified 20% held out of the training data.
 
-Everything is deterministic given the seed: tree t uses seed + t, so trees
-could be built in parallel without changing the result.
+Everything is deterministic given the seed: tree t uses seed + t, so the
+two halves of the forest are built in two processes with the same result.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .errors import (
     SingleClass,
 )
 from .features import FeatureSpec, extract_features
+from .volume import on_two_processes
 
 FOREST_FORMAT = "probcell-forest"
 MLP_FORMAT = "probcell-mlp"
@@ -83,97 +84,70 @@ def _feature_rows(X, n_features: int) -> np.ndarray:
     return X
 
 
-def _gini_best_split(values: np.ndarray, labels: np.ndarray):
-    """Best split along one feature as an exact rational impurity, or None.
+def _best_split(values: np.ndarray, labels: np.ndarray):
+    """Best gini split over the columns of values, as (column, threshold), or None.
 
-    The weighted child gini equals 2/n * (posL*negL/nL + posR*negR/nR), so
-    splits are compared through the integer fraction (num, den) of the
-    bracketed term; exact arithmetic keeps the documented tie-break (lowest
-    threshold, then lowest feature index at the caller) independent of float
-    rounding. Thresholds are midpoints between consecutive distinct sorted
-    values. Returns (num, den, threshold).
+    The weighted child gini is 2/n * (posL*negL/nL + posR*negR/nR). All
+    columns are sorted and counted at once; float scores pick each column's
+    near-minimum set, and the exact integer fractions num/den of the bracket
+    decide, so the tie-break (lowest column, then lowest threshold) does not
+    depend on rounding. Thresholds are midpoints of consecutive distinct values.
     """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = labels[order].astype(np.int64)
-    boundary = np.nonzero(sv[:-1] < sv[1:])[0]
-    if boundary.size == 0:
+    m = values.shape[0]
+    order = np.argsort(values, axis=0, kind="stable")
+    sv = np.take_along_axis(values, order, axis=0)
+    pos_left = np.cumsum(labels[order], axis=0)[:-1]  # (m - 1, k) int64
+    n_left = np.arange(1, m, dtype=np.int64)[:, None]
+    n_right = m - n_left
+    pos_right = int(labels.sum()) - pos_left
+    num = pos_left * (n_left - pos_left) * n_right + pos_right * (n_right - pos_right) * n_left
+    den = np.broadcast_to(n_left * n_right, num.shape)
+    boundary = sv[:-1] < sv[1:]
+    score = np.where(boundary, num / den, np.inf)
+    low = score.min(axis=0)
+    near = boundary & (score <= low + 1e-9 * (1.0 + np.abs(low)))
+    best = None
+    for c, b in zip(*np.nonzero(near.T)):  # column-major: the tie-break order
+        frac = int(num[b, c]), int(den[b, c])
+        if best is None or frac[0] * best[1] < best[0] * frac[1]:
+            best = (*frac, c, b)
+    if best is None:
         return None
-    n = sv.size
-    pos_prefix = np.cumsum(sy)
-    n_left = boundary.astype(np.int64) + 1
-    n_right = n - n_left
-    pos_left = pos_prefix[boundary]
-    pos_right = pos_prefix[-1] - pos_left
-    neg_left = n_left - pos_left
-    neg_right = n_right - pos_right
-    num = pos_left * neg_left * n_right + pos_right * neg_right * n_left
-    den = n_left * n_right
-    score = num / den
-    near = np.nonzero(score <= score.min() + 1e-9 * (1.0 + abs(score.min())))[0]
-    best_k = None
-    for k in near:  # exact fraction comparison over the float near-minimum set
-        if best_k is None or int(num[k]) * int(den[best_k]) < int(num[best_k]) * int(den[k]):
-            best_k = k
-    b = boundary[best_k]
-    thr = 0.5 * (sv[b] + sv[b + 1])
-    if thr >= sv[b + 1]:  # adjacent floats: keep the split between the two values
-        thr = sv[b]
-    return int(num[best_k]), int(den[best_k]), float(thr)
+    _, _, c, b = best
+    thr = 0.5 * (sv[b, c] + sv[b + 1, c])
+    if thr >= sv[b + 1, c]:  # adjacent floats: keep the split between the two values
+        thr = sv[b, c]
+    return c, float(thr)
 
 
 def _build_tree(X, y, rng, n_sub):
-    feature, threshold, left, right, n_pos, n_total = [], [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        n_pos.append(0.0)
-        n_total.append(0.0)
-        return len(feature) - 1
-
+    # one row per node, in Tree's field order; feature -1 marks a leaf
+    leaf = [-1, 0.0, -1, -1, 0.0, 0.0]
+    nodes = [leaf.copy()]
     d = X.shape[1]
-    stack = [(new_node(), np.arange(X.shape[0]))]
+    stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         labels = y[idx]
         pos = float(labels.sum())
         tot = float(idx.size)
-        n_pos[node] = pos
-        n_total[node] = tot
+        nodes[node][4:] = pos, tot
         if tot < 2 or pos == 0.0 or pos == tot:
             continue
         feats = np.sort(rng.choice(d, size=min(n_sub, d), replace=False))
-        best = None
-        for f in feats:
-            found = _gini_best_split(X[idx, f], labels)
-            if found is None:
-                continue
-            num, den, thr = found
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, int(f), thr)
-        if best is None:
+        found = _best_split(X[np.ix_(idx, feats)], labels)
+        if found is None:
             continue
-        _, _, f, thr = best
+        f, thr = int(feats[found[0]]), found[1]
         go_left = X[idx, f] <= thr
-        li, ri = new_node(), new_node()
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = li
-        right[node] = ri
+        li, ri = len(nodes), len(nodes) + 1
+        nodes[node][:4] = f, thr, li, ri
+        nodes += [leaf.copy(), leaf.copy()]
         # push right first so the left branch is processed next (stable RNG order)
         stack.append((ri, idx[~go_left]))
         stack.append((li, idx[go_left]))
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        n_pos=np.asarray(n_pos, dtype=np.float64),
-        n_total=np.asarray(n_total, dtype=np.float64),
-    )
+    kinds = (np.int64, np.float64, np.int64, np.int64, np.float64, np.float64)
+    return Tree(*(np.asarray(column, dtype=kind) for column, kind in zip(zip(*nodes), kinds)))
 
 
 def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -206,12 +180,17 @@ def train_forest(X, labels, seed: int, n_trees: int = 128) -> ForestModel:
         raise SingleClass("need at least one example of each class")
     d = X.shape[1]
     n_sub = math.ceil(math.sqrt(d))
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(seed + t)
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(_build_tree(X[idx], y[idx], rng, n_sub))
-    return ForestModel(n_features=d, trees=trees, seed=seed)
+
+    def build(first: int, stop: int) -> list[Tree]:
+        trees = []
+        for t in range(first, stop):
+            rng = np.random.default_rng(seed + t)
+            idx = rng.integers(0, X.shape[0], size=X.shape[0])
+            trees.append(_build_tree(X[idx], y[idx], rng, n_sub))
+        return trees
+
+    first, second = on_two_processes(build, n_trees)
+    return ForestModel(n_features=d, trees=first + second, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import CoordSet
-from .volume import Volume3D, voxel_centers_um
+from .volume import Volume3D, on_two_cores, voxel_centers_um
 
 K_SUM = "sum"
 K_MAX = "max"
@@ -96,12 +96,9 @@ def render_dm(
     vs = np.asarray(voxel_size, dtype=np.float64)
     acc = np.zeros(shape, dtype=np.float64)
     pts = coords.coords
-    if scales is None:
-        scale_arr = np.ones(len(coords), dtype=np.float64)
-    else:
-        scale_arr = np.asarray(scales, dtype=np.float64).reshape(-1)
-        if scale_arr.shape[0] != len(coords):
-            raise ValueError("scales length must match coordinate count")
+    scale_arr = np.ones(len(coords)) if scales is None else np.asarray(scales, np.float64).ravel()
+    if scale_arr.shape[0] != len(coords):
+        raise ValueError("scales length must match coordinate count")
     order = np.lexsort((scale_arr, pts[:, 2], pts[:, 1], pts[:, 0]))
     axes = [voxel_centers_um(n, v) for n, v in zip(shape, vs)]
     cutoff = kernel.cutoff_um
@@ -118,26 +115,30 @@ def render_dm(
     lo_all = np.clip(first, 0, shape).astype(int)
     hi_all = np.clip(last, 0, shape).astype(int)
     inv_two_sigma2 = 1.0 / (2.0 * kernel.sigma_um**2)
-    amp = 1.0
-    if kernel.amplitude == AMP_NORMALIZED:
-        amp = 1.0 / (kernel.sigma_um * np.sqrt(2.0 * np.pi))
-    for idx in order:
-        c, lo, hi = pts[idx], lo_all[idx], hi_all[idx]
-        if np.any(lo >= hi):
-            continue
-        dz = axes[0][lo[0] : hi[0]] - c[0]
-        dy = axes[1][lo[1] : hi[1]] - c[1]
-        dx = axes[2][lo[2] : hi[2]] - c[2]
-        d2 = (
-            dz[:, None, None] ** 2
-            + dy[None, :, None] ** 2
-            + dx[None, None, :] ** 2
-        )
-        values = (amp * scale_arr[idx]) * np.exp(-d2 * inv_two_sigma2)
-        values[d2 > cutoff * cutoff] = 0.0
-        window = acc[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-        if kernel.compounding == K_SUM:
-            window += values
-        else:
-            np.maximum(window, values, out=window)
+    amp = kernel.peak_value
+
+    def planes(z0: int, z1: int) -> None:
+        # every cell's box clipped to planes [z0, z1), in the canonical order,
+        # so each voxel sees the same operations in the same order
+        lo_half = np.maximum(lo_all, (z0, 0, 0))
+        hi_half = np.minimum(hi_all, (z1, *shape[1:]))
+        for idx in order:
+            c, lo, hi = pts[idx], lo_half[idx], hi_half[idx]
+            if np.any(lo >= hi):
+                continue
+            dz = axes[0][lo[0] : hi[0]] - c[0]
+            dy = axes[1][lo[1] : hi[1]] - c[1]
+            dx = axes[2][lo[2] : hi[2]] - c[2]
+            d2 = dz[:, None, None] ** 2 + dy[None, :, None] ** 2 + dx[None, None, :] ** 2
+            values = d2 * -inv_two_sigma2  # one buffer: (amp * scale) * exp(-d2 * inv)
+            np.exp(values, out=values)
+            values *= amp * scale_arr[idx]
+            values[d2 > cutoff * cutoff] = 0.0
+            window = acc[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
+            if kernel.compounding == K_SUM:
+                window += values
+            else:
+                np.maximum(window, values, out=window)
+
+    on_two_cores(planes, shape[0])
     return Volume3D(acc.astype(np.float32), tuple(vs))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .coords import CoordSet
 from .errors import NonFiniteInput
-from .volume import Volume3D
+from .volume import Volume3D, on_two_processes
 
 N_PERCENTILES = 5
 PERCENTILE_RANGE = (1.0, 99.0)
@@ -140,31 +140,36 @@ def extract_features(
             raise ValueError(f"map {name!r} does not share the common grid")
     n = len(proposals)
     d = spec.dimension(len(maps))
-    out = np.empty((n, d), dtype=np.float64)
     centers = np.floor(proposals.coords / vs).astype(int)
     if np.any(centers < 0) or np.any(centers >= np.asarray(shape)):
         raise ValueError("proposals must lie inside the volume")
-    widths = [
-        np.maximum(np.round(side / vs).astype(int), 1) for side in spec.window_sides_um
-    ]
-    col = 0
-    for name, vol in maps:
-        thresholds = thresholds_for(name)
-        data = vol.data
-        for w in widths:
-            raw_lo = centers - w // 2
-            lo = np.clip(raw_lo, 0, None)
-            hi = np.minimum(raw_lo + w, shape)
-            for i in range(n):
-                block = data[lo[i, 0] : hi[i, 0], lo[i, 1] : hi[i, 1], lo[i, 2] : hi[i, 2]]
-                try:
-                    out[i, col : col + STATS_PER_BLOCK] = _window_stats(
-                        block, PERCENTILES, thresholds
-                    )
-                except NonFiniteInput:
-                    raise NonFiniteInput(
-                        f"map {name!r} has NaN or infinite values in the window "
-                        f"around proposal {i}"
-                    ) from None
-            col += STATS_PER_BLOCK
-    return out
+    boxes = []  # per window side, each row's window clipped at the volume's borders
+    for side in spec.window_sides_um:
+        w = np.maximum(np.round(side / vs).astype(int), 1)
+        lo = centers - w // 2
+        boxes.append([tuple(map(slice, a, b)) for a, b in
+                      zip(np.clip(lo, 0, None).tolist(), np.minimum(lo + w, shape).tolist())])
+
+    def rows(first: int, stop: int):
+        # rows [first, stop) and their first non-finite window as (column, row, message)
+        out = np.empty((stop - first, d), dtype=np.float64)
+        col = 0
+        for name, vol in maps:
+            thresholds = thresholds_for(name)
+            for box in boxes:
+                for i in range(first, stop):
+                    try:
+                        out[i - first, col : col + STATS_PER_BLOCK] = _window_stats(
+                            vol.data[box[i]], PERCENTILES, thresholds
+                        )
+                    except NonFiniteInput:
+                        return out, (col, i, f"map {name!r} has NaN or infinite values in "
+                                     f"the window around proposal {i}")
+                col += STATS_PER_BLOCK
+        return out, None
+
+    halves = on_two_processes(rows, n)
+    bad = [found for _, found in halves if found is not None]
+    if bad:  # the window the serial map, window, row loop meets first
+        raise NonFiniteInput(min(bad)[2])
+    return np.concatenate([out for out, _ in halves])

@@ -41,7 +41,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from .volume import Volume3D, on_two_cores, sample_trilinear
+from .volume import Volume3D, on_two_cores, on_two_processes, sample_trilinear
 
 ADJACENCY_UM = 4.0
 CDF_MODES = ("kde", "empirical")
@@ -223,12 +223,12 @@ def _replicate_mean_sd(pct: np.ndarray) -> tuple[float, float]:
     return float(np.nanmean(pct)), float(np.nanstd(pct))
 
 
-def _widen(envelope, curve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pointwise (min, max) envelope grown by one replicate curve; the
-    envelope is None before the first curve."""
-    if envelope is None:
-        return curve, curve
-    return np.minimum(envelope[0], curve), np.maximum(envelope[1], curve)
+def _widen(envelope, other):
+    """The pointwise (min, max) envelope of two envelopes, either of which
+    may be None (no curve yet); one curve is the envelope (curve, curve)."""
+    if envelope is None or other is None:
+        return other if envelope is None else envelope
+    return np.minimum(envelope[0], other[0]), np.maximum(envelope[1], other[1])
 
 
 def _opt(x):
@@ -363,8 +363,8 @@ def analyze_probabilistic(
 ) -> SpatialReport:
     """Monte-Carlo analysis sampling each proposal by its probability.
 
-    Replicate t draws its randomness from seed + t, so replicates are
-    independent of execution order. ESD replicates resample the pooled
+    Replicate t draws its randomness from seed + t, so the two halves of the
+    replicates run in two processes. ESD replicates resample the pooled
     distances with a Poisson(count of sampled cells) sample size. The
     envelopes are kept as a running pointwise min and max, so memory does not
     grow with the replicate count.
@@ -378,46 +378,50 @@ def analyze_probabilistic(
         raise EmptyCells("probabilistic analysis needs at least one proposal")
     p = cells.p if cells.p is not None else np.ones(len(cells))
     structures = prelude.structures
-    flags = []
-
     all_dists, grids = {}, {}
     for name, prep in structures.items():
         all_dists[name] = cell_distances(cells, prep.edt)
         grids[name] = _distance_grid(prep.esd, all_dists[name])
 
-    counts = np.empty(replicates)
-    pct_cells = {name: np.full(replicates, np.nan) for name in structures}
-    pct_vol = {name: np.full(replicates, np.nan) for name in structures}
-    cell_envelope = dict.fromkeys(structures)
-    esd_envelope = dict.fromkeys(structures)
-    for t in range(replicates):
-        rng = np.random.default_rng(seed + t)
-        include = rng.random(len(cells)) < p
-        counts[t] = include.sum()
-        for name, prep in structures.items():
-            dists = all_dists[name][include]
-            if dists.size:
-                pct_cells[name][t] = 100.0 * float(np.mean(dists < adjacency_um))
-                cell_envelope[name] = _widen(
-                    cell_envelope[name], DistanceCdf(dists).evaluate(grids[name], mode=cdf_mode)
-                )
-            else:
-                flags.append(f"EmptyReplicate:{name}:{t}")
-            w = int(rng.poisson(counts[t]))
-            if w == 0:
-                flags.append(f"EmptyESDReplicate:{name}:{t}")
-                continue
-            sample = prep.pool[rng.integers(0, prep.pool.size, size=w)]
-            pct_vol[name][t] = 100.0 * float(np.mean(sample < adjacency_um))
-            esd_envelope[name] = _widen(
-                esd_envelope[name], DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
-            )
+    def run(first: int, stop: int):
+        # replicates [first, stop): counts, flags, then per structure dicts
+        counts = np.empty(stop - first)
+        flags = []
+        pct_cells = {name: np.full(stop - first, np.nan) for name in structures}
+        pct_vol = {name: np.full(stop - first, np.nan) for name in structures}
+        cell_envelope = dict.fromkeys(structures)
+        esd_envelope = dict.fromkeys(structures)
+        for t in range(first, stop):
+            rng = np.random.default_rng(seed + t)
+            include = rng.random(len(cells)) < p
+            r = t - first
+            counts[r] = include.sum()
+            for name, prep in structures.items():
+                dists = all_dists[name][include]
+                if dists.size:
+                    pct_cells[name][r] = 100.0 * float(np.mean(dists < adjacency_um))
+                    curve = DistanceCdf(dists).evaluate(grids[name], mode=cdf_mode)
+                    cell_envelope[name] = _widen(cell_envelope[name], (curve, curve))
+                else:
+                    flags.append(f"EmptyReplicate:{name}:{t}")
+                w = int(rng.poisson(counts[r]))
+                if w == 0:
+                    flags.append(f"EmptyESDReplicate:{name}:{t}")
+                    continue
+                sample = prep.pool[rng.integers(0, prep.pool.size, size=w)]
+                pct_vol[name][r] = 100.0 * float(np.mean(sample < adjacency_um))
+                curve = DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
+                esd_envelope[name] = _widen(esd_envelope[name], (curve, curve))
+        return counts, flags, pct_cells, pct_vol, cell_envelope, esd_envelope
 
+    # the halves join in replicate order, and their envelopes merge exactly
+    a, b = on_two_processes(run, replicates)
+    counts = np.concatenate([a[0], b[0]])
     out = {}
     for name, prep in structures.items():
         det_dists = all_dists[name][p >= 0.5]
-        cells_mean, cells_sd = _replicate_mean_sd(pct_cells[name])
-        vol_mean, vol_sd = _replicate_mean_sd(pct_vol[name])
+        cells_mean, cells_sd = _replicate_mean_sd(np.concatenate([a[2][name], b[2][name]]))
+        vol_mean, vol_sd = _replicate_mean_sd(np.concatenate([a[3][name], b[3][name]]))
         out[name] = StructureAnalysis(
             name=name,
             pct_cells_adjacent=cells_mean,
@@ -431,8 +435,8 @@ def analyze_probabilistic(
                 else None
             ),
             esd_cdf=prep.esd.evaluate(grids[name], mode="empirical"),
-            cell_envelope=cell_envelope[name],
-            esd_envelope=esd_envelope[name],
+            cell_envelope=_widen(a[4][name], b[4][name]),
+            esd_envelope=_widen(a[5][name], b[5][name]),
         )
     return SpatialReport(
         mode="probabilistic",
@@ -442,7 +446,7 @@ def analyze_probabilistic(
         structures=out,
         replicates=replicates,
         alpha=2.0 / (replicates + 1),
-        flags=flags,
+        flags=a[1] + b[1],
     )
 
 

@@ -24,6 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import os
+import pickle
+import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,17 +45,60 @@ STRATEGIES = (M_CONV, M_PEAK)
 def on_two_cores(fn, n: int) -> None:
     """Run fn(0, n // 2) on a worker thread while the caller runs fn(n // 2, n).
 
-    Meant for numpy/scipy kernels that release the GIL and write disjoint
-    halves of an array. fn must not call back into probcell: the benchmark's
-    call tracing assumes one thread of probcell calls. The caller always
-    waits for the worker, and re-raises the worker's exception. The worker
-    lives for one call, so no thread outlives it (a forked child inherits
-    no pool whose thread it lacks).
+    For numpy/scipy kernels that release the GIL and write disjoint halves of
+    an array; fn must call no public probcell function, as the benchmark
+    traces one thread of them. The caller waits for the worker, which lives
+    for this call only, and re-raises its exception.
     """
     with ThreadPoolExecutor(max_workers=1) as worker:
         future = worker.submit(fn, 0, n // 2)
         fn(n // 2, n)  # leaving the block waits for the worker, also on error
     future.result()
+
+
+# Fewer items than this stay in the calling process, where a fork round trip
+# costs more than half of them save (README, "Kernels on two cores").
+FORK_MIN_ITEMS = 32
+
+
+def on_two_processes(fn, n: int) -> list:
+    """[fn(0, n // 2), fn(n // 2, n)], the first half run in a forked child.
+
+    For loops of small numpy calls that hold the GIL; fn must call no public
+    probcell function, whose benchmark span the child would lose. The child
+    is reaped before this returns or raises: killed if the caller's half
+    raises, while its own exception is re-raised here.
+    """
+    if n < FORK_MIN_ITEMS or not hasattr(os, "fork"):
+        return [fn(0, n // 2), fn(n // 2, n)]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: one pickle down the pipe, then out without cleanup
+        try:
+            try:
+                payload = True, fn(0, n // 2)
+            except BaseException as exc:
+                payload = False, exc
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            mine = fn(n // 2, n)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the forked worker exited without sending a result")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return [theirs, mine]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +177,10 @@ class TilingConfig:
 
     def __post_init__(self):
         for name in ("l_in", "conv_margin", "peak_margin"):
-            val = tuple(int(x) for x in getattr(self, name))
+            try:
+                val = tuple(operator.index(x) for x in getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be integers, got {getattr(self, name)!r}") from None
             if len(val) != 3:
                 raise ValueError(f"{name} must have three entries")
             least = 1 if name == "l_in" else 0

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from probcell import Volume3D
+from probcell import Volume3D, volume
 
 
 @pytest.fixture
@@ -16,3 +16,9 @@ def rng():
 
 def vol(data, voxel_size=(1.0, 1.0, 1.0)) -> Volume3D:
     return Volume3D(np.asarray(data, dtype=np.float32), voxel_size)
+
+
+@pytest.fixture
+def fork_always(monkeypatch):
+    """Every on_two_processes call forks, however few its items."""
+    monkeypatch.setattr(volume, "FORK_MIN_ITEMS", 0)

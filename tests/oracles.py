@@ -181,6 +181,99 @@ def exhaustive_best_split(X, y):
     return best
 
 
+def gini_best_split(values: np.ndarray, labels: np.ndarray):
+    """Best split along one feature as an exact rational impurity, or None.
+
+    The forest's split search as it stood before it searched a node's
+    features in one pass. The weighted child gini equals
+    2/n * (posL*negL/nL + posR*negR/nR), so splits are compared through the
+    integer fraction (num, den) of the bracketed term; exact arithmetic keeps
+    the documented tie-break (lowest threshold, then lowest feature index at
+    the caller) independent of float rounding. Thresholds are midpoints
+    between consecutive distinct sorted values. Returns (num, den, threshold).
+    """
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = labels[order].astype(np.int64)
+    boundary = np.nonzero(sv[:-1] < sv[1:])[0]
+    if boundary.size == 0:
+        return None
+    n = sv.size
+    pos_prefix = np.cumsum(sy)
+    n_left = boundary.astype(np.int64) + 1
+    n_right = n - n_left
+    pos_left = pos_prefix[boundary]
+    pos_right = pos_prefix[-1] - pos_left
+    neg_left = n_left - pos_left
+    neg_right = n_right - pos_right
+    num = pos_left * neg_left * n_right + pos_right * neg_right * n_left
+    den = n_left * n_right
+    score = num / den
+    near = np.nonzero(score <= score.min() + 1e-9 * (1.0 + abs(score.min())))[0]
+    best_k = None
+    for k in near:  # exact fraction comparison over the float near-minimum set
+        if best_k is None or int(num[k]) * int(den[best_k]) < int(num[best_k]) * int(den[k]):
+            best_k = k
+    b = boundary[best_k]
+    thr = 0.5 * (sv[b] + sv[b + 1])
+    if thr >= sv[b + 1]:  # adjacent floats: keep the split between the two values
+        thr = sv[b]
+    return int(num[best_k]), int(den[best_k]), float(thr)
+
+
+def loop_build_tree(X, y, rng, n_sub):
+    """One forest tree grown with gini_best_split called feature by feature."""
+    from probcell.classifier import Tree
+
+    feature, threshold, left, right, n_pos, n_total = [], [], [], [], [], []
+
+    def new_node():
+        for column, value in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1),
+                              (n_pos, 0.0), (n_total, 0.0)):
+            column.append(value)
+        return len(feature) - 1
+
+    d = X.shape[1]
+    stack = [(new_node(), np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        labels = y[idx]
+        pos = float(labels.sum())
+        tot = float(idx.size)
+        n_pos[node] = pos
+        n_total[node] = tot
+        if tot < 2 or pos == 0.0 or pos == tot:
+            continue
+        feats = np.sort(rng.choice(d, size=min(n_sub, d), replace=False))
+        best = None
+        for f in feats:
+            found = gini_best_split(X[idx, f], labels)
+            if found is None:
+                continue
+            num, den, thr = found
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, int(f), thr)
+        if best is None:
+            continue
+        _, _, f, thr = best
+        go_left = X[idx, f] <= thr
+        li, ri = new_node(), new_node()
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = li
+        right[node] = ri
+        stack.append((ri, idx[~go_left]))
+        stack.append((li, idx[go_left]))
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        n_pos=np.asarray(n_pos, dtype=np.float64),
+        n_total=np.asarray(n_total, dtype=np.float64),
+    )
+
+
 def loop_average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks by a walk over the stably sorted values, each run of
     ties given the mean of the ranks it spans."""

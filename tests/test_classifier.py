@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from probcell import (
     CoordSet,
     FeatureSpec,
     classify_proposals,
+    extract_features,
     load_model,
     predict_proba,
     save_coords,
@@ -15,7 +18,8 @@ from probcell import (
     train_forest,
     train_mlp,
 )
-from probcell.classifier import ForestModel, _build_tree, init_mlp, mlp_loss_and_grads
+from probcell import volume
+from probcell.classifier import ForestModel, Tree, _build_tree, init_mlp, mlp_loss_and_grads
 from probcell.cli import main
 from probcell.errors import (
     DimensionMismatch,
@@ -26,7 +30,12 @@ from probcell.errors import (
 )
 
 from conftest import vol
-from oracles import central_difference_gradient, exhaustive_best_split, reference_train_mlp
+from oracles import (
+    central_difference_gradient,
+    exhaustive_best_split,
+    loop_build_tree,
+    reference_train_mlp,
+)
 
 
 def separable_1d(rng, n=60):
@@ -101,6 +110,69 @@ class TestGiniOracle:
             # one tree on the data as given: no bootstrap resample
             tree = _build_tree(X, y, np.random.default_rng(trial), 2)
             _assert_tree_matches_oracle(tree, X, y.astype(np.float64))
+
+
+def _assert_trees_equal(got, want):
+    for f in fields(Tree):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+def _loop_forest_trees(X, y, seed, n_trees):
+    """The forest's trees grown with the per-feature split loop."""
+    n_sub = math.ceil(math.sqrt(X.shape[1]))
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(seed + t)
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(loop_build_tree(X[idx], y[idx], rng, n_sub))
+    return trees
+
+
+class TestOnePassSplitSearch:
+    """Each node searches all its candidate features in one pass; the trees
+    equal those of the per-feature loop it replaced, field by field."""
+
+    def test_heavy_ties_equal_feature_loop(self):
+        for case in range(200):
+            rng = np.random.default_rng(case)
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 10))
+            levels = int(rng.integers(1, 5))  # few distinct values: many ties
+            X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+            if case % 4 == 0:  # adjacent floats, whose midpoint rounds up to the larger
+                a = np.nextafter(1.0, 2.0)
+                X[:, 0] = np.where(X[:, 0] > 0, np.nextafter(a, 2.0), a)
+            y = rng.integers(0, 2, size=n)
+            n_sub = int(rng.integers(1, d + 1))
+            got = _build_tree(X, y, np.random.default_rng(case), n_sub)
+            _assert_trees_equal(got, loop_build_tree(X, y, np.random.default_rng(case), n_sub))
+
+    def test_pipeline_training_matrix_equals_feature_loop(self, fork_always):
+        from probcell.detect import NmsConfig
+        from probcell.pipeline import (
+            _detect_scene, _maps, _tiling_config, label_proposals, merge_config,
+        )
+        from probcell.synth import SynthSpec
+
+        cfg = merge_config(None)
+        spec = SynthSpec(seed=1000, **dict(cfg["train_scene"], shape=[48, 48, 48], n_cells=14))
+        gt, ro, proposals = _detect_scene(spec, _tiling_config(cfg["tiling"]), NmsConfig())
+        X = extract_features(_maps(ro), proposals)
+        y = label_proposals(proposals, gt, cfg["t_match_um"])
+        assert X.shape[1] == 168 and 0 < y.sum() < y.size
+        model = train_forest(X, y, seed=4, n_trees=6)  # forked: trees 0-2 in the child
+        for got, want in zip(model.trees, _loop_forest_trees(X, y, 4, 6), strict=True):
+            _assert_trees_equal(got, want)
+
+    def test_forked_forest_equals_serial(self, rng, monkeypatch, tmp_path):
+        X = rng.random((40, 6))
+        y = (X[:, 0] + 0.3 * rng.random(40) > 0.5).astype(int)
+        saved = []
+        for cutoff in (0, 10**9):
+            monkeypatch.setattr(volume, "FORK_MIN_ITEMS", cutoff)
+            save_model(train_forest(X, y, seed=11, n_trees=9), tmp_path / f"{cutoff}.json")
+            saved.append((tmp_path / f"{cutoff}.json").read_bytes())
+        assert saved[0] == saved[1]
 
 
 class TestForestPrediction:

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from probcell import CoordSet, KernelSpec, NmsConfig, detect_peaks, gaussian_value, render_dm
+from probcell import densitymap
 from probcell.densitymap import AMP_NORMALIZED, AMP_UNIT, K_MAX, K_SUM
 
 from oracles import naive_render_dm
@@ -141,3 +144,22 @@ class TestTwoCellSeparation:
         if n_expected == 1:
             midpoint = self.CELLS.coords.mean(axis=0)
             assert np.linalg.norm(peaks.coords[0] - midpoint) <= 1.0
+
+
+class TestZHalves:
+    @pytest.mark.parametrize("compounding", [K_SUM, K_MAX])
+    @pytest.mark.parametrize("nz", [1, 2, 7])
+    def test_equals_one_thread_bit_for_bit(self, rng, compounding, nz):
+        """The two threads' z-halves against the whole grid on one thread;
+        boxes cross the split, overlap, and overhang the grid."""
+        shape = (nz, 11, 9)
+        voxel = (1.0, 0.8, 1.2)
+        extent = np.asarray(shape) * voxel
+        coords = CoordSet(rng.random((40, 3)) * (extent + 6.0) - 3.0)
+        scales = rng.uniform(0.5, 2.0, 40)
+        kernel = KernelSpec(sigma_um=1.5, cutoff_um=4.0, compounding=compounding)
+        two = render_dm(coords, shape, voxel, kernel, scales)
+        with mock.patch.object(densitymap, "on_two_cores", lambda fn, n: fn(0, n)):
+            one = render_dm(coords, shape, voxel, kernel, scales)
+        assert two.data.any()
+        assert np.array_equal(two.data, one.data)

@@ -469,6 +469,29 @@ class TestPreparedPrelude:
         assert not (tmp_path / "sp" / "report.json").exists()
 
 
+class TestForkedReplicates:
+    @pytest.mark.parametrize("cdf_mode", ["kde", "empirical"])
+    @pytest.mark.parametrize("replicates", [12, 41])
+    def test_equals_serial_reference(self, fork_always, cdf_mode, replicates):
+        """Two structures, three cells at p = 0.25: both halves of the
+        replicates hold empty cell and ESD replicates, and their flags,
+        percentages and merged envelopes equal the serial loop's."""
+        cells, _, tissue, _ = _oracle_case("empty_replicates")
+        _, structures, _, _ = _oracle_case("two_structures")
+        prob = analyze_probabilistic(
+            cells, prepare_spatial(structures, tissue), replicates=replicates, seed=9,
+            cdf_mode=cdf_mode,
+        )
+        ref = reference_analyze_probabilistic(
+            cells, structures, tissue, replicates=replicates, seed=9, cdf_mode=cdf_mode
+        )
+        assert prob.to_dict() == ref.to_dict()
+        for kind in ("EmptyReplicate", "EmptyESDReplicate"):
+            ts = [int(f.rsplit(":", 1)[1]) for f in ref.flags if f.startswith(kind + ":")]
+            assert min(ts) < replicates // 2 <= max(ts)
+        assert prob.structures["tube"].cell_envelope is not None
+
+
 class TestKdeCdf:
     def test_scott_bandwidth_formula(self, rng):
         x = rng.normal(size=200)

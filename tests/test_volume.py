@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from probcell import (
     CoordSet,
+    FeatureSpec,
     KernelSpec,
     NmsConfig,
     TilingConfig,
@@ -23,9 +24,11 @@ from probcell import (
     render_dm,
     save_volume,
 )
-from probcell.errors import VolumeSizeMismatch, VolumeTooSmall
+from probcell import volume
+from probcell.errors import EmptyCells, NonFiniteInput, VolumeSizeMismatch, VolumeTooSmall
 from probcell.pipeline import tiled_detect
-from probcell.volume import M_CONV, M_PEAK, on_two_cores
+from probcell.features import extract_features
+from probcell.volume import M_CONV, M_PEAK, on_two_cores, on_two_processes
 
 from conftest import vol
 
@@ -67,6 +70,20 @@ class TestTilingConfig:
             TilingConfig((10, 10, 10), (2, 2, 2), (3, 3, 3), M_PEAK)  # l_out_tile = 0
         with pytest.raises(ValueError):
             TilingConfig((10, 10, 10), (2, 2, 2), (1, 1, 1), M_CONV)  # margin under m_conv
+
+    @pytest.mark.parametrize("field, args", [
+        ("l_in", ((48.9, 48, 48), (8.7, 8, 8), (4, 4, 4), M_PEAK)),
+        ("conv_margin", ((48, 48, 48), (8.7, 8, 8), (4, 4, 4), M_PEAK)),
+        ("peak_margin", ((48, 48, 48), (8, 8, 8), (4, 4, 4.0), M_PEAK)),
+    ])
+    def test_non_integer_sizes_rejected_by_name(self, field, args):
+        """int() would truncate 48.9 to 48 and pass it on."""
+        with pytest.raises(ValueError, match=f"^{field} must be integers"):
+            TilingConfig(*args)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = TilingConfig(tuple(np.arange(46, 49)), (np.int32(8),) * 3, (4, 4, 4), M_PEAK)
+        assert cfg.l_in == (46, 47, 48) and all(type(v) is int for v in cfg.l_in)
 
     @pytest.mark.parametrize("field, args", [
         ("l_in", ((-5,) * 3, (-4,) * 3, (0,) * 3, M_CONV)),  # l_out 3 from negatives
@@ -275,3 +292,85 @@ class TestOnTwoCores:
             child.kill()
             child.join(timeout=30)
         assert not hung and child.exitcode == 0
+
+
+def _no_child_left():
+    """No child process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestOnTwoProcesses:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_halves_come_back_in_order(self, fork_always, n):
+        halves = on_two_processes(lambda lo, hi: (list(range(lo, hi)), os.getpid()), n)
+        assert [items for items, _ in halves] == [list(range(n // 2)), list(range(n // 2, n))]
+        assert halves[1][1] == os.getpid() != halves[0][1]
+        _no_child_left()
+
+    def test_few_items_stay_in_the_caller(self):
+        n = volume.FORK_MIN_ITEMS - 1
+        halves = on_two_processes(lambda lo, hi: (lo, hi, os.getpid()), n)
+        assert halves == [(0, n // 2, os.getpid()), (n // 2, n, os.getpid())]
+
+    def test_child_error_reraised_with_type_and_message(self, fork_always):
+        def fn(lo, hi):
+            if lo == 0:
+                raise EmptyCells("child half")
+            return hi
+
+        with pytest.raises(EmptyCells) as info:
+            on_two_processes(fn, 4)
+        assert type(info.value) is EmptyCells and str(info.value) == "child half"
+        _no_child_left()
+
+    def test_caller_error_kills_and_reaps_the_child(self, fork_always):
+        def fn(lo, hi):
+            if lo == 0:
+                time.sleep(60)
+            raise KeyError("caller half")
+
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="caller half"):
+            on_two_processes(fn, 4)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_child_that_dies_without_result_raises(self, fork_always):
+        def fn(lo, hi):
+            if lo == 0:
+                os._exit(3)
+            return hi
+
+        with pytest.raises(RuntimeError, match="without sending a result"):
+            on_two_processes(fn, 4)
+        _no_child_left()
+
+    @pytest.mark.parametrize("nans", [
+        [("u_a", 0, 5), ("dm", 0, 11)],  # the caller's half holds the first map
+        [("dm", 2, 5), ("dm", 0, 11)],  # ... the first window of one map
+        [("dm", 1, 11), ("dm", 1, 5)],  # the child's half holds the first row
+        [("u_e", 0, 5), ("u_e", 0, 6)],  # both in the child's half
+    ])
+    def test_features_name_the_serial_first_window(self, fork_always, rng, nans):
+        """NaN in a window of each half (rows 0-7 fork, 8-15 stay): the error
+        names the window the serial map, window, row loop meets first."""
+        names = ("dm", "u_a", "u_e")
+        data = {name: rng.random((40, 40, 40)).astype(np.float32) for name in names}
+        centers = np.stack([np.full(3, 4 + 2 * i) for i in range(16)])
+        sides = (1, 3, 5)
+        for name, win, row in nans:  # the window's first plane, on its axis
+            z, y, x = centers[row]
+            data[name][z - sides[win] // 2, y, x] = np.nan
+        first = next(
+            (name, row)
+            for name in names for side in sides for row, c in enumerate(centers)
+            if np.isnan(data[name][tuple(slice(a - side // 2, a - side // 2 + side) for a in c)]).any()
+        )
+        maps = [(name, vol(data[name])) for name in names]
+        with pytest.raises(NonFiniteInput) as info:
+            extract_features(maps, CoordSet(centers + 0.5), FeatureSpec(tuple(map(float, sides))))
+        assert str(info.value) == (
+            f"map {first[0]!r} has NaN or infinite values in the window around proposal {first[1]}"
+        )
+        _no_child_left()
