@@ -34,12 +34,16 @@ from .errors import (
     NonFiniteInput,
     NonFiniteLoss,
     SingleClass,
+    check_int,
 )
 from .features import FeatureSpec, extract_features
 from .volume import on_two_processes
 
 FOREST_FORMAT = "probcell-forest"
 MLP_FORMAT = "probcell-mlp"
+# the least tree and epoch counts (epochs=0 returns the initialized MLP)
+MIN_TREES = 1
+MIN_EPOCHS = 0
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +166,10 @@ def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
     return tree.n_pos[node] / tree.n_total[node]
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
-
-
 def train_forest(X, labels, seed: int, n_trees: int = 128) -> ForestModel:
     """Train the bagged gini forest; each split searches ceil(sqrt(d)) features."""
-    _check_seed(seed)
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
+    seed = check_int(seed, "seed")
+    n_trees = check_int(n_trees, "n_trees", MIN_TREES)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -279,9 +277,8 @@ def train_mlp(X, labels, seed: int, epochs: int = MLP_EPOCHS, hidden=DEFAULT_HID
     A stratified VALIDATION_FRACTION of the training data is held out for
     epoch selection. epochs=0 returns the freshly initialized model.
     """
-    _check_seed(seed)
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs!r}")
+    seed = check_int(seed, "seed")
+    epochs = check_int(epochs, "epochs", MIN_EPOCHS)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if np.unique(y).size < 2:
@@ -387,7 +384,7 @@ def load_model(path):
         fmt = payload["format"]
         if fmt == FOREST_FORMAT:
             model = ForestModel(
-                n_features=_json_int(payload["n_features"]),
+                n_features=check_int(payload["n_features"], "n_features", 1),
                 trees=[
                     Tree(
                         feature=_node_indices(t["feature"]),
@@ -399,7 +396,7 @@ def load_model(path):
                     )
                     for t in payload["trees"]
                 ],
-                seed=_json_int(payload["seed"]),
+                seed=check_int(payload["seed"], "seed"),
             )
         elif fmt == MLP_FORMAT:
             model = MlpModel(
@@ -408,7 +405,7 @@ def load_model(path):
                     for w, shape in zip(payload["weights"], payload["layers"], strict=True)
                 ],
                 biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-                seed=_json_int(payload["seed"]),
+                seed=check_int(payload["seed"], "seed"),
             )
         else:
             model = None
@@ -421,13 +418,6 @@ def load_model(path):
     else:
         raise InvalidModel(f"unknown model format {fmt!r}")
     return model
-
-
-def _json_int(value) -> int:
-    """A JSON integer as it was written: int() would turn 4.9 into 4 and true into 1."""
-    if type(value) is not int:
-        raise TypeError(f"{value!r} must be a JSON integer")
-    return value
 
 
 def _node_indices(values) -> np.ndarray:
@@ -443,8 +433,8 @@ def _node_indices(values) -> np.ndarray:
 def _check_forest(model: ForestModel) -> None:
     """Trees that prediction can walk: forward in-range children, known
     features, finite thresholds and leaf fractions in [0, 1]."""
-    if model.n_features < 1 or not model.trees:
-        raise InvalidModel("a forest needs at least one feature and one tree")
+    if not model.trees:
+        raise InvalidModel("a forest needs at least one tree")
     for k, t in enumerate(model.trees):
         n = t.feature.size
         arrays = (t.feature, t.threshold, t.left, t.right, t.n_pos, t.n_total)

@@ -16,12 +16,12 @@ range can never fire. The synthetic pipeline therefore defaults to
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coords import CoordSet
+from .errors import check_int, check_real
 from .volume import Volume3D, on_two_cores, voxel_centers_um
 
 K_SUM = "sum"
@@ -30,6 +30,8 @@ AMP_NORMALIZED = "normalized"
 AMP_UNIT = "unit_peak"
 COMPOUNDINGS = (K_SUM, K_MAX)
 AMPLITUDES = (AMP_NORMALIZED, AMP_UNIT)
+# sigma's closed interval (um), where the kernel's 2 sigma^2 stays a normal float
+SIGMA_UM = (1e-150, 1e150)
 
 
 @dataclass(frozen=True)
@@ -40,13 +42,8 @@ class KernelSpec:
     amplitude: str = AMP_UNIT
 
     def __post_init__(self):
-        # written so that NaN fails both checks; the kernel divides by
-        # 2 sigma^2, which must neither overflow nor underflow to 0
-        sigma = self.sigma_um
-        if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
-            raise ValueError(f"sigma must be > 0 with 2 sigma^2 finite and > 0, got {sigma!r}")
-        if not 0 < self.cutoff_um < math.inf:
-            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff_um!r}")
+        check_real(self.sigma_um, "sigma_um", *SIGMA_UM, "[]")
+        check_real(self.cutoff_um, "cutoff_um")
         if self.compounding not in COMPOUNDINGS:
             raise ValueError(f"compounding must be one of {list(COMPOUNDINGS)}")
         if self.amplitude not in AMPLITUDES:
@@ -63,8 +60,7 @@ def gaussian_value(s, sigma: float, amplitude: str = AMP_NORMALIZED):
     ``normalized``: (1 / (sigma * sqrt(2 pi))) * exp(-s^2 / (2 sigma^2));
     ``unit_peak``: exp(-s^2 / (2 sigma^2)).
     """
-    if not sigma > 0:  # False for NaN too
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_real(sigma, "sigma", *SIGMA_UM, "[]")
     s = np.asarray(s, dtype=np.float64)
     value = np.exp(-(s**2) / (2.0 * sigma**2))
     if amplitude == AMP_NORMALIZED:
@@ -92,7 +88,7 @@ def render_dm(
 
     Out-of-grid coordinates still contribute while within the cutoff.
     """
-    shape = tuple(int(s) for s in shape)
+    shape = check_int(shape, "shape", 1, 3)
     vs = np.asarray(voxel_size, dtype=np.float64)
     acc = np.zeros(shape, dtype=np.float64)
     pts = coords.coords
@@ -129,11 +125,12 @@ def render_dm(
             dz = axes[0][lo[0] : hi[0]] - c[0]
             dy = axes[1][lo[1] : hi[1]] - c[1]
             dx = axes[2][lo[2] : hi[2]] - c[2]
-            d2 = dz[:, None, None] ** 2 + dy[None, :, None] ** 2 + dx[None, None, :] ** 2
-            values = d2 * -inv_two_sigma2  # one buffer: (amp * scale) * exp(-d2 * inv)
+            values = dz[:, None, None] ** 2 + dy[None, :, None] ** 2 + dx[None, None, :] ** 2
+            outside = values > cutoff * cutoff
+            values *= -inv_two_sigma2  # in the d2 buffer: (amp * scale) * exp(-d2 * inv)
             np.exp(values, out=values)
             values *= amp * scale_arr[idx]
-            values[d2 > cutoff * cutoff] = 0.0
+            values[outside] = 0.0
             window = acc[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
             if kernel.compounding == K_SUM:
                 window += values

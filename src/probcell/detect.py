@@ -15,14 +15,13 @@ earlier candidate was kept.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .coords import CoordSet
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, check_real
 from .volume import Volume3D, on_two_cores
 
 # bytes of map per z-slab of local_maxima (8 planes of a float32 256^3 map),
@@ -36,11 +35,8 @@ class NmsConfig:
     threshold: float = 0.0
 
     def __post_init__(self):
-        # written so that NaN and infinity fail both checks
-        if not 0 < self.min_distance_um < math.inf:
-            raise ValueError(f"min_distance must be finite and > 0, got {self.min_distance_um!r}")
-        if not 0 <= self.threshold < math.inf:
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold!r}")
+        check_real(self.min_distance_um, "min_distance_um")
+        check_real(self.threshold, "threshold", ends="[)")
 
 
 def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

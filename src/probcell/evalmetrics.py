@@ -15,13 +15,13 @@ deterministic mistakes stay finite.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .coords import CoordSet
+from .errors import check_real
 
 NLL_EPS = 1e-7
 DEFAULT_T_MATCH_UM = 4.0
@@ -56,12 +56,6 @@ class MatchReport:
             "n_pred": self.tp + self.fp,
             "zero_prediction_precision": self.zero_prediction_precision,
         }
-
-
-def check_t_match(t_match_um: float) -> None:
-    """ValueError unless the match radius is finite and > 0 (False for NaN)."""
-    if not 0 < t_match_um < math.inf:
-        raise ValueError(f"t_match must be positive and finite, got {t_match_um!r}")
 
 
 def hungarian_match(gt: CoordSet, pred: CoordSet) -> list[tuple[int, int, float]]:
@@ -125,7 +119,7 @@ def score_detection(
     gt: CoordSet, pred: CoordSet, t_match_um: float = DEFAULT_T_MATCH_UM
 ) -> MatchReport:
     """Full detection + calibration report at the given match radius."""
-    check_t_match(t_match_um)
+    check_real(t_match_um, "t_match_um")
     pairs = hungarian_match(gt, pred)
     tp_pairs = [pair for pair in pairs if pair[2] <= t_match_um]
     far_pred = [pj for _, pj, dist in pairs if dist > t_match_um]

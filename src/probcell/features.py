@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import CoordSet
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, check_real
 from .volume import Volume3D, on_two_processes
 
 N_PERCENTILES = 5
@@ -60,10 +60,11 @@ class FeatureSpec:
     window_sides_um: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0)
 
     def __post_init__(self):
-        sides = tuple(float(s) for s in self.window_sides_um)
-        if not all(0 < s < math.inf for s in sides) or list(sides) != sorted(sides):
-            raise ValueError(f"window sides must be positive, finite and ascending, got {sides}")
-        object.__setattr__(self, "window_sides_um", sides)
+        sides = tuple(self.window_sides_um)
+        check_real(sides, "window sides", length=len(sides))
+        if list(sides) != sorted(sides):
+            raise ValueError(f"window sides must be ascending, got {sides}")
+        object.__setattr__(self, "window_sides_um", tuple(float(s) for s in sides))
 
     def dimension(self, n_maps: int) -> int:
         return len(self.window_sides_um) * n_maps * STATS_PER_BLOCK

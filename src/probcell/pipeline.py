@@ -27,15 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import MLP_EPOCHS, classify_proposals, save_model, train_forest, train_mlp
+from .classifier import (MIN_EPOCHS, MIN_TREES, MLP_EPOCHS, classify_proposals, save_model,
+                         train_forest, train_mlp)
 from .coords import CoordSet, save_coords
 from .detect import NmsConfig, detect_peaks
 from .densitymap import AMPLITUDES, COMPOUNDINGS
-from .errors import InvalidConfig
-from .evalmetrics import check_t_match, score_calibration, score_detection
+from .errors import InvalidConfig, check_int, check_real
+from .evalmetrics import score_calibration, score_detection
 from .features import FeatureSpec, extract_features
 from .spatial import (
     CDF_MODES,
+    MIN_REPLICATES,
     _check_analysis,
     analyze_deterministic,
     analyze_probabilistic,
@@ -105,13 +107,13 @@ _CHOICES = {
     "mode": ("deterministic", "probabilistic", "both"),
 }
 _CHOICES["model_type"] = _CHOICES["type"]
-# The least value of each integer setting that has one.
+# The least value of each integer setting that has one, checked before the first scene.
 _MINIMA = {
-    "config.classifier.n_trees": 1,
-    "config.classifier.epochs": 0,
+    "config.classifier.n_trees": MIN_TREES,
+    "config.classifier.epochs": MIN_EPOCHS,
     "config.threshold_grid": 1,
     "config.train_scenes": 1,
-    "config.spatial.replicates": 2,
+    "config.spatial.replicates": MIN_REPLICATES,
 }
 
 
@@ -239,11 +241,11 @@ def _maps(ro) -> list[tuple[str, Volume3D]]:
 def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: int):
     """Best-F1 stopping threshold on a validation scene (lowest such threshold).
 
-    An empty set gives (0.0, 0.0); any other set needs dm_value. The grid
-    needs at least one threshold.
+    Both settings are checked first; then an empty set gives (0.0, 0.0) and
+    any other set needs dm_value.
     """
-    if n_grid < 1:
-        raise ValueError(f"threshold grid needs at least one point, got {n_grid}")
+    n_grid = check_int(n_grid, "n_grid (at least one threshold)", _MINIMA["config.threshold_grid"])
+    check_real(t_match_um, "t_match_um")
     if len(values) == 0:
         return 0.0, 0.0
     top = float(proposals_by_threshold(values, -np.inf).dm_value.max())
@@ -274,7 +276,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         test_spec = SynthSpec(seed=seed, **cfg["test_scene"])
         tiling = _tiling_config(cfg["tiling"])
         nms = NmsConfig(**cfg["nms"])
-        check_t_match(t_match)
+        check_real(t_match, "t_match_um")
         _check_analysis(spatial_cfg["adjacency_um"], spatial_cfg["cdf_mode"])
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None

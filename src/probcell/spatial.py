@@ -25,7 +25,6 @@ explained in the README ("The exact EDT in x-major memory").
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +39,16 @@ from .errors import (
     EmptyStructure,
     NonFiniteInput,
     ShapeMismatch,
+    check_int,
+    check_real,
 )
 from .volume import Volume3D, on_two_cores, on_two_processes, sample_trilinear
 
 ADJACENCY_UM = 4.0
 CDF_MODES = ("kde", "empirical")
 CDF_GRID_POINTS = 512
+# the least replicate count: one replicate has no spread
+MIN_REPLICATES = 2
 
 
 def _mask_count(v: Volume3D, name: str) -> int:
@@ -313,9 +316,8 @@ def _distance_grid(esd: DistanceCdf, dists: np.ndarray) -> np.ndarray:
 
 
 def _check_analysis(adjacency_um: float, cdf_mode: str) -> None:
-    """Both analyses' entry check: 0 < adjacency_um < inf, False for NaN."""
-    if not 0 < adjacency_um < math.inf:
-        raise ValueError(f"adjacency_um must be positive and finite, got {adjacency_um!r}")
+    """Both analyses' entry check: a finite adjacency_um > 0 and a known cdf_mode."""
+    check_real(adjacency_um, "adjacency_um")
     if cdf_mode not in CDF_MODES:
         raise ValueError(f"cdf_mode must be one of {list(CDF_MODES)}, got {cdf_mode!r}")
 
@@ -366,14 +368,15 @@ def analyze_probabilistic(
     Replicate t draws its randomness from seed + t, so the two halves of the
     replicates run in two processes. ESD replicates resample the pooled
     distances with a Poisson(count of sampled cells) sample size. The
-    envelopes are kept as a running pointwise min and max, so memory does not
-    grow with the replicate count.
+    envelopes are kept as a running pointwise min and max, which do not grow
+    with the replicate count. The per-replicate counts and percentages do:
+    8 B per replicate plus 16 B per replicate per structure, allocated
+    before the first replicate, since the reported means and SDs take
+    np.mean's and np.std's pairwise sums over them.
     """
     _check_analysis(adjacency_um, cdf_mode)
-    if replicates < 2:
-        raise ValueError("need at least two replicates")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    replicates = check_int(replicates, "replicates", MIN_REPLICATES)
+    seed = check_int(seed, "seed")
     if len(cells) == 0:
         raise EmptyCells("probabilistic analysis needs at least one proposal")
     p = cells.p if cells.p is not None else np.ones(len(cells))

@@ -27,7 +27,6 @@ the README's "Kernels on two cores" explains.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from scipy import ndimage
 from .bayescore import RegressorOutput
 from .coords import CoordSet
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
-from .errors import PackingInfeasible
+from .errors import PackingInfeasible, check_int, check_real
 from .spatial import _exact_edt
 from .volume import Volume3D, on_two_cores, voxel_centers_um
 
@@ -70,32 +69,26 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # every range test below is False for NaN
-        for name in ("shape", "voxel_size", "cell_amp_range", "amp_field_range",
-                     "distractor_amp_range"):
+        for name in ("voxel_size", "cell_amp_range", "amp_field_range", "distractor_amp_range"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if len(self.shape) != 3 or not all(operator.index(n) >= 1 for n in self.shape):
-            raise ValueError(f"shape must be three integers >= 1, got {self.shape}")
-        if len(self.voxel_size) != 3 or not all(0 < v < math.inf for v in self.voxel_size):
-            raise ValueError(f"voxel_size must be three finite values > 0, got {self.voxel_size}")
+        object.__setattr__(self, "shape", check_int(self.shape, "shape", 1, 3))
+        for name in ("n_cells", "n_distractors", "n_tubes", "seed"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        check_real(self.voxel_size, "voxel_size", length=3)
         if not max(NOISE_SMOOTH_UM, BIAS_SMOOTH_UM) / min(self.voxel_size) < math.inf:
             raise ValueError(
                 f"voxel_size {self.voxel_size} makes the surrogate's smoothing sigmas overflow"
             )
-        if min(self.n_cells, self.n_distractors, self.n_tubes, self.seed) < 0:
-            raise ValueError("counts and seed must be nonnegative")
         self.kernel()  # checks sigma_um and cutoff_um
         for name in ("noise_sd", "margin_um", "background_bias_sd"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+            check_real(getattr(self, name), name, ends="[)")
         for name in ("tube_radius_um", "min_separation_um", "tube_length"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+            check_real(getattr(self, name), name)
         for name in ("cell_amp_range", "distractor_amp_range", "amp_field_range"):
-            lo, hi = getattr(self, name)
-            least = 0 if name == "amp_field_range" else -math.inf
-            if not least <= lo <= hi < math.inf:
-                raise ValueError(f"{name} must be finite, {least} <= lo <= hi, got {(lo, hi)}")
+            least, ends = (0, "[)") if name == "amp_field_range" else (-math.inf, "()")
+            lo, hi = check_real(getattr(self, name), name, least, ends=ends, length=2)
+            if not lo <= hi:
+                raise ValueError(f"{name} must have lo <= hi, got {(lo, hi)}")
         # one walk step per smallest voxel side; walks no longer in all than
         # the voxel count cost no more than one pass over the volume
         if self.n_tubes:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import pickle
 import signal
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import VolumeSizeMismatch, VolumeTooSmall
+from .errors import VolumeSizeMismatch, VolumeTooSmall, check_int, check_real
 
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
@@ -119,9 +118,7 @@ class Volume3D:
         data = np.ascontiguousarray(data)
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError("volume data must be a non-empty 3D array")
-        vs = tuple(float(v) for v in self.voxel_size)
-        if len(vs) != 3 or not all(0 < v < math.inf for v in vs):
-            raise ValueError(f"voxel_size must be three positive finite values, got {vs}")
+        vs = tuple(float(v) for v in check_real(self.voxel_size, "voxel_size", length=3))
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "voxel_size", vs)
 
@@ -176,17 +173,8 @@ class TilingConfig:
     strategy: str
 
     def __post_init__(self):
-        for name in ("l_in", "conv_margin", "peak_margin"):
-            try:
-                val = tuple(operator.index(x) for x in getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be integers, got {getattr(self, name)!r}") from None
-            if len(val) != 3:
-                raise ValueError(f"{name} must have three entries")
-            least = 1 if name == "l_in" else 0
-            if min(val) < least:
-                raise ValueError(f"{name} must be >= {least} per axis, got {val}")
-            object.__setattr__(self, name, val)
+        for name, least in (("l_in", 1), ("conv_margin", 0), ("peak_margin", 0)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, least, 3))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {list(STRATEGIES)}, got {self.strategy!r}")
         if self.strategy == M_CONV and any(m != 0 for m in self.peak_margin):
@@ -258,7 +246,7 @@ def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
     Output windows tile the volume; interior windows are disjoint and only
     the trailing window per axis may overlap its predecessor.
     """
-    shape = tuple(int(s) for s in shape)
+    shape = check_int(shape, "shape", length=3)
     tile = cfg.l_out_tile
     for ax in range(3):
         if shape[ax] < tile[ax]:
@@ -323,12 +311,8 @@ def load_volume(base_path) -> Volume3D:
     raw_path = base.with_suffix(".raw")
     json_path = base.with_suffix(".json")
     sidecar = json.loads(json_path.read_text())
-    shape = tuple(sidecar["shape"])
-    if not all(type(s) is int for s in shape):
-        raise ValueError(f"{json_path}: shape {list(shape)} must hold JSON integers")
-    voxel_size = tuple(sidecar["voxel_size_um"])
-    if not all(type(v) in (int, float) for v in voxel_size):
-        raise ValueError(f"{json_path}: voxel_size_um {list(voxel_size)} must hold JSON numbers")
+    shape = check_int(sidecar["shape"], f"{json_path}: shape", 1, 3)
+    voxel_size = check_real(sidecar["voxel_size_um"], f"{json_path}: voxel_size_um", length=3)
     size = raw_path.stat().st_size
     expected = math.prod(shape) * 4
     if size != expected:

@@ -66,11 +66,15 @@ class TestForestTraining:
         with pytest.raises(SingleClass):
             train_forest(rng.random((10, 2)), np.ones(10), seed=0)
 
-    @pytest.mark.parametrize("n_trees", [0, -1])
-    def test_no_trees_rejected(self, rng, n_trees):
+    @pytest.mark.parametrize("kwargs", [
+        {"n_trees": 0}, {"n_trees": -1},
+        {"n_trees": True},  # trained one tree
+        {"seed": 1.5},  # failed in numpy with a TypeError that named no setting
+    ], ids=["0", "-1", "True", "seed=1.5"])
+    def test_no_trees_rejected(self, rng, kwargs):
         X, y = separable_1d(rng)
-        with pytest.raises(ValueError, match="n_trees"):
-            train_forest(X, y, seed=0, n_trees=n_trees)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            train_forest(X, y, **{"seed": 0, **kwargs})
 
     def test_deterministic_given_seed(self, rng):
         X = rng.random((40, 6))
@@ -272,8 +276,9 @@ class TestMlp:
     def test_negative_epochs_rejected(self, rng):
         X = rng.random((20, 2))
         y = np.arange(20) % 2
-        with pytest.raises(ValueError, match="epochs"):
-            train_mlp(X, y, seed=0, epochs=-1)
+        for epochs in (-1, 1.5):  # 1.5 failed in numpy, naming no setting
+            with pytest.raises(ValueError, match="epochs"):
+                train_mlp(X, y, seed=0, epochs=epochs)
 
     @pytest.mark.parametrize("n, hidden", [
         (50, (6,)),         # 40 training rows: one full batch and a remainder of 8

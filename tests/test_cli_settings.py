@@ -29,6 +29,7 @@ from probcell import (
 )
 from probcell import pipeline as pipeline_mod
 from probcell.cli import build_parser, main
+from probcell.errors import check_int, check_real
 
 # run_pipeline on two 32^3 scenes: a second or less
 TINY_PIPE = {
@@ -286,6 +287,14 @@ def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
                 assert np.isfinite(np.fromfile(path, dtype="<f4")).all(), path
 
 
+# each built a SynthSpec (2.5 cells, a NaN seed) before the shared checks;
+# those raise a ValueError that names the field
+_ACCEPTED_BEFORE_SHARED_CHECKS = [
+    {"n_cells": 2.5}, {"n_cells": math.nan}, {"n_cells": True},
+    {"seed": math.nan}, {"seed": 1.5}, {"shape": (True, 8, 8)},
+]
+
+
 @pytest.mark.parametrize("overrides", [
     {"shape": (16, 16, 0)},
     {"shape": (16, 16, 4.5)},
@@ -303,10 +312,13 @@ def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
     {"distractor_amp_range": (0.2, math.inf)},
     {"amp_field_range": (-0.5, 1.0)},
     {"seed": -1},
+    *_ACCEPTED_BEFORE_SHARED_CHECKS,
 ])
 def test_synth_spec_checks_its_ranges(overrides):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises((ValueError, TypeError)) as info:
         SynthSpec(**{"shape": (16, 16, 16), "n_cells": 2, **overrides})
+    if any(overrides is case for case in _ACCEPTED_BEFORE_SHARED_CHECKS):
+        assert info.type is ValueError and next(iter(overrides)) in str(info.value)
 
 
 def test_synth_spec_holds_tuples():
@@ -341,3 +353,53 @@ def test_analyses_check_settings_without_kept_cells(analyze, kwargs, match):
     cells = CoordSet(np.asarray([[1.5, 1.5, 1.5]]), p=np.asarray([1e-9]))
     with pytest.raises(ValueError, match=match):
         analyze(cells, prelude, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"replicates": 2.5}, {"seed": 1.5}])
+def test_probabilistic_analysis_takes_integer_counts(kwargs):
+    """Each failed in numpy with a TypeError that named no setting."""
+    from conftest import vol
+
+    structure = np.zeros((8, 8, 8))
+    structure[4, 4, 4] = 1.0
+    prelude = prepare_spatial({"s": vol(structure)}, vol(np.ones((8, 8, 8))))
+    cells = CoordSet(np.asarray([[1.5, 1.5, 1.5]]), p=np.asarray([0.5]))
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        analyze_probabilistic(cells, prelude, **kwargs)
+
+
+def test_shared_checks():
+    """check_int takes numpy integers and returns Python ints, refuses bool
+    and floats; check_real returns its input and refuses bool, NaN lies in no
+    interval whichever its ends, and an infinite end is inside only when
+    closed."""
+    n = check_int(np.int64(3), "n", 3)
+    assert n == 3 and type(n) is int
+    assert check_int((np.int32(1), 2, 3), "l_in", 1, 3) == (1, 2, 3)
+    for bad in (True, np.bool_(False), 2.0, "2", None):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            check_int(bad, "n")
+    with pytest.raises(ValueError, match="^l_in must be integers"):
+        check_int((1, True, 3), "l_in", 1, 3)
+    with pytest.raises(ValueError, match="^n must be >= 3, got 2"):
+        check_int(2, "n", 3)
+    with pytest.raises(ValueError, match="^l_in must be 3 values"):
+        check_int((1, 2), "l_in", 1, 3)
+
+    one = check_real(1, "x", 0, 2, "[]")
+    assert one == 1 and type(one) is int
+    for ends in ("()", "[]", "[)", "(]"):
+        for lo, hi in ((0, 1), (-math.inf, math.inf)):
+            with pytest.raises(ValueError, match="^x must lie in"):
+                check_real(math.nan, "x", lo, hi, ends)
+    assert check_real(0.0, "x", 0, 1, "[)") == 0.0
+    assert check_real(-math.inf, "x", -math.inf, 0, "[)") == -math.inf
+    assert check_real(math.inf, "x", 0, math.inf, "(]") == math.inf
+    for value, lo, hi, ends in ((0.0, 0, 1, "(]"), (1.0, 0, 1, "[)"), (math.inf, 0, math.inf, "()"),
+                                (-math.inf, -math.inf, 0, "(]"), ("1", 0, 2, "[]"),
+                                (True, 0, 2, "[]")):
+        with pytest.raises(ValueError, match="^x must lie in"):
+            check_real(value, "x", lo, hi, ends)
+    assert check_real((1e300, 2.0), "pair", length=2) == (1e300, 2.0)
+    with pytest.raises(ValueError, match=r"^pair must lie in \(0, inf\), got \(1.0, nan\)"):
+        check_real((1.0, math.nan), "pair", length=2)

@@ -32,7 +32,7 @@ class TestGaussianValue:
         assert np.all(np.diff(v) <= 0)
 
     def test_rejects_bad_sigma(self):
-        for sigma in (0.0, -1.0, float("nan")):
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):  # inf once gave 0.0
             with pytest.raises(ValueError, match="sigma"):
                 gaussian_value(1.0, sigma)
 

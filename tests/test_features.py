@@ -239,6 +239,7 @@ class TestNonFiniteMaps:
 class TestSpecValidation:
     @pytest.mark.parametrize("sides", [
         (math.nan, 8.0), (4.0, math.nan), (4.0, math.inf), (0.0, 8.0), (-4.0, 8.0),
+        (True, 8.0),  # was taken as (1.0, 8.0)
     ])
     def test_window_side_outside_0_inf_rejected(self, sides):
         with pytest.raises(ValueError, match="window sides"):

@@ -184,7 +184,7 @@ class TestHelpers:
         with pytest.raises(ValueError, match="dm_value"):
             select_threshold(CoordSet(gt.coords), gt, 4.0, n_grid=5)
 
-    @pytest.mark.parametrize("n_grid", [0, -3])
+    @pytest.mark.parametrize("n_grid", [0, -3, 2.5])
     def test_select_threshold_rejects_empty_grid(self, n_grid):
         """An empty grid has no threshold to pick; it raises instead of
         returning a placeholder score as if it were a result."""
@@ -195,6 +195,14 @@ class TestHelpers:
         for values in (proposals, CoordSet.empty()):
             with pytest.raises(ValueError, match="at least one"):
                 select_threshold(values, gt, 4.0, n_grid=n_grid)
+
+    @pytest.mark.parametrize("t_match", [math.nan, 0.0, math.inf])
+    def test_select_threshold_checks_radius_before_empty_set(self, t_match):
+        """An empty validation set returned (0.0, 0.0) before the radius
+        was checked, so a NaN radius was never reported."""
+        gt = CoordSet(np.asarray([[5.0, 5.0, 5.0]]))
+        with pytest.raises(ValueError, match="t_match_um"):
+            select_threshold(CoordSet.empty(), gt, t_match, n_grid=5)
 
 
 PIPE_CFG = {
