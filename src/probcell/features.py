@@ -169,7 +169,7 @@ def extract_features(
                 col += STATS_PER_BLOCK
         return out, None
 
-    halves = on_two_processes(rows, n)
+    halves = on_two_processes(rows, n, item_cost=len(maps))
     bad = [found for _, found in halves if found is not None]
     if bad:  # the window the serial map, window, row loop meets first
         raise NonFiniteInput(min(bad)[2])

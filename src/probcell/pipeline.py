@@ -27,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (MIN_EPOCHS, MIN_TREES, MLP_EPOCHS, classify_proposals, save_model,
+from .classifier import (MIN_EPOCHS, MIN_TREES, MLP_EPOCHS, predict_proba, save_model,
                          train_forest, train_mlp)
 from .coords import CoordSet, save_coords
 from .detect import NmsConfig, detect_peaks
 from .densitymap import AMPLITUDES, COMPOUNDINGS
-from .errors import InvalidConfig, check_int, check_real
+from .errors import InvalidConfig, ProbcellError, check_int, check_real
 from .evalmetrics import score_calibration, score_detection
 from .features import FeatureSpec, extract_features
 from .spatial import (
@@ -44,7 +44,8 @@ from .spatial import (
     prepare_spatial,
 )
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
-from .volume import M_PEAK, STRATEGIES, TilingConfig, Volume3D, plan_tiling, um_to_voxel
+from .volume import (M_PEAK, STRATEGIES, TilingConfig, Volume3D, fork_join, plan_tiling,
+                     um_to_voxel)
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -261,6 +262,12 @@ def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: 
 def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     """Run the full synthetic pipeline; returns (and optionally writes) the report.
 
+    A forked child runs the validation and test scenes and sends back their
+    proposals and the test features, not their maps, while this process runs
+    the training scenes, the classifier and the spatial prelude. Errors come
+    in scene order: the training scenes' and classifier's first, then the
+    child's, then the prelude's.
+
     When out_dir is given, writes model.json, proposals.csv, report.json and
     records content hashes of the artifacts in the report. Identical config
     and seed produce byte-identical artifacts.
@@ -281,35 +288,51 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None
     feature_spec = FeatureSpec()
-
-    # training scenes
-    X_parts, y_parts = [], []
-    train_stats = []
-    for spec in train_specs:
-        gt, ro, proposals = _detect_scene(spec, tiling, nms)
-        X = extract_features(_maps(ro), proposals, feature_spec)
-        y = label_proposals(proposals, gt, t_match)
-        X_parts.append(X)
-        y_parts.append(y)
-        train_stats.append({"n_gt": len(gt), "n_proposals": len(proposals), "n_positive": int(y.sum())})
-    X_train = np.concatenate(X_parts, axis=0)
-    y_train = np.concatenate(y_parts)
-
     cls_cfg = cfg["classifier"]
-    if cls_cfg["type"] == "forest":
-        model = train_forest(X_train, y_train, seed=seed, n_trees=cls_cfg["n_trees"])
-    else:
-        model = train_mlp(X_train, y_train, seed=seed, epochs=cls_cfg.get("epochs", MLP_EPOCHS))
 
-    # validation scene: stopping threshold for the deterministic baseline
-    val_gt, val_ro, val_proposals = _detect_scene(val_spec, tiling, nms)
-    threshold, val_f1 = select_threshold(
-        val_proposals, val_gt, t_match, cfg["threshold_grid"]
-    )
+    def scenes_apart():
+        # validation scene (stopping threshold for the deterministic
+        # baseline) and test scene, in the forked child: no maps come back
+        val_gt, _, val_proposals = _detect_scene(val_spec, tiling, nms)
+        threshold, val_f1 = select_threshold(val_proposals, val_gt, t_match, cfg["threshold_grid"])
+        test_gt, test_ro, test_proposals = _detect_scene(test_spec, tiling, nms)
+        X_test = extract_features(_maps(test_ro), test_proposals, feature_spec)
+        return threshold, val_f1, test_gt, test_proposals, X_test
 
-    # test scene
-    test_gt, test_ro, test_proposals = _detect_scene(test_spec, tiling, nms)
-    classified = classify_proposals(model, _maps(test_ro), test_proposals, feature_spec)
+    def scenes_here():
+        # training scenes and classifier (the MLP's BLAS stays in this
+        # process), then the spatial prelude
+        X_parts, y_parts, train_stats = [], [], []
+        for spec in train_specs:
+            gt, ro, proposals = _detect_scene(spec, tiling, nms)
+            X = extract_features(_maps(ro), proposals, feature_spec)
+            y = label_proposals(proposals, gt, t_match)
+            X_parts.append(X)
+            y_parts.append(y)
+            train_stats.append(
+                {"n_gt": len(gt), "n_proposals": len(proposals), "n_positive": int(y.sum())}
+            )
+        X_train = np.concatenate(X_parts, axis=0)
+        y_train = np.concatenate(y_parts)
+        if cls_cfg["type"] == "forest":
+            model = train_forest(X_train, y_train, seed=seed, n_trees=cls_cfg["n_trees"])
+        else:
+            model = train_mlp(X_train, y_train, seed=seed, epochs=cls_cfg.get("epochs", MLP_EPOCHS))
+        try:
+            structure, tissue = generate_structures(test_spec)
+            prelude = prepare_spatial({"structure": structure}, tissue)
+        except (ProbcellError, ValueError) as exc:  # raised after the child's, in scene order
+            prelude = exc
+        return train_stats, len(X_train), model, prelude
+
+    apart, here = fork_join(scenes_apart, scenes_here)
+    threshold, val_f1, test_gt, test_proposals, X_test = apart
+    train_stats, n_train, model, prelude = here
+    if isinstance(prelude, Exception):
+        raise prelude
+    # classify_proposals on the child's features
+    classified = CoordSet(test_proposals.coords, predict_proba(model, X_test),
+                          test_proposals.dm_value)
 
     positives = classified.select(classified.p >= 0.5)
     det_report = score_detection(test_gt, CoordSet(positives.coords), t_match)
@@ -318,8 +341,6 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     baseline_pred = proposals_by_threshold(test_proposals, threshold)
     baseline_report = score_detection(test_gt, CoordSet(baseline_pred.coords), t_match)
 
-    structure, tissue = generate_structures(test_spec)
-    prelude = prepare_spatial({"structure": structure}, tissue)
     settings = {"adjacency_um": spatial_cfg["adjacency_um"], "cdf_mode": spatial_cfg["cdf_mode"]}
     det_spatial = analyze_deterministic(classified, prelude, **settings)
     prob_spatial = analyze_probabilistic(
@@ -337,7 +358,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         },
         "classifier": {
             "type": cls_cfg["type"],
-            "n_train": int(X_train.shape[0]),
+            "n_train": n_train,
             "test_detection": det_report.to_dict(),
             "test_brier": brier,
             "test_nll": nll,

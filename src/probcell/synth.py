@@ -82,8 +82,11 @@ class SynthSpec:
         self.kernel()  # checks sigma_um and cutoff_um
         for name in ("noise_sd", "margin_um", "background_bias_sd"):
             check_real(getattr(self, name), name, ends="[)")
-        for name in ("tube_radius_um", "min_separation_um", "tube_length"):
+        for name in ("tube_radius_um", "min_separation_um"):
             check_real(getattr(self, name), name)
+        length = ("tube_length_um" if self.tube_length_um is not None
+                  else "the default tube length, 0.8 of the longest shape * voxel_size")
+        check_real(self.tube_length, length)
         for name in ("cell_amp_range", "distractor_amp_range", "amp_field_range"):
             least, ends = (0, "[)") if name == "amp_field_range" else (-math.inf, "()")
             lo, hi = check_real(getattr(self, name), name, least, ends=ends, length=2)
@@ -95,8 +98,9 @@ class SynthSpec:
             steps = self.n_tubes * (self.tube_length / min(self.voxel_size))
             if not steps <= math.prod(self.shape):
                 raise ValueError(
-                    f"n_tubes = {self.n_tubes} walks of {self.tube_length:.3g} um would take "
-                    f"{steps:.3g} steps, more than the volume's {math.prod(self.shape)} voxels"
+                    f"n_tubes = {self.n_tubes} walks of {length} = {self.tube_length:.3g} um "
+                    f"in steps of the smallest voxel_size side would take {steps:.3g} steps, "
+                    f"more than the volume's {math.prod(self.shape)} voxels"
                 )
 
     @property

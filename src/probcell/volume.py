@@ -55,27 +55,25 @@ def on_two_cores(fn, n: int) -> None:
     future.result()
 
 
-# Fewer items than this stay in the calling process, where a fork round trip
-# costs more than half of them save (README, "Kernels on two cores").
-FORK_MIN_ITEMS = 32
+def fork_join(child, caller) -> list:
+    """[child(), caller()], child() run in a forked process beside the caller.
 
-
-def on_two_processes(fn, n: int) -> list:
-    """[fn(0, n // 2), fn(n // 2, n)], the first half run in a forked child.
-
-    For loops of small numpy calls that hold the GIL; fn must call no public
-    probcell function, whose benchmark span the child would lose. The child
-    is reaped before this returns or raises: killed if the caller's half
-    raises, while its own exception is re-raised here.
+    The child sends its result back pickled through a pipe and is reaped
+    before this returns or raises. An error in caller() kills the child and
+    is raised; else the child's own error is re-raised here with its type and
+    message. A process that the killed child forked itself finishes and
+    exits on its own. Without ``os.fork`` both run in this process, caller()
+    first, so the same error wins on both paths.
     """
-    if n < FORK_MIN_ITEMS or not hasattr(os, "fork"):
-        return [fn(0, n // 2), fn(n // 2, n)]
+    if not hasattr(os, "fork"):
+        mine = caller()
+        return [child(), mine]
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: one pickle down the pipe, then out without cleanup
         try:
             try:
-                payload = True, fn(0, n // 2)
+                payload = True, child()
             except BaseException as exc:
                 payload = False, exc
             with open(write_fd, "wb") as pipe:
@@ -85,7 +83,7 @@ def on_two_processes(fn, n: int) -> list:
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            mine = fn(n // 2, n)
+            mine = caller()
             data = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -98,6 +96,25 @@ def on_two_processes(fn, n: int) -> list:
     if not ok:
         raise theirs
     return [theirs, mine]
+
+
+# Calls that cost less than this stay in the calling process, where a fork
+# round trip costs more than half of their work saves (README, "Kernels on
+# two cores"). The unit is one feature row over one map.
+FORK_MIN_COST = 96
+
+
+def on_two_processes(fn, n: int, item_cost: int = 3) -> list:
+    """[fn(0, n // 2), fn(n // 2, n)], the first half run in a forked child.
+
+    For loops of small numpy calls that hold the GIL, through fork_join when
+    the n items cost at least FORK_MIN_COST in all: a feature row costs one
+    per map, and a tree or a Monte-Carlo replicate is charged 3. fn must call
+    no public probcell function, whose benchmark span the child would lose.
+    """
+    if n * item_cost < FORK_MIN_COST:
+        return [fn(0, n // 2), fn(n // 2, n)]
+    return fork_join(lambda: fn(0, n // 2), lambda: fn(n // 2, n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -21,4 +22,10 @@ def vol(data, voxel_size=(1.0, 1.0, 1.0)) -> Volume3D:
 @pytest.fixture
 def fork_always(monkeypatch):
     """Every on_two_processes call forks, however few its items."""
-    monkeypatch.setattr(volume, "FORK_MIN_ITEMS", 0)
+    monkeypatch.setattr(volume, "FORK_MIN_COST", 0)
+
+
+def no_child_left():
+    """No child process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from probcell import (
 )
 from probcell import pipeline as pipeline_mod
 from probcell.cli import main
-from probcell.errors import InvalidConfig, ProbcellError
+from probcell.errors import InvalidConfig, ProbcellError, SingleClass, VolumeTooSmall
 from probcell.pipeline import (
     DEFAULT_CONFIG,
     _tiling_config,
@@ -42,6 +43,7 @@ from probcell.pipeline import (
 )
 from probcell.volume import M_CONV, M_PEAK
 
+from conftest import no_child_left
 from oracles import reference_tiled_detect
 
 
@@ -248,11 +250,68 @@ class TestRunPipeline:
             run_pipeline({"tiling": {field: [-2, -2, -2]}})
 
 
+# a test scene smaller than an output tile (24^3), with no tube to analyse
+_TINY_TEST_SCENE = {**PIPE_CFG["test_scene"], "shape": [20, 20, 20], "n_cells": 2,
+                    "n_distractors": 1, "n_tubes": 0}
+
+
+class TestSceneFork:
+    """run_pipeline runs the validation and test scenes in a forked child
+    while it trains on the training scenes and prepares the spatial analysis."""
+
+    @pytest.mark.parametrize("classifier", [{"type": "forest", "n_trees": 8},
+                                            {"type": "mlp", "epochs": 10}])
+    def test_artifacts_equal_without_fork(self, tmp_path, monkeypatch, classifier):
+        cfg = dict(PIPE_CFG, classifier=classifier)
+        log = tmp_path / "scenes.log"
+        detect_scene = pipeline_mod._detect_scene
+
+        def logged(spec, *args):
+            with open(log, "a") as f:
+                f.write(f"{spec.seed} {os.getpid()}\n")
+            return detect_scene(spec, *args)
+
+        monkeypatch.setattr(pipeline_mod, "_detect_scene", logged)
+        run_pipeline(cfg, out_dir=tmp_path / "forked")
+        no_child_left()
+        pids = dict(line.split() for line in log.read_text().splitlines())
+        here = str(os.getpid())
+        assert pids.pop("1001") == here  # the training scene
+        assert set(pids) == {"1", "2001"} and here not in pids.values()
+        monkeypatch.delattr(os, "fork")
+        run_pipeline(cfg, out_dir=tmp_path / "serial")
+        for name in ("report.json", "model.json", "proposals.csv"):
+            assert (tmp_path / "forked" / name).read_bytes() == (
+                tmp_path / "serial" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("train_scene, error", [
+        # the test scene fails its tiling before its empty structure is met
+        ({}, VolumeTooSmall),
+        # the training scenes fail before the test scene
+        ({"n_cells": 0}, SingleClass),
+    ], ids=["tiny-test-scene", "no-training-cells"])
+    def test_errors_in_scene_order(self, monkeypatch, fork, train_scene, error):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        cfg = dict(PIPE_CFG, test_scene=_TINY_TEST_SCENE,
+                   train_scene={**PIPE_CFG["train_scene"], **train_scene})
+        with pytest.raises(error):
+            run_pipeline(cfg)
+        no_child_left()
+
+
 _NAMES = st.sampled_from(["n_tres", "n_cell", "seed", "epochs"]) | st.text(max_size=4)
+
+
+def _nest(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(_NAMES, inner, max_size=3)
+
+
 _VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.integers(min_value=2**1024)
     | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_NAMES, inner, max_size=3),
+    _nest,
     max_leaves=6,
 )
 

@@ -28,9 +28,9 @@ from probcell import volume
 from probcell.errors import EmptyCells, NonFiniteInput, VolumeSizeMismatch, VolumeTooSmall
 from probcell.pipeline import tiled_detect
 from probcell.features import extract_features
-from probcell.volume import M_CONV, M_PEAK, on_two_cores, on_two_processes
+from probcell.volume import M_CONV, M_PEAK, fork_join, on_two_cores, on_two_processes
 
-from conftest import vol
+from conftest import no_child_left, vol
 
 
 SUPP_TABLE_CONV = TilingConfig.m_conv((64, 156, 156), (20, 20, 20))
@@ -294,24 +294,34 @@ class TestOnTwoCores:
         assert not hung and child.exitcode == 0
 
 
-def _no_child_left():
-    """No child process is running or waiting to be reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestOnTwoProcesses:
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_halves_come_back_in_order(self, fork_always, n):
         halves = on_two_processes(lambda lo, hi: (list(range(lo, hi)), os.getpid()), n)
         assert [items for items, _ in halves] == [list(range(n // 2)), list(range(n // 2, n))]
         assert halves[1][1] == os.getpid() != halves[0][1]
-        _no_child_left()
+        no_child_left()
 
     def test_few_items_stay_in_the_caller(self):
-        n = volume.FORK_MIN_ITEMS - 1
+        n = volume.FORK_MIN_COST // 3 - 1  # items cost 3 by default
         halves = on_two_processes(lambda lo, hi: (lo, hi, os.getpid()), n)
         assert halves == [(0, n // 2, os.getpid()), (n // 2, n, os.getpid())]
+
+    @pytest.mark.parametrize("n_maps, rows, forks", [(1, 95, 0), (1, 96, 1), (3, 31, 0), (3, 32, 1)])
+    def test_feature_rows_cost_one_per_map(self, monkeypatch, rng, n_maps, rows, forks):
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        maps = [(name, vol(rng.random((16, 16, 16)))) for name in ("dm", "u_a", "u_e")[:n_maps]]
+        proposals = CoordSet(rng.uniform(0.0, 16.0, (rows, 3)))
+        X = extract_features(maps, proposals)
+        assert X.shape[0] == rows and len(calls) == forks
+        no_child_left()
 
     def test_child_error_reraised_with_type_and_message(self, fork_always):
         def fn(lo, hi):
@@ -322,7 +332,7 @@ class TestOnTwoProcesses:
         with pytest.raises(EmptyCells) as info:
             on_two_processes(fn, 4)
         assert type(info.value) is EmptyCells and str(info.value) == "child half"
-        _no_child_left()
+        no_child_left()
 
     def test_caller_error_kills_and_reaps_the_child(self, fork_always):
         def fn(lo, hi):
@@ -334,7 +344,21 @@ class TestOnTwoProcesses:
         with pytest.raises(KeyError, match="caller half"):
             on_two_processes(fn, 4)
         assert time.monotonic() - start < 30
-        _no_child_left()
+        no_child_left()
+
+    def test_fork_join_runs_two_callables(self):
+        def fail(exc):
+            raise exc
+
+        child, mine = fork_join(os.getpid, os.getpid)
+        assert mine == os.getpid() != child
+        with pytest.raises(EmptyCells, match="child"):
+            fork_join(lambda: fail(EmptyCells("child")), lambda: None)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="caller"):
+            fork_join(lambda: time.sleep(60), lambda: fail(KeyError("caller")))
+        assert time.monotonic() - start < 30
+        no_child_left()
 
     def test_child_that_dies_without_result_raises(self, fork_always):
         def fn(lo, hi):
@@ -344,7 +368,7 @@ class TestOnTwoProcesses:
 
         with pytest.raises(RuntimeError, match="without sending a result"):
             on_two_processes(fn, 4)
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("nans", [
         [("u_a", 0, 5), ("dm", 0, 11)],  # the caller's half holds the first map
@@ -373,4 +397,4 @@ class TestOnTwoProcesses:
         assert str(info.value) == (
             f"map {first[0]!r} has NaN or infinite values in the window around proposal {first[1]}"
         )
-        _no_child_left()
+        no_child_left()
