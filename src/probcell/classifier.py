@@ -60,6 +60,10 @@ class Tree:
     n_total: np.ndarray
 
 
+# Tree's column types in its field order; the integer columns are node indices
+TREE_DTYPES = (np.int64, np.float64, np.int64, np.int64, np.float64, np.float64)
+
+
 @dataclass
 class ForestModel:
     n_features: int
@@ -150,8 +154,7 @@ def _build_tree(X, y, rng, n_sub):
         # push right first so the left branch is processed next (stable RNG order)
         stack.append((ri, idx[~go_left]))
         stack.append((li, idx[go_left]))
-    kinds = (np.int64, np.float64, np.int64, np.int64, np.float64, np.float64)
-    return Tree(*(np.asarray(column, dtype=kind) for column, kind in zip(zip(*nodes), kinds)))
+    return Tree(*(np.asarray(column, dtype=kind) for column, kind in zip(zip(*nodes), TREE_DTYPES)))
 
 
 def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -213,11 +216,8 @@ class MlpModel:
     def n_features(self) -> int:
         return self.weights[0].shape[0]
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return _forward(self, _feature_rows(X, self.n_features))[1]
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.logits(X))
+        return _sigmoid(_forward(self, _feature_rows(X, self.n_features))[1])
 
 
 def _forward(model: MlpModel, X: np.ndarray):
@@ -386,14 +386,11 @@ def load_model(path):
             model = ForestModel(
                 n_features=check_int(payload["n_features"], "n_features", 1),
                 trees=[
-                    Tree(
-                        feature=_node_indices(t["feature"]),
-                        threshold=np.asarray(t["threshold"], dtype=np.float64),
-                        left=_node_indices(t["left"]),
-                        right=_node_indices(t["right"]),
-                        n_pos=np.asarray(t["n_pos"], dtype=np.float64),
-                        n_total=np.asarray(t["n_total"], dtype=np.float64),
-                    )
+                    Tree(*(
+                        _node_indices(t[f.name]) if kind is np.int64
+                        else np.asarray(t[f.name], dtype=kind)
+                        for f, kind in zip(fields(Tree), TREE_DTYPES)
+                    ))
                     for t in payload["trees"]
                 ],
                 seed=check_int(payload["seed"], "seed"),
@@ -437,8 +434,7 @@ def _check_forest(model: ForestModel) -> None:
         raise InvalidModel("a forest needs at least one tree")
     for k, t in enumerate(model.trees):
         n = t.feature.size
-        arrays = (t.feature, t.threshold, t.left, t.right, t.n_pos, t.n_total)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
+        if n == 0 or any(getattr(t, f.name).shape != (n,) for f in fields(Tree)):
             raise InvalidModel(f"tree {k}: node arrays must be non-empty and of equal length")
         if np.any((t.feature < -1) | (t.feature >= model.n_features)):
             raise InvalidModel(f"tree {k}: feature index outside [-1, {model.n_features})")

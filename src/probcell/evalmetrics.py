@@ -15,7 +15,7 @@ deterministic mistakes stay finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -42,20 +42,9 @@ class MatchReport:
     zero_prediction_precision: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "t_match_um": self.t_match_um,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "brier": self.brier,
-            "nll": self.nll,
-            "n_gt": self.tp + self.fn,
-            "n_pred": self.tp + self.fp,
-            "zero_prediction_precision": self.zero_prediction_precision,
-        }
+        """Every field but the pairs, with the ground-truth and prediction counts."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pairs"}
+        return dict(out, n_gt=self.tp + self.fn, n_pred=self.tp + self.fp)
 
 
 def hungarian_match(gt: CoordSet, pred: CoordSet) -> list[tuple[int, int, float]]:

@@ -53,17 +53,12 @@ MIN_REPLICATES = 2
 
 def _mask_count(v: Volume3D, name: str) -> int:
     """Voxels at 1 of a mask that must hold only 0 and 1, counted one
-    z-plane at a time on both cores."""
-    data = v.data
-    counts = np.empty((data.shape[0], 2), np.int64)
-
-    def planes(lo: int, hi: int) -> None:
-        for z in range(lo, hi):
-            counts[z] = np.count_nonzero(data[z] == 0.0), np.count_nonzero(data[z] == 1.0)
-
-    on_two_cores(planes, data.shape[0])
-    zeros, ones = counts.sum(axis=0).tolist()
-    if zeros + ones != data.size:  # NaN is neither
+    z-plane at a time."""
+    zeros = ones = 0
+    for plane in v.data:
+        zeros += np.count_nonzero(plane == 0.0)
+        ones += np.count_nonzero(plane == 1.0)
+    if zeros + ones != v.data.size:  # NaN is neither
         raise ValueError(f"{name} mask must be binary")
     return ones
 
@@ -205,16 +200,12 @@ class StructureAnalysis:
             "cell_cdf": None if self.cell_cdf is None else self.cell_cdf.tolist(),
             "esd_cdf": self.esd_cdf.tolist(),
         }
-        if self.cell_envelope is not None:
-            out["cell_envelope_lower"] = self.cell_envelope[0].tolist()
-            out["cell_envelope_upper"] = self.cell_envelope[1].tolist()
-        if self.esd_envelope is not None:
-            out["esd_envelope_lower"] = self.esd_envelope[0].tolist()
-            out["esd_envelope_upper"] = self.esd_envelope[1].tolist()
-        if self.pct_cells_adjacent_sd is not None:
-            out["pct_cells_adjacent_sd"] = _opt(self.pct_cells_adjacent_sd)
-        if self.pct_volume_adjacent_sd is not None:
-            out["pct_volume_adjacent_sd"] = _opt(self.pct_volume_adjacent_sd)
+        for curve in ("cell", "esd"):  # an envelope is None or (lower, upper)
+            for bound, values in zip(("lower", "upper"), getattr(self, f"{curve}_envelope") or ()):
+                out[f"{curve}_envelope_{bound}"] = values.tolist()
+        for key in ("pct_cells_adjacent_sd", "pct_volume_adjacent_sd"):
+            if getattr(self, key) is not None:
+                out[key] = _opt(getattr(self, key))
         return out
 
 
@@ -315,6 +306,16 @@ def _distance_grid(esd: DistanceCdf, dists: np.ndarray) -> np.ndarray:
     return np.linspace(0.0, top, CDF_GRID_POINTS)
 
 
+def _curves(prep: PreparedStructure, grid: np.ndarray, dists: np.ndarray, cdf_mode: str) -> dict:
+    """A structure's reported curves on grid: the CDF of the p >= 0.5 cells'
+    distances dists in cdf_mode (None without such cells) and the ESD step CDF."""
+    return {
+        "distance_grid": grid,
+        "cell_cdf": DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None,
+        "esd_cdf": prep.esd.evaluate(grid, mode="empirical"),
+    }
+
+
 def _check_analysis(adjacency_um: float, cdf_mode: str) -> None:
     """Both analyses' entry check: a finite adjacency_um > 0 and a known cdf_mode."""
     check_real(adjacency_um, "adjacency_um")
@@ -335,16 +336,13 @@ def analyze_deterministic(
     out = {}
     for name, prep in prelude.structures.items():
         dists = cell_distances(kept, prep.edt) if len(kept) else np.empty(0)
-        grid = _distance_grid(prep.esd, dists)
         out[name] = StructureAnalysis(
             name=name,
             pct_cells_adjacent=(
                 100.0 * float(np.mean(dists < adjacency_um)) if dists.size else float("nan")
             ),
             pct_volume_adjacent=100.0 * float(np.mean(prep.pool < adjacency_um)),
-            distance_grid=grid,
-            cell_cdf=DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None,
-            esd_cdf=prep.esd.evaluate(grid, mode="empirical"),
+            **_curves(prep, _distance_grid(prep.esd, dists), dists, cdf_mode),
         )
     return SpatialReport(
         mode="deterministic",
@@ -370,9 +368,9 @@ def analyze_probabilistic(
     distances with a Poisson(count of sampled cells) sample size. The
     envelopes are kept as a running pointwise min and max, which do not grow
     with the replicate count. The per-replicate counts and percentages do:
-    8 B per replicate plus 16 B per replicate per structure, allocated
+    one table row per replicate, 8 B plus 16 B per structure, allocated
     before the first replicate, since the reported means and SDs take
-    np.mean's and np.std's pairwise sums over them.
+    np.nanmean's and np.nanstd's pairwise sums over its columns.
     """
     _check_analysis(adjacency_um, cdf_mode)
     replicates = check_int(replicates, "replicates", MIN_REPLICATES)
@@ -381,71 +379,58 @@ def analyze_probabilistic(
         raise EmptyCells("probabilistic analysis needs at least one proposal")
     p = cells.p if cells.p is not None else np.ones(len(cells))
     structures = prelude.structures
-    all_dists, grids = {}, {}
-    for name, prep in structures.items():
-        all_dists[name] = cell_distances(cells, prep.edt)
-        grids[name] = _distance_grid(prep.esd, all_dists[name])
+    all_dists = {name: cell_distances(cells, prep.edt) for name, prep in structures.items()}
+    grids = {name: _distance_grid(prep.esd, all_dists[name]) for name, prep in structures.items()}
 
     def run(first: int, stop: int):
-        # replicates [first, stop): counts, flags, then per structure dicts
-        counts = np.empty(stop - first)
+        # replicates [first, stop): a table row each (the count, then each
+        # structure's cell and volume percentages, NaN for an empty sample),
+        # the flags and the envelopes; sample i fills column i + 1
+        table = np.full((stop - first, 1 + 2 * len(structures)), np.nan)
         flags = []
-        pct_cells = {name: np.full(stop - first, np.nan) for name in structures}
-        pct_vol = {name: np.full(stop - first, np.nan) for name in structures}
-        cell_envelope = dict.fromkeys(structures)
-        esd_envelope = dict.fromkeys(structures)
+        envelopes = [None] * (2 * len(structures))
         for t in range(first, stop):
             rng = np.random.default_rng(seed + t)
             include = rng.random(len(cells)) < p
-            r = t - first
-            counts[r] = include.sum()
-            for name, prep in structures.items():
-                dists = all_dists[name][include]
-                if dists.size:
-                    pct_cells[name][r] = 100.0 * float(np.mean(dists < adjacency_um))
-                    curve = DistanceCdf(dists).evaluate(grids[name], mode=cdf_mode)
-                    cell_envelope[name] = _widen(cell_envelope[name], (curve, curve))
-                else:
-                    flags.append(f"EmptyReplicate:{name}:{t}")
-                w = int(rng.poisson(counts[r]))
-                if w == 0:
-                    flags.append(f"EmptyESDReplicate:{name}:{t}")
-                    continue
-                sample = prep.pool[rng.integers(0, prep.pool.size, size=w)]
-                pct_vol[name][r] = 100.0 * float(np.mean(sample < adjacency_um))
-                curve = DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
-                esd_envelope[name] = _widen(esd_envelope[name], (curve, curve))
-        return counts, flags, pct_cells, pct_vol, cell_envelope, esd_envelope
+            row = table[t - first]
+            row[0] = include.sum()
+            for k, (name, prep) in enumerate(structures.items()):
+                w = int(rng.poisson(row[0]))
+                esd = prep.pool[rng.integers(0, prep.pool.size, size=w)] if w else prep.pool[:0]
+                samples = (("EmptyReplicate", all_dists[name][include]), ("EmptyESDReplicate", esd))
+                for i, (flag, sample) in enumerate(samples, 2 * k):
+                    if sample.size == 0:
+                        flags.append(f"{flag}:{name}:{t}")
+                        continue
+                    row[i + 1] = 100.0 * float(np.mean(sample < adjacency_um))
+                    curve = DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
+                    envelopes[i] = _widen(envelopes[i], (curve, curve))
+        return table, flags, envelopes
 
     # the halves join in replicate order, and their envelopes merge exactly
     a, b = on_two_processes(run, replicates)
-    counts = np.concatenate([a[0], b[0]])
+    table = np.concatenate([a[0], b[0]])
+    envelopes = [_widen(x, y) for x, y in zip(a[2], b[2])]
+    density = table[:, 0] / prelude.tissue_mm3
     out = {}
-    for name, prep in structures.items():
-        det_dists = all_dists[name][p >= 0.5]
-        cells_mean, cells_sd = _replicate_mean_sd(np.concatenate([a[2][name], b[2][name]]))
-        vol_mean, vol_sd = _replicate_mean_sd(np.concatenate([a[3][name], b[3][name]]))
+    for k, (name, prep) in enumerate(structures.items()):
+        cells_mean, cells_sd = _replicate_mean_sd(table[:, 2 * k + 1])
+        vol_mean, vol_sd = _replicate_mean_sd(table[:, 2 * k + 2])
         out[name] = StructureAnalysis(
             name=name,
             pct_cells_adjacent=cells_mean,
             pct_cells_adjacent_sd=cells_sd,
             pct_volume_adjacent=vol_mean,
             pct_volume_adjacent_sd=vol_sd,
-            distance_grid=grids[name],
-            cell_cdf=(
-                DistanceCdf(det_dists).evaluate(grids[name], mode=cdf_mode)
-                if det_dists.size
-                else None
-            ),
-            esd_cdf=prep.esd.evaluate(grids[name], mode="empirical"),
-            cell_envelope=_widen(a[4][name], b[4][name]),
-            esd_envelope=_widen(a[5][name], b[5][name]),
+            **_curves(prep, grids[name], all_dists[name][p >= 0.5], cdf_mode),
+            cell_envelope=envelopes[2 * k],
+            esd_envelope=envelopes[2 * k + 1],
         )
     return SpatialReport(
         mode="probabilistic",
-        density_cells_per_mm3=float(np.mean(counts / prelude.tissue_mm3)),
-        density_sd=float(np.std(counts / prelude.tissue_mm3)),
-        n_cells=float(np.mean(counts)),
+        density_cells_per_mm3=float(np.mean(density)),
+        density_sd=float(np.std(density)),
+        n_cells=float(np.mean(table[:, 0])),
         structures=out,
         replicates=replicates,
         alpha=2.0 / (replicates + 1),

@@ -468,6 +468,30 @@ class TestPreparedPrelude:
         assert payload["error"]["type"] == "ShapeMismatch"
         assert not (tmp_path / "sp" / "report.json").exists()
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
+    @pytest.mark.parametrize("which", ["tissue", "structure"])
+    def test_non_binary_mask_raises(self, tmp_path, capsys, which, bad):
+        """One voxel off 0 and 1 in a background plane: prepare_spatial names
+        the mask, and the CLI exits 1 with the JSON error payload."""
+        structure = np.zeros((8, 8, 8))
+        structure[4] = 1.0
+        volumes = {"structure": structure, "tissue": np.ones((8, 8, 8))}
+        volumes[which][1, 2, 3] = bad
+        with pytest.raises(ValueError, match=f"^{which} mask must be binary$"):
+            prepare_spatial({"s": mask(volumes["structure"])}, mask(volumes["tissue"]))
+        save_coords(CoordSet(np.array([[3.0, 3.0, 3.0]])), tmp_path / "cells.csv")
+        for key, data in volumes.items():
+            save_volume(mask(data), tmp_path / key)
+        rc = main([
+            "spatial", "--cells", str(tmp_path / "cells.csv"),
+            "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
+            "--out-dir", str(tmp_path / "sp"),
+        ])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == {"type": "ValueError", "message": f"{which} mask must be binary"}
+        assert not (tmp_path / "sp" / "report.json").exists()
+
 
 class TestForkedReplicates:
     @pytest.mark.parametrize("cdf_mode", ["kde", "empirical"])
