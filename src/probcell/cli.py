@@ -36,7 +36,7 @@ from .evalmetrics import aggregate_reports, score_detection
 from .features import FeatureSpec, extract_features, feature_names
 from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
-from .volume import Volume3D, load_volume, on_two_cores, raw_data, save_volume
+from .volume import Volume3D, load_volume, raw_data, save_volume
 
 
 def _summary(cfg: dict, outputs: dict, extra: dict | None = None) -> int:
@@ -75,13 +75,7 @@ def cmd_synth(cfg) -> int:
         written[f"{name}.raw"] = raw_data(v)
     save_coords(gt, out / "gt.csv")
     written["gt.csv"] = (out / "gt.csv").read_bytes()
-    files, digests = sorted(written), {}
-
-    def digest(start, stop):
-        for name in files[start:stop]:  # hashlib releases the GIL
-            digests[name] = hashlib.sha256(written[name]).hexdigest()
-
-    on_two_cores(digest, len(files))
+    digests = {name: hashlib.sha256(buf).hexdigest() for name, buf in written.items()}
     manifest = {"spec": cfg, "files": digests}  # written with sorted keys
     pipeline_mod.write_json(out / "manifest.json", manifest)
     return _summary(cfg, {"manifest": out / "manifest.json"}, {"n_cells": len(gt)})

@@ -20,8 +20,8 @@ Both analyses read one prelude built by ``prepare_spatial``: the tissue
 volume and, per structure, its EDT, its ESD pool and the pool's sorted CDF,
 so a run computes each structure's EDT and sorts its pool once.
 
-The EDT in x-major memory and its per-plane passes on two cores are
-explained in the README ("The exact EDT in x-major memory").
+The EDT in x-major memory and its distance pass on two cores are explained
+in the README ("The exact EDT in x-major memory").
 """
 from __future__ import annotations
 
@@ -68,22 +68,18 @@ def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
     nonzero voxel, in the units of sampling; the grid needs one.
 
     Equal to ``ndimage.distance_transform_edt(fg == 0, sampling)``, bit for
-    bit, with the feature transform run on x-major memory and the background
-    and the distances built per z-plane on two threads.
+    bit, with the feature transform run on x-major memory and the distances
+    built per z-plane on two threads.
     """
     sampling = np.asarray(sampling, dtype=np.float64)
     shape = fg.shape
     # background (x, z, y) and features (x, z, y, component) in memory, so
     # each fixed-x plane scipy fills first is one contiguous block; the
-    # background is written one z-plane at a time on both cores, each plane
-    # read as (x, y) and stored as x rows of y
+    # background is written one z-plane at a time, each plane read as (x, y)
+    # and stored as x rows of y
     bg = np.empty((shape[2], shape[0], shape[1]), bool)
-
-    def background(lo: int, hi: int) -> None:
-        for z in range(lo, hi):
-            np.logical_not(fg[z].T, out=bg[:, z, :])
-
-    on_two_cores(background, shape[0])
+    for z in range(shape[0]):
+        np.logical_not(fg[z].T, out=bg[:, z, :])
     bg = bg.transpose(1, 2, 0)
     ft = np.empty((shape[2], shape[0], shape[1], 3), np.int32).transpose(3, 1, 2, 0)
     ndimage.distance_transform_edt(
@@ -181,7 +177,6 @@ def cell_distances(cells: CoordSet, edt: Volume3D) -> np.ndarray:
 
 @dataclass
 class StructureAnalysis:
-    name: str
     pct_cells_adjacent: float
     pct_volume_adjacent: float
     distance_grid: np.ndarray
@@ -337,7 +332,6 @@ def analyze_deterministic(
     for name, prep in prelude.structures.items():
         dists = cell_distances(kept, prep.edt) if len(kept) else np.empty(0)
         out[name] = StructureAnalysis(
-            name=name,
             pct_cells_adjacent=(
                 100.0 * float(np.mean(dists < adjacency_um)) if dists.size else float("nan")
             ),
@@ -417,7 +411,6 @@ def analyze_probabilistic(
         cells_mean, cells_sd = _replicate_mean_sd(table[:, 2 * k + 1])
         vol_mean, vol_sd = _replicate_mean_sd(table[:, 2 * k + 2])
         out[name] = StructureAnalysis(
-            name=name,
             pct_cells_adjacent=cells_mean,
             pct_cells_adjacent_sd=cells_sd,
             pct_volume_adjacent=vol_mean,

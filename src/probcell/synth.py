@@ -46,6 +46,12 @@ BIAS_SMOOTH_UM = 2.0
 # float64 bytes per z-block of _smooth_field: a block and its corner buffer
 # stay in one core's cache
 _BLOCK_BYTES = 1 << 20
+# Rejection sampling fills at most the saturation density of random
+# sequential addition of equal spheres (Torquato, Uche & Stillinger, Phys.
+# Rev. E 74, 061308, 2006) of a box, plus a layer on its faces, in min_sep,
+# where small boxes hold more (README, "Placement bound")
+_RSA_DENSITY = 0.384
+_RSA_FACE_LAYER = 0.05
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,9 @@ def _sample_separated(rng, n, lo, hi, min_sep, existing=None):
 
     Balls of diameter min_sep around the points, existing ones included
     (placed in the same box, as generate_coords places them), are disjoint
-    and lie in the box grown by min_sep / 2 per side; no more than Kepler's
-    density pi / sqrt(18) of it fits, so a larger request fails at once.
+    and lie in the box grown by min_sep / 2 per side. A request whose balls
+    would fill more of it than rejection sampling reaches (_RSA_DENSITY and
+    _RSA_FACE_LAYER) fails at once, without drawing.
     """
     if n == 0:
         return np.zeros((0, 3))
@@ -139,13 +146,14 @@ def _sample_separated(rng, n, lo, hi, min_sep, existing=None):
     if np.any(hi <= lo):
         raise PackingInfeasible("placement box is empty; margin too large?")
     count = n + (0 if existing is None else len(existing))
-    # both sides over min_sep^3, which could overflow
-    room = math.prod(float(h - l) / float(min_sep) + 1.0 for l, h in zip(lo, hi))
-    if count * math.pi / 6 > math.pi / math.sqrt(18) * room:
+    # the grown box in min_sep (in um^3 it could overflow)
+    a, b, c = (float(h - l) / float(min_sep) + 1.0 for l, h in zip(lo, hi))
+    fill = _RSA_DENSITY * a * b * c + _RSA_FACE_LAYER * 2 * (a * b + b * c + c * a)
+    if count * math.pi / 6 > fill:
         name = "n_cells" if existing is None else "n_distractors"
         raise PackingInfeasible(
-            f"{name} = {n}: {count} points {min_sep} um apart cannot fit in a "
-            f"{(hi - lo).tolist()} um box"
+            f"{name} = {n}: {count} points {min_sep} um apart are more than rejection "
+            f"sampling places in a {(hi - lo).tolist()} um box"
         )
     bucket = min_sep
     grid: dict[tuple[int, int, int], list[np.ndarray]] = {}

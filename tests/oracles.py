@@ -489,7 +489,6 @@ def reference_analyze_deterministic(
             DistanceCdf(dists).evaluate(grid, mode=cdf_mode) if dists.size else None
         )
         out[name] = StructureAnalysis(
-            name=name,
             pct_cells_adjacent=(
                 100.0 * float(np.mean(dists < adjacency_um)) if dists.size else float("nan")
             ),
@@ -568,7 +567,6 @@ def reference_analyze_probabilistic(
         cell_stack = np.stack(cell_curves[name]) if cell_curves[name] else None
         esd_stack = np.stack(esd_curves[name]) if esd_curves[name] else None
         out[name] = StructureAnalysis(
-            name=name,
             pct_cells_adjacent=float(np.nanmean(pct_cells[name])),
             pct_cells_adjacent_sd=float(np.nanstd(pct_cells[name])),
             pct_volume_adjacent=float(np.nanmean(pct_vol[name])),

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -67,6 +68,24 @@ class TestGenerateCoords:
             _sample_separated(rng, 100, (0, 0, 0), (32, 32, 32), 8.0,
                               existing=np.full((77, 3), 16.0))
         assert rng.bit_generator.state == state
+
+    def test_saturation_bound_fails_before_the_first_attempt(self):
+        """1,000 cells 8 um apart in a 64 um cube are under Kepler's bound,
+        but rejection sampling places only about 420 of them: the request
+        fails at once, not after 201,000 draws (about 5 s)."""
+        spec = SynthSpec(shape=(64, 64, 64), n_cells=1000, n_distractors=0, n_tubes=0)
+        start = time.perf_counter()
+        with pytest.raises(PackingInfeasible, match="n_cells = 1000"):
+            generate_coords(spec)
+        assert time.perf_counter() - start < 0.5
+
+    def test_small_box_keeps_what_rejection_sampling_places(self):
+        """Three points 8 um apart placed in a 16.8 um rod: more than the bulk
+        saturation density of the grown box, so the bound's face layer must
+        admit them."""
+        pts = _sample_separated(np.random.default_rng([1, 0]), 3, (0, 0, 0),
+                                (16.8, 0.0008, 0.0008), 8.0)
+        assert len(pts) == 3
 
 
 class TestOracleRegress:
