@@ -18,6 +18,7 @@ settings object is built and checks its own ranges; either error is an
 """
 from __future__ import annotations
 
+import bisect
 import copy
 import hashlib
 import json
@@ -240,23 +241,48 @@ def _maps(ro) -> list[tuple[str, Volume3D]]:
 
 
 def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: int):
-    """Best-F1 stopping threshold on a validation scene (lowest such threshold).
+    """Best-F1 stopping threshold on a validation scene: the first point of
+    ``np.linspace(0.0, 0.95 * top, n_grid)`` at the highest F1, top the
+    largest dm_value.
 
     Both settings are checked first; then an empty set gives (0.0, 0.0) and
-    any other set needs dm_value.
+    any other set needs dm_value. The proposals kept at a threshold change
+    only where it passes a dm_value, so each kept set is scored once, at the
+    first grid point that keeps it, found by binary search: the work grows
+    with the distinct dm_values, not with n_grid.
     """
     n_grid = check_int(n_grid, "n_grid (at least one threshold)", _MINIMA["config.threshold_grid"])
     check_real(t_match_um, "t_match_um")
     if len(values) == 0:
         return 0.0, 0.0
-    top = float(proposals_by_threshold(values, -np.inf).dm_value.max())
-    grid = np.linspace(0.0, 0.95 * top, n_grid)
-    best = (0.0, -1.0)
-    for t in grid:
-        report = score_detection(gt, proposals_by_threshold(values, t), t_match_um)
-        if report.f1 > best[1]:
-            best = (float(t), report.f1)
-    return best
+    dm = proposals_by_threshold(values, -np.inf).dm_value
+    levels, stop, last = np.unique(dm).tolist(), 0.95 * float(dm.max()), n_grid - 1
+
+    def point(i: int) -> float:
+        # np.linspace's own arithmetic: i * step below the last point, which
+        # is stop itself, and i / last * stop when step underflows to 0
+        if i == last:
+            return stop if last else 0.0
+        step = stop / last
+        return (float(i) * step if step != 0.0 else float(i) / last * stop) + 0.0
+
+    def kept(i: int) -> int:
+        # the kept set at grid point i, as the count of levels it drops
+        return bisect.bisect_right(levels, point(i))
+
+    best, scored, i = (0.0, -1.0), set(), 0
+    while True:
+        t, j = point(i), kept(i)
+        if j not in scored:  # a set seen before cannot beat its first point
+            scored.add(j)
+            f1 = score_detection(gt, proposals_by_threshold(values, t), t_match_um).f1
+            if f1 > best[1]:
+                best = (t, f1)
+        if i == last:
+            return best
+        # points below the last rise or fall with i, so the next kept set
+        # begins at the first of them that keeps another
+        i = bisect.bisect_left(range(last), True, i + 1, key=lambda k: kept(k) != j)
 
 
 def run_pipeline(config: dict | None = None, out_dir=None) -> dict:

@@ -20,8 +20,8 @@ Both analyses read one prelude built by ``prepare_spatial``: the tissue
 volume and, per structure, its EDT, its ESD pool and the pool's sorted CDF,
 so a run computes each structure's EDT and sorts its pool once.
 
-The EDT in x-major memory and its distance pass on two cores are explained
-in the README ("The exact EDT in x-major memory").
+The EDT's voxel-by-voxel feature buffer, which its distances overwrite, is
+explained in the README ("The exact EDT in one buffer").
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .volume import Volume3D, on_two_cores, on_two_processes, sample_trilinear
+from .volume import Volume3D, on_two_processes, sample_trilinear
 
 ADJACENCY_UM = 4.0
 CDF_MODES = ("kde", "empirical")
@@ -51,68 +51,62 @@ CDF_GRID_POINTS = 512
 MIN_REPLICATES = 2
 
 
-def _mask_count(v: Volume3D, name: str) -> int:
-    """Voxels at 1 of a mask that must hold only 0 and 1, counted one
-    z-plane at a time."""
+def _binary(v: Volume3D, name: str) -> Volume3D:
+    """A mask as booleans: v itself if boolean, else v's voxels, which must
+    hold only 0 and 1, checked one z-plane at a time."""
+    if v.data.dtype == bool:
+        return v
     zeros = ones = 0
     for plane in v.data:
         zeros += np.count_nonzero(plane == 0.0)
         ones += np.count_nonzero(plane == 1.0)
     if zeros + ones != v.data.size:  # NaN is neither
         raise ValueError(f"{name} mask must be binary")
-    return ones
+    return v.like(v.data == 1.0)
 
 
 def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
     """Exact Euclidean distance of every voxel of a 3-D grid to its nearest
-    nonzero voxel, in the units of sampling; the grid needs one.
+    nonzero voxel of the mask fg, in the units of sampling; the grid needs one.
 
     Equal to ``ndimage.distance_transform_edt(fg == 0, sampling)``, bit for
-    bit, with the feature transform run on x-major memory and the distances
-    built per z-plane on two threads.
+    bit: C-order float64 on the buffer, 8 B per voxel, that held the features
+    stored voxel by voxel.
     """
     sampling = np.asarray(sampling, dtype=np.float64)
-    shape = fg.shape
-    # background (x, z, y) and features (x, z, y, component) in memory, so
-    # each fixed-x plane scipy fills first is one contiguous block; the
-    # background is written one z-plane at a time, each plane read as (x, y)
-    # and stored as x rows of y
-    bg = np.empty((shape[2], shape[0], shape[1]), bool)
-    for z in range(shape[0]):
-        np.logical_not(fg[z].T, out=bg[:, z, :])
-    bg = bg.transpose(1, 2, 0)
-    ft = np.empty((shape[2], shape[0], shape[1], 3), np.int32).transpose(3, 1, 2, 0)
-    ndimage.distance_transform_edt(
-        bg, sampling=sampling, return_distances=False, return_indices=True, indices=ft
-    )
-    del bg
+    shape, n = fg.shape, fg.size
+    # features (z, y, x, component) in C order, padded to whole float64s
+    buffer = np.empty(3 * n + n % 2, np.int32)
+    ft = buffer[: 3 * n].reshape(shape + (3,))
+    ndimage.distance_transform_edt(np.logical_not(fg), sampling=sampling, return_distances=False,
+                                   return_indices=True, indices=ft.transpose(3, 0, 1, 2))
     # scipy's own arithmetic (int32 offset, times sampling, squared, summed
-    # z + y + x), one z-plane at a time and on both cores; each plane reads
-    # the features as (x, y) rows, their memory order, into per-thread buffers
-    edt = np.empty(shape)
-    x = np.arange(shape[2], dtype=np.int32)[:, None]
-    y = np.arange(shape[1], dtype=np.int32)
-
-    def planes(lo: int, hi: int) -> None:
-        offset = np.empty((shape[2], shape[1]), np.int32)
-        total, term = np.empty(offset.shape), np.empty(offset.shape)
-        for z in range(lo, hi):
-            total.fill(0.0)  # 0 + d^2 is d^2 exactly, so the sum stays scipy's
-            for c, index in ((0, z), (1, y), (2, x)):
-                np.subtract(ft[c, z].T, index, out=offset)
-                np.multiply(offset, sampling[c], out=term)
-                np.multiply(term, term, out=term)
-                np.add(total, term, out=total)
-            np.sqrt(total.T, out=edt[z])
-
-    on_two_cores(planes, shape[0])
-    return edt
+    # z + y + x), z ascending: plane z's distances fill bytes [8Pz, 8P(z + 1)),
+    # P voxels a plane, which end where plane z + 1's features (12 B a voxel)
+    # begin and overlap plane z's own only for z < 2, once they are read
+    edt = buffer.view(np.float64)[:n].reshape(shape)
+    y = np.arange(shape[1], dtype=np.int32)[:, None]
+    x = np.arange(shape[2], dtype=np.int32)
+    offset = np.empty(shape[1:], np.int32)
+    total, term = np.empty(offset.shape), np.empty(offset.shape)
+    for z in range(shape[0]):
+        total.fill(0.0)  # 0 + d^2 is d^2 exactly, so the sum stays scipy's
+        for c, index in ((0, z), (1, y), (2, x)):
+            np.subtract(ft[z, :, :, c], index, out=offset)
+            np.multiply(offset, sampling[c], out=term)
+            np.multiply(term, term, out=term)
+            np.add(total, term, out=total)
+        np.sqrt(total, out=edt[z])
+    # no view of the buffer is left, so realloc may cut it to the distances
+    del ft, edt
+    buffer.resize(2 * n, refcheck=False)
+    return buffer.view(np.float64).reshape(shape)
 
 
 def distance_transform(structure: Volume3D) -> Volume3D:
     """Exact Euclidean distance (um) of every voxel to the nearest foreground
     voxel, by ``_exact_edt``."""
-    if _mask_count(structure, "structure") == 0:
+    if not _binary(structure, "structure").data.any():
         raise EmptyStructure("structure mask has no foreground voxels")
     return Volume3D(_exact_edt(structure.data, structure.voxel_size), structure.voxel_size)
 
@@ -274,7 +268,8 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
     """Check the tissue mask once, then compute each structure's EDT, ESD
     pool and sorted ESD CDF for both analyses. A structure on another grid
     than the tissue (shape or voxel size) raises ShapeMismatch before its EDT."""
-    n_tissue = _mask_count(tissue, "tissue")
+    tissue = _binary(tissue, "tissue")
+    n_tissue = np.count_nonzero(tissue.data)
     if n_tissue == 0:
         raise ValueError("tissue mask is empty")
     tissue_mm3 = n_tissue * tissue.voxel_volume_um3 / 1e9
@@ -286,9 +281,7 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
                 f"the tissue {tissue.shape} voxels of {tissue.voxel_size} um"
             )
         edt = distance_transform(structure)
-        # the boolean mask is rebuilt after each EDT, not held across it:
-        # at 256^3 it would add 16 MB to the EDT's 350 MB traced peak
-        pool = esd_pool(edt, tissue.data > 0)
+        pool = esd_pool(edt, tissue.data)
         prepared[name] = PreparedStructure(edt, pool, DistanceCdf(pool))
     return SpatialPrelude(tissue_mm3, prepared)
 

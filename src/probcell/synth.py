@@ -357,7 +357,7 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
 
 
 def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
-    """Random-walk tube mask and the ellipsoidal tissue mask containing it."""
+    """Random-walk tube mask and the ellipsoidal tissue mask containing it, as booleans."""
     rng = np.random.default_rng([spec.seed, 2])
     shape = spec.shape
     vs = np.asarray(spec.voxel_size, dtype=np.float64)
@@ -396,7 +396,4 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
         )
         dist = _exact_edt(centerline[box], vs)
         structure[box] = (dist <= spec.tube_radius_um) & tissue[box]
-    return (
-        Volume3D(structure.astype(np.float32), tuple(vs)),
-        Volume3D(tissue.astype(np.float32), tuple(vs)),
-    )
+    return Volume3D(structure, tuple(vs)), Volume3D(tissue, tuple(vs))

@@ -121,8 +121,8 @@ def on_two_processes(fn, n: int, item_cost: int = 3) -> list:
 class Volume3D:
     """A dense scalar field on a regular 3D grid.
 
-    data is float32 (canonical, matches the file format) or float64 (used
-    in-memory where rounding matters, e.g. distance transforms).
+    data is float32 (canonical, matches the file format), float64 (in memory
+    where rounding matters, e.g. distance transforms) or bool (a mask).
     """
 
     data: np.ndarray
@@ -130,7 +130,7 @@ class Volume3D:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if data.dtype not in (np.float32, np.float64):
+        if data.dtype not in (np.float32, np.float64, np.bool_):
             data = data.astype(np.float32)
         data = np.ascontiguousarray(data)
         if data.ndim != 3 or min(data.shape) < 1:

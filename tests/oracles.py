@@ -732,6 +732,23 @@ def reference_tiled_detect(dm, tiling, nms):
     return np.concatenate(coords), np.concatenate(values)
 
 
+def reference_select_threshold(values, gt, t_match_um, n_grid):
+    """select_threshold's grid loop as first written: every point of
+    np.linspace(0, 0.95 * top, n_grid) scored, the first best F1 kept."""
+    from probcell.evalmetrics import score_detection
+    from probcell.pipeline import proposals_by_threshold
+
+    if len(values) == 0:
+        return 0.0, 0.0
+    top = float(proposals_by_threshold(values, -np.inf).dm_value.max())
+    best = (0.0, -1.0)
+    for t in np.linspace(0.0, 0.95 * top, n_grid):
+        report = score_detection(gt, proposals_by_threshold(values, t), t_match_um)
+        if report.f1 > best[1]:
+            best = (float(t), report.f1)
+    return best
+
+
 def reference_train_mlp(X, labels, seed, epochs, hidden, lr=1e-3, betas=(0.9, 0.999), batch=32):
     """(weights, biases) of the MLP training loop written out layer by layer:
     He-normal init, a stratified 20% validation split, a forward and backward

@@ -274,17 +274,59 @@ def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
         if rc == 2:
             assert route == "cli" and "usage:" in stderr
             return
-        if rc == 1:
-            assert _files(out) == [], _error(stderr)
-            return
-        assert rc == 0
-        for line in stdout.strip().splitlines():
-            _strict_json(line)
-        for path in _files(out):
-            if path.suffix == ".json":
-                _strict_json(path.read_text())
-            elif path.suffix == ".raw":
-                assert np.isfinite(np.fromfile(path, dtype="<f4")).all(), path
+        _assert_result_or_json_error(rc, stdout, stderr, out)
+
+
+def _assert_result_or_json_error(rc, stdout, stderr, out: Path) -> None:
+    """Exit 1 wrote nothing; exit 0 wrote only strict JSON and finite volumes."""
+    if rc == 1:
+        assert _files(out) == [], _error(stderr)
+        return
+    assert rc == 0
+    for line in stdout.strip().splitlines():
+        _strict_json(line)
+    for path in _files(out):
+        if path.suffix == ".json":
+            _strict_json(path.read_text())
+        elif path.suffix == ".raw":
+            assert np.isfinite(np.fromfile(path, dtype="<f4")).all(), path
+
+
+def _int_settings(template, path=()):
+    """The path of every integer setting in a config template."""
+    if isinstance(template, dict):
+        for key, item in template.items():
+            yield from _int_settings(item, path + (key,))
+    elif isinstance(template, int) and not isinstance(template, bool):
+        yield path
+
+
+# pipeline settings whose work is linear in the count asked for, so a large
+# one may run long, as --replicates may
+LINEAR_SETTINGS = {
+    ("train_scenes",): "one training scene each",
+    ("classifier", "n_trees"): "one tree each",
+    ("classifier", "epochs"): "one pass over the training rows each",
+    ("spatial", "replicates"): "one Monte-Carlo replicate each",
+}
+PIPELINE_COUNTS = [p for p in _int_settings(pipeline_mod._SCHEMA) if p not in LINEAR_SETTINGS]
+
+
+@pytest.mark.parametrize("value", LARGE_VALUES)
+@pytest.mark.parametrize("setting", PIPELINE_COUNTS, ids=".".join)
+def test_pipeline_large_count_is_a_result_or_a_json_error(tmp_path, setting, value):
+    """One integer setting of a tiny `probcell pipeline --config` run at a
+    large value ends within BUDGET_S seconds as a result or a JSON error."""
+    file = json.loads(json.dumps(TINY_PIPE))
+    section = file
+    for key in setting[:-1]:
+        section = section.setdefault(key, {})
+    section[setting[-1]] = value
+    out = tmp_path / "out"
+    with _wall_budget(BUDGET_S):
+        rc, stdout, stderr = _run("pipeline", _base("pipeline", tmp_path, out), file, out)
+    assert "Traceback" not in stderr
+    _assert_result_or_json_error(rc, stdout, stderr, out)
 
 
 # each built a SynthSpec (2.5 cells, a NaN seed) before the shared checks

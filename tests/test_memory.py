@@ -7,6 +7,8 @@ whole-volume float32 buffer fails at every shape. ``tracemalloc`` sees
 numpy's buffers, not the C work space inside scipy, so the bounds are
 traced bytes, not RSS.
 """
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,7 @@ from probcell import (
     tiled_detect,
 )
 from probcell import detect
+from probcell.cli import main
 from probcell.detect import local_maxima
 from probcell.spatial import distance_transform
 
@@ -50,14 +53,30 @@ def test_distance_transform_peak(shape):
     structure = Volume3D(m, (1.0, 1.0, 1.0))
     n = m.size
     plane = shape[1] * shape[2]
-    # While the transform runs: the x-major background (1 B), the int32
-    # feature transform (3 x 4 B) and scipy's int64 and int8 copies of its
-    # input (9 B), 22 B in all. Then the feature transform, the float64 EDT
-    # (8 B) and, on each of the two threads, one plane's int32 offset and two
-    # float64 buffers (20 B per plane voxel); a whole-volume slab or stack
-    # fails.
-    bound = max(22 * n, 20 * n + 40 * plane) + SMALL
+    # While the transform runs: the background (1 B), the int32 feature
+    # buffer (12 B) and scipy's int64 and int8 copies of its input (9 B), 22 B
+    # in all. Then the feature buffer, which the distances overwrite, and one
+    # plane's int32 offset and two float64 buffers (20 B per plane voxel); a
+    # separate whole-volume float64 result fails.
+    bound = max(22 * n, 12 * n + 20 * plane) + SMALL
     assert traced_peak(distance_transform, structure) <= bound
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 64), (67, 64, 64)])
+def test_distance_transform_keeps_8_bytes_per_voxel(shape):
+    """The feature buffer is cut to the float64 distances it returns: with
+    the result alive, no more than 8 B per voxel stay traced."""
+    m = np.zeros(shape, dtype=np.float32)
+    m[3, 40, 40] = 1.0
+    structure = Volume3D(m, (1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        edt = distance_transform(structure)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert edt.data.dtype == np.float64
+    assert kept <= 8 * m.size + SMALL
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
@@ -77,18 +96,39 @@ def test_oracle_regress_peak(shape):
 def test_generate_structures_peak():
     spec = SynthSpec(shape=(96, 96, 96), n_cells=0, n_tubes=1, tube_length_um=10.0, seed=1)
     n = np.prod(spec.shape)
-    # kept: tissue, centerline and structure booleans (3 B) and the two
-    # float32 masks returned (8 B). The tube EDT runs on the centerline's box,
-    # at most side = 10 um walk + 1 voxel + 2 x 6 voxels of padding on each
-    # axis, as distance_transform does: first the x-major background (1 B),
-    # the int32 feature transform (12 B) and scipy's int64 and int8 copies of
-    # the input (9 B); then the feature transform, the float64 distances (8 B)
-    # and two threads' plane buffers (40 B per plane voxel, see above). A
-    # full-volume EDT would add at least 20 B per voxel.
+    # First the tissue test's float64 sum and its boolean result (9 B). Then
+    # the tissue, centerline and structure booleans (3 B), returned as they
+    # are. The tube EDT runs on the centerline's box, at most side = 10 um
+    # walk + 1 voxel + 2 x 6 voxels of padding on each axis, as
+    # distance_transform does: the background, feature buffer and scipy's
+    # copies of the input (22 B), then the buffer and one plane's buffers (20 B
+    # per plane voxel, see above). Float32 copies of the masks (8 B) fail, as
+    # does a full-volume EDT.
     side = 10 + 1 + 2 * 6
     box = side**3
-    bound = 11 * n + max(22 * box, 20 * box + 40 * side**2) + SMALL
+    bound = max(9 * n, 3 * n + max(22 * box, 12 * box + 20 * side**2)) + SMALL
     assert traced_peak(generate_structures, spec) <= bound
+
+
+def test_cli_spatial_peak(tmp_path):
+    """`probcell spatial` on a 64^3 scene read from disk holds each mask as
+    booleans from the moment it is checked. At the peak: the structure and
+    tissue booleans (2 B) and the EDT's 22 B (see above). Each mask's float32
+    as read (4 B) is freed once the mask is found binary; one of them held
+    through the EDT fails."""
+    shape = (64, 64, 64)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(tmp_path / "scene"), "--shape", *map(str, shape),
+                     "--n-cells", "20", "--n-distractors", "5", "--seed", "1"]) == 0
+    scene = tmp_path / "scene"
+    argv = ["spatial", "--cells", str(scene / "gt.csv"), "--structure", str(scene / "structure"),
+            "--tissue", str(scene / "tissue"), "--replicates", "10",
+            "--out-dir", str(tmp_path / "spatial")]
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert peak <= 24 * np.prod(shape) + SMALL
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])

@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probcell import (
@@ -44,7 +45,7 @@ from probcell.pipeline import (
 from probcell.volume import M_CONV, M_PEAK
 
 from conftest import no_child_left
-from oracles import reference_tiled_detect
+from oracles import reference_select_threshold, reference_tiled_detect
 
 
 class TestTiledDetect:
@@ -197,6 +198,44 @@ class TestHelpers:
         for values in (proposals, CoordSet.empty()):
             with pytest.raises(ValueError, match="at least one"):
                 select_threshold(values, gt, 4.0, n_grid=n_grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_grid=st.one_of(st.integers(1, 40), st.sampled_from([1, 2, 3, 97, 400])),
+        dm=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 5e-322, 0.25, 1.0]),
+                              st.floats(-2.0, 2.0)), max_size=8),
+        matched=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    @example(n_grid=15, dm=[0.0] * 5, matched=[True] * 8)
+    @example(n_grid=2, dm=[5e-324, 0.0], matched=[False, True] * 4)
+    # a step that underflows to 0: np.linspace scales i / (n - 1) instead
+    @example(n_grid=400, dm=[9e-322, 5e-322, 1e-322, 0.0], matched=[True] + [False] * 7)
+    def test_select_threshold_equals_grid_loop(self, n_grid, dm, matched):
+        """Scoring each kept set once at its first grid point picks what
+        scoring every grid point picked, threshold sign of zero included."""
+        proposals = CoordSet(
+            np.asarray([[5.0, 5.0, 5.0 + 10.0 * i] for i in range(len(dm))]).reshape(-1, 3),
+            dm_value=np.asarray(dm),
+        )
+        gt = CoordSet(np.asarray(
+            [[5.0, 5.0, 5.0 + 10.0 * i] for i, hit in enumerate(matched) if hit]
+            + [[40.0, 40.0, 40.0]]
+        ))
+        got = select_threshold(proposals, gt, 4.0, n_grid)
+        want = reference_select_threshold(proposals, gt, 4.0, n_grid)
+        assert (repr(got[0]), got[1]) == (repr(want[0]), want[1])
+
+    def test_select_threshold_grid_of_2_31_points(self):
+        """The work follows the 50 distinct dm_values, not the 2^31 - 1 grid
+        points, of which np.linspace alone would need 17 GB."""
+        rng = np.random.default_rng(3)
+        coords = rng.uniform(0.0, 200.0, (50, 3))
+        proposals = CoordSet(coords, dm_value=rng.uniform(0.0, 1.0, 50))
+        gt = CoordSet(coords[::2] + 1.0)
+        start = time.perf_counter()
+        thr, f1 = select_threshold(proposals, gt, 4.0, 2**31 - 1)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= thr < 0.95 and f1 > 0.0
 
     @pytest.mark.parametrize("t_match", [math.nan, 0.0, math.inf])
     def test_select_threshold_checks_radius_before_empty_set(self, t_match):

@@ -12,6 +12,7 @@ from scipy import ndimage
 
 from probcell import (
     CoordSet,
+    Volume3D,
     analyze_deterministic,
     analyze_probabilistic,
     cell_distances,
@@ -53,8 +54,8 @@ def mask(data, voxel_size=(1.0, 1.0, 1.0)):
     return vol(np.asarray(data, dtype=np.float32), voxel_size)
 
 
-# z lengths of 1 (the worker's half of the planes is empty), 2 and 3, and
-# odd lengths (the halves of the planes differ by one)
+# z lengths of 1 and 2 (a plane's distances overwrite its own features) and
+# odd voxel counts (the feature buffer's padding entry)
 _AXIS = st.one_of(st.sampled_from([1, 2, 3, 5, 9, 17]), st.integers(1, 20))
 _SPACING = st.floats(0.25, 3.0)
 
@@ -107,22 +108,33 @@ class TestDistanceTransform:
         ((9, 9, 7), (2.0, 1.0, 0.5)),
         ((24, 6, 11), (0.3, 1.7, 1.1)),
         ((1, 8, 8), (1.0, 0.5, 0.25)),
+        ((1, 5, 7), (0.7, 1.3, 2.1)),
+        ((2, 7, 5), (1.5, 0.5, 1.0)),
+        ((3, 5, 7), (1.0, 2.0, 1.0)),
+        ((1, 1, 1), (1.0, 1.0, 1.0)),
     ])
     def test_equals_scipy_distance_transform(self, rng, shape, voxel):
         """Plane-wise distances repeat scipy's own arithmetic, so a scipy that
-        changes it fails here instead of drifting."""
+        changes it fails here instead of drifting; also with one or two
+        planes, whose distances overwrite their own features, and an odd
+        voxel count, which pads the feature buffer; from a boolean and a
+        float32 mask. The result is C-order float64 (its 8 B per voxel are
+        bounded in test_memory.py)."""
         m = rng.random(shape) < 0.05
         m[shape[0] // 2, 0, 0] = True
-        edt = distance_transform(mask(m.astype(np.float32), voxel))
-        assert np.array_equal(edt.data, ndimage.distance_transform_edt(~m, sampling=voxel))
+        expected = ndimage.distance_transform_edt(~m, sampling=voxel)
+        for dtype in (bool, np.float32):
+            edt = distance_transform(Volume3D(m.astype(dtype), voxel)).data
+            assert np.array_equal(edt, expected)
+            assert edt.dtype == np.float64 and edt.flags.c_contiguous
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(case=_edt_cases())
     def test_equals_scipy_on_random_masks(self, case):
-        """The x-major feature transform and the plane-wise distances on two
-        cores give scipy's distances bit for bit, down to axes of length 1
-        and 2, uneven or empty halves of the planes, and masks of one voxel
-        up to all voxels but one."""
+        """The voxel-by-voxel feature transform and the distances written over
+        it give scipy's distances bit for bit, for float32 and boolean masks,
+        down to axes of length 1 and 2, odd voxel counts, and masks of one
+        voxel up to all voxels but one. scipy's own call is the oracle."""
         m, voxel = case
         expected = ndimage.distance_transform_edt(~m, sampling=voxel)
         assert np.array_equal(distance_transform(mask(m, voxel)).data, expected)
