@@ -68,11 +68,11 @@ def cmd_synth(cfg) -> int:
     volumes = {"dm": ro.dm, "aleatoric": ro.aleatoric, "epistemic": ro.epistemic,
                "structure": structure, "tissue": tissue}
     out.mkdir(parents=True, exist_ok=True)
-    # the six files written, each hashed from the bytes just written
+    # the six files written, each hashed from the buffer just written
     written = {}
     for name, v in volumes.items():
-        save_volume(v, out / name)
-        written[f"{name}.raw"] = raw_data(v)
+        written[f"{name}.raw"] = raw = raw_data(v)
+        save_volume(v.like(raw), out / name)
     save_coords(gt, out / "gt.csv")
     written["gt.csv"] = (out / "gt.csv").read_bytes()
     digests = {name: hashlib.sha256(buf).hexdigest() for name, buf in written.items()}

@@ -137,5 +137,5 @@ def render_dm(
             else:
                 np.maximum(window, values, out=window)
 
-    on_two_cores(planes, shape[0])
+    on_two_cores(planes, shape[0], acc.nbytes)
     return Volume3D(acc.astype(np.float32), tuple(vs))

@@ -4,14 +4,14 @@ Candidates are voxels that are >= all of their 26 neighbors and strictly
 above both the threshold and zero (zero plateaus are never peaks, which
 keeps threshold-0 proposal mode finite). The 3x3x3 neighborhood maximum is a
 separable running max, one numpy pass per axis; a neighbor beyond the
-border is simply not compared. It runs in haloed z-slabs on two cores, as
-the README's "Kernels on two cores" explains. Candidates are processed in
-descending value order (ties broken lexicographically by voxel index) and
-accepted unless a previously accepted peak lies closer than the minimum
-distance. This is equivalent to classic iterative NMS: a KD-tree lists
-every candidate pair closer than the distance, and one greedy pass over the
-pairs, in priority order, suppresses the later candidate of each pair whose
-earlier candidate was kept.
+border is simply not compared. It runs in haloed z-slabs, on two cores from
+volume.SPLIT_MIN_BYTES up (README, "Kernels on two cores"). Candidates are
+processed in descending value order (ties broken lexicographically by
+voxel index) and accepted unless a previously accepted peak lies closer
+than the minimum distance. This is equivalent to classic iterative NMS: a
+KD-tree lists every candidate pair closer than the distance, and one greedy
+pass over the pairs, in priority order, suppresses the later candidate of
+each pair whose earlier candidate was kept.
 """
 from __future__ import annotations
 
@@ -80,10 +80,7 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
             np.greater(own, floor, out=above[: z1 - z0])
             out &= above[: z1 - z0]
 
-    if n_slabs <= 2:
-        slabs(0, n_slabs)  # a patch-sized map is not worth a thread
-    else:
-        on_two_cores(slabs, n_slabs)
+    on_two_cores(slabs, n_slabs, data.nbytes)
     if non_finite:
         raise NonFiniteInput("density map must be finite-valued")
     # np.argwhere(mask) from one flat scan: the same int64 (n, 3) array, faster

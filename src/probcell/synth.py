@@ -21,8 +21,8 @@ flat near-zero background, and without the clip, sign-symmetric background
 noise would turn a large fraction of the volume into spurious threshold-0
 proposals at any scale.
 
-The surrogate's Gaussian smoothing and amplitude field run on two cores, as
-the README's "Kernels on two cores" explains.
+The surrogate's Gaussian smoothing and amplitude field split over two cores
+from volume.SPLIT_MIN_BYTES up (README, "Kernels on two cores").
 """
 from __future__ import annotations
 
@@ -235,7 +235,7 @@ def _smooth_field(shape, rng, lo, hi):
                         part *= wx[dx]
                         out += part
 
-    on_two_cores(blocks, shape[0])
+    on_two_cores(blocks, shape[0], field.nbytes)
     field *= hi - lo
     field += lo
     return field
@@ -275,9 +275,9 @@ def _gaussian_in_place(a: np.ndarray, sigmas) -> None:
                 ndimage.correlate1d(plane, w2, axis=1, output=plane)
 
     if w0 is not None:
-        on_two_cores(rows, ny)
+        on_two_cores(rows, ny, a.nbytes)
     if w1 is not None or w2 is not None:
-        on_two_cores(planes, nz)
+        on_two_cores(planes, nz, a.nbytes)
 
 
 def _smooth_noise(shape, rng, voxel_size):

@@ -39,16 +39,20 @@ from .errors import VolumeSizeMismatch, VolumeTooSmall, check_int, check_real
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
 STRATEGIES = (M_CONV, M_PEAK)
+SPLIT_MIN_BYTES = 8 << 20  # the least volume on_two_cores splits (README, "Kernels on two cores")
 
 
-def on_two_cores(fn, n: int) -> None:
-    """Run fn(0, n // 2) on a worker thread while the caller runs fn(n // 2, n).
+def on_two_cores(fn, n: int, nbytes: int) -> None:
+    """fn(0, n // 2) on a worker thread while the caller runs fn(n // 2, n),
+    if the call covers a volume of at least SPLIT_MIN_BYTES; else fn(0, n).
 
     For numpy/scipy kernels that release the GIL and write disjoint halves of
     an array; fn must call no public probcell function, as the benchmark
     traces one thread of them. The caller waits for the worker, which lives
     for this call only, and re-raises its exception.
     """
+    if nbytes < SPLIT_MIN_BYTES:
+        return fn(0, n)
     with ThreadPoolExecutor(max_workers=1) as worker:
         future = worker.submit(fn, 0, n // 2)
         fn(n // 2, n)  # leaving the block waits for the worker, also on error
@@ -253,8 +257,7 @@ class PatchGrid:
 def _axis_starts(extent: int, tile: int) -> list[int]:
     """Tile starts covering [0, extent): adjacent, the last one clamped back."""
     n = max(1, -(-extent // tile))
-    starts = [min(k * tile, extent - tile) for k in range(n)]
-    return starts
+    return [min(k * tile, extent - tile) for k in range(n)]
 
 
 def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:

@@ -25,6 +25,12 @@ def fork_always(monkeypatch):
     monkeypatch.setattr(volume, "FORK_MIN_COST", 0)
 
 
+@pytest.fixture
+def split_always(monkeypatch):
+    """Every on_two_cores call splits, however small its volume."""
+    monkeypatch.setattr(volume, "SPLIT_MIN_BYTES", 0)
+
+
 def no_child_left():
     """No child process is running or waiting to be reaped."""
     with pytest.raises(ChildProcessError):

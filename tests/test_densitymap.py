@@ -149,7 +149,7 @@ class TestTwoCellSeparation:
 class TestZHalves:
     @pytest.mark.parametrize("compounding", [K_SUM, K_MAX])
     @pytest.mark.parametrize("nz", [1, 2, 7])
-    def test_equals_one_thread_bit_for_bit(self, rng, compounding, nz):
+    def test_equals_one_thread_bit_for_bit(self, split_always, rng, compounding, nz):
         """The two threads' z-halves against the whole grid on one thread;
         boxes cross the split, overlap, and overhang the grid."""
         shape = (nz, 11, 9)
@@ -159,7 +159,7 @@ class TestZHalves:
         scales = rng.uniform(0.5, 2.0, 40)
         kernel = KernelSpec(sigma_um=1.5, cutoff_um=4.0, compounding=compounding)
         two = render_dm(coords, shape, voxel, kernel, scales)
-        with mock.patch.object(densitymap, "on_two_cores", lambda fn, n: fn(0, n)):
+        with mock.patch.object(densitymap, "on_two_cores", lambda fn, n, nbytes: fn(0, n)):
             one = render_dm(coords, shape, voxel, kernel, scales)
         assert two.data.any()
         assert np.array_equal(two.data, one.data)

@@ -245,7 +245,7 @@ def _slab_cases(draw):
     half = draw(st.sampled_from([None, "worker", "caller"]))
     if half is not None:
         n_slabs = -(-nz // planes)
-        split = n_slabs // 2 if n_slabs > 2 else 0  # on one thread, the caller holds all
+        split = n_slabs // 2  # the worker's slabs come first
         slabs = range(split) if half == "worker" else range(split, n_slabs)
         if not slabs:
             half = None
@@ -257,10 +257,11 @@ def _slab_cases(draw):
     return data, planes, threshold, half
 
 
+@pytest.mark.usefixtures("split_always")
 class TestSlabbedLocalMaxima:
     """local_maxima with slabs of 1-3 planes, so that small maps span several
-    slabs and, beyond two, both threads: equal to scipy's maximum filter and
-    to the whole-volume running max it replaced."""
+    slabs on both threads: equal to scipy's maximum filter and to the
+    whole-volume running max it replaced."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(case=_slab_cases())
@@ -268,9 +269,9 @@ class TestSlabbedLocalMaxima:
         data, planes, threshold, half = case
         calls = []
 
-        def spy(fn, n):
-            calls.append(n)
-            on_two_cores(fn, n)
+        def spy(fn, n, nbytes):
+            calls.append((n, nbytes))
+            on_two_cores(fn, n, nbytes)
 
         slab_bytes = planes * data.shape[1] * data.shape[2] * data.itemsize
         with mock.patch.object(detect_mod, "_SLAB_BYTES", slab_bytes), \
@@ -282,7 +283,7 @@ class TestSlabbedLocalMaxima:
             else:
                 idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
         n_slabs = -(-data.shape[0] // planes)
-        assert calls == ([n_slabs] if n_slabs > 2 else [])
+        assert calls == [(n_slabs, data.nbytes)]
         if half is not None:
             with pytest.raises(NonFiniteInput):
                 whole_volume_local_maxima(data, threshold)

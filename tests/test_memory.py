@@ -132,7 +132,7 @@ def test_cli_spatial_peak(tmp_path):
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
-def test_local_maxima_peak(shape, monkeypatch):
+def test_local_maxima_peak(shape, monkeypatch, split_always):
     spec = SynthSpec(shape=shape, n_cells=20, n_distractors=5, seed=1)
     dm = oracle_regress(generate_coords(spec), spec).dm
     assert dm.data.dtype == np.float32
@@ -153,11 +153,12 @@ def test_tiled_detect_peak(shape):
     dm = oracle_regress(generate_coords(spec), spec).dm
     tiling = TilingConfig.m_peak((48, 48, 48), (8, 8, 8), (4, 4, 4))
     # One patch at a time: the float32 copy of its predicted box (4 B per
-    # box voxel) and local_maxima on it, on the calling thread in one or two
-    # slabs: the mask, two float32 buffers of a slab with its halo planes and
-    # the slab's threshold test (10 B at most, see above). What grows with
-    # the map is the patch list and its peaks, about 2 KB per patch (64
-    # patches at 96^3); a float32 copy of the whole map fails at every shape.
+    # box voxel) and local_maxima on it, on the calling thread, as a patch
+    # is far below volume.SPLIT_MIN_BYTES: the mask, two float32 buffers of
+    # a slab with its halo planes and the slab's threshold test (10 B at
+    # most, see above). What grows with the map is the patch list and its
+    # peaks, about 2 KB per patch (64 patches at 96^3); a float32 copy of
+    # the whole map fails at every shape.
     patch = np.prod(tiling.l_out)
     bound = 14 * patch + SMALL
     assert traced_peak(tiled_detect, dm, tiling, NmsConfig()) <= bound

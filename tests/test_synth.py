@@ -257,6 +257,7 @@ _SIGMA = st.one_of(st.sampled_from([0.0, 1e-16, 1e-15]), st.floats(0.3, 3.0),
                    st.floats(8.0, 20.0))
 
 
+@pytest.mark.usefixtures("split_always")
 class TestCacheBlockedKernels:
     """The two-sweep Gaussian and the separable amplitude field reproduce
     scipy's whole-volume calls bit for bit."""

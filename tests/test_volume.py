@@ -1,3 +1,4 @@
+import contextlib
 import json
 import multiprocessing
 import os
@@ -5,6 +6,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from probcell import (
     FeatureSpec,
     KernelSpec,
     NmsConfig,
+    SynthSpec,
     TilingConfig,
     Volume3D,
+    generate_coords,
     load_volume,
+    oracle_regress,
     plan_tiling,
     render_dm,
     save_volume,
@@ -245,11 +250,49 @@ class TestVolumeIO:
         assert load_volume(tmp_path / "vol").voxel_size == (1.0, 2.0, 1.0)
 
 
+@contextlib.contextmanager
+def threads_started():
+    """The list of threads started inside the block."""
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    with mock.patch.object(threading.Thread, "start", counting):
+        yield started
+
+
+class TestSizeRule:
+    def test_small_volume_stays_on_the_calling_thread(self):
+        calls = []
+        with threads_started() as started:
+            on_two_cores(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), 7,
+                         volume.SPLIT_MIN_BYTES - 1)
+        assert calls == [(0, 7, threading.get_ident())]
+        assert started == []
+
+    def test_splits_at_the_constant(self):
+        calls = {}
+        on_two_cores(lambda lo, hi: calls.update({(lo, hi): threading.get_ident()}), 7,
+                     volume.SPLIT_MIN_BYTES)
+        assert sorted(calls) == [(0, 3), (3, 7)]
+        assert calls[(3, 7)] == threading.get_ident() != calls[(0, 3)]
+
+    def test_oracle_regress_at_80_cubed_starts_no_thread(self):
+        spec = SynthSpec(shape=(80, 80, 80), n_cells=40, n_distractors=16, seed=1)
+        coords = generate_coords(spec)
+        with threads_started() as started:
+            oracle_regress(coords, spec)
+        assert started == []
+
+
+@pytest.mark.usefixtures("split_always")
 class TestOnTwoCores:
     @pytest.mark.parametrize("n, halves", [(7, [(0, 3), (3, 7)]), (1, [(0, 0), (0, 1)])])
     def test_worker_takes_the_first_half(self, n, halves):
         calls = {}
-        on_two_cores(lambda lo, hi: calls.update({(lo, hi): threading.get_ident()}), n)
+        on_two_cores(lambda lo, hi: calls.update({(lo, hi): threading.get_ident()}), n, 0)
         assert sorted(calls) == halves
         assert calls[halves[1]] == threading.get_ident() != calls[halves[0]]
 
@@ -264,7 +307,7 @@ class TestOnTwoCores:
                 raise RuntimeError("caller half")
 
         with pytest.raises(RuntimeError, match="caller half"):
-            on_two_cores(fn, 4)
+            on_two_cores(fn, 4, 0)
         assert finished.is_set()
 
     def test_reraises_worker_exception(self):
@@ -276,14 +319,14 @@ class TestOnTwoCores:
             finished.append((lo, hi))
 
         with pytest.raises(KeyError, match="worker half"):
-            on_two_cores(fn, 4)
+            on_two_cores(fn, 4, 0)
         assert finished == [(2, 4)]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_usable_in_a_forked_child(self):
-        on_two_cores(lambda lo, hi: None, 2)  # a worker has run in this process
+        on_two_cores(lambda lo, hi: None, 2, 0)  # a worker has run in this process
         child = multiprocessing.get_context("fork").Process(
-            target=on_two_cores, args=(lambda lo, hi: None, 2)
+            target=on_two_cores, args=(lambda lo, hi: None, 2, 0)
         )
         child.start()
         child.join(timeout=30)
