@@ -50,7 +50,6 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
     # threshold beyond the dtype's range would overflow when cast to it, and
     # the largest finite value keeps the same peaks of finite data
     floor = max(min(threshold, float(np.finfo(data.dtype).max)), 0.0)
-    non_finite = []
 
     def slabs(first: int, stop: int) -> None:
         # two copies of a slab with its halo planes, and its threshold test
@@ -61,8 +60,7 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
             own, out = data[z0:z1], mask[z0:z1]
             np.isfinite(own, out=out)
             if not out.all():
-                non_finite.append(s)
-                return
+                raise NonFiniteInput("density map must be finite-valued")
             # 3x3x3 max over the slab and one halo plane on each side inside
             # the map, one axis at a time: each voxel takes the larger of
             # itself and each neighbor along the axis, read from the previous
@@ -81,8 +79,6 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
             out &= above[: z1 - z0]
 
     on_two_cores(slabs, n_slabs, data.nbytes)
-    if non_finite:
-        raise NonFiniteInput("density map must be finite-valued")
     # np.argwhere(mask) from one flat scan: the same int64 (n, 3) array, faster
     idx = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=1)
     return idx, data[mask]

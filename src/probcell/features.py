@@ -151,8 +151,7 @@ def extract_features(
         boxes.append([tuple(map(slice, a, b)) for a, b in
                       zip(np.clip(lo, 0, None).tolist(), np.minimum(lo + w, shape).tolist())])
 
-    def rows(first: int, stop: int):
-        # rows [first, stop) and their first non-finite window as (column, row, message)
+    def rows(first: int, stop: int) -> np.ndarray:
         out = np.empty((stop - first, d), dtype=np.float64)
         col = 0
         for name, vol in maps:
@@ -164,13 +163,12 @@ def extract_features(
                             vol.data[box[i]], PERCENTILES, thresholds
                         )
                     except NonFiniteInput:
-                        return out, (col, i, f"map {name!r} has NaN or infinite values in "
-                                     f"the window around proposal {i}")
+                        raise NonFiniteInput(f"map {name!r} has NaN or infinite values in "
+                                             f"the window around proposal {i}") from None
                 col += STATS_PER_BLOCK
-        return out, None
+        return out
 
-    halves = on_two_processes(rows, n, item_cost=len(maps))
-    bad = [found for _, found in halves if found is not None]
-    if bad:  # the window the serial map, window, row loop meets first
-        raise NonFiniteInput(min(bad)[2])
-    return np.concatenate([out for out, _ in halves])
+    try:
+        return np.concatenate(on_two_processes(rows, n, item_cost=len(maps)))
+    except NonFiniteInput:  # raised again at the first bad window of the serial loop
+        return rows(0, n)

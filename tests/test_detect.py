@@ -278,7 +278,7 @@ class TestSlabbedLocalMaxima:
                 mock.patch.object(detect_mod, "on_two_cores", spy), warnings.catch_warnings():
             warnings.simplefilter("error")
             if half is not None:
-                with pytest.raises(NonFiniteInput):
+                with pytest.raises(NonFiniteInput, match="^density map must be finite-valued$"):
                     local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
             else:
                 idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)

@@ -1,4 +1,6 @@
-"""``tools/src_lines.py`` puts every source line in exactly one class."""
+"""``tools/src_lines.py`` puts every source line in exactly one class, and
+its module lines sum to its total."""
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ TOOL = ROOT / "tools" / "src_lines.py"
 
 def _tool() -> dict:
     """src_lines.py executed from its source, so no bytecode is written beside it."""
-    namespace = {"__name__": "src_lines"}
+    namespace = {"__name__": "src_lines", "__file__": str(TOOL)}
     exec(compile(TOOL.read_text(), str(TOOL), "exec"), namespace)
     return namespace
 
@@ -41,3 +43,16 @@ def test_each_class():
     assert SRC_LINES["classify"](source) == {
         "code": 5, "docstrings": 4, "comments": 1, "blank": 2
     }
+
+
+def test_module_lines_sum_to_the_total(capsys):
+    """The first line is the total; one line per module follows, and each
+    column of the module lines sums to it."""
+    assert SRC_LINES["main"]([]) == 0
+    total, *modules = [
+        [int(n.replace(",", "")) for n in re.findall(r"[\d,]+", out.split(": ", 1)[1])]
+        for out in capsys.readouterr().out.splitlines()
+    ]
+    assert len(modules) == len(list((ROOT / "src" / "probcell").glob("*.py"))) > 1
+    assert [sum(column) for column in zip(*modules)] == total
+    assert total[0] == sum(total[1:])

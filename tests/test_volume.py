@@ -413,16 +413,26 @@ class TestOnTwoProcesses:
             on_two_processes(fn, 4)
         no_child_left()
 
-    @pytest.mark.parametrize("nans", [
+    NAN_LAYOUTS = [
         [("u_a", 0, 5), ("dm", 0, 11)],  # the caller's half holds the first map
         [("dm", 2, 5), ("dm", 0, 11)],  # ... the first window of one map
         [("dm", 1, 11), ("dm", 1, 5)],  # the child's half holds the first row
         [("u_e", 0, 5), ("u_e", 0, 6)],  # both in the child's half
+    ]
+
+    @pytest.mark.parametrize("nans, forked", [
+        *(pytest.param(nans, True, id=f"nans{i}") for i, nans in enumerate(NAN_LAYOUTS)),
+        *(pytest.param(nans, False, id=f"nans{i}-serial") for i, nans in enumerate(NAN_LAYOUTS)),
     ])
-    def test_features_name_the_serial_first_window(self, fork_always, rng, nans):
-        """NaN in a window of each half (rows 0-7 fork, 8-15 stay): the error
-        names the window the serial map, window, row loop meets first."""
+    def test_features_name_the_serial_first_window(self, request, rng, nans, forked):
+        """NaN in a window of each half (rows 0-7, forked or not, and 8-15):
+        the error names the window the serial map, window, row loop meets
+        first, whether the halves ran in two processes or in this one."""
         names = ("dm", "u_a", "u_e")
+        if forked:
+            request.getfixturevalue("fork_always")
+        else:  # 16 rows of 3 maps stay below the fork rule
+            assert 16 * len(names) < volume.FORK_MIN_COST
         data = {name: rng.random((40, 40, 40)).astype(np.float32) for name in names}
         centers = np.stack([np.full(3, 4 + 2 * i) for i in range(16)])
         sides = (1, 3, 5)

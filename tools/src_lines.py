@@ -3,11 +3,12 @@
     python3 tools/src_lines.py [DIR]
 
 DIR defaults to ``src/probcell`` beside this script's directory; every
-``*.py`` file directly in it is counted. Each line falls in one class:
-docstrings are the lines of string-expression statements (found with
-``ast``), comments are lines holding only a ``#`` comment (found with
-``tokenize``), blank lines hold only whitespace, and every other line is
-code, including a code line with a trailing comment.
+``*.py`` file directly in it is counted. The report's first line sums them
+all, and one line per module follows with the same split. Each source line
+falls in one class: docstrings are the lines of string-expression
+statements (found with ``ast``), comments are lines holding only a ``#``
+comment (found with ``tokenize``), blank lines hold only whitespace, and
+every other line is code, including a code line with a trailing comment.
 """
 from __future__ import annotations
 
@@ -46,21 +47,26 @@ def classify(source: str) -> dict[str, int]:
     return counts
 
 
-def report(root: Path) -> dict[str, int]:
-    """Total lines and KINDS summed over root's ``*.py`` files."""
-    totals = dict.fromkeys(("total",) + KINDS, 0)
+def report(root: Path) -> dict[str, dict[str, int]]:
+    """Total lines and KINDS of each of root's ``*.py`` files, by file name."""
+    modules = {}
     for path in sorted(root.glob("*.py")):
         source = path.read_text()
-        totals["total"] += len(source.splitlines())
-        for kind, n in classify(source).items():
-            totals[kind] += n
-    return totals
+        modules[path.name] = {"total": len(source.splitlines()), **classify(source)}
+    return modules
+
+
+def line(label, counts: dict[str, int]) -> str:
+    """One report line: the label, its total, then KINDS."""
+    return f"{label}: {counts['total']:,} lines = " + " + ".join(f"{counts[k]:,} {k}" for k in KINDS)
 
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "probcell"
-    t = report(root)
-    print(f"{root}: {t['total']:,} lines = " + " + ".join(f"{t[k]:,} {k}" for k in KINDS))
+    modules = report(root)
+    print(line(root, {k: sum(m[k] for m in modules.values()) for k in ("total",) + KINDS}))
+    for name, counts in modules.items():
+        print(line(f"  {name}", counts))
     return 0
 
 
