@@ -17,8 +17,8 @@ Scott's bandwidth (SD * n^(-1/5)), evaluated in closed form on a shared
 distance grid; ``cdf_mode="empirical"`` switches to raw step CDFs.
 
 Both analyses read one prelude built by ``prepare_spatial``: the tissue
-volume and, per structure, its EDT, its ESD pool and the pool's sorted CDF,
-so a run computes each structure's EDT and sorts its pool once.
+volume and, per structure, its EDT, its background and its ESD pool sorted
+in place, so a run computes each EDT, sorts each pool and holds it once.
 
 The EDT's voxel-by-voxel feature buffer, which its distances overwrite, is
 explained in the README ("The exact EDT in one buffer").
@@ -118,8 +118,9 @@ class DistanceCdf:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.sort(np.asarray(self.samples, dtype=np.float64).ravel())
-        # NaN and +inf sort last, -inf first
+        s = np.asarray(self.samples, dtype=np.float64).ravel()
+        # kept if ascending, else copied sorted: NaN and +inf last, -inf first
+        self.samples = s if (s[:-1] <= s[1:]).all() else np.sort(s)
         if self.samples.size and not np.isfinite(self.samples[[0, -1]]).all():
             raise NonFiniteInput("distance samples must be finite")
 
@@ -144,8 +145,8 @@ def scott_bandwidth(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) * x.size ** (-1.0 / 5.0))
 
 
-def esd_pool(edt: Volume3D, tissue_mask: np.ndarray) -> np.ndarray:
-    """EDT values over tissue background voxels (tissue minus structure).
+def esd_pool(edt: Volume3D, tissue_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EDT values over tissue background voxels, sorted, and the background.
 
     tissue_mask is the boolean tissue grid as ``prepare_spatial`` checked
     it. Structure voxels are exactly those at EDT 0, so the background is
@@ -156,7 +157,9 @@ def esd_pool(edt: Volume3D, tissue_mask: np.ndarray) -> np.ndarray:
     background = tissue_mask & (edt.data > 0)
     if not background.any():
         raise DegenerateESD("no background voxels remain inside the tissue")
-    return edt.data[background]
+    pool = edt.data[background]
+    pool.sort()
+    return pool, background
 
 
 def cell_distances(cells: CoordSet, edt: Volume3D) -> np.ndarray:
@@ -248,12 +251,25 @@ class SpatialReport:
 
 @dataclass(frozen=True)
 class PreparedStructure:
-    """A structure's EDT, the ESD pool read from it (in voxel order, which
-    the Monte-Carlo resampling indexes) and the pool's sorted CDF."""
+    """A structure's EDT, its background, each (z, y) row's first pool index
+    (the pool size last) and the ESD CDF, whose samples are the pool, sorted."""
 
     edt: Volume3D
-    pool: np.ndarray
+    background: np.ndarray
+    row_starts: np.ndarray
     esd: DistanceCdf
+
+    def pool_at(self, i: np.ndarray) -> np.ndarray:
+        """``edt.data[background][i]`` read from the EDT: each index's row and rank
+        there, then the row's voxel of that rank, with ~1 MiB of temporaries a chunk."""
+        rows = self.background.reshape(-1, self.background.shape[-1])
+        out, step = np.empty(i.size), max(1, 2**20 // (10 * rows.shape[1]))
+        for first in range(0, i.size, step):
+            j = i[first : first + step]
+            row = np.searchsorted(self.row_starts, j, side="right") - 1
+            x = np.argmax(np.cumsum(rows[row], 1, np.int32) > (j - self.row_starts[row])[:, None], 1)
+            out[first : first + step] = self.edt.data.reshape(rows.shape)[row, x]
+        return out
 
 
 @dataclass(frozen=True)
@@ -266,7 +282,7 @@ class SpatialPrelude:
 
 def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> SpatialPrelude:
     """Check the tissue mask once, then compute each structure's EDT, ESD
-    pool and sorted ESD CDF for both analyses. A structure on another grid
+    pool, sorted, and background for both analyses. A structure on another grid
     than the tissue (shape or voxel size) raises ShapeMismatch before its EDT."""
     tissue = _binary(tissue, "tissue")
     n_tissue = np.count_nonzero(tissue.data)
@@ -281,17 +297,15 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
                 f"the tissue {tissue.shape} voxels of {tissue.voxel_size} um"
             )
         edt = distance_transform(structure)
-        pool = esd_pool(edt, tissue.data)
-        prepared[name] = PreparedStructure(edt, pool, DistanceCdf(pool))
+        pool, background = esd_pool(edt, tissue.data)
+        starts = np.concatenate(([0], np.count_nonzero(background, axis=2).cumsum()))
+        prepared[name] = PreparedStructure(edt, background, starts, DistanceCdf(pool))
     return SpatialPrelude(tissue_mm3, prepared)
 
 
 def _distance_grid(esd: DistanceCdf, dists: np.ndarray) -> np.ndarray:
     """Grid from 0 to the largest ESD or cell distance."""
-    top = float(esd.samples[-1])
-    if dists.size:
-        top = max(top, float(dists.max()))
-    return np.linspace(0.0, top, CDF_GRID_POINTS)
+    return np.linspace(0.0, max(esd.samples[-1], dists.max(initial=0.0)), CDF_GRID_POINTS)
 
 
 def _curves(prep: PreparedStructure, grid: np.ndarray, dists: np.ndarray, cdf_mode: str) -> dict:
@@ -324,11 +338,12 @@ def analyze_deterministic(
     out = {}
     for name, prep in prelude.structures.items():
         dists = cell_distances(kept, prep.edt) if len(kept) else np.empty(0)
+        pool = prep.esd.samples  # np.mean counts pool < adjacency_um as searchsorted does
         out[name] = StructureAnalysis(
             pct_cells_adjacent=(
                 100.0 * float(np.mean(dists < adjacency_um)) if dists.size else float("nan")
             ),
-            pct_volume_adjacent=100.0 * float(np.mean(prep.pool < adjacency_um)),
+            pct_volume_adjacent=100.0 * float(np.searchsorted(pool, adjacency_um) / pool.size),
             **_curves(prep, _distance_grid(prep.esd, dists), dists, cdf_mode),
         )
     return SpatialReport(
@@ -351,8 +366,8 @@ def analyze_probabilistic(
     """Monte-Carlo analysis sampling each proposal by its probability.
 
     Replicate t draws its randomness from seed + t, so the two halves of the
-    replicates run in two processes. ESD replicates resample the pooled
-    distances with a Poisson(count of sampled cells) sample size. The
+    replicates run in two processes. ESD replicates resample the voxel-order
+    pool (``pool_at``) with a Poisson(count of sampled cells) sample size. The
     envelopes are kept as a running pointwise min and max, which do not grow
     with the replicate count. The per-replicate counts and percentages do:
     one table row per replicate, 8 B plus 16 B per structure, allocated
@@ -382,8 +397,8 @@ def analyze_probabilistic(
             row = table[t - first]
             row[0] = include.sum()
             for k, (name, prep) in enumerate(structures.items()):
-                w = int(rng.poisson(row[0]))
-                esd = prep.pool[rng.integers(0, prep.pool.size, size=w)] if w else prep.pool[:0]
+                w = int(rng.poisson(row[0]))  # drawing no index takes nothing from rng
+                esd = prep.pool_at(rng.integers(0, prep.esd.samples.size, size=w))
                 samples = (("EmptyReplicate", all_dists[name][include]), ("EmptyESDReplicate", esd))
                 for i, (flag, sample) in enumerate(samples, 2 * k):
                     if sample.size == 0:

@@ -110,6 +110,44 @@ def test_generate_structures_peak():
     assert traced_peak(generate_structures, spec) <= bound
 
 
+@pytest.mark.parametrize("shape", [(64, 64, 64), (67, 64, 64)])
+def test_prepare_spatial_keeps_one_pool_copy(shape):
+    """What the prelude keeps: the EDT (8 B per voxel), the background (1 B),
+    one copy of the ESD pool, sorted (8 B per value), and each (z, y) row's
+    start in it (8 B per row, plus one). A voxel-order pool held beside the
+    sorted one fails."""
+    vs = (1.0, 1.0, 1.0)
+    structure = np.zeros(shape, dtype=bool)
+    structure[3, 40, 40] = True
+    tissue = np.ones(shape, dtype=bool)
+    tissue[:, :2] = False
+    tracemalloc.start()
+    try:
+        prelude = prepare_spatial({"s": Volume3D(structure, vs)}, Volume3D(tissue, vs))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n, pool = structure.size, prelude.structures["s"].esd.samples.size
+    assert pool == np.count_nonzero(tissue & ~structure)
+    assert kept <= 9 * n + 8 * pool + 8 * (shape[0] * shape[1] + 1) + SMALL
+
+
+def test_pool_lookup_peak():
+    """pool_at reads 50,000 draws of a pool in voxel order from the EDT, a
+    chunk of draws at a time: their gathered 64-voxel rows, running counts
+    and test take 10 B a row voxel, about 1 MiB a chunk, beside the result
+    (8 B a draw). All draws' rows at once would take 32 MB."""
+    shape = (32, 32, 64)
+    vs = (1.0, 1.0, 1.0)
+    structure = np.zeros(shape, dtype=bool)
+    structure[16, 16, :] = True
+    prep = prepare_spatial(
+        {"s": Volume3D(structure, vs)}, Volume3D(np.ones(shape, bool), vs)
+    ).structures["s"]
+    draws = np.random.default_rng(3).integers(0, prep.esd.samples.size, size=50_000)
+    assert traced_peak(prep.pool_at, draws) <= 8 * draws.size + (1 << 20) + SMALL
+
+
 def test_cli_spatial_peak(tmp_path):
     """`probcell spatial` on a 64^3 scene read from disk holds each mask as
     booleans from the moment it is checked. At the peak: the structure and

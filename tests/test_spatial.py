@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -39,6 +39,7 @@ from probcell.spatial import DistanceCdf, _exact_edt
 
 from conftest import vol
 from oracles import (
+    _reference_esd_pool,
     brute_force_edt,
     ks_statistic_sweep,
     loop_average_ranks,
@@ -152,7 +153,7 @@ class TestEsd:
         m = np.zeros(shape)
         m[:, :, 0] = 1.0
         tissue = np.ones(shape)
-        cdf = DistanceCdf(esd_pool(distance_transform(mask(m)), tissue > 0))
+        cdf = DistanceCdf(esd_pool(distance_transform(mask(m)), tissue > 0)[0])
         # distances over background are x = 1..31 um, uniform
         grid = np.arange(1, 32, dtype=float)
         values = cdf.evaluate(grid, mode="empirical")
@@ -163,7 +164,7 @@ class TestEsd:
         m = np.zeros(shape)
         m[4, 4, 4] = 1.0
         tissue = np.ones(shape)
-        pool = esd_pool(distance_transform(mask(m)), tissue > 0)
+        pool = esd_pool(distance_transform(mask(m)), tissue > 0)[0]
         assert pool.size == 8**3 - 1
         target = 3.0
         direct = (brute_force_edt(m > 0, (1, 1, 1)) < target) & (m == 0)
@@ -204,7 +205,7 @@ class TestCellDistances:
         m[10:14, 10:14, :] = 1.0
         tissue = np.ones(shape)
         edt = distance_transform(mask(m))
-        pool = esd_pool(edt, tissue > 0)
+        pool = esd_pool(edt, tissue > 0)[0]
         bg = np.argwhere((m == 0))
         take = bg[rng.integers(0, len(bg), size=400)]
         cells = CoordSet((take + 0.5).astype(float))
@@ -342,14 +343,50 @@ class TestProbabilisticAnalysis:
             assert sum(f.startswith(kind + ":line:") for f in report["flags"]) == 12
 
 
+@st.composite
+def _tissue_cases(draw):
+    """A structure and a tissue with empty planes and empty (z, y) rows, the
+    grid's first and last voxels background or not, x lengths down to 1."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 7])))
+    n = int(np.prod(shape))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tissue = g.random(shape) < draw(st.floats(0.3, 1.0))
+    structure = g.random(shape) < draw(st.floats(0.0, 0.4))
+    structure.flat[draw(st.integers(0, n - 1))] = True
+    tissue[sorted(draw(st.sets(st.integers(0, shape[0] - 1))))] = False
+    tissue.reshape(-1, shape[2])[sorted(draw(st.sets(st.integers(0, n // shape[2] - 1))))] = False
+    for end in (0, n - 1):
+        if draw(st.booleans()):
+            tissue.flat[end], structure.flat[end] = True, False
+    assume(structure.any() and (tissue & ~structure).any())
+    return structure, tissue
+
+
+def _with_background(shape, structure_at, empty_plane, empty_rows):
+    """A structure and a tissue: the whole grid tissue but one empty plane
+    and the given empty rows of plane 0, structure voxels at structure_at,
+    so the grid's first and last voxels are background."""
+    tissue = np.ones(shape, dtype=bool)
+    tissue[empty_plane] = False
+    tissue[0, empty_rows] = False
+    tissue.flat[[0, -1]] = True
+    structure = np.zeros(shape, dtype=bool)
+    structure[structure_at] = True
+    return structure, tissue
+
+
 class TestSortedEsd:
     def test_both_analyses_evaluate_the_pool_sorted_once(self, rng):
-        """prepare_spatial keeps the pool in voxel order beside its sorted
-        CDF; each analysis' esd_cdf is the empirical CDF of that pool."""
+        """prepare_spatial holds the pool once, as its ESD samples, sorted;
+        pool_at reads the pool in voxel order from the EDT at every index,
+        the oracle's voxel-order pool; each analysis' esd_cdf is the
+        empirical CDF of that pool."""
         structure, tissue, cells = _scene(rng, p=rng.uniform(0.3, 1.0, 30))
         prelude = prepare_spatial({"s": structure}, tissue)
-        pool = esd_pool(distance_transform(structure), tissue.data > 0)
-        assert np.array_equal(prelude.structures["s"].pool, pool)
+        prep = prelude.structures["s"]
+        pool = _reference_esd_pool(structure, tissue)
+        assert np.array_equal(prep.esd.samples, np.sort(pool))
+        assert np.array_equal(prep.pool_at(np.arange(pool.size)), pool)
         for report in (
             analyze_deterministic(cells, prelude),
             analyze_probabilistic(cells, prelude, replicates=5, seed=2),
@@ -358,6 +395,33 @@ class TestSortedEsd:
             expected = DistanceCdf(pool).evaluate(sa.distance_grid, "empirical")
             assert np.array_equal(sa.esd_cdf, expected)
             assert sa.distance_grid[-1] >= pool.max()
+
+    def test_draws_across_chunks(self, rng):
+        """Draws beyond one chunk (1 MiB over 10 B per 64-voxel row, 1,638
+        draws) are read chunk by chunk, the last one partial, with every
+        value in place."""
+        structure, tissue = _with_background((6, 5, 64), (3, 2, 10), 4, [0, 3])
+        prep = prepare_spatial({"s": mask(structure)}, mask(tissue)).structures["s"]
+        pool = _reference_esd_pool(mask(structure), mask(tissue))
+        draws = rng.integers(0, pool.size, size=5000)
+        assert np.array_equal(prep.pool_at(draws), pool[draws])
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @example(case=_with_background((3, 4, 1), (2, 1, 0), 1, [1, 2]))
+    @example(case=_with_background((4, 3, 7), (1, 1, 3), 2, [1]))
+    @given(case=_tissue_cases())
+    def test_voxel_order_lookup_on_random_tissue(self, case):
+        """pool_at equals the oracle's voxel-order pool at every index and at
+        drawn indices with repeats, over tissue with empty planes and rows,
+        x lengths down to 1, and the grid's first and last voxels background
+        or not; the samples are that pool sorted."""
+        structure, tissue = (mask(m) for m in case)
+        prep = prepare_spatial({"s": structure}, tissue).structures["s"]
+        pool = _reference_esd_pool(structure, tissue)
+        assert np.array_equal(prep.esd.samples, np.sort(pool))
+        assert np.array_equal(prep.pool_at(np.arange(pool.size)), pool)
+        draws = np.random.default_rng(0).integers(0, pool.size, size=3 * pool.size)
+        assert np.array_equal(prep.pool_at(draws), pool[draws])
 
 
 def _oracle_case(case):
@@ -551,6 +615,29 @@ class TestKdeCdf:
     def test_non_finite_samples_raise(self, bad, mode):
         with pytest.raises(NonFiniteInput):
             DistanceCdf(np.array([bad, 1.0, 2.0])).evaluate(np.array([0.0, 1.0, 2.0]), mode)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_non_finite_anywhere_raises(self, bad, at, ascending):
+        """NaN or +-inf at the start, middle or end of an ascending or an
+        unsorted sample raises, whether or not the sample is sorted first."""
+        x = np.array([0.0, 1.0, 2.0, 3.0, 4.0] if ascending else [3.0, 0.0, 4.0, 1.0, 2.0])
+        x[at] = bad
+        with pytest.raises(NonFiniteInput):
+            DistanceCdf(x)
+
+    @pytest.mark.parametrize("x", [
+        np.array([3.0, 0.5, 2.0, 0.5]), np.array([0.5, 0.5, 2.0, 3.0]),
+        np.array([3.0, 0.5, 2.0], dtype=np.float32), np.array([[2.0, 1.0], [0.0, 3.0]]),
+    ])
+    def test_callers_array_is_unchanged(self, x):
+        """The samples are sorted, and the caller's array keeps its values in
+        its order: an unsorted input stays unsorted."""
+        before = x.copy()
+        cdf = DistanceCdf(x)
+        assert np.array_equal(x, before) and x.dtype == before.dtype
+        assert np.array_equal(cdf.samples, np.sort(before, axis=None))
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="bogus"):
