@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import pipeline as pipeline_mod
+from . import volume
 from .classifier import (
     classify_proposals,
     load_model,
@@ -63,19 +65,30 @@ def cmd_synth(cfg) -> int:
     out = Path(cfg.pop("out"))
     spec = SynthSpec(**cfg)
     gt = generate_coords(spec)
-    ro = oracle_regress(gt, spec)
-    structure, tissue = generate_structures(spec)
+    nbytes = 8 * math.prod(spec.shape)  # the scene's float64 volume
+    # from the size rule up the masks are built in a child forked before the
+    # surrogate starts a thread; the surrogate's error is raised first
+    if nbytes < volume.SPLIT_MIN_BYTES:
+        ro, (structure, tissue) = oracle_regress(gt, spec), generate_structures(spec)
+    else:
+        (structure, tissue), ro = volume.fork_join(
+            lambda: generate_structures(spec), lambda: oracle_regress(gt, spec))
     volumes = {"dm": ro.dm, "aleatoric": ro.aleatoric, "epistemic": ro.epistemic,
                "structure": structure, "tissue": tissue}
     out.mkdir(parents=True, exist_ok=True)
-    # the six files written, each hashed from the buffer just written
-    written = {}
-    for name, v in volumes.items():
-        written[f"{name}.raw"] = raw = raw_data(v)
-        save_volume(v.like(raw), out / name)
+    # the six files' bytes, each written and hashed from one buffer
+    written = {f"{name}.raw": raw_data(v) for name, v in volumes.items()}
     save_coords(gt, out / "gt.csv")
     written["gt.csv"] = (out / "gt.csv").read_bytes()
-    digests = {name: hashlib.sha256(buf).hexdigest() for name, buf in written.items()}
+
+    def save_volumes():
+        for name, v in volumes.items():
+            save_volume(v.like(written[f"{name}.raw"]), out / name)
+
+    # a worker hashes while the caller writes
+    digests, _ = volume.side_by_side(
+        lambda: {name: hashlib.sha256(buf).hexdigest() for name, buf in written.items()},
+        save_volumes, nbytes)
     manifest = {"spec": cfg, "files": digests}  # written with sorted keys
     pipeline_mod.write_json(out / "manifest.json", manifest)
     return _summary(cfg, {"manifest": out / "manifest.json"}, {"n_cells": len(gt)})

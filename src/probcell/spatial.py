@@ -119,8 +119,11 @@ class DistanceCdf:
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64).ravel()
-        # kept if ascending, else copied sorted: NaN and +inf last, -inf first
-        self.samples = s if (s[:-1] <= s[1:]).all() else np.sort(s)
+        # kept if ascending (tested in blocks of 2**20 pairs that share their
+        # ends; NaN fails), else copied sorted: NaN and +inf last, -inf first
+        blocks = (s[i:i + (1 << 20) + 1] for i in range(0, s.size, 1 << 20))
+        ascending = all((b[:-1] <= b[1:]).all() for b in blocks)
+        self.samples = s if ascending else np.sort(s)
         if self.samples.size and not np.isfinite(self.samples[[0, -1]]).all():
             raise NonFiniteInput("distance samples must be finite")
 

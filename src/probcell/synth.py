@@ -21,8 +21,10 @@ flat near-zero background, and without the clip, sign-symmetric background
 noise would turn a large fraction of the volume into spurious threshold-0
 proposals at any scale.
 
-The surrogate's Gaussian smoothing and amplitude field split over two cores
-from volume.SPLIT_MIN_BYTES up (README, "Kernels on two cores").
+From volume.SPLIT_MIN_BYTES up the surrogate keeps two cores busy: its
+Gaussian smoothing, amplitude field and elementwise passes split, and each
+noise draw and SD runs beside the other noise's Gaussian (README, "Kernels
+on two cores").
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .coords import CoordSet
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible, check_int, check_real
 from .spatial import _exact_edt
-from .volume import Volume3D, on_two_cores, voxel_centers_um
+from .volume import Volume3D, on_two_cores, side_by_side, voxel_centers_um
 
 # SD (um) of the Gaussians that smooth the surrogate's noise and the support
 # of its background bias
@@ -234,10 +236,10 @@ def _smooth_field(shape, rng, lo, hi):
                         np.take(vzy, sx + dx, axis=2, out=part, mode="clip")
                         part *= wx[dx]
                         out += part
+            out *= hi - lo
+            out += lo
 
     on_two_cores(blocks, shape[0], field.nbytes)
-    field *= hi - lo
-    field += lo
     return field
 
 
@@ -280,15 +282,6 @@ def _gaussian_in_place(a: np.ndarray, sigmas) -> None:
         on_two_cores(planes, nz, a.nbytes)
 
 
-def _smooth_noise(shape, rng, voxel_size):
-    noise = rng.standard_normal(shape)
-    _gaussian_in_place(noise, NOISE_SMOOTH_UM / np.asarray(voxel_size, dtype=np.float64))
-    sd = noise.std()
-    if sd > 0:
-        noise /= sd  # restore unit SD after smoothing
-    return noise
-
-
 def _background_bias(clean: np.ndarray, spec: SynthSpec) -> np.ndarray:
     """bias_sd * (1 - clip(4 * smoothed support, 0, 1)), built in one array.
 
@@ -301,10 +294,15 @@ def _background_bias(clean: np.ndarray, spec: SynthSpec) -> np.ndarray:
     # The support is filtered as float64: a boolean input is twice as slow.
     bias = (clean > np.float64(0.1)).astype(np.float64)
     _gaussian_in_place(bias, BIAS_SMOOTH_UM / np.asarray(spec.voxel_size, dtype=np.float64))
-    bias *= 4.0
-    np.clip(bias, 0.0, 1.0, out=bias)
-    np.subtract(1.0, bias, out=bias)
-    bias *= spec.background_bias_sd
+
+    def tail(lo, hi):
+        part = bias[lo:hi]
+        part *= 4.0
+        np.clip(part, 0.0, 1.0, out=part)
+        np.subtract(1.0, part, out=part)
+        part *= spec.background_bias_sd
+
+    on_two_cores(tail, len(bias), bias.nbytes)
     return bias
 
 
@@ -329,31 +327,65 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
         for _ in range(2)
     ]
     amp_field = _smooth_field(spec.shape, rng, *spec.amp_field_range)
-    amp_field *= spec.noise_sd
-    draws = [_smooth_noise(spec.shape, rng, spec.voxel_size) for _ in range(2)]
+    nz, nbytes = spec.shape[0], amp_field.nbytes
     kernel = spec.kernel()
     all_coords = CoordSet(np.concatenate([coords.coords, distractors], axis=0))
-    bias = 0.0
-    for t, draw in enumerate(draws):
+
+    def render(t):  # float32; `+= clean` casts it to float64 exactly
         scales = np.concatenate([cell_amps, distractor_amps[t]])
-        # float32; `draw += clean` casts it to float64 exactly
-        clean = render_dm(all_coords, spec.shape, spec.voxel_size, kernel, scales=scales).data
-        if t == 0 and spec.background_bias_sd > 0 and len(all_coords):
-            bias = _background_bias(clean, spec)
-        draw -= bias
-        draw *= amp_field
-        draw += clean
+        return render_dm(all_coords, spec.shape, spec.voxel_size, kernel, scales=scales).data
+
+    def clean_and_bias():
+        clean = render(0)
+        if spec.background_bias_sd > 0 and len(all_coords):
+            return clean, _background_bias(clean, spec)
+        return clean, None
+
+    # Two smoothed unit-SD noises. Each draw and each SD runs on one thread
+    # (the generator's stream and std's pairwise sum are part of the output),
+    # so each runs beside other work, in the generator's order: noise 0's
+    # draw beside the first clean map and the bias, then noise 1's draw and
+    # noise 0's SD each beside the other noise's Gaussian. Whole volumes are
+    # allocated on the calling thread (volume.side_by_side).
+    sigmas = NOISE_SMOOTH_UM / np.asarray(spec.voxel_size, dtype=np.float64)
+    noise = np.empty(spec.shape)
+    clean, bias = side_by_side(lambda: rng.standard_normal(out=noise), clean_and_bias, nbytes)[1]
+    draws = [noise, side_by_side(lambda: _gaussian_in_place(noise, sigmas),
+                                 lambda: rng.standard_normal(spec.shape), nbytes)[1]]
+    sds = [side_by_side(lambda: _gaussian_in_place(draws[1], sigmas), noise.std, nbytes)[1],
+           draws[1].std()]
+    for t, draw in enumerate(draws):
+        if t:
+            clean = render(1)
+
+        def degrade(lo, hi):  # reads this step's t, draw and clean
+            if t == 0:
+                amp_field[lo:hi] *= spec.noise_sd
+            part = draw[lo:hi]
+            if sds[t] > 0:
+                part /= sds[t]  # restore unit SD after smoothing
+            if bias is not None:  # subtracting 0.0 changes no bit
+                part -= bias[lo:hi]
+            part *= amp_field[lo:hi]
+            part += clean[lo:hi]
+
+        on_two_cores(degrade, nz, nbytes)
         del clean
     del bias
-    draw0, epistemic = draws
-    epistemic -= draw0
-    np.abs(epistemic, out=epistemic)
-    epistemic /= np.sqrt(2.0)
-    return RegressorOutput(
-        dm=Volume3D(np.maximum(draw0, 0.0, out=draw0).astype(np.float32), spec.voxel_size),
-        aleatoric=Volume3D(amp_field.astype(np.float32), spec.voxel_size),
-        epistemic=Volume3D(epistemic.astype(np.float32), spec.voxel_size),
-    )
+    maps = [np.empty(spec.shape, dtype=np.float32) for _ in range(3)]
+
+    def finish(lo, hi):
+        draw0, epistemic = (draw[lo:hi] for draw in draws)
+        epistemic -= draw0
+        np.abs(epistemic, out=epistemic)
+        epistemic /= np.sqrt(2.0)
+        # assigning casts to float32, and an overflow raises there
+        maps[0][lo:hi] = np.maximum(draw0, 0.0, out=draw0)
+        maps[1][lo:hi] = amp_field[lo:hi]
+        maps[2][lo:hi] = epistemic
+
+    on_two_cores(finish, nz, nbytes)
+    return RegressorOutput(*(Volume3D(m, spec.voxel_size) for m in maps))
 
 
 def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:

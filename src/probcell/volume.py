@@ -39,24 +39,36 @@ from .errors import VolumeSizeMismatch, VolumeTooSmall, check_int, check_real
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
 STRATEGIES = (M_CONV, M_PEAK)
-SPLIT_MIN_BYTES = 8 << 20  # the least volume on_two_cores splits (README, "Kernels on two cores")
+SPLIT_MIN_BYTES = 8 << 20  # the least volume a thread starts for (README, "Kernels on two cores")
+
+
+def side_by_side(first, second, nbytes: int) -> list:
+    """[first(), second()], first() on a worker thread while the caller runs
+    second(), if the calls cover a volume of at least SPLIT_MIN_BYTES; else
+    first() and then second() on the caller.
+
+    For numpy/scipy calls that release the GIL; first() may call no public
+    probcell function, as the benchmark traces the calling thread only, and
+    should allocate no whole volume: glibc keeps what a thread's arena frees
+    (drawing the surrogate's noises there raised run_pipeline's peak RSS on
+    perf256 by 58 MB). The worker runs under the caller's numpy error state
+    and lives for this call only; the caller waits for it and re-raises its
+    exception.
+    """
+    if nbytes < SPLIT_MIN_BYTES:
+        return [first(), second()]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(np.errstate(**np.geterr())(first))
+        mine = second()  # leaving the block waits for the worker, also on error
+    return [future.result(), mine]
 
 
 def on_two_cores(fn, n: int, nbytes: int) -> None:
-    """fn(0, n // 2) on a worker thread while the caller runs fn(n // 2, n),
-    if the call covers a volume of at least SPLIT_MIN_BYTES; else fn(0, n).
-
-    For numpy/scipy kernels that release the GIL and write disjoint halves of
-    an array; fn must call no public probcell function, as the benchmark
-    traces one thread of them. The caller waits for the worker, which lives
-    for this call only, and re-raises its exception.
-    """
+    """side_by_side of fn(0, n // 2) and fn(n // 2, n), halves that write
+    disjoint parts of an array, from SPLIT_MIN_BYTES up; else fn(0, n)."""
     if nbytes < SPLIT_MIN_BYTES:
         return fn(0, n)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        future = worker.submit(fn, 0, n // 2)
-        fn(n // 2, n)  # leaving the block waits for the worker, also on error
-    future.result()
+    side_by_side(lambda: fn(0, n // 2), lambda: fn(n // 2, n), nbytes)
 
 
 def fork_join(child, caller) -> list:

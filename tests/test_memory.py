@@ -31,7 +31,7 @@ from probcell import (
 from probcell import detect
 from probcell.cli import main
 from probcell.detect import local_maxima
-from probcell.spatial import distance_transform
+from probcell.spatial import DistanceCdf, distance_transform
 
 SMALL = 1 << 19
 
@@ -208,6 +208,14 @@ def test_save_volume_peak(shape, tmp_path):
     # object, either of which is a whole float32 volume.
     v = Volume3D(np.ones(shape, dtype=np.float32), (1.0, 1.0, 1.0))
     assert traced_peak(save_volume, v, tmp_path / "v") <= SMALL
+
+
+def test_distance_cdf_ascending_test_peak():
+    """An ascending sample is kept as it is, and the test that finds it so
+    holds one block of 2**20 booleans: the whole sample's pairwise test
+    would hold 1 B per sample, 4 MiB here."""
+    samples = np.arange(1 << 22, dtype=np.float64)
+    assert traced_peak(DistanceCdf, samples) <= (1 << 20) + SMALL
 
 
 def test_analyze_probabilistic_peak():

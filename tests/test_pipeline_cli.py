@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +30,17 @@ from probcell import (
     save_volume,
     train_forest,
 )
+from probcell import cli as cli_mod
 from probcell import pipeline as pipeline_mod
+from probcell import volume as volume_mod
 from probcell.cli import main
-from probcell.errors import InvalidConfig, ProbcellError, SingleClass, VolumeTooSmall
+from probcell.errors import (
+    EmptyStructure,
+    InvalidConfig,
+    ProbcellError,
+    SingleClass,
+    VolumeTooSmall,
+)
 from probcell.pipeline import (
     DEFAULT_CONFIG,
     _tiling_config,
@@ -503,6 +512,38 @@ class TestCli:
                                "structure.raw", "tissue.raw"]
         for name, digest in files.items():
             assert digest == hashlib.sha256((scene / name).read_bytes()).hexdigest()
+
+    def test_synth_manifest_is_the_same_forked_or_not(self, tmp_path, monkeypatch):
+        """Above the size rule the masks are built in a forked child and a
+        worker hashes while the caller writes; below it all runs in order."""
+        digests = []
+        for least in (0, 1 << 62):
+            monkeypatch.setattr(volume_mod, "SPLIT_MIN_BYTES", least)
+            scene = tmp_path / str(least)
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                assert main(["synth", "--out", str(scene), "--shape", "24", "20", "16",
+                             "--n-cells", "4", "--n-distractors", "2", "--n-tubes", "2",
+                             "--seed", "4"]) == 0
+            assert fork.call_count == (least == 0)
+            no_child_left()
+            digests.append(json.loads((scene / "manifest.json").read_text())["files"])
+        assert digests[0] == digests[1] and len(digests[0]) == 6
+
+    @pytest.mark.parametrize("least", [0, 1 << 62])
+    @pytest.mark.parametrize("oracle_fails, want", [(True, "FloatingPointError"),
+                                                    (False, "EmptyStructure")])
+    def test_synth_raises_the_surrogates_error_first(self, tmp_path, monkeypatch, capsys,
+                                                      least, oracle_fails, want):
+        def no_structures(spec):
+            raise EmptyStructure("structures")
+
+        monkeypatch.setattr(volume_mod, "SPLIT_MIN_BYTES", least)
+        monkeypatch.setattr(cli_mod, "generate_structures", no_structures)
+        noise_sd = "1e300" if oracle_fails else "0.05"
+        assert main(["synth", "--out", str(tmp_path / "s"), "--shape", "24", "20", "16",
+                     "--n-cells", "4", "--n-distractors", "2", "--noise-sd", noise_sd]) == 1
+        no_child_left()
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == want
 
     def test_every_csv_ends_lines_with_crlf_and_loads_back(self, tmp_path):
         scene = tmp_path / "scene"

@@ -593,6 +593,21 @@ class TestForkedReplicates:
 
 
 class TestKdeCdf:
+    @pytest.mark.parametrize("at", [0, (1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+    def test_order_is_tested_across_blocks(self, at):
+        """One pair out of order, in a block or on the seam of two, sorts the
+        sample; a NaN there raises."""
+        want = np.arange((1 << 20) + 3, dtype=np.float64)
+        s = want.copy()
+        s[at], s[at + 1] = s[at + 1], s[at]
+        cdf = DistanceCdf(s)
+        assert not np.shares_memory(cdf.samples, s) and np.array_equal(cdf.samples, want)
+        assert np.shares_memory(DistanceCdf(want).samples, want)
+        s = want.copy()
+        s[at + 1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            DistanceCdf(s)
+
     def test_scott_bandwidth_formula(self, rng):
         x = rng.normal(size=200)
         assert scott_bandwidth(x) == pytest.approx(np.std(x, ddof=1) * 200 ** (-0.2))

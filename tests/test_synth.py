@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import replace
 from unittest import mock
@@ -237,6 +238,11 @@ class TestMatchesWholeVolumeReference:
         assert np.array_equal(ro.epistemic.data, epistemic)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+    def test_oracle_regress_split_at_every_size(self, name, split_always):
+        """The overlapped draws and the split passes, forced on."""
+        self.test_oracle_regress(name)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
     def test_generate_structures(self, name):
         spec = REFERENCE_SCENES[name]
         structure, tissue = generate_structures(spec)
@@ -246,6 +252,30 @@ class TestMatchesWholeVolumeReference:
         if name == "tubes_at_border":
             faces = [structure.data.take(i, axis=a) for a in range(3) for i in (0, -1)]
             assert sum(face.any() for face in faces) >= 2
+
+
+@pytest.mark.usefixtures("split_always")
+@pytest.mark.parametrize("noise_sd", [1e300, 1e308])
+def test_oracle_regress_overflow_raises_on_split_halves(noise_sd):
+    """1e300 overflows only the float32 casts, 1e308 the float64 draws."""
+    spec = SynthSpec(shape=(24, 20, 16), n_cells=3, n_distractors=2, noise_sd=noise_sd, seed=5)
+    with pytest.raises(FloatingPointError):
+        oracle_regress(generate_coords(spec), spec)
+
+
+@pytest.mark.usefixtures("split_always")
+def test_oracle_regress_overflow_in_the_workers_half_raises():
+    """Without cells the maps scale with noise_sd. The one chosen here takes
+    plane 0's largest value, in the worker's half, past float32 and leaves
+    plane 1's below it."""
+    spec = SynthSpec(shape=(2, 24, 24), n_cells=0, n_tubes=0, noise_sd=1.0, seed=0)
+    ro = oracle_regress(generate_coords(spec), spec)
+    m0, m1 = (max(float(v.data[z].max()) for v in (ro.dm, ro.aleatoric, ro.epistemic))
+              for z in (0, 1))
+    assert m0 > 1.05 * m1
+    spec = replace(spec, noise_sd=float(np.finfo(np.float32).max) / math.sqrt(m0 * m1))
+    with pytest.raises(FloatingPointError):
+        oracle_regress(generate_coords(spec), spec)
 
 
 # axis lengths: 1-3, where a filter reflects on a single voxel or a pair, and

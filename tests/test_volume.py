@@ -31,9 +31,17 @@ from probcell import (
 )
 from probcell import volume
 from probcell.errors import EmptyCells, NonFiniteInput, VolumeSizeMismatch, VolumeTooSmall
-from probcell.pipeline import tiled_detect
+from probcell.pipeline import DEFAULT_CONFIG, tiled_detect
 from probcell.features import extract_features
-from probcell.volume import M_CONV, M_PEAK, fork_join, on_two_cores, on_two_processes
+from probcell.cli import main
+from probcell.volume import (
+    M_CONV,
+    M_PEAK,
+    fork_join,
+    on_two_cores,
+    on_two_processes,
+    side_by_side,
+)
 
 from conftest import no_child_left, vol
 
@@ -286,6 +294,29 @@ class TestSizeRule:
             oracle_regress(coords, spec)
         assert started == []
 
+    def test_side_by_side_below_the_rule_runs_in_order(self):
+        calls = []
+        with threads_started() as started:
+            got = side_by_side(lambda: calls.append("first") or 1,
+                               lambda: calls.append("second") or 2, volume.SPLIT_MIN_BYTES - 1)
+        assert got == [1, 2] and calls == ["first", "second"]
+        assert started == []
+
+    def test_default96_test_scene_starts_no_thread_and_forks_no_child(self, tmp_path):
+        """default96's largest scene, 96^3 (a 6.75 MiB float64 volume), is
+        below the size rule in oracle_regress and in probcell synth."""
+        scene = {k: tuple(v) if isinstance(v, list) else v
+                 for k, v in DEFAULT_CONFIG["test_scene"].items()}
+        spec = SynthSpec(seed=0, **scene)
+        assert 8 * np.prod(spec.shape) < volume.SPLIT_MIN_BYTES
+        coords = generate_coords(spec)
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(DEFAULT_CONFIG["test_scene"]))
+        with threads_started() as started, mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            oracle_regress(coords, spec)
+            assert main(["synth", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+        assert started == [] and fork.call_count == 0
+
 
 @pytest.mark.usefixtures("split_always")
 class TestOnTwoCores:
@@ -309,6 +340,22 @@ class TestOnTwoCores:
         with pytest.raises(RuntimeError, match="caller half"):
             on_two_cores(fn, 4, 0)
         assert finished.is_set()
+
+    def test_worker_keeps_the_callers_error_state(self):
+        big = np.full(4, 1e308)
+
+        def fn(lo, hi):
+            if lo == 0:  # only the worker's half overflows
+                big[lo:hi] * 10.0
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            on_two_cores(fn, 4, 0)
+        with np.errstate(over="ignore"):
+            on_two_cores(fn, 4, 0)
+
+    def test_side_by_side_runs_the_first_call_on_the_worker(self):
+        got = side_by_side(threading.get_ident, threading.get_ident, 0)
+        assert got[1] == threading.get_ident() != got[0]
 
     def test_reraises_worker_exception(self):
         finished = []
