@@ -37,7 +37,7 @@ from .errors import (
     check_int,
 )
 from .features import FeatureSpec, extract_features
-from .volume import on_two_processes
+from .cores import on_two_processes
 
 FOREST_FORMAT = "probcell-forest"
 MLP_FORMAT = "probcell-mlp"

@@ -17,12 +17,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import pipeline as pipeline_mod
-from . import volume
 from .classifier import (
     classify_proposals,
     load_model,
@@ -31,6 +29,7 @@ from .classifier import (
     train_mlp,
 )
 from .coords import load_coords, save_coords, write_csv
+from .cores import side_by_side
 from .densitymap import KernelSpec, render_dm
 from .detect import NmsConfig, detect_peaks
 from .errors import ProbcellError
@@ -65,14 +64,8 @@ def cmd_synth(cfg) -> int:
     out = Path(cfg.pop("out"))
     spec = SynthSpec(**cfg)
     gt = generate_coords(spec)
-    nbytes = 8 * math.prod(spec.shape)  # the scene's float64 volume
-    # from the size rule up the masks are built in a child forked before the
-    # surrogate starts a thread; the surrogate's error is raised first
-    if nbytes < volume.SPLIT_MIN_BYTES:
-        ro, (structure, tissue) = oracle_regress(gt, spec), generate_structures(spec)
-    else:
-        (structure, tissue), ro = volume.fork_join(
-            lambda: generate_structures(spec), lambda: oracle_regress(gt, spec))
+    ro = oracle_regress(gt, spec)
+    structure, tissue = generate_structures(spec)
     volumes = {"dm": ro.dm, "aleatoric": ro.aleatoric, "epistemic": ro.epistemic,
                "structure": structure, "tissue": tissue}
     out.mkdir(parents=True, exist_ok=True)
@@ -86,9 +79,9 @@ def cmd_synth(cfg) -> int:
             save_volume(v.like(written[f"{name}.raw"]), out / name)
 
     # a worker hashes while the caller writes
-    digests, _ = volume.side_by_side(
+    digests, _ = side_by_side(
         lambda: {name: hashlib.sha256(buf).hexdigest() for name, buf in written.items()},
-        save_volumes, nbytes)
+        save_volumes, 8 * ro.dm.data.size)  # the scene's float64 volume
     manifest = {"spec": cfg, "files": digests}  # written with sorted keys
     pipeline_mod.write_json(out / "manifest.json", manifest)
     return _summary(cfg, {"manifest": out / "manifest.json"}, {"n_cells": len(gt)})

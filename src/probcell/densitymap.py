@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import CoordSet
+from .cores import on_two_cores
 from .errors import check_int, check_real
-from .volume import Volume3D, on_two_cores, voxel_centers_um
+from .volume import Volume3D, voxel_centers_um
 
 K_SUM = "sum"
 K_MAX = "max"

@@ -4,14 +4,13 @@ Candidates are voxels that are >= all of their 26 neighbors and strictly
 above both the threshold and zero (zero plateaus are never peaks, which
 keeps threshold-0 proposal mode finite). The 3x3x3 neighborhood maximum is a
 separable running max, one numpy pass per axis; a neighbor beyond the
-border is simply not compared. It runs in haloed z-slabs, on two cores from
-volume.SPLIT_MIN_BYTES up (README, "Kernels on two cores"). Candidates are
-processed in descending value order (ties broken lexicographically by
-voxel index) and accepted unless a previously accepted peak lies closer
-than the minimum distance. This is equivalent to classic iterative NMS: a
-KD-tree lists every candidate pair closer than the distance, and one greedy
-pass over the pairs, in priority order, suppresses the later candidate of
-each pair whose earlier candidate was kept.
+border is simply not compared. It runs in haloed z-slabs on both cores
+(probcell.cores). Candidates are processed in descending value order (ties
+broken lexicographically by voxel index) and accepted unless a previously
+accepted peak lies closer than the minimum distance. This is equivalent to
+classic iterative NMS: a KD-tree lists every candidate pair closer than the
+distance, and one greedy pass over the pairs, in priority order, suppresses
+the later candidate of each pair whose earlier candidate was kept.
 """
 from __future__ import annotations
 
@@ -21,8 +20,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .coords import CoordSet
+from .cores import on_two_cores
 from .errors import NonFiniteInput, check_real
-from .volume import Volume3D, on_two_cores
+from .volume import Volume3D
 
 # bytes of map per z-slab of local_maxima (8 planes of a float32 256^3 map),
 # so that a slab's buffers stay in cache across the three passes

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import CoordSet
+from .cores import on_two_processes
 from .errors import NonFiniteInput, check_real
-from .volume import Volume3D, on_two_processes
+from .volume import Volume3D
 
 N_PERCENTILES = 5
 PERCENTILE_RANGE = (1.0, 99.0)

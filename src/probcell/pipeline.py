@@ -31,6 +31,7 @@ import numpy as np
 from .classifier import (MIN_EPOCHS, MIN_TREES, MLP_EPOCHS, predict_proba, save_model,
                          train_forest, train_mlp)
 from .coords import CoordSet, save_coords
+from .cores import fork_join
 from .detect import NmsConfig, detect_peaks
 from .densitymap import AMPLITUDES, COMPOUNDINGS
 from .errors import InvalidConfig, ProbcellError, check_int, check_real
@@ -45,8 +46,7 @@ from .spatial import (
     prepare_spatial,
 )
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
-from .volume import (M_PEAK, STRATEGIES, TilingConfig, Volume3D, fork_join, plan_tiling,
-                     um_to_voxel)
+from .volume import M_PEAK, STRATEGIES, TilingConfig, Volume3D, plan_tiling, um_to_voxel
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -288,11 +288,9 @@ def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: 
 def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     """Run the full synthetic pipeline; returns (and optionally writes) the report.
 
-    A forked child runs the validation and test scenes and sends back their
-    proposals and the test features, not their maps, while this process runs
-    the training scenes, the classifier and the spatial prelude. Errors come
-    in scene order: the training scenes' and classifier's first, then the
-    child's, then the prelude's.
+    The scenes run in two processes (probcell.cores). Errors come in scene
+    order: the training scenes' and classifier's first, then the child's,
+    then the prelude's.
 
     When out_dir is given, writes model.json, proposals.csv, report.json and
     records content hashes of the artifacts in the report. Identical config
@@ -317,8 +315,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
     cls_cfg = cfg["classifier"]
 
     def scenes_apart():
-        # validation scene (stopping threshold for the deterministic
-        # baseline) and test scene, in the forked child: no maps come back
+        # validation and test scenes: the threshold and test features, no maps
         val_gt, _, val_proposals = _detect_scene(val_spec, tiling, nms)
         threshold, val_f1 = select_threshold(val_proposals, val_gt, t_match, cfg["threshold_grid"])
         test_gt, test_ro, test_proposals = _detect_scene(test_spec, tiling, nms)
@@ -326,8 +323,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         return threshold, val_f1, test_gt, test_proposals, X_test
 
     def scenes_here():
-        # training scenes and classifier (the MLP's BLAS stays in this
-        # process), then the spatial prelude
+        # the classifier (its BLAS calls stay here) and the spatial prelude
         X_parts, y_parts, train_stats = [], [], []
         for spec in train_specs:
             gt, ro, proposals = _detect_scene(spec, tiling, nms)

@@ -32,6 +32,7 @@ from scipy import ndimage
 from scipy.special import kolmogorov, ndtr
 
 from .coords import CoordSet
+from .cores import on_two_processes
 from .errors import (
     AllZeroDifferences,
     DegenerateESD,
@@ -42,7 +43,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .volume import Volume3D, on_two_processes, sample_trilinear
+from .volume import Volume3D, sample_trilinear
 
 ADJACENCY_UM = 4.0
 CDF_MODES = ("kde", "empirical")

@@ -19,12 +19,7 @@ alone an imperfect detector, as for a real regressor.
 The predicted map is rectified at zero: a real regressor emits a
 flat near-zero background, and without the clip, sign-symmetric background
 noise would turn a large fraction of the volume into spurious threshold-0
-proposals at any scale.
-
-From volume.SPLIT_MIN_BYTES up the surrogate keeps two cores busy: its
-Gaussian smoothing, amplitude field and elementwise passes split, and each
-noise draw and SD runs beside the other noise's Gaussian (README, "Kernels
-on two cores").
+proposals at any scale. The surrogate runs on both cores (probcell.cores).
 """
 from __future__ import annotations
 
@@ -36,10 +31,11 @@ from scipy import ndimage
 
 from .bayescore import RegressorOutput
 from .coords import CoordSet
+from .cores import on_two_cores, side_by_side
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible, check_int, check_real
 from .spatial import _exact_edt
-from .volume import Volume3D, on_two_cores, side_by_side, voxel_centers_um
+from .volume import Volume3D, voxel_centers_um
 
 # SD (um) of the Gaussians that smooth the surrogate's noise and the support
 # of its background bias
@@ -54,6 +50,7 @@ _BLOCK_BYTES = 1 << 20
 # where small boxes hold more (README, "Placement bound")
 _RSA_DENSITY = 0.384
 _RSA_FACE_LAYER = 0.05
+_TUBE_SEGMENT = 16  # walk steps per tube EDT box of generate_structures
 
 
 @dataclass(frozen=True)
@@ -342,11 +339,10 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
         return clean, None
 
     # Two smoothed unit-SD noises. Each draw and each SD runs on one thread
-    # (the generator's stream and std's pairwise sum are part of the output),
-    # so each runs beside other work, in the generator's order: noise 0's
-    # draw beside the first clean map and the bias, then noise 1's draw and
-    # noise 0's SD each beside the other noise's Gaussian. Whole volumes are
-    # allocated on the calling thread (volume.side_by_side).
+    # (the generator's stream and std's pairwise sum are part of the output)
+    # beside other work, in the generator's order: noise 0's draw beside the
+    # first clean map and the bias, then noise 1's draw and noise 0's SD each
+    # beside the other noise's Gaussian, with whole volumes made here.
     sigmas = NOISE_SMOOTH_UM / np.asarray(spec.voxel_size, dtype=np.float64)
     noise = np.empty(spec.shape)
     clean, bias = side_by_side(lambda: rng.standard_normal(out=noise), clean_and_bias, nbytes)[1]
@@ -399,13 +395,15 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
     zz = ((centers[0] - half[0]) / half[0]) ** 2
     yy = ((centers[1] - half[1]) / half[1]) ** 2
     xx = ((centers[2] - half[2]) / half[2]) ** 2
-    tissue = (
-        zz[:, None, None] + yy[None, :, None] + xx[None, None, :]
-    ) <= 1.0
+    tissue = np.empty(shape, dtype=bool)
+    for z, plane in enumerate(tissue):  # (zz + yy) + xx, a plane at a time
+        np.less_equal((zz[z] + yy)[:, None] + xx, 1.0, out=plane)
 
     centerline = np.zeros(shape, dtype=bool)
+    walk, starts = [], []  # the centerline voxels in walk order; segment starts
     step = float(vs.min())
     for _ in range(spec.n_tubes):
+        first = len(walk)
         pos = half + (rng.random(3) - 0.5) * extent * 0.5
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
@@ -413,19 +411,24 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
             idx = np.floor(pos / vs).astype(int)
             if np.all(idx >= 0) and np.all(idx < shape):
                 centerline[idx[0], idx[1], idx[2]] = True
+                walk.append(idx)
             direction = direction + 0.25 * rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             pos = pos + direction * step
             pos = np.clip(pos, 0.0, extent - 1e-9)
+        starts += range(first, len(walk), _TUBE_SEGMENT)
     structure = np.zeros(shape, dtype=bool)
-    if centerline.any():
-        # voxels further than the padding from the centerline's bounding box
-        # lie beyond the radius, so the EDT runs on the padded box only
+    if walk:
+        # a voxel within the radius of a centerline voxel lies in its segment's
+        # box, and a box's EDT sees part of the centerline: the mask is exact
+        walk = np.array(walk)
         pad = np.ceil(spec.tube_radius_um / vs).astype(int) + 1
-        hits = np.nonzero(centerline)
-        box = tuple(
-            slice(max(int(h.min()) - p, 0), int(h.max()) + p + 1) for h, p in zip(hits, pad)
-        )
-        dist = _exact_edt(centerline[box], vs)
-        structure[box] = (dist <= spec.tube_radius_um) & tissue[box]
+        lo = np.maximum(np.minimum.reduceat(walk, starts) - pad, 0)
+        hi = np.minimum(np.maximum.reduceat(walk, starts) + pad + 1, shape)
+        if np.prod(hi - lo, axis=1).sum() >= np.prod(hi.max(0) - lo.min(0)):
+            lo, hi = lo.min(0, keepdims=True), hi.max(0, keepdims=True)
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            box = tuple(map(slice, a, b))
+            structure[box] |= _exact_edt(centerline[box], vs) <= spec.tube_radius_um
+        structure &= tissue
     return Volume3D(structure, tuple(vs)), Volume3D(tissue, tuple(vs))

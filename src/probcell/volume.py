@@ -24,10 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,98 +35,6 @@ from .errors import VolumeSizeMismatch, VolumeTooSmall, check_int, check_real
 M_CONV = "m_conv"
 M_PEAK = "m_peak"
 STRATEGIES = (M_CONV, M_PEAK)
-SPLIT_MIN_BYTES = 8 << 20  # the least volume a thread starts for (README, "Kernels on two cores")
-
-
-def side_by_side(first, second, nbytes: int) -> list:
-    """[first(), second()], first() on a worker thread while the caller runs
-    second(), if the calls cover a volume of at least SPLIT_MIN_BYTES; else
-    first() and then second() on the caller.
-
-    For numpy/scipy calls that release the GIL; first() may call no public
-    probcell function, as the benchmark traces the calling thread only, and
-    should allocate no whole volume: glibc keeps what a thread's arena frees
-    (drawing the surrogate's noises there raised run_pipeline's peak RSS on
-    perf256 by 58 MB). The worker runs under the caller's numpy error state
-    and lives for this call only; the caller waits for it and re-raises its
-    exception.
-    """
-    if nbytes < SPLIT_MIN_BYTES:
-        return [first(), second()]
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(np.errstate(**np.geterr())(first))
-        mine = second()  # leaving the block waits for the worker, also on error
-    return [future.result(), mine]
-
-
-def on_two_cores(fn, n: int, nbytes: int) -> None:
-    """side_by_side of fn(0, n // 2) and fn(n // 2, n), halves that write
-    disjoint parts of an array, from SPLIT_MIN_BYTES up; else fn(0, n)."""
-    if nbytes < SPLIT_MIN_BYTES:
-        return fn(0, n)
-    side_by_side(lambda: fn(0, n // 2), lambda: fn(n // 2, n), nbytes)
-
-
-def fork_join(child, caller) -> list:
-    """[child(), caller()], child() run in a forked process beside the caller.
-
-    The child sends its result back pickled through a pipe and is reaped
-    before this returns or raises. An error in caller() kills the child and
-    is raised; else the child's own error is re-raised here with its type and
-    message. A process that the killed child forked itself finishes and
-    exits on its own. Without ``os.fork`` both run in this process, caller()
-    first, so the same error wins on both paths.
-    """
-    if not hasattr(os, "fork"):
-        mine = caller()
-        return [child(), mine]
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: one pickle down the pipe, then out without cleanup
-        try:
-            try:
-                payload = True, child()
-            except BaseException as exc:
-                payload = False, exc
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(payload, pipe)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            mine = caller()
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError("the forked worker exited without sending a result")
-    ok, theirs = pickle.loads(data)
-    if not ok:
-        raise theirs
-    return [theirs, mine]
-
-
-# Calls that cost less than this stay in the calling process, where a fork
-# round trip costs more than half of their work saves (README, "Kernels on
-# two cores"). The unit is one feature row over one map.
-FORK_MIN_COST = 96
-
-
-def on_two_processes(fn, n: int, item_cost: int = 3) -> list:
-    """[fn(0, n // 2), fn(n // 2, n)], the first half run in a forked child.
-
-    For loops of small numpy calls that hold the GIL, through fork_join when
-    the n items cost at least FORK_MIN_COST in all: a feature row costs one
-    per map, and a tree or a Monte-Carlo replicate is charged 3. fn must call
-    no public probcell function, whose benchmark span the child would lose.
-    """
-    if n * item_cost < FORK_MIN_COST:
-        return [fn(0, n // 2), fn(n // 2, n)]
-    return fork_join(lambda: fn(0, n // 2), lambda: fn(n // 2, n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from probcell import Volume3D, volume
+from probcell import Volume3D, cores
 
 
 @pytest.fixture
@@ -22,13 +22,13 @@ def vol(data, voxel_size=(1.0, 1.0, 1.0)) -> Volume3D:
 @pytest.fixture
 def fork_always(monkeypatch):
     """Every on_two_processes call forks, however few its items."""
-    monkeypatch.setattr(volume, "FORK_MIN_COST", 0)
+    monkeypatch.setattr(cores, "FORK_MIN_COST", 0)
 
 
 @pytest.fixture
 def split_always(monkeypatch):
     """Every on_two_cores call splits, however small its volume."""
-    monkeypatch.setattr(volume, "SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(cores, "SPLIT_MIN_BYTES", 0)
 
 
 def no_child_left():

@@ -18,7 +18,7 @@ from probcell import (
     train_forest,
     train_mlp,
 )
-from probcell import volume
+from probcell import cores
 from probcell.classifier import ForestModel, Tree, _build_tree, init_mlp, mlp_loss_and_grads
 from probcell.cli import main
 from probcell.errors import (
@@ -173,7 +173,7 @@ class TestOnePassSplitSearch:
         y = (X[:, 0] + 0.3 * rng.random(40) > 0.5).astype(int)
         saved = []
         for cutoff in (0, 10**9):
-            monkeypatch.setattr(volume, "FORK_MIN_COST", cutoff)
+            monkeypatch.setattr(cores, "FORK_MIN_COST", cutoff)
             save_model(train_forest(X, y, seed=11, n_trees=9), tmp_path / f"{cutoff}.json")
             saved.append((tmp_path / f"{cutoff}.json").read_bytes())
         assert saved[0] == saved[1]

@@ -20,7 +20,7 @@ from probcell import detect as detect_mod
 from probcell.densitymap import K_MAX
 from probcell.detect import local_maxima
 from probcell.errors import NonFiniteInput
-from probcell.volume import on_two_cores
+from probcell.cores import on_two_cores
 
 from conftest import vol
 from oracles import greedy_nms_oracle, reference_local_maxima, whole_volume_local_maxima

@@ -28,7 +28,7 @@ from probcell import (
     save_volume,
     tiled_detect,
 )
-from probcell import detect
+from probcell import cores, detect
 from probcell.cli import main
 from probcell.detect import local_maxima
 from probcell.spatial import DistanceCdf, distance_transform
@@ -79,35 +79,53 @@ def test_distance_transform_keeps_8_bytes_per_voxel(shape):
     assert kept <= 8 * m.size + SMALL
 
 
-@pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])
+@pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96), (128, 128, 128)])
 def test_oracle_regress_peak(shape):
     spec = SynthSpec(shape=shape, n_cells=20, n_distractors=5, seed=1)
     coords = generate_coords(spec)
+    n = np.prod(shape)
     # float64: amplitude field, two noises, background bias (4 x 8 B); and
     # render_dm's float64 accumulator with its float32 copy (12 B) while the
     # second clean map is rendered. The Gaussian sweeps hold, per thread, one
     # y row and its transposed copy, or one transposed z-plane (16 B per row
     # voxel at most), and _smooth_field one corner buffer of _BLOCK_BYTES
-    # while only the field exists; none is alive at the peak.
-    bound = 44 * np.prod(shape) + SMALL
+    # while only the field exists; below the size rule none is alive at the
+    # peak.
+    bound = 44 * n + SMALL
+    if 8 * n >= cores.SPLIT_MIN_BYTES:
+        # The same 44 B are alive while noise 0's std() (its 8 B temporary)
+        # runs beside noise 1's Gaussian, whose two threads each hold a y
+        # row and its transposed copy: 16 B per (z, x) plane voxel a thread.
+        bound += 2 * 16 * shape[0] * shape[2]
     assert traced_peak(oracle_regress, coords, spec) <= bound
 
 
+def generate_structures_bound(spec, side: int) -> int:
+    """First the tissue booleans (1 B), tested one z-plane at a time on a
+    float64 sum (8 B per plane voxel). Then the tissue, centerline and
+    structure booleans (3 B), returned as they are, and one tube EDT at a
+    time on a box at most side voxels a side, as distance_transform does:
+    the background, feature buffer and scipy's copies of the input (22 B),
+    then the buffer and one plane's buffers (20 B per plane voxel, see
+    above). Float32 copies of the masks (8 B) fail, as does a whole-volume
+    float64 sum or a full-volume EDT."""
+    n, plane, box = np.prod(spec.shape), spec.shape[1] * spec.shape[2], side**3
+    return max(n + 8 * plane, 3 * n + max(22 * box, 12 * box + 20 * side**2)) + SMALL
+
+
 def test_generate_structures_peak():
+    # The walk's box: at most 10 um of walk + 1 voxel + 2 x 6 voxels of
+    # padding on each axis.
     spec = SynthSpec(shape=(96, 96, 96), n_cells=0, n_tubes=1, tube_length_um=10.0, seed=1)
-    n = np.prod(spec.shape)
-    # First the tissue test's float64 sum and its boolean result (9 B). Then
-    # the tissue, centerline and structure booleans (3 B), returned as they
-    # are. The tube EDT runs on the centerline's box, at most side = 10 um
-    # walk + 1 voxel + 2 x 6 voxels of padding on each axis, as
-    # distance_transform does: the background, feature buffer and scipy's
-    # copies of the input (22 B), then the buffer and one plane's buffers (20 B
-    # per plane voxel, see above). Float32 copies of the masks (8 B) fail, as
-    # does a full-volume EDT.
-    side = 10 + 1 + 2 * 6
-    box = side**3
-    bound = max(9 * n, 3 * n + max(22 * box, 12 * box + 20 * side**2)) + SMALL
-    assert traced_peak(generate_structures, spec) <= bound
+    assert traced_peak(generate_structures, spec) <= generate_structures_bound(spec, 10 + 1 + 12)
+
+
+def test_generate_structures_long_walk_peak():
+    """Three full-length tubes (102 steps each): the EDTs run on the boxes of
+    16-step segments of each tube, at most 15 steps + 1 voxel + 2 x 6 voxels
+    of padding a side. One box around the whole walk fails."""
+    spec = SynthSpec(shape=(128, 128, 128), n_cells=0, n_tubes=3, seed=1)
+    assert traced_peak(generate_structures, spec) <= generate_structures_bound(spec, 15 + 1 + 12)
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (67, 64, 64)])
@@ -192,7 +210,7 @@ def test_tiled_detect_peak(shape):
     tiling = TilingConfig.m_peak((48, 48, 48), (8, 8, 8), (4, 4, 4))
     # One patch at a time: the float32 copy of its predicted box (4 B per
     # box voxel) and local_maxima on it, on the calling thread, as a patch
-    # is far below volume.SPLIT_MIN_BYTES: the mask, two float32 buffers of
+    # is far below cores.SPLIT_MIN_BYTES: the mask, two float32 buffers of
     # a slab with its halo planes and the slab's threshold test (10 B at
     # most, see above). What grows with the map is the patch list and its
     # peaks, about 2 KB per patch (64 patches at 96^3); a float32 copy of

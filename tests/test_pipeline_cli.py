@@ -31,8 +31,8 @@ from probcell import (
     train_forest,
 )
 from probcell import cli as cli_mod
+from probcell import cores
 from probcell import pipeline as pipeline_mod
-from probcell import volume as volume_mod
 from probcell.cli import main
 from probcell.errors import (
     EmptyStructure,
@@ -514,17 +514,17 @@ class TestCli:
             assert digest == hashlib.sha256((scene / name).read_bytes()).hexdigest()
 
     def test_synth_manifest_is_the_same_forked_or_not(self, tmp_path, monkeypatch):
-        """Above the size rule the masks are built in a forked child and a
-        worker hashes while the caller writes; below it all runs in order."""
+        """Above the size rule the surrogate's threads run and a worker hashes
+        while the caller writes; below it all runs in order. Neither forks."""
         digests = []
         for least in (0, 1 << 62):
-            monkeypatch.setattr(volume_mod, "SPLIT_MIN_BYTES", least)
+            monkeypatch.setattr(cores, "SPLIT_MIN_BYTES", least)
             scene = tmp_path / str(least)
             with mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert main(["synth", "--out", str(scene), "--shape", "24", "20", "16",
                              "--n-cells", "4", "--n-distractors", "2", "--n-tubes", "2",
                              "--seed", "4"]) == 0
-            assert fork.call_count == (least == 0)
+            assert fork.call_count == 0
             no_child_left()
             digests.append(json.loads((scene / "manifest.json").read_text())["files"])
         assert digests[0] == digests[1] and len(digests[0]) == 6
@@ -537,7 +537,7 @@ class TestCli:
         def no_structures(spec):
             raise EmptyStructure("structures")
 
-        monkeypatch.setattr(volume_mod, "SPLIT_MIN_BYTES", least)
+        monkeypatch.setattr(cores, "SPLIT_MIN_BYTES", least)
         monkeypatch.setattr(cli_mod, "generate_structures", no_structures)
         noise_sd = "1e300" if oracle_fails else "0.05"
         assert main(["synth", "--out", str(tmp_path / "s"), "--shape", "24", "20", "16",

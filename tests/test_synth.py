@@ -210,6 +210,15 @@ REFERENCE_SCENES = {
         shape=(67, 64, 64), n_cells=12, n_distractors=4, voxel_size=(1.5, 1.0, 0.7), seed=27,
     ),
     "single_plane": SynthSpec(shape=(1, 40, 36), n_cells=3, n_distractors=1, seed=28),
+    # the tube EDTs run on a box per walk segment, and on one whole-walk box
+    "long_walk": SynthSpec(
+        shape=(48, 40, 44), n_cells=4, n_distractors=1, tube_length_um=150.0,
+        tube_radius_um=2.0, seed=30,
+    ),
+    "wide_radius": SynthSpec(shape=(40, 36, 32), n_cells=3, tube_radius_um=20.0, seed=31),
+    "many_tubes": SynthSpec(
+        shape=(32, 32, 32), n_cells=3, n_tubes=40, tube_length_um=12.0, seed=32,
+    ),
     # smoothing sigma 2 / 1e16 <= 1e-15 on axis 1, which scipy skips
     "sigma_skipped": SynthSpec(
         shape=(6, 5, 30), n_cells=4, n_distractors=2, voxel_size=(1.0, 1e16, 1.0), n_tubes=0,
@@ -245,7 +254,11 @@ class TestMatchesWholeVolumeReference:
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
     def test_generate_structures(self, name):
         spec = REFERENCE_SCENES[name]
-        structure, tissue = generate_structures(spec)
+        with mock.patch.object(synth_mod, "_exact_edt", wraps=synth_mod._exact_edt) as edt:
+            structure, tissue = generate_structures(spec)
+        boxes = {"long_walk": 10, "wide_radius": 1, "many_tubes": 1}
+        if name in boxes:
+            assert edt.call_count == boxes[name]
         want_structure, want_tissue = reference_generate_structures(spec)
         assert np.array_equal(structure.data, want_structure.astype(np.float32))
         assert np.array_equal(tissue.data, want_tissue.astype(np.float32))

@@ -29,19 +29,13 @@ from probcell import (
     render_dm,
     save_volume,
 )
-from probcell import volume
+from probcell import cores
 from probcell.errors import EmptyCells, NonFiniteInput, VolumeSizeMismatch, VolumeTooSmall
 from probcell.pipeline import DEFAULT_CONFIG, tiled_detect
 from probcell.features import extract_features
 from probcell.cli import main
-from probcell.volume import (
-    M_CONV,
-    M_PEAK,
-    fork_join,
-    on_two_cores,
-    on_two_processes,
-    side_by_side,
-)
+from probcell.cores import fork_join, on_two_cores, on_two_processes, side_by_side
+from probcell.volume import M_CONV, M_PEAK
 
 from conftest import no_child_left, vol
 
@@ -276,14 +270,14 @@ class TestSizeRule:
         calls = []
         with threads_started() as started:
             on_two_cores(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), 7,
-                         volume.SPLIT_MIN_BYTES - 1)
+                         cores.SPLIT_MIN_BYTES - 1)
         assert calls == [(0, 7, threading.get_ident())]
         assert started == []
 
     def test_splits_at_the_constant(self):
         calls = {}
         on_two_cores(lambda lo, hi: calls.update({(lo, hi): threading.get_ident()}), 7,
-                     volume.SPLIT_MIN_BYTES)
+                     cores.SPLIT_MIN_BYTES)
         assert sorted(calls) == [(0, 3), (3, 7)]
         assert calls[(3, 7)] == threading.get_ident() != calls[(0, 3)]
 
@@ -298,7 +292,7 @@ class TestSizeRule:
         calls = []
         with threads_started() as started:
             got = side_by_side(lambda: calls.append("first") or 1,
-                               lambda: calls.append("second") or 2, volume.SPLIT_MIN_BYTES - 1)
+                               lambda: calls.append("second") or 2, cores.SPLIT_MIN_BYTES - 1)
         assert got == [1, 2] and calls == ["first", "second"]
         assert started == []
 
@@ -308,7 +302,7 @@ class TestSizeRule:
         scene = {k: tuple(v) if isinstance(v, list) else v
                  for k, v in DEFAULT_CONFIG["test_scene"].items()}
         spec = SynthSpec(seed=0, **scene)
-        assert 8 * np.prod(spec.shape) < volume.SPLIT_MIN_BYTES
+        assert 8 * np.prod(spec.shape) < cores.SPLIT_MIN_BYTES
         coords = generate_coords(spec)
         config = tmp_path / "scene.json"
         config.write_text(json.dumps(DEFAULT_CONFIG["test_scene"]))
@@ -393,7 +387,7 @@ class TestOnTwoProcesses:
         no_child_left()
 
     def test_few_items_stay_in_the_caller(self):
-        n = volume.FORK_MIN_COST // 3 - 1  # items cost 3 by default
+        n = cores.FORK_MIN_COST // 3 - 1  # items cost 3 by default
         halves = on_two_processes(lambda lo, hi: (lo, hi, os.getpid()), n)
         assert halves == [(0, n // 2, os.getpid()), (n // 2, n, os.getpid())]
 
@@ -479,7 +473,7 @@ class TestOnTwoProcesses:
         if forked:
             request.getfixturevalue("fork_always")
         else:  # 16 rows of 3 maps stay below the fork rule
-            assert 16 * len(names) < volume.FORK_MIN_COST
+            assert 16 * len(names) < cores.FORK_MIN_COST
         data = {name: rng.random((40, 40, 40)).astype(np.float32) for name in names}
         centers = np.stack([np.full(3, 4 + 2 * i) for i in range(16)])
         sides = (1, 3, 5)
