@@ -406,7 +406,7 @@ def load_model(path):
             )
         else:
             model = None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InvalidModel(f"malformed model file: {exc!r}") from exc
     if isinstance(model, ForestModel):
         _check_forest(model)

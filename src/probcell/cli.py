@@ -8,9 +8,9 @@ defaults and a flag on the command line still wins (CLI > file > default).
 ``synth`` also takes any ``SynthSpec`` field and ``pipeline`` any
 ``run_pipeline`` config key. The file goes through ``run_pipeline``'s own
 kind check, ``pipeline._check_setting``; ranges are checked by the objects
-the values build (``SynthSpec``, ``NmsConfig``, ...). Domain errors, and
-arithmetic that overflows on a given value, exit with status 1 and a JSON
-payload on stderr; usage errors exit with status 2.
+the values build (``SynthSpec``, ``NmsConfig``, ...). Domain errors,
+arithmetic that overflows on a given value and volumes too large to
+allocate exit with status 1 and a JSON payload on stderr; usage errors 2.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .coords import load_coords, save_coords, write_csv
 from .cores import side_by_side
 from .densitymap import KernelSpec, render_dm
 from .detect import NmsConfig, detect_peaks
-from .errors import ProbcellError
+from .errors import InvalidConfig, ProbcellError
 from .evalmetrics import aggregate_reports, score_detection
 from .features import FeatureSpec, extract_features, feature_names
 from .spatial import _binary, analyze_deterministic, analyze_probabilistic, prepare_spatial
@@ -307,7 +307,10 @@ def _read_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> 
     """The --config file's object, checked by pipeline._check_setting against
     a value of each flag's type and nargs (a string flag's choices are found
     by its name)."""
-    file = json.loads(Path(args.config).read_text())
+    try:
+        file = json.loads(Path(args.config).read_text())
+    except RecursionError as exc:
+        raise InvalidConfig(f"config {args.config}: {exc}") from None
     given = file if isinstance(file, dict) else {}
     template = dict(_EXTRA_SETTINGS.get(args.command, {}))
     for action in command._actions[2:]:  # after --help and --config
@@ -329,7 +332,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)  # CLI > file > default
         cfg = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS and v is not None}
         return args.func(cfg)
-    except (ProbcellError, OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    except (ProbcellError, OSError, ValueError, KeyError, TypeError, ArithmeticError,
+            MemoryError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1

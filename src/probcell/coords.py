@@ -80,8 +80,11 @@ def load_coords(path) -> CoordSet:
     path = Path(path)
     with path.open(newline="") as f:
         r = csv.reader(f)
-        header = next(r, [])  # an empty file has no header
-        rows = [row for row in r if row]
+        try:
+            header = next(r, [])  # an empty file has no header
+            rows = [row for row in r if row]
+        except csv.Error as exc:  # a field over csv's size limit
+            raise ValueError(f"coordinate CSV {path}: {exc}") from None
     idx = {name: i for i, name in enumerate(header)}
     for required in ("z_um", "y_um", "x_um"):
         if required not in idx:

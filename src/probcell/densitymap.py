@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import CoordSet
-from .cores import on_two_cores
 from .errors import check_int, check_real
 from .volume import Volume3D, voxel_centers_um
 
@@ -113,30 +112,20 @@ def render_dm(
     hi_all = np.clip(last, 0, shape).astype(int)
     inv_two_sigma2 = 1.0 / (2.0 * kernel.sigma_um**2)
     amp = kernel.peak_value
-
-    def planes(z0: int, z1: int) -> None:
-        # every cell's box clipped to planes [z0, z1), in the canonical order,
-        # so each voxel sees the same operations in the same order
-        lo_half = np.maximum(lo_all, (z0, 0, 0))
-        hi_half = np.minimum(hi_all, (z1, *shape[1:]))
-        for idx in order:
-            c, lo, hi = pts[idx], lo_half[idx], hi_half[idx]
-            if np.any(lo >= hi):
-                continue
-            dz = axes[0][lo[0] : hi[0]] - c[0]
-            dy = axes[1][lo[1] : hi[1]] - c[1]
-            dx = axes[2][lo[2] : hi[2]] - c[2]
-            values = dz[:, None, None] ** 2 + dy[None, :, None] ** 2 + dx[None, None, :] ** 2
-            outside = values > cutoff * cutoff
-            values *= -inv_two_sigma2  # in the d2 buffer: (amp * scale) * exp(-d2 * inv)
-            np.exp(values, out=values)
-            values *= amp * scale_arr[idx]
-            values[outside] = 0.0
-            window = acc[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-            if kernel.compounding == K_SUM:
-                window += values
-            else:
-                np.maximum(window, values, out=window)
-
-    on_two_cores(planes, shape[0], acc.nbytes)
+    for idx in order:
+        c, lo, hi = pts[idx], lo_all[idx], hi_all[idx]
+        if np.any(lo >= hi):
+            continue
+        dz, dy, dx = np.ix_(*(a[l:h] - x for a, l, h, x in zip(axes, lo, hi, c)))
+        values = dz**2 + dy**2 + dx**2
+        outside = values > cutoff * cutoff
+        values *= -inv_two_sigma2  # in the d2 buffer: (amp * scale) * exp(-d2 * inv)
+        np.exp(values, out=values)
+        values *= amp * scale_arr[idx]
+        values[outside] = 0.0
+        window = acc[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
+        if kernel.compounding == K_SUM:
+            window += values
+        else:
+            np.maximum(window, values, out=window)
     return Volume3D(acc.astype(np.float32), tuple(vs))

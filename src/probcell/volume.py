@@ -246,7 +246,10 @@ def load_volume(base_path) -> Volume3D:
     base = Path(base_path)
     raw_path = base.with_suffix(".raw")
     json_path = base.with_suffix(".json")
-    sidecar = json.loads(json_path.read_text())
+    try:
+        sidecar = json.loads(json_path.read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{json_path}: {exc}") from None
     shape = check_int(sidecar["shape"], f"{json_path}: shape", 1, 3)
     voxel_size = check_real(sidecar["voxel_size_um"], f"{json_path}: voxel_size_um", length=3)
     size = raw_path.stat().st_size

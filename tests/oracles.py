@@ -13,18 +13,22 @@ import numpy as np
 from scipy import ndimage
 
 
-def naive_render_dm(coords, shape, voxel_size, sigma, cutoff, compounding, amplitude="unit_peak"):
-    """Per-voxel, all-coordinates density map evaluation."""
+def naive_render_dm(coords, shape, voxel_size, sigma, cutoff, compounding, amplitude="unit_peak",
+                    scales=None):
+    """Per-voxel, all-coordinates density map evaluation; scales multiply
+    each coordinate's kernel."""
     out = np.zeros(shape, dtype=np.float64)
     vs = np.asarray(voxel_size, dtype=np.float64)
     amp = 1.0 if amplitude == "unit_peak" else 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    scales = np.ones(len(coords)) if scales is None else np.asarray(scales, dtype=np.float64)
     for idx in np.ndindex(*shape):
         center = (np.asarray(idx, dtype=np.float64) + 0.5) * vs
         vals = []
-        for c in np.asarray(coords, dtype=np.float64).reshape(-1, 3):
+        for c, scale in zip(coords, scales):
             d = float(np.linalg.norm(center - c))
             if d <= cutoff:
-                vals.append(amp * math.exp(-(d * d) / (2.0 * sigma * sigma)))
+                vals.append(scale * amp * math.exp(-(d * d) / (2.0 * sigma * sigma)))
         if not vals:
             continue
         out[idx] = sum(vals) if compounding == "sum" else max(vals)

@@ -444,3 +444,59 @@ def test_shared_checks():
     assert check_real((1e300, 2.0), "pair", length=2) == (1e300, 2.0)
     with pytest.raises(ValueError, match=r"^pair must lie in \(0, inf\), got \(1.0, nan\)"):
         check_real((1.0, math.nan), "pair", length=2)
+
+
+def _assert_json_error(rc, stdout, stderr, out: Path, error: str) -> None:
+    """Exit 1 with the JSON payload of error's type, no traceback, nothing written."""
+    assert "Traceback" not in stderr
+    assert rc == 1 and stdout == "" and _files(out) == []
+    assert _error(stderr)["type"] == error
+
+
+@pytest.mark.parametrize("source, error", [
+    ("config", "InvalidConfig"), ("model", "InvalidModel"), ("sidecar", "ValueError"),
+])
+def test_deep_json_exit_1_without_output(tmp_path, scene, source, error):
+    """JSON nested deeper than Python's recursion limit raised RecursionError
+    from json.loads, which ended in a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "deep.raw").write_bytes((scene / "dm.raw").read_bytes())  # the sidecar's volume
+    out = tmp_path / "out"
+    command, flags = {
+        "config": ("detect", {"--config": deep, "--volume": scene / "dm"}),
+        "model": ("classify", {"--model": deep, "--dm": scene / "dm",
+                               "--proposals": scene / "peaks.csv"}),
+        "sidecar": ("detect", {"--volume": tmp_path / "deep"}),
+    }[source]
+    flags = {flag: [str(v)] for flag, v in {**flags, "--out": out / "result.csv"}.items()}
+    _assert_json_error(*_run(command, flags, None, out), out, error)
+
+
+def test_oversized_csv_field_names_the_file(tmp_path, scene):
+    """A field over csv's 131,072-character limit raised _csv.Error, which
+    ended in a traceback."""
+    big = tmp_path / "big.csv"
+    big.write_text("z_um,y_um,x_um\n" + "1" * 200_000 + ",1,1\n")
+    out = tmp_path / "out"
+    rc, stdout, stderr = _run("eval", {**_base("eval", scene, out), "--pred": [str(big)]},
+                              None, out)
+    _assert_json_error(rc, stdout, stderr, out, "ValueError")
+    assert str(big) in _error(stderr)["message"]
+
+
+# 10^15 voxels, 7.1 PiB of float64: beyond a 47-bit address space, so numpy's
+# allocation fails at once, whatever memory the host has
+HUGE_SHAPE = [100_000] * 3
+
+
+@pytest.mark.parametrize("command", ["render-dm", "synth", "pipeline"])
+def test_unallocatable_shape_exit_1_without_output(tmp_path, scene, command):
+    """numpy's MemoryError ended in a traceback."""
+    out = tmp_path / "out"
+    flags, file = _base(command, scene, out), None
+    if command == "pipeline":
+        file = {"test_scene": {**TINY_PIPE["test_scene"], "shape": HUGE_SHAPE}}
+    else:
+        flags["--shape"] = [str(n) for n in HUGE_SHAPE]
+    _assert_json_error(*_run(command, flags, file, out), out, "MemoryError")

@@ -1,10 +1,10 @@
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from probcell import CoordSet, KernelSpec, NmsConfig, detect_peaks, gaussian_value, render_dm
-from probcell import densitymap
 from probcell.densitymap import AMP_NORMALIZED, AMP_UNIT, K_MAX, K_SUM
 
 from oracles import naive_render_dm
@@ -149,17 +149,23 @@ class TestTwoCellSeparation:
 class TestZHalves:
     @pytest.mark.parametrize("compounding", [K_SUM, K_MAX])
     @pytest.mark.parametrize("nz", [1, 2, 7])
-    def test_equals_one_thread_bit_for_bit(self, split_always, rng, compounding, nz):
-        """The two threads' z-halves against the whole grid on one thread;
-        boxes cross the split, overlap, and overhang the grid."""
+    def test_equals_one_thread_bit_for_bit(self, rng, compounding, nz):
+        """Boxes that cross the z-halves a thread split once used, overlap,
+        and overhang the grid, with scales, against the per-voxel oracle."""
         shape = (nz, 11, 9)
         voxel = (1.0, 0.8, 1.2)
         extent = np.asarray(shape) * voxel
-        coords = CoordSet(rng.random((40, 3)) * (extent + 6.0) - 3.0)
+        coords = rng.random((40, 3)) * (extent + 6.0) - 3.0
         scales = rng.uniform(0.5, 2.0, 40)
         kernel = KernelSpec(sigma_um=1.5, cutoff_um=4.0, compounding=compounding)
-        two = render_dm(coords, shape, voxel, kernel, scales)
-        with mock.patch.object(densitymap, "on_two_cores", lambda fn, n, nbytes: fn(0, n)):
-            one = render_dm(coords, shape, voxel, kernel, scales)
-        assert two.data.any()
-        assert np.array_equal(two.data, one.data)
+        got = render_dm(CoordSet(coords), shape, voxel, kernel, scales)
+        want = naive_render_dm(coords, shape, voxel, 1.5, 4.0, compounding, scales=scales)
+        assert got.data.any()
+        assert np.max(np.abs(got.data.astype(np.float64) - want)) < 1e-6
+
+    def test_starts_no_thread(self, rng):
+        """A 128^3 map (a 16 MiB accumulator) renders on the calling thread."""
+        coords = CoordSet(rng.random((8, 3)) * 128.0)
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread")):
+            dm = render_dm(coords, (128, 128, 128), (1.0, 1.0, 1.0), KernelSpec(2.0))
+        assert dm.data.any()
