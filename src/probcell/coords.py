@@ -10,6 +10,7 @@ CSV layout: header ``z_um,y_um,x_um`` with optional ``p`` (probability) and
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,46 @@ class CoordSet:
             None if self.p is None else self.p[mask],
             None if self.dm_value is None else self.dm_value[mask],
         )
+
+
+class Separated:
+    """Greedy separation at r, for NMS and placement: ``take(p)`` keeps p =
+    (z, y, x) and returns True unless a kept q has ``dz*dz + dy*dy + dx*dx <
+    r*r``, d = q - p; ``points`` are kept untested; ``span`` bounds each |c|.
+
+    Kept points sit in cubic buckets of side s (Bridson's Poisson-disk grid,
+    SIGGRAPH sketches, 2007); a test reads p's own and, per axis, the next
+    on p's nearer side. These hold every closer q. Rounding is monotone, so
+    a pass needs each |q - p| < sqrt(r*r) (1 + 2^-51), while s >= 2
+    sqrt(r*r) (1 + 1e-9); s >= span 2^-20 keeps c / s below 2^21, so it
+    rounds by 2^-33 at most, and q / s stays within 1/2 of p / s. That floor
+    also keeps keys small at a tiny r; at s near 2r a bucket holds at most a
+    packing constant of kept points, whatever r is.
+    """
+
+    def __init__(self, r: float, span: float, points=()):
+        self.r2 = float(r) * float(r)
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        span = max(float(span), float(np.abs(points).max(initial=0.0)))
+        self.side = s = max(2.0 * math.sqrt(self.r2) * (1 + 1e-9), span * 2.0**-20, math.ulp(0.0))
+        self.buckets: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
+        for p in points.tolist():
+            self.buckets.setdefault(tuple(math.floor(c / s) for c in p), []).append(tuple(p))
+
+    def take(self, p) -> bool:
+        z, y, x = p
+        s, r2, buckets = self.side, self.r2, self.buckets
+        cz, cy, cx = z / s, y / s, x / s
+        kz, ky, kx = math.floor(cz), math.floor(cy), math.floor(cx)
+        for bz in (kz, kz - 1 if cz - kz < 0.5 else kz + 1):
+            for by in (ky, ky - 1 if cy - ky < 0.5 else ky + 1):
+                for bx in (kx, kx - 1 if cx - kx < 0.5 else kx + 1):
+                    for qz, qy, qx in buckets.get((bz, by, bx), ()):
+                        dz, dy, dx = qz - z, qy - y, qx - x
+                        if dz * dz + dy * dy + dx * dx < r2:
+                            return False
+        buckets.setdefault((kz, ky, kx), []).append((z, y, x))
+        return True
 
 
 def write_csv(path, header: list[str], rows) -> None:

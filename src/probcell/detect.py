@@ -7,19 +7,16 @@ separable running max, one numpy pass per axis; a neighbor beyond the
 border is simply not compared. It runs in haloed z-slabs on both cores
 (probcell.cores). Candidates are processed in descending value order (ties
 broken lexicographically by voxel index) and accepted unless a previously
-accepted peak lies closer than the minimum distance. This is equivalent to
-classic iterative NMS: a KD-tree lists every candidate pair closer than the
-distance, and one greedy pass over the pairs, in priority order, suppresses
-the later candidate of each pair whose earlier candidate was kept.
+accepted peak lies closer than the minimum distance: classic iterative NMS,
+whose test reads a bounded number of peaks at any distance (coords.Separated).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .coords import CoordSet
+from .coords import CoordSet, Separated
 from .cores import on_two_cores
 from .errors import NonFiniteInput, check_real
 from .volume import Volume3D
@@ -92,22 +89,9 @@ def detect_peaks(dm: Volume3D, cfg: NmsConfig = NmsConfig()) -> CoordSet:
     """
     idx, values = local_maxima(dm, cfg.threshold)
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -values))
-    idx = idx[order]
-    values = values[order]
+    idx, values = idx[order], values[order]
     vs = np.asarray(dm.voxel_size, dtype=np.float64)
     coords = (idx.astype(np.float64) + 0.5) * vs
-    r = cfg.min_distance_um
-    # query a hair wider than r, so that rounding inside the tree loses no
-    # pair that the strict squared test below counts as closer than r
-    pairs = cKDTree(coords).query_pairs(r * (1 + 1e-9), output_type="ndarray")
-    d = coords[pairs[:, 1]] - coords[pairs[:, 0]]
-    close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] < r * r
-    pairs = pairs[close]
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    # candidates are in priority order, so i < j means i wins; every pair
-    # (k, i) with k < i is settled before keep[i] is read
-    keep = np.ones(coords.shape[0], dtype=bool)
-    for i, j in pairs.tolist():
-        if keep[i]:
-            keep[j] = False
+    sep = Separated(cfg.min_distance_um, coords.max(initial=0.0))
+    keep = np.array([sep.take(p) for p in coords.tolist()], dtype=bool)
     return CoordSet(coords[keep], dm_value=values[keep].astype(np.float64))

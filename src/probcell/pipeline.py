@@ -248,8 +248,8 @@ def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: 
     Both settings are checked first; then an empty set gives (0.0, 0.0) and
     any other set needs dm_value. The proposals kept at a threshold change
     only where it passes a dm_value, so each kept set is scored once, at the
-    first grid point that keeps it, found by binary search: the work grows
-    with the distinct dm_values, not with n_grid.
+    first grid point that keeps it, found by one binary search per distinct
+    dm_value: the work grows with the distinct dm_values, not with n_grid.
     """
     n_grid = check_int(n_grid, "n_grid (at least one threshold)", _MINIMA["config.threshold_grid"])
     check_real(t_match_um, "t_match_um")
@@ -266,23 +266,17 @@ def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: 
         step = stop / last
         return (float(i) * step if step != 0.0 else float(i) / last * stop) + 0.0
 
-    def kept(i: int) -> int:
-        # the kept set at grid point i, as the count of levels it drops
-        return bisect.bisect_right(levels, point(i))
-
-    best, scored, i = (0.0, -1.0), set(), 0
-    while True:
-        t, j = point(i), kept(i)
-        if j not in scored:  # a set seen before cannot beat its first point
-            scored.add(j)
-            f1 = score_detection(gt, proposals_by_threshold(values, t), t_match_um).f1
-            if f1 > best[1]:
-                best = (t, f1)
-        if i == last:
-            return best
-        # points below the last rise or fall with i, so the next kept set
-        # begins at the first of them that keeps another
-        i = bisect.bisect_left(range(last), True, i + 1, key=lambda k: kept(k) != j)
+    # a kept set begins at the first point past a dm level from point 0 (the
+    # points rise or fall with i)
+    firsts = {bisect.bisect_left(range(n_grid), True, key=lambda i: (point(i) >= v) != (0.0 >= v))
+              for v in levels}
+    best = (0.0, -1.0)
+    for i in sorted(({0} | firsts) - {n_grid}):
+        t = point(i)
+        f1 = score_detection(gt, proposals_by_threshold(values, t), t_match_um).f1
+        if f1 > best[1]:
+            best = (t, f1)
+    return best
 
 
 def run_pipeline(config: dict | None = None, out_dir=None) -> dict:

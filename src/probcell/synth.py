@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .bayescore import RegressorOutput
-from .coords import CoordSet
+from .coords import CoordSet, Separated
 from .cores import on_two_cores, side_by_side
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible, check_int, check_real
@@ -154,30 +154,9 @@ def _sample_separated(rng, n, lo, hi, min_sep, existing=None):
             f"{name} = {n}: {count} points {min_sep} um apart are more than rejection "
             f"sampling places in a {(hi - lo).tolist()} um box"
         )
-    bucket = min_sep
-    grid: dict[tuple[int, int, int], list[np.ndarray]] = {}
-
-    def register(pt):
-        key = tuple(np.floor(pt / bucket).astype(np.int64))
-        grid.setdefault(key, []).append(pt)
-
-    def clear(pt):
-        key = tuple(np.floor(pt / bucket).astype(np.int64))
-        for bz in (key[0] - 1, key[0], key[0] + 1):
-            for by in (key[1] - 1, key[1], key[1] + 1):
-                for bx in (key[2] - 1, key[2], key[2] + 1):
-                    for q in grid.get((bz, by, bx), ()):
-                        d = q - pt
-                        if d @ d < min_sep * min_sep:
-                            return False
-        return True
-
-    if existing is not None:
-        for pt in np.asarray(existing, dtype=np.float64):
-            register(pt)
+    sep = Separated(min_sep, np.abs([lo, hi]).max(), () if existing is None else existing)
     max_attempts = 200 * n + 1000
-    placed = []
-    attempts = 0
+    placed, attempts = [], 0
     while len(placed) < n:
         if attempts >= max_attempts:
             raise PackingInfeasible(
@@ -185,8 +164,7 @@ def _sample_separated(rng, n, lo, hi, min_sep, existing=None):
             )
         attempts += 1
         pt = lo + rng.random(3) * (hi - lo)
-        if clear(pt):
-            register(pt)
+        if sep.take(pt.tolist()):
             placed.append(pt)
     return np.asarray(placed)
 
@@ -422,7 +400,8 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
         # a voxel within the radius of a centerline voxel lies in its segment's
         # box, and a box's EDT sees part of the centerline: the mask is exact
         walk = np.array(walk)
-        pad = np.ceil(spec.tube_radius_um / vs).astype(int) + 1
+        # a radius beyond the extent pads to the whole shape, in range of int
+        pad = np.ceil(np.minimum(spec.tube_radius_um, extent) / vs).astype(int) + 1
         lo = np.maximum(np.minimum.reduceat(walk, starts) - pad, 0)
         hi = np.minimum(np.maximum.reduceat(walk, starts) + pad + 1, shape)
         if np.prod(hi - lo, axis=1).sum() >= np.prod(hi.max(0) - lo.min(0)):

@@ -19,6 +19,16 @@ def vol(data, voxel_size=(1.0, 1.0, 1.0)) -> Volume3D:
     return Volume3D(np.asarray(data, dtype=np.float32), voxel_size)
 
 
+def spread_candidates(n: int, seed: int = 0) -> Volume3D:
+    """A 64^3 map of n positive voxels at even coordinates, the rest zero:
+    each is an NMS candidate, and a radius of 1e6 um spans them all."""
+    rng = np.random.default_rng(seed)
+    data = np.zeros((64, 64, 64), np.float32)
+    z, y, x = np.unravel_index(rng.choice(32**3, n, replace=False), (32, 32, 32))
+    data[2 * z, 2 * y, 2 * x] = rng.uniform(0.1, 1.0, n)
+    return Volume3D(data, (1.0, 1.0, 1.0))
+
+
 @pytest.fixture
 def fork_always(monkeypatch):
     """Every on_two_processes call forks, however few its items."""

@@ -736,6 +736,81 @@ def reference_tiled_detect(dm, tiling, nms):
     return np.concatenate(coords), np.concatenate(values)
 
 
+# ---------------------------------------------------------------------------
+# The two separation tests as they stood before coords.Separated served both:
+# NMS listed every close candidate pair with a KD-tree and walked the list,
+# and placement kept a dict of buckets min_sep wide and read the 27 around
+# each draw. Both keep a point unless a kept one lies closer than r.
+# ---------------------------------------------------------------------------
+
+def pair_walk_detect_peaks(dm, cfg):
+    """(coords, dm_value) of detect_peaks by the pair walk: a KD-tree lists
+    every candidate pair closer than r, and a pass over the pairs in
+    priority order suppresses the later candidate of each pair whose earlier
+    one was kept. Quadratic in time and memory at a radius that spans the
+    map."""
+    from scipy.spatial import cKDTree
+
+    from probcell.detect import local_maxima
+
+    idx, values = local_maxima(dm, cfg.threshold)
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -values))
+    idx, values = idx[order], values[order]
+    coords = (idx.astype(np.float64) + 0.5) * np.asarray(dm.voxel_size, dtype=np.float64)
+    r = cfg.min_distance_um
+    pairs = cKDTree(coords).query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    d = coords[pairs[:, 1]] - coords[pairs[:, 0]]
+    close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] < r * r
+    pairs = pairs[close]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    keep = np.ones(coords.shape[0], dtype=bool)
+    for i, j in pairs.tolist():
+        if keep[i]:
+            keep[j] = False
+    return coords[keep], values[keep].astype(np.float64)
+
+
+def dict_grid_sample_separated(rng, n, lo, hi, min_sep, existing=None):
+    """_sample_separated's draws after its packing bound, as first written:
+    existing points registered in a dict of buckets min_sep wide, and each
+    draw tested against the 27 buckets around it, within 200 n + 1000
+    attempts. A tiny min_sep overflows the int64 keys into one bucket, which
+    stays correct."""
+    from probcell.errors import PackingInfeasible
+
+    if n == 0:
+        return np.zeros((0, 3))
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    grid = {}
+
+    def key(pt):
+        with np.errstate(all="ignore"):
+            return tuple(np.floor(pt / min_sep).astype(np.int64).tolist())
+
+    def clear(pt):
+        kz, ky, kx = key(pt)
+        for b in itertools.product((kz - 1, kz, kz + 1), (ky - 1, ky, ky + 1), (kx - 1, kx, kx + 1)):
+            for q in grid.get(b, ()):
+                d = q - pt
+                if d @ d < min_sep * min_sep:
+                    return False
+        return True
+
+    for pt in np.asarray([] if existing is None else existing, dtype=np.float64).reshape(-1, 3):
+        grid.setdefault(key(pt), []).append(pt)
+    placed, attempts = [], 0
+    while len(placed) < n:
+        if attempts >= 200 * n + 1000:
+            raise PackingInfeasible(f"placed {len(placed)}/{n} points after {attempts} attempts")
+        attempts += 1
+        pt = lo + rng.random(3) * (hi - lo)
+        if clear(pt):
+            grid.setdefault(key(pt), []).append(pt)
+            placed.append(pt)
+    return np.asarray(placed)
+
+
 def reference_select_threshold(values, gt, t_match_um, n_grid):
     """select_threshold's grid loop as first written: every point of
     np.linspace(0, 0.95 * top, n_grid) scored, the first best F1 kept."""

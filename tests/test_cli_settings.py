@@ -23,9 +23,11 @@ from probcell import (
     CoordSet,
     NmsConfig,
     SynthSpec,
+    Volume3D,
     analyze_deterministic,
     analyze_probabilistic,
     prepare_spatial,
+    save_volume,
 )
 from probcell import pipeline as pipeline_mod
 from probcell.cli import build_parser, main
@@ -238,43 +240,81 @@ def _wall_budget(seconds: int):
 @example(flag=("synth", "--n-cells"), value=2**31 - 1, route="cli")
 @example(flag=("synth", "--n-tubes"), value=10**6, route="cli")
 def test_edge_value_is_a_result_or_a_json_error(scene, flag, value, route):
+    """Any numeric flag of any subcommand at an edge value (_edge_draw)."""
+    command, option = flag
+    assume(value not in LARGE_VALUES or option not in UNBOUNDED_FLAGS)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        _edge_draw(_base(command, scene, out), command, option, value, route, out)
+
+
+def _edge_draw(flags: dict, command: str, option: str, value, route: str, out: Path) -> None:
     """One numeric setting of one subcommand at an edge value, on the command
-    line or in a --config file, on a tiny scene:
+    line or in a --config file, on a tiny scene (flags):
     - exit 0 writes only strict JSON and finite volumes;
     - exit 1 prints the JSON payload and writes nothing, and a file value
       that is not finite, or not an integer for an integer setting, is
       InvalidConfig;
     - exit 2 (argparse's usage error) only for a command-line string that
       argparse itself rejects ("nan" for an integer, "-inf" among nargs);
-    - anything else, a traceback included, fails the test;
-    - so does a call that runs over BUDGET_S seconds."""
-    command, option = flag
-    assume(value not in LARGE_VALUES or option not in UNBOUNDED_FLAGS)
-    action = _ACTIONS[flag]
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        flags = _base(command, scene, out)
-        values = [value]
-        if action.nargs:  # the first of its values
-            others = flags.get(option) or [str(v) for v in action.default]
-            values += [action.type(v) for v in others[1:]]
-        file = None
-        if route == "cli":
-            flags[option] = [str(v) for v in values]
-        else:  # a required flag stays on the command line, which wins
-            if not action.required:
-                flags.pop(option, None)
-            file = {action.dest: values if action.nargs else value}
-        with _wall_budget(BUDGET_S):
-            rc, stdout, stderr = _run(command, flags, file, out)
-        assert "Traceback" not in stderr
-        fits = math.isfinite(value) and (action.type is float or type(value) is int)
-        if route == "file" and not fits:
-            assert rc == 1 and _error(stderr)["type"] == "InvalidConfig", (rc, stderr)
-        if rc == 2:
-            assert route == "cli" and "usage:" in stderr
-            return
-        _assert_result_or_json_error(rc, stdout, stderr, out)
+    - anything else, a traceback or a warning included, fails the test;
+    - so does a call that runs over BUDGET_S seconds.
+    An option without a flag is a SynthSpec field only a file sets."""
+    action = _ACTIONS.get((command, option))
+    kind = float if action is None else action.type
+    values = [value]
+    if action is not None and action.nargs:  # the first of its values
+        others = flags.get(option) or [str(v) for v in action.default]
+        values += [action.type(v) for v in others[1:]]
+    file = None
+    if route == "cli":
+        flags[option] = [str(v) for v in values]
+    else:  # a required flag stays on the command line, which wins
+        if action is None or not action.required:
+            flags.pop(option, None)
+        dest = option if action is None else action.dest
+        file = {dest: values if action is not None and action.nargs else value}
+    with _wall_budget(BUDGET_S):
+        rc, stdout, stderr = _run(command, flags, file, out)
+    assert "Traceback" not in stderr
+    fits = math.isfinite(value) and (kind is float or type(value) is int)
+    if route == "file" and not fits:
+        assert rc == 1 and _error(stderr)["type"] == "InvalidConfig", (rc, stderr)
+    if rc == 2:
+        assert route == "cli" and "usage:" in stderr
+        return
+    _assert_result_or_json_error(rc, stdout, stderr, out)
+
+
+# SynthSpec fields that synth takes from a --config file only. At 1e300 the
+# tube radius's pad overflowed its int cast, which left the structure empty,
+# and at 5e-324 the separation's bucket keys overflowed: each warned.
+CONFIG_ONLY = ["tube_radius_um", "min_separation_um", "tube_length_um", "cutoff_um",
+               "margin_um", "background_bias_sd"]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+@pytest.mark.parametrize("field", CONFIG_ONLY)
+def test_config_only_edge_value_is_a_result_or_a_json_error(scene, tmp_path, field, value):
+    out = tmp_path / "out"
+    _edge_draw(_base("synth", scene, out), "synth", field, value, "file", out)
+
+
+@pytest.fixture(scope="module")
+def dense_dm(tmp_path_factory):
+    """64^3 noise: about 10,000 NMS candidates, all within a wide radius."""
+    path = tmp_path_factory.mktemp("dense") / "dm"
+    data = np.random.default_rng(0).normal(size=(64, 64, 64)).astype(np.float32)
+    save_volume(Volume3D(data, (1.0, 1.0, 1.0)), path)
+    return path
+
+
+@pytest.mark.parametrize("route", ["cli", "file"])
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_min_distance_edge_value_on_dense_candidates(scene, dense_dm, tmp_path, value, route):
+    out = tmp_path / "out"
+    flags = {**_base("detect", scene, out), "--volume": [str(dense_dm)]}
+    _edge_draw(flags, "detect", "--min-distance-um", value, route, out)
 
 
 def _assert_result_or_json_error(rc, stdout, stderr, out: Path) -> None:

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from probcell import CoordSet, load_coords, save_coords
+from probcell.coords import Separated
 from probcell.errors import NonFiniteInput, ProbabilityOutOfRange
 
 
@@ -83,3 +85,35 @@ class TestCsvRoundTrip:
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.tobytes() == want.tobytes()
+
+
+class TestSeparated:
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(
+        r=st.floats(1e-6, 1e6),
+        half=st.integers(-64, 64),
+        nudge=st.integers(-4, 4),
+        gap=st.integers(0, 2**23),
+        axis=st.integers(0, 2),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_a_closer_point_across_a_bucket_face_is_found(self, r, half, nudge, gap, axis, sign):
+        """p within a few ulps of a face or midplane of its bucket, and q up
+        to 2^23 ulps of r closer along one axis, where the bucket side's
+        margin over 2r decides which buckets p's test reads."""
+        sep = Separated(r, 200 * r)
+        p = [0.0, 0.0, 0.0]
+        c = half * sep.side / 2
+        for _ in range(abs(nudge)):
+            c = math.nextafter(c, math.copysign(math.inf, nudge))
+        p[axis] = c
+        q = list(p)
+        q[axis] = c + sign * (r - gap * math.ulp(r))
+        d = q[axis] - p[axis]
+        assert sep.take(p)
+        assert sep.take(q) == (not d * d < r * r)
+
+    def test_registered_points_are_kept_untested(self):
+        sep = Separated(4.0, 10.0, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert not sep.take([0.0, 3.0, 1.0])
+        assert sep.take([0.0, 5.0, 1.0])

@@ -21,6 +21,7 @@ from probcell import (
     TilingConfig,
     Volume3D,
     analyze_probabilistic,
+    detect_peaks,
     generate_coords,
     generate_structures,
     oracle_regress,
@@ -32,6 +33,8 @@ from probcell import cores, detect
 from probcell.cli import main
 from probcell.detect import local_maxima
 from probcell.spatial import DistanceCdf, distance_transform
+
+from conftest import spread_candidates
 
 SMALL = 1 << 19
 
@@ -201,6 +204,17 @@ def test_local_maxima_peak(shape, monkeypatch, split_always):
     # slab's threshold test (1 B per voxel). A whole-volume float32 copy fails.
     bound = np.prod(shape) + 2 * (8 * (planes + 2) + planes) * plane + SMALL
     assert traced_peak(local_maxima, dm) <= bound
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_detect_peaks_wide_radius_peak(n):
+    """A radius spanning the map holds NMS to memory linear in the
+    candidates: each one's index, value, order, coordinates and bucket entry
+    take well under 1 KiB, beside local_maxima's 10 B per voxel at most (see
+    above). The KD-tree pair walk listed all n (n - 1) / 2 pairs: 3,000
+    candidates traced 770 MiB."""
+    dm = spread_candidates(n)
+    assert traced_peak(detect_peaks, dm, NmsConfig(1e6, 0.0)) <= 10 * dm.data.size + 1024 * n + SMALL
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -27,6 +28,7 @@ from probcell import synth as synth_mod
 from probcell.synth import _gaussian_in_place, _sample_separated, _smooth_field
 
 from oracles import (
+    dict_grid_sample_separated,
     reference_generate_structures,
     reference_oracle_regress,
     reference_smooth_field,
@@ -87,6 +89,55 @@ class TestGenerateCoords:
         pts = _sample_separated(np.random.default_rng([1, 0]), 3, (0, 0, 0),
                                 (16.8, 0.0008, 0.0008), 8.0)
         assert len(pts) == 3
+
+
+    @pytest.mark.parametrize("min_sep", [1e-20, 5e-324])
+    def test_tiny_separation_without_warnings(self, min_sep):
+        """floor(pt / min_sep) overflowed its int64 bucket keys with a
+        RuntimeWarning, and every point shared one bucket: 4,000 cells took
+        19 s at 1e-20 um."""
+        spec = SynthSpec(shape=(32, 32, 32), n_cells=4000, min_separation_um=min_sep, n_tubes=0)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords = generate_coords(spec)
+        assert time.perf_counter() - start < 1.0
+        assert len(coords) == 4000
+
+
+class TestSampleSeparatedOracle:
+    """_sample_separated draws and keeps, bit for bit, what the dict-grid
+    loop did, with and without existing points."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lo=st.tuples(*[st.sampled_from([0.0, 4.0]) | st.floats(-50.0, 50.0)] * 3),
+        size=st.tuples(*[st.sampled_from([0.0008, 16.8, 32.0]) | st.floats(0.001, 60.0)] * 3),
+        min_sep=st.sampled_from([5e-324, 1e-20, 4.0, 8.0]) | st.floats(0.05, 30.0),
+        n=st.integers(0, 40),
+        n_existing=st.none() | st.integers(0, 30),
+    )
+    @example(seed=1, lo=(0.0, 0.0, 0.0), size=(16.8, 0.0008, 0.0008), min_sep=8.0, n=3,
+             n_existing=None)  # the small-box rod
+    def test_matches_dict_grid(self, seed, lo, size, min_sep, n, n_existing):
+        lo = np.asarray(lo)
+        hi = lo + np.asarray(size)
+        existing = None
+        if n_existing is not None:
+            existing = np.random.default_rng([seed, 1]).uniform(lo, hi, size=(n_existing, 3))
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        results = []
+        for sample, rng in zip((_sample_separated, dict_grid_sample_separated), rngs):
+            try:
+                results.append(sample(rng, n, lo, hi, min_sep, existing))
+            except PackingInfeasible as exc:
+                results.append(str(exc))
+        if rngs[0].bit_generator.state == rngs[2].bit_generator.state:
+            return  # refused before its first draw (empty box, packing bound)
+        got, want = results
+        assert type(got) is type(want) and np.array_equal(got, want)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestOracleRegress:
@@ -183,6 +234,19 @@ class TestGenerateStructures:
         a, _ = generate_structures(spec)
         b, _ = generate_structures(spec)
         assert np.array_equal(a.data, b.data)
+
+
+    @pytest.mark.parametrize("radius", [1e18, 1e300])
+    def test_radius_beyond_the_extent_fills_the_tissue(self, radius):
+        """The box pad's int cast overflowed from about 9.2e18 voxels on: at
+        1e300 um the structure was empty, after a RuntimeWarning."""
+        spec = SynthSpec(shape=(16, 16, 16), n_cells=2, n_distractors=1, n_tubes=1,
+                         tube_radius_um=radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            structure, tissue = generate_structures(spec)
+        assert tissue.data.sum() == 2176
+        assert np.array_equal(structure.data, tissue.data)
 
 
 # Scenes for the comparison with the whole-volume reference implementations.
