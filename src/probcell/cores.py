@@ -3,11 +3,9 @@
 Each helper runs two parts of a call at once and returns the serial run's
 results bit for bit; README "Kernels on two cores" has the measurements.
 
-* Threads from SPLIT_MIN_BYTES = 8 MiB of volume up, for calls that release
-  the GIL; smaller calls run in order on the calling thread.
-* Loop forks from a cost of FORK_MIN_COST = 96, for loops of small calls
-  that hold the GIL: a feature row costs one per map, a tree or a
-  Monte-Carlo replicate 3.
+* The one size rule: threads from SPLIT_MIN_BYTES = 8 MiB of volume up, for
+  calls that release the GIL; smaller calls run in order on the calling
+  thread. Loops of small calls that hold the GIL always fork.
 * The scene fork's fixed assignment: run_pipeline's child runs the
   validation and test scenes, its caller the training scenes, the
   classifier and the spatial prelude.
@@ -31,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 SPLIT_MIN_BYTES = 8 << 20  # the least volume a thread starts for
-FORK_MIN_COST = 96  # the least loop cost a fork pays for, in feature rows over one map
 
 
 def side_by_side(first, second, nbytes: int) -> list:
@@ -92,9 +89,6 @@ def fork_join(child, caller) -> list:
     return [theirs, mine]
 
 
-def on_two_processes(fn, n: int, item_cost: int = 3) -> list:
-    """[fn(0, n // 2), fn(n // 2, n)], the first half in a child forked by
-    fork_join when the n items cost at least FORK_MIN_COST."""
-    if n * item_cost < FORK_MIN_COST:
-        return [fn(0, n // 2), fn(n // 2, n)]
+def on_two_processes(fn, n: int) -> list:
+    """[fn(0, n // 2), fn(n // 2, n)], the first half in fork_join's child."""
     return fork_join(lambda: fn(0, n // 2), lambda: fn(n // 2, n))

@@ -88,7 +88,7 @@ def detect_peaks(dm: Volume3D, cfg: NmsConfig = NmsConfig()) -> CoordSet:
     every returned pair of peaks is at least ``min_distance_um`` apart.
     """
     idx, values = local_maxima(dm, cfg.threshold)
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -values))
+    order = np.argsort(-values, kind="stable")  # ties stay in C, (z, y, x), order
     idx, values = idx[order], values[order]
     vs = np.asarray(dm.voxel_size, dtype=np.float64)
     coords = (idx.astype(np.float64) + 0.5) * vs

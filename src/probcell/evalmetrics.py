@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .coords import CoordSet
 from .errors import check_real
@@ -51,11 +52,14 @@ def hungarian_match(gt: CoordSet, pred: CoordSet) -> list[tuple[int, int, float]
     """One-to-one assignment of min(|gt|, |pred|) pairs minimizing summed distance.
 
     Returns (gt_index, pred_index, distance_um) sorted by gt index. Either
-    side may be empty.
+    side may be empty. A pair whose squared distance overflows float64 is inf
+    apart, a far pair at every radius; the solve pairs as few of those as it can.
     """
-    diff = gt.coords[:, None, :] - pred.coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = cdist(gt.coords, pred.coords)  # sqrt((dz*dz + dy*dy) + dx*dx), no temporaries
+    far = np.isinf(dist)  # solved at a cost above any min(n, m) finite pairs
+    dist[far] = dist.max(initial=1.0, where=~far) * (min(dist.shape) + 1)
     rows, cols = linear_sum_assignment(dist)
+    dist[far] = np.inf
     pairs = [(int(r), int(c), float(dist[r, c])) for r, c in zip(rows, cols)]
     pairs.sort()
     return pairs

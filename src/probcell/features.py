@@ -142,9 +142,11 @@ def extract_features(
             raise ValueError(f"map {name!r} does not share the common grid")
     n = len(proposals)
     d = spec.dimension(len(maps))
-    centers = np.floor(proposals.coords / vs).astype(int)
+    with np.errstate(over="ignore"):  # checked as floats, before the int cast
+        centers = np.floor(proposals.coords / vs)
     if np.any(centers < 0) or np.any(centers >= np.asarray(shape)):
         raise ValueError("proposals must lie inside the volume")
+    centers = centers.astype(int)
     boxes = []  # per window side, each row's window clipped at the volume's borders
     for side in spec.window_sides_um:
         w = np.maximum(np.round(side / vs).astype(int), 1)
@@ -170,6 +172,6 @@ def extract_features(
         return out
 
     try:
-        return np.concatenate(on_two_processes(rows, n, item_cost=len(maps)))
+        return np.concatenate(on_two_processes(rows, n))
     except NonFiniteInput:  # raised again at the first bad window of the serial loop
         return rows(0, n)

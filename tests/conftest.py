@@ -30,12 +30,6 @@ def spread_candidates(n: int, seed: int = 0) -> Volume3D:
 
 
 @pytest.fixture
-def fork_always(monkeypatch):
-    """Every on_two_processes call forks, however few its items."""
-    monkeypatch.setattr(cores, "FORK_MIN_COST", 0)
-
-
-@pytest.fixture
 def split_always(monkeypatch):
     """Every on_two_cores call splits, however small its volume."""
     monkeypatch.setattr(cores, "SPLIT_MIN_BYTES", 0)

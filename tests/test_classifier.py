@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +19,6 @@ from probcell import (
     train_forest,
     train_mlp,
 )
-from probcell import cores
 from probcell.classifier import ForestModel, Tree, _build_tree, init_mlp, mlp_loss_and_grads
 from probcell.cli import main
 from probcell.errors import (
@@ -151,7 +151,7 @@ class TestOnePassSplitSearch:
             got = _build_tree(X, y, np.random.default_rng(case), n_sub)
             _assert_trees_equal(got, loop_build_tree(X, y, np.random.default_rng(case), n_sub))
 
-    def test_pipeline_training_matrix_equals_feature_loop(self, fork_always):
+    def test_pipeline_training_matrix_equals_feature_loop(self):
         from probcell.detect import NmsConfig
         from probcell.pipeline import (
             _detect_scene, _maps, _tiling_config, label_proposals, merge_config,
@@ -171,12 +171,10 @@ class TestOnePassSplitSearch:
     def test_forked_forest_equals_serial(self, rng, monkeypatch, tmp_path):
         X = rng.random((40, 6))
         y = (X[:, 0] + 0.3 * rng.random(40) > 0.5).astype(int)
-        saved = []
-        for cutoff in (0, 10**9):
-            monkeypatch.setattr(cores, "FORK_MIN_COST", cutoff)
-            save_model(train_forest(X, y, seed=11, n_trees=9), tmp_path / f"{cutoff}.json")
-            saved.append((tmp_path / f"{cutoff}.json").read_bytes())
-        assert saved[0] == saved[1]
+        save_model(train_forest(X, y, seed=11, n_trees=9), tmp_path / "forked.json")
+        monkeypatch.delattr(os, "fork")  # fork_join runs both halves here
+        save_model(train_forest(X, y, seed=11, n_trees=9), tmp_path / "serial.json")
+        assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
 class TestForestPrediction:

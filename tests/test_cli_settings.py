@@ -26,12 +26,15 @@ from probcell import (
     Volume3D,
     analyze_deterministic,
     analyze_probabilistic,
+    load_coords,
     prepare_spatial,
+    save_coords,
     save_volume,
 )
 from probcell import pipeline as pipeline_mod
 from probcell.cli import build_parser, main
 from probcell.errors import check_int, check_real
+from probcell.evalmetrics import aggregate_reports, score_detection
 
 # run_pipeline on two 32^3 scenes: a second or less
 TINY_PIPE = {
@@ -540,3 +543,77 @@ def test_unallocatable_shape_exit_1_without_output(tmp_path, scene, command):
     else:
         flags["--shape"] = [str(n) for n in HUGE_SHAPE]
     _assert_json_error(*_run(command, flags, file, out), out, "MemoryError")
+
+
+def _run_strict(command, flags: dict, out: Path):
+    """_run with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run(command, flags, None, out)
+
+
+@pytest.mark.parametrize("command", ["eval", "train-classifier"])
+def test_overflowing_squared_distance_is_a_far_pair(tmp_path, scene, command):
+    """A cell at 1.4e154 um has no prediction whose squared distance float64
+    holds: matching warned of overflow, then scipy found the cost matrix
+    infeasible, an exit 1 whose message named no file. It is a far pair now."""
+    gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    if command == "eval":
+        save_coords(CoordSet([(0.0, 0.0, 0.0), (1.4e154, 0.0, 0.0)]), gt)
+        save_coords(CoordSet([(0.0, 0.0, 0.0), (-1.4e154, 0.0, 0.0)]), pred)
+        rc, stdout, stderr = _run_strict("eval", {"--gt": [str(gt)], "--pred": [str(pred)]},
+                                         tmp_path / "out")
+        assert rc == 0, stderr
+        report = json.loads(stdout)
+        assert (report["tp"], report["fp"], report["fn"]) == (1, 1, 1)
+        return
+    cells = load_coords(scene / "gt.csv").coords
+    assert len(cells) < len(load_coords(scene / "peaks.csv"))  # a spare peak for the far cell
+    save_coords(CoordSet(np.concatenate([cells, [(1.4e154, 0.0, 0.0)]])), gt)
+    models = []
+    for name, cells_csv in (("far", gt), ("plain", scene / "gt.csv")):
+        out = tmp_path / name
+        flags = {**_base(command, scene, out), "--gt": [str(cells_csv)]}
+        rc, _, stderr = _run_strict(command, flags, out)
+        assert rc == 0, stderr
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]  # the same labels: the far cell matched no peak
+
+
+def test_far_proposal_exit_1_without_warnings(tmp_path, scene):
+    """A proposal at 1e308 um was cast to int before the range check, which
+    warned "invalid value encountered in cast"."""
+    out = tmp_path / "model"
+    assert _run("train-classifier", _base("train-classifier", scene, out), None, out)[0] == 0
+    far = tmp_path / "far.csv"
+    save_coords(CoordSet([(1e308, 1.0, 1.0)]), far)
+    flags = {"--model": [str(out / "model.json")], "--dm": [str(scene / "dm")],
+             "--proposals": [str(far)], "--out": [str(tmp_path / "classified" / "c.csv")]}
+    rc, stdout, stderr = _run_strict("classify", flags, tmp_path / "classified")
+    _assert_json_error(rc, stdout, stderr, tmp_path / "classified", "ValueError")
+    assert _error(stderr)["message"] == "proposals must lie inside the volume"
+
+
+def test_eval_reports_each_pair_and_their_aggregate(tmp_path, scene):
+    """Several --gt and --pred files: one report per pair under "samples" and
+    aggregate_reports of them under "aggregate"; unequal counts exit 1."""
+    gt, peaks = str(scene / "gt.csv"), str(scene / "peaks.csv")
+    pairs = [(gt, peaks), (peaks, gt), (gt, gt)]
+    singles = []
+    for i, (g, p) in enumerate(pairs):
+        rc, stdout, _ = _run("eval", {"--gt": [g], "--pred": [p]}, None, tmp_path / str(i))
+        assert rc == 0
+        singles.append(json.loads(stdout))
+    out = tmp_path / "all"
+    flags = {"--gt": [g for g, _ in pairs], "--pred": [p for _, p in pairs],
+             "--out": [str(out / "eval.json")]}
+    rc, stdout, _ = _run("eval", flags, None, out)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert report == json.loads((out / "eval.json").read_text())
+    assert report["samples"] == singles and len({json.dumps(r) for r in singles}) == 3
+    reports = [score_detection(load_coords(g), load_coords(p)) for g, p in pairs]
+    assert report["aggregate"] == aggregate_reports(reports)
+    out = tmp_path / "unequal"
+    flags = {"--gt": [gt, gt], "--pred": [peaks], "--out": [str(out / "eval.json")]}
+    _assert_json_error(*_run("eval", flags, None, out), out, "ValueError")

@@ -129,6 +129,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             extract_features(maps, CoordSet(np.array([[5.0, 5.0, 25.0]])), FeatureSpec())
 
+    @pytest.mark.parametrize("voxel_size, point", [
+        ((1.0, 1.0, 1.0), (1e308, 1.0, 1.0)),
+        ((1.0, 1.0, 1.0), (1.0, 1.0, -1e308)),
+        ((1e-300, 1.0, 1.0), (1e10, 1.0, 1.0)),  # the division overflows
+    ])
+    def test_far_proposal_rejected_before_the_int_cast(self, rng, voxel_size, point):
+        """A proposal far outside was cast to int first, which warned
+        "invalid value encountered in cast" (an error under pytest)."""
+        maps = [("dm", vol(rng.random((10, 10, 10)), voxel_size))]
+        with pytest.raises(ValueError, match="proposals must lie inside the volume"):
+            extract_features(maps, CoordSet(np.array([point])), FeatureSpec())
+
     def test_unknown_map_needs_threshold_range(self, rng):
         maps = [("other", vol(rng.random((10, 10, 10))))]
         with pytest.raises(KeyError):

@@ -32,6 +32,7 @@ from probcell import (
 from probcell import cores, detect
 from probcell.cli import main
 from probcell.detect import local_maxima
+from probcell.evalmetrics import score_detection
 from probcell.spatial import DistanceCdf, distance_transform
 
 from conftest import spread_candidates
@@ -215,6 +216,17 @@ def test_detect_peaks_wide_radius_peak(n):
     candidates traced 770 MiB."""
     dm = spread_candidates(n)
     assert traced_peak(detect_peaks, dm, NmsConfig(1e6, 0.0)) <= 10 * dm.data.size + 1024 * n + SMALL
+
+
+def test_score_detection_peak():
+    """The n x m float64 distances (8 B per pair), made with no temporary,
+    and the overflow test and its negation (2 B). An n x m x 3 difference
+    array and its square held 56 B per pair."""
+    rng = np.random.default_rng(2)
+    gt = CoordSet(rng.uniform(0.0, 400.0, (2000, 3)))
+    extra = rng.uniform(0.0, 400.0, (400, 3))
+    pred = CoordSet(np.concatenate([gt.coords + rng.normal(0.0, 1.0, (2000, 3)), extra]))
+    assert traced_peak(score_detection, gt, pred) <= 12 * 2000 * 2400
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])

@@ -333,16 +333,18 @@ class TestSceneFork:
                 tmp_path / "serial" / name).read_bytes(), name
 
     @pytest.mark.parametrize("fork", [True, False])
-    @pytest.mark.parametrize("train_scene, error", [
+    @pytest.mark.parametrize("test_scene, train_scene, error", [
         # the test scene fails its tiling before its empty structure is met
-        ({}, VolumeTooSmall),
+        (_TINY_TEST_SCENE, {}, VolumeTooSmall),
         # the training scenes fail before the test scene
-        ({"n_cells": 0}, SingleClass),
-    ], ids=["tiny-test-scene", "no-training-cells"])
-    def test_errors_in_scene_order(self, monkeypatch, fork, train_scene, error):
+        (_TINY_TEST_SCENE, {"n_cells": 0}, SingleClass),
+        # the test scene tiles, so the prelude's held error is raised after the join
+        ({**PIPE_CFG["test_scene"], "n_tubes": 0}, {}, EmptyStructure),
+    ], ids=["tiny-test-scene", "no-training-cells", "no-tube"])
+    def test_errors_in_scene_order(self, monkeypatch, fork, test_scene, train_scene, error):
         if not fork:
             monkeypatch.delattr(os, "fork")
-        cfg = dict(PIPE_CFG, test_scene=_TINY_TEST_SCENE,
+        cfg = dict(PIPE_CFG, test_scene=test_scene,
                    train_scene={**PIPE_CFG["train_scene"], **train_scene})
         with pytest.raises(error):
             run_pipeline(cfg)

@@ -572,7 +572,7 @@ class TestPreparedPrelude:
 class TestForkedReplicates:
     @pytest.mark.parametrize("cdf_mode", ["kde", "empirical"])
     @pytest.mark.parametrize("replicates", [12, 41])
-    def test_equals_serial_reference(self, fork_always, cdf_mode, replicates):
+    def test_equals_serial_reference(self, cdf_mode, replicates):
         """Two structures, three cells at p = 0.25: both halves of the
         replicates hold empty cell and ESD replicates, and their flags,
         percentages and merged envelopes equal the serial loop's."""

@@ -189,6 +189,19 @@ class TestReconstruct:
             assert set(map(tuple, out.coords)) == set(map(tuple, cells + 0.5))
 
 
+class TestVolumeData:
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.float16, np.int64])
+    def test_other_dtypes_become_float32(self, dtype):
+        data = np.arange(24).reshape(2, 3, 4).astype(dtype)
+        v = Volume3D(data, (1.0, 1.0, 1.0))
+        assert v.data.dtype == np.float32 and np.array_equal(v.data, data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.bool_])
+    def test_own_dtypes_stay(self, dtype):
+        data = np.ones((2, 3, 4), dtype)
+        assert Volume3D(data, (1.0, 1.0, 1.0)).data is data
+
+
 class TestVolumeIO:
     def test_round_trip(self, tmp_path, rng):
         v = Volume3D(rng.random((4, 5, 6)).astype(np.float32), (1.0, 0.5, 2.0))
@@ -380,19 +393,15 @@ class TestOnTwoCores:
 
 class TestOnTwoProcesses:
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
-    def test_halves_come_back_in_order(self, fork_always, n):
+    def test_halves_come_back_in_order(self, n):
         halves = on_two_processes(lambda lo, hi: (list(range(lo, hi)), os.getpid()), n)
         assert [items for items, _ in halves] == [list(range(n // 2)), list(range(n // 2, n))]
         assert halves[1][1] == os.getpid() != halves[0][1]
         no_child_left()
 
-    def test_few_items_stay_in_the_caller(self):
-        n = cores.FORK_MIN_COST // 3 - 1  # items cost 3 by default
-        halves = on_two_processes(lambda lo, hi: (lo, hi, os.getpid()), n)
-        assert halves == [(0, n // 2, os.getpid()), (n // 2, n, os.getpid())]
-
-    @pytest.mark.parametrize("n_maps, rows, forks", [(1, 95, 0), (1, 96, 1), (3, 31, 0), (3, 32, 1)])
-    def test_feature_rows_cost_one_per_map(self, monkeypatch, rng, n_maps, rows, forks):
+    @pytest.mark.parametrize("n_maps", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 31, 95])
+    def test_features_fork_once_whatever_their_size(self, monkeypatch, rng, n_maps, rows):
         calls = []
         real_fork = os.fork
 
@@ -404,10 +413,10 @@ class TestOnTwoProcesses:
         maps = [(name, vol(rng.random((16, 16, 16)))) for name in ("dm", "u_a", "u_e")[:n_maps]]
         proposals = CoordSet(rng.uniform(0.0, 16.0, (rows, 3)))
         X = extract_features(maps, proposals)
-        assert X.shape[0] == rows and len(calls) == forks
+        assert X.shape[0] == rows and len(calls) == 1
         no_child_left()
 
-    def test_child_error_reraised_with_type_and_message(self, fork_always):
+    def test_child_error_reraised_with_type_and_message(self):
         def fn(lo, hi):
             if lo == 0:
                 raise EmptyCells("child half")
@@ -418,7 +427,7 @@ class TestOnTwoProcesses:
         assert type(info.value) is EmptyCells and str(info.value) == "child half"
         no_child_left()
 
-    def test_caller_error_kills_and_reaps_the_child(self, fork_always):
+    def test_caller_error_kills_and_reaps_the_child(self):
         def fn(lo, hi):
             if lo == 0:
                 time.sleep(60)
@@ -444,7 +453,7 @@ class TestOnTwoProcesses:
         assert time.monotonic() - start < 30
         no_child_left()
 
-    def test_child_that_dies_without_result_raises(self, fork_always):
+    def test_child_that_dies_without_result_raises(self):
         def fn(lo, hi):
             if lo == 0:
                 os._exit(3)
@@ -465,15 +474,13 @@ class TestOnTwoProcesses:
         *(pytest.param(nans, True, id=f"nans{i}") for i, nans in enumerate(NAN_LAYOUTS)),
         *(pytest.param(nans, False, id=f"nans{i}-serial") for i, nans in enumerate(NAN_LAYOUTS)),
     ])
-    def test_features_name_the_serial_first_window(self, request, rng, nans, forked):
+    def test_features_name_the_serial_first_window(self, monkeypatch, rng, nans, forked):
         """NaN in a window of each half (rows 0-7, forked or not, and 8-15):
         the error names the window the serial map, window, row loop meets
         first, whether the halves ran in two processes or in this one."""
         names = ("dm", "u_a", "u_e")
-        if forked:
-            request.getfixturevalue("fork_always")
-        else:  # 16 rows of 3 maps stay below the fork rule
-            assert 16 * len(names) < cores.FORK_MIN_COST
+        if not forked:  # fork_join runs both halves here
+            monkeypatch.delattr(os, "fork")
         data = {name: rng.random((40, 40, 40)).astype(np.float32) for name in names}
         centers = np.stack([np.full(3, 4 + 2 * i) for i in range(16)])
         sides = (1, 3, 5)
