@@ -382,6 +382,8 @@ def load_model(path):
     try:
         payload = json.loads(Path(path).read_text())
         fmt = payload["format"]
+        if type(payload["version"]) is not int or payload["version"] != 1:  # not true, 1.0, "1"
+            raise ValueError(f"model version {payload['version']!r} is not the integer 1")
         if fmt == FOREST_FORMAT:
             model = ForestModel(
                 n_features=check_int(payload["n_features"], "n_features", 1),

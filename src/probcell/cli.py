@@ -216,6 +216,15 @@ def cmd_pipeline(cfg) -> int:
 # parser and config files
 # ---------------------------------------------------------------------------
 
+class _Once(argparse.Action):
+    """Store a flag's values; a second use on one command line is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:  # a --config list is the default
+            parser.error(f"{option_string} given twice")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
@@ -275,8 +284,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--model": {"required": True}, **maps, "--out": {"default": "classified.csv"},
     })
     add("eval", cmd_eval, {
-        "--gt": {"required": True, "nargs": "+"},
-        "--pred": {"required": True, "nargs": "+"},
+        "--gt": {"required": True, "nargs": "+", "action": _Once},
+        "--pred": {"required": True, "nargs": "+", "action": _Once},
         "--t-match-um": {"type": float, "default": 4.0},
         "--out": {},
     })

@@ -127,6 +127,9 @@ def load_coords(path) -> CoordSet:
         except csv.Error as exc:  # a field over csv's size limit
             raise ValueError(f"coordinate CSV {path}: {exc}") from None
     idx = {name: i for i, name in enumerate(header)}
+    if len(idx) < len(header):
+        twice = next(name for i, name in enumerate(header) if idx[name] != i)
+        raise ValueError(f"coordinate CSV {path} names column {twice!r} more than once")
     for required in ("z_um", "y_um", "x_um"):
         if required not in idx:
             raise ValueError(f"coordinate CSV {path} missing column {required!r}")

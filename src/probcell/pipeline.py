@@ -36,7 +36,7 @@ from .detect import NmsConfig, detect_peaks
 from .densitymap import AMPLITUDES, COMPOUNDINGS
 from .errors import InvalidConfig, ProbcellError, check_int, check_real
 from .evalmetrics import score_calibration, score_detection
-from .features import FeatureSpec, extract_features
+from .features import extract_features
 from .spatial import (
     CDF_MODES,
     MIN_REPLICATES,
@@ -229,15 +229,14 @@ def label_proposals(proposals: CoordSet, gt: CoordSet, t_match_um: float) -> np.
     return labels
 
 
-def _detect_scene(spec: SynthSpec, tiling: TilingConfig, nms: NmsConfig):
+def _scene(spec: SynthSpec, tiling: TilingConfig, nms: NmsConfig, features: bool):
+    """(gt, proposals, X) of one synthetic scene, X its feature matrix if
+    features else None; its maps are freed when it returns."""
     gt = generate_coords(spec)
     ro = oracle_regress(gt, spec)
     proposals = tiled_detect(ro.dm, tiling, nms)
-    return gt, ro, proposals
-
-
-def _maps(ro) -> list[tuple[str, Volume3D]]:
-    return [("dm", ro.dm), ("u_a", ro.aleatoric), ("u_e", ro.epistemic)]
+    maps = [("dm", ro.dm), ("u_a", ro.aleatoric), ("u_e", ro.epistemic)]
+    return gt, proposals, extract_features(maps, proposals) if features else None
 
 
 def select_threshold(values: CoordSet, gt: CoordSet, t_match_um: float, n_grid: int):
@@ -305,30 +304,21 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         _check_analysis(spatial_cfg["adjacency_um"], spatial_cfg["cdf_mode"])
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None
-    feature_spec = FeatureSpec()
     cls_cfg = cfg["classifier"]
 
     def scenes_apart():
-        # validation and test scenes: the threshold and test features, no maps
-        val_gt, _, val_proposals = _detect_scene(val_spec, tiling, nms)
+        # the validation scene's threshold and the test scene, no maps
+        val_gt, val_proposals, _ = _scene(val_spec, tiling, nms, False)
         threshold, val_f1 = select_threshold(val_proposals, val_gt, t_match, cfg["threshold_grid"])
-        test_gt, test_ro, test_proposals = _detect_scene(test_spec, tiling, nms)
-        X_test = extract_features(_maps(test_ro), test_proposals, feature_spec)
-        return threshold, val_f1, test_gt, test_proposals, X_test
+        return threshold, val_f1, _scene(test_spec, tiling, nms, True)
 
     def scenes_here():
         # the classifier (its BLAS calls stay here) and the spatial prelude
-        X_parts, y_parts, train_stats = [], [], []
-        for spec in train_specs:
-            gt, ro, proposals = _detect_scene(spec, tiling, nms)
-            X = extract_features(_maps(ro), proposals, feature_spec)
-            y = label_proposals(proposals, gt, t_match)
-            X_parts.append(X)
-            y_parts.append(y)
-            train_stats.append(
-                {"n_gt": len(gt), "n_proposals": len(proposals), "n_positive": int(y.sum())}
-            )
-        X_train = np.concatenate(X_parts, axis=0)
+        scenes = [_scene(spec, tiling, nms, True) for spec in train_specs]
+        y_parts = [label_proposals(proposals, gt, t_match) for gt, proposals, _ in scenes]
+        train_stats = [{"n_gt": len(gt), "n_proposals": len(proposals), "n_positive": int(y.sum())}
+                       for (gt, proposals, _), y in zip(scenes, y_parts)]
+        X_train = np.concatenate([X for _, _, X in scenes], axis=0)
         y_train = np.concatenate(y_parts)
         if cls_cfg["type"] == "forest":
             model = train_forest(X_train, y_train, seed=seed, n_trees=cls_cfg["n_trees"])
@@ -342,7 +332,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         return train_stats, len(X_train), model, prelude
 
     apart, here = fork_join(scenes_apart, scenes_here)
-    threshold, val_f1, test_gt, test_proposals, X_test = apart
+    threshold, val_f1, (test_gt, test_proposals, X_test) = apart
     train_stats, n_train, model, prelude = here
     if isinstance(prelude, Exception):
         raise prelude

@@ -10,7 +10,6 @@ from probcell import (
     CoordSet,
     FeatureSpec,
     classify_proposals,
-    extract_features,
     load_model,
     predict_proba,
     save_coords,
@@ -153,15 +152,12 @@ class TestOnePassSplitSearch:
 
     def test_pipeline_training_matrix_equals_feature_loop(self):
         from probcell.detect import NmsConfig
-        from probcell.pipeline import (
-            _detect_scene, _maps, _tiling_config, label_proposals, merge_config,
-        )
+        from probcell.pipeline import _scene, _tiling_config, label_proposals, merge_config
         from probcell.synth import SynthSpec
 
         cfg = merge_config(None)
         spec = SynthSpec(seed=1000, **dict(cfg["train_scene"], shape=[48, 48, 48], n_cells=14))
-        gt, ro, proposals = _detect_scene(spec, _tiling_config(cfg["tiling"]), NmsConfig())
-        X = extract_features(_maps(ro), proposals)
+        gt, proposals, X = _scene(spec, _tiling_config(cfg["tiling"]), NmsConfig(), True)
         y = label_proposals(proposals, gt, cfg["t_match_um"])
         assert X.shape[1] == 168 and 0 < y.sum() < y.size
         model = train_forest(X, y, seed=4, n_trees=6)  # forked: trees 0-2 in the child
@@ -392,6 +388,25 @@ class TestModelValidation:
         payload["seed"] = seed
         (tmp_path / "bad.json").write_text(json.dumps(payload))
         with pytest.raises(InvalidModel):
+            load_model(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("version", [None, 2, 7, True, 1.0, "1"])
+    @pytest.mark.parametrize("kind", ["forest", "mlp"])
+    def test_version_must_be_json_integer_one(self, rng, tmp_path, kind, version):
+        # the version was never read: a forest of version 7 loaded and predicted
+        if kind == "forest":
+            payload = _stump()
+        else:
+            model = train_mlp(rng.random((30, 3)), np.arange(30) % 2, seed=0, epochs=1)
+            save_model(model, tmp_path / "mlp.json")
+            payload = json.loads((tmp_path / "mlp.json").read_text())
+        (tmp_path / "good.json").write_text(json.dumps(payload))
+        load_model(tmp_path / "good.json")
+        payload["version"] = version
+        if version is None:
+            del payload["version"]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(InvalidModel, match="version"):
             load_model(tmp_path / "bad.json")
 
     @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"format": "other"}',

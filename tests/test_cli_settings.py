@@ -617,3 +617,46 @@ def test_eval_reports_each_pair_and_their_aggregate(tmp_path, scene):
     out = tmp_path / "unequal"
     flags = {"--gt": [gt, gt], "--pred": [peaks], "--out": [str(out / "eval.json")]}
     _assert_json_error(*_run("eval", flags, None, out), out, "ValueError")
+
+
+@pytest.mark.parametrize("config", [False, True])
+@pytest.mark.parametrize("flag", ["--gt", "--pred"])
+def test_eval_repeated_flag_is_a_usage_error(tmp_path, scene, capsys, flag, config):
+    """A second --gt or --pred used to replace the first one's files: exit 0
+    with one report of the last pair."""
+    gt, peaks = str(scene / "gt.csv"), str(scene / "peaks.csv")
+    argv = ["eval", "--gt", gt, "--pred", peaks, flag, peaks, "--out", str(tmp_path / "e.json")]
+    if config:
+        (tmp_path / "config.json").write_text(json.dumps({"gt": [gt], "pred": [gt]}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and f"{flag} given twice" in captured.err
+    assert captured.out == "" and not (tmp_path / "e.json").exists()
+
+
+def test_eval_config_lists_and_the_command_line(tmp_path, scene):
+    """A --config file's gt and pred lists are read and kind-checked; one
+    --gt and one --pred on the command line replace them (CLI > file)."""
+    gt, peaks = str(scene / "gt.csv"), str(scene / "peaks.csv")
+    out = tmp_path / "bad"
+    _assert_json_error(*_run("eval", {"--gt": [gt], "--pred": [peaks]},
+                             {"gt": [gt, 3], "pred": [peaks]}, out), out, "InvalidConfig")
+    single = _run("eval", {"--gt": [peaks], "--pred": [gt]}, None, tmp_path / "single")
+    file = {"gt": [gt, gt], "pred": [peaks, gt]}
+    replaced = _run("eval", {"--gt": [peaks], "--pred": [gt]}, file, tmp_path / "replaced")
+    assert replaced == single and single[0] == 0
+    assert set(json.loads(single[1])) >= {"f1", "tp"}  # one report, no "samples"
+
+
+def test_eval_repeated_csv_column_exit_1(tmp_path, scene):
+    """A coordinate CSV that names a column twice used to load its last copy."""
+    twice = tmp_path / "twice.csv"
+    twice.write_text("z_um,y_um,x_um,z_um\n1,2,3,4\n")
+    out = tmp_path / "eval"
+    flags = {"--gt": [str(scene / "gt.csv")], "--pred": [str(twice)],
+             "--out": [str(out / "eval.json")]}
+    rc, stdout, stderr = _run("eval", flags, None, out)
+    _assert_json_error(rc, stdout, stderr, out, "ValueError")
+    assert _error(stderr)["message"] == f"coordinate CSV {twice} names column 'z_um' more than once"

@@ -53,6 +53,14 @@ class TestLoadCoordsValidation:
         with pytest.raises(ValueError, match="empty.csv"):
             load_coords(tmp_path / "empty.csv")
 
+    @pytest.mark.parametrize("header", ["z_um,y_um,x_um,z_um", "z_um,p,y_um,x_um,p"])
+    def test_repeated_column_names_the_file_and_the_column(self, header, tmp_path):
+        # the last copy used to win: z_um,y_um,x_um,z_um with 1,2,3,4 loaded z = 4
+        names = header.split(",")
+        (tmp_path / "c.csv").write_text(f"{header}\n{','.join(['1'] * len(names))}\n")
+        with pytest.raises(ValueError, match=f"c.csv names column '{names[-1]}' more than once"):
+            load_coords(tmp_path / "c.csv")
+
     @pytest.mark.parametrize("row", ["1.0,2.0,3.0,4.0", "1.0,2.0"])
     def test_row_width_must_match_header(self, row, tmp_path):
         # a wider row used to load with its extra value dropped

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -312,14 +313,14 @@ class TestSceneFork:
     def test_artifacts_equal_without_fork(self, tmp_path, monkeypatch, classifier):
         cfg = dict(PIPE_CFG, classifier=classifier)
         log = tmp_path / "scenes.log"
-        detect_scene = pipeline_mod._detect_scene
+        scene = pipeline_mod._scene
 
         def logged(spec, *args):
             with open(log, "a") as f:
                 f.write(f"{spec.seed} {os.getpid()}\n")
-            return detect_scene(spec, *args)
+            return scene(spec, *args)
 
-        monkeypatch.setattr(pipeline_mod, "_detect_scene", logged)
+        monkeypatch.setattr(pipeline_mod, "_scene", logged)
         run_pipeline(cfg, out_dir=tmp_path / "forked")
         no_child_left()
         pids = dict(line.split() for line in log.read_text().splitlines())
@@ -331,6 +332,28 @@ class TestSceneFork:
         for name in ("report.json", "model.json", "proposals.csv"):
             assert (tmp_path / "forked" / name).read_bytes() == (
                 tmp_path / "serial" / name).read_bytes(), name
+
+    def test_maps_die_with_their_scene(self, monkeypatch):
+        # in order without os.fork: the caller's two training scenes, then the child's
+        monkeypatch.delattr(os, "fork")
+        refs, alive = [], []
+        regress, train = pipeline_mod.oracle_regress, pipeline_mod.train_forest
+
+        def regress_tracked(gt, spec):
+            alive.append((spec.seed, [ref() is not None for ref in refs]))
+            ro = regress(gt, spec)
+            refs.extend(weakref.ref(v.data) for v in (ro.dm, ro.aleatoric, ro.epistemic))
+            return ro
+
+        def train_tracked(*args, **kwargs):
+            alive.append(("train_forest", [ref() is not None for ref in refs]))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "oracle_regress", regress_tracked)
+        monkeypatch.setattr(pipeline_mod, "train_forest", train_tracked)
+        run_pipeline(dict(PIPE_CFG, train_scenes=2))
+        assert alive == [(1001, []), (1002, [False] * 3), ("train_forest", [False] * 6),
+                         (2001, [False] * 6), (1, [False] * 9)]
 
     @pytest.mark.parametrize("fork", [True, False])
     @pytest.mark.parametrize("test_scene, train_scene, error", [
