@@ -4,7 +4,8 @@ Each subcommand's flags and their defaults are written once, in the flag
 table of ``build_parser``; string choices come from ``pipeline._CHOICES``.
 ``--config FILE`` names a JSON object keyed by flag destinations
 (``min_distance_um`` for ``--min-distance-um``); its values replace the flag
-defaults and a flag on the command line still wins (CLI > file > default).
+defaults and a flag on the command line still wins (CLI > file > default);
+a required flag may come from the file alone.
 ``synth`` also takes any ``SynthSpec`` field and ``pipeline`` any
 ``run_pipeline`` config key. The file goes through ``run_pipeline``'s own
 kind check, ``pipeline._check_setting``; ranges are checked by the objects
@@ -333,12 +334,21 @@ def _read_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    required = [a for command in commands.values() for a in command._actions if a.required]
+    for command in commands.values():  # usage as built, required flags unbracketed
+        command.usage = command.format_usage().removeprefix("usage: ").rstrip()
+    for action in required:  # a --config file may give it: checked after the merge
+        action.required = False
     args = parser.parse_args(argv)
+    command = commands[args.command]
     try:
         if args.config:
-            command = commands[args.command]
             command.set_defaults(**_read_config(args, command))
             args = parser.parse_args(argv)  # CLI > file > default
+        missing = [a for a in command._actions if a in required and getattr(args, a.dest) is None]
+        if missing:
+            command.error("the following arguments are required: "
+                          + ", ".join("/".join(a.option_strings) for a in missing))
         cfg = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS and v is not None}
         return args.func(cfg)
     except (ProbcellError, OSError, ValueError, KeyError, TypeError, ArithmeticError,

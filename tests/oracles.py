@@ -118,6 +118,34 @@ def brute_force_edt(mask, voxel_size):
     return out
 
 
+def scipy_assignment(cost):
+    """linear_sum_assignment as the package called it before its numpy port:
+    scipy's rectangular_lsap."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
+
+
+def scipy_distances(a, b):
+    """The pair distances as the package took them before its numpy port:
+    scipy's cdist."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b)
+
+
+def scipy_hungarian_match(gt, pred):
+    """hungarian_match as it stood on scipy's cdist and linear_sum_assignment,
+    far pairs (an overflowing square) solved at a cost above any min(n, m)
+    finite pairs and reported inf apart."""
+    dist = scipy_distances(gt.coords, pred.coords)
+    far = np.isinf(dist)
+    dist[far] = dist.max(initial=1.0, where=~far) * (min(dist.shape) + 1)
+    rows, cols = scipy_assignment(dist)
+    dist[far] = np.inf
+    return sorted((int(r), int(c), float(dist[r, c])) for r, c in zip(rows, cols))
+
+
 def brute_force_assignment_cost(gt, pred):
     """Optimal total distance over all one-to-one partial assignments."""
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)

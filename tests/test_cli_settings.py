@@ -70,6 +70,7 @@ def _base(command: str, scene: Path, out: Path) -> dict[str, list[str]]:
         "render-dm": {"--coords": [scene / "gt.csv"], "--shape": [16, 16, 16],
                       "--out": [out / "dm"]},
         "detect": {"--volume": [scene / "dm"], "--out": [out / "peaks.csv"]},
+        "features": {**maps, "--out": [out / "features.csv"]},
         "train-classifier": {**maps, "--gt": [scene / "gt.csv"], "--out": [out / "model.json"]},
         "eval": {"--gt": [scene / "gt.csv"], "--pred": [scene / "peaks.csv"],
                  "--out": [out / "eval.json"]},
@@ -272,9 +273,8 @@ def _edge_draw(flags: dict, command: str, option: str, value, route: str, out: P
     file = None
     if route == "cli":
         flags[option] = [str(v) for v in values]
-    else:  # a required flag stays on the command line, which wins
-        if action is None or not action.required:
-            flags.pop(option, None)
+    else:
+        flags.pop(option, None)
         dest = option if action is None else action.dest
         file = {dest: values if action is not None and action.nargs else value}
     with _wall_budget(BUDGET_S):
@@ -660,3 +660,47 @@ def test_eval_repeated_csv_column_exit_1(tmp_path, scene):
     rc, stdout, stderr = _run("eval", flags, None, out)
     _assert_json_error(rc, stdout, stderr, out, "ValueError")
     assert _error(stderr)["message"] == f"coordinate CSV {twice} names column 'z_um' more than once"
+
+
+# subcommand -> its required flags, for each subcommand that has one
+REQUIRED = {
+    name: [action for action in command._actions if action.required]
+    for name, command in build_parser()[1].items()
+    if any(action.required for action in command._actions)
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_required_flags_from_the_config_file(tmp_path, scene, command):
+    """A required flag that only the --config file gave used to exit 2, "the
+    following arguments are required": argparse checked the command line
+    before the file was read. Given by the file, the flags now give the
+    command line's result; given by neither, they still exit 2 with
+    argparse's message, which names only those missing."""
+    def flags(out):
+        if command != "classify":
+            return _base(command, scene, out)
+        return {"--model": [str(tmp_path / "model" / "model.json")],
+                **_base("features", scene, out), "--out": [str(out / "classified.csv")]}
+
+    if command == "classify":
+        model = tmp_path / "model"
+        assert _run("train-classifier", _base("train-classifier", scene, model), None, model)[0] == 0
+    cli = _run(command, flags(tmp_path / "cli"), None, tmp_path / "cli")
+    assert cli[0] == 0, cli[2]
+    rest = flags(tmp_path / "file")
+    file = {}
+    for action in REQUIRED[command]:
+        values = [(action.type or str)(v) for v in rest.pop(action.option_strings[0])]
+        file[action.dest] = values if action.nargs else values[0]
+    rc, stdout, stderr = _run(command, rest, file, tmp_path / "file")
+    assert rc == 0, stderr
+    assert stdout.replace(str(tmp_path / "file"), "OUT") == cli[1].replace(str(tmp_path / "cli"), "OUT")
+
+    names = [action.option_strings[0] for action in REQUIRED[command]]
+    for out, given in ((tmp_path / "none", None), (tmp_path / "part", dict(list(file.items())[1:]))):
+        rc, stdout, stderr = _run(command, rest, given, out)
+        missing = names if given is None else names[:1]
+        assert rc == 2 and stdout == "" and _files(out) == []
+        assert stderr.startswith(f"usage: probcell {command} [-h] [--config CONFIG] {names[0]} ")
+        assert stderr.endswith(f"error: the following arguments are required: {', '.join(missing)}\n")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from probcell import (
     CoordSet,
@@ -10,7 +13,14 @@ from probcell import (
     score_probability_terms,
 )
 
-from oracles import brute_force_assignment_cost
+from probcell.evalmetrics import linear_sum_assignment, pair_distances
+
+from oracles import (
+    brute_force_assignment_cost,
+    scipy_assignment,
+    scipy_distances,
+    scipy_hungarian_match,
+)
 
 
 def cs(*points, p=None):
@@ -39,6 +49,78 @@ class TestHungarian:
             got = sum(d for _, _, d in pairs)
             want = brute_force_assignment_cost(gt, pred)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def _costs(draw):
+    """A 0-40 x 0-40 cost matrix, tall or wide: integer costs in {0..3}
+    (ties everywhere), one constant, or uniform floats."""
+    shape = (draw(st.integers(0, 40)), draw(st.integers(0, 40)))
+    kind = draw(st.sampled_from(["integer", "constant", "float"]))
+    if kind == "integer":
+        return draw(arrays(np.float64, shape, elements=st.integers(0, 3)))
+    if kind == "constant":
+        return np.full(shape, float(draw(st.integers(0, 3))))
+    return draw(arrays(np.float64, shape, elements=st.floats(0.0, 100.0)))
+
+
+@st.composite
+def _point_sets(draw):
+    """Two 0-40 point sets on a small integer grid (duplicates and equal
+    distances throughout), a finer grid, anywhere in a box (where the order
+    of the sum decides the last bit), or with coordinates whose squared
+    distance overflows float64."""
+    values = draw(st.sampled_from([
+        st.integers(0, 3).map(float),
+        st.integers(-20, 20).map(lambda k: k * 0.25),
+        st.floats(-100.0, 100.0),
+        st.sampled_from([0.0, 1.0, -2.5, 1.4e154, -1.4e154, 1e300, -1e300]),
+    ]))
+    return [draw(arrays(np.float64, (draw(st.integers(0, 40)), 3), elements=values))
+            for _ in range(2)]
+
+
+class TestScipyOracle:
+    """The numpy solver and distances against scipy's linear_sum_assignment
+    and cdist, which the package used before: equal assignments, ties
+    included, and equal distances bit for bit."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(cost=_costs())
+    def test_assignment_equals_scipy(self, cost):
+        rows, cols = linear_sum_assignment(cost)
+        want_rows, want_cols = scipy_assignment(cost)
+        assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(points=_point_sets())
+    def test_distances_and_matches_equal_scipy(self, points):
+        a, b = points
+        want = scipy_distances(a, b)
+        got = pair_distances(a, b)  # an overflow is inf, without a warning
+        pairs = hungarian_match(CoordSet(a), CoordSet(b))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert pairs == scipy_hungarian_match(CoordSet(a), CoordSet(b))
+
+    def test_large_matrix_equals_scipy(self, rng):
+        """Blocks of rows in the distances, and long augmenting paths."""
+        gt = rng.uniform(0.0, 60.0, (300, 3))
+        pred = np.concatenate([gt + rng.normal(0.0, 1.0, gt.shape), rng.uniform(0.0, 60.0, (80, 3))])
+        for a, b in ((gt, pred), (pred, gt)):
+            assert pair_distances(a, b).tobytes() == scipy_distances(a, b).tobytes()
+            assert hungarian_match(CoordSet(a), CoordSet(b)) == scipy_hungarian_match(
+                CoordSet(a), CoordSet(b))
+
+    @pytest.mark.parametrize("cost, message", [
+        ([[0.0, np.nan]], "invalid numeric entries"),
+        ([[0.0], [-np.inf]], "invalid numeric entries"),
+        ([[np.inf, np.inf], [0.0, 1.0]], "infeasible"),
+        ([[np.inf, 1.0], [np.inf, 2.0]], "infeasible"),
+    ])
+    def test_scipy_value_errors(self, cost, message):
+        for solve in (linear_sum_assignment, scipy_assignment):
+            with pytest.raises(ValueError, match=message):
+                solve(np.asarray(cost))
 
 
 class TestReferenceScenarios:
