@@ -17,8 +17,8 @@ Scott's bandwidth (SD * n^(-1/5)), evaluated in closed form on a shared
 distance grid; ``cdf_mode="empirical"`` switches to raw step CDFs.
 
 Both analyses read one prelude built by ``prepare_spatial``: the tissue
-volume and, per structure, its EDT, its background and its ESD pool sorted
-in place, so a run computes each EDT, sorts each pool and holds it once.
+volume and, per structure, its EDT, its background bits and its ESD pool
+sorted in place, so a run computes each EDT, sorts each pool and holds it once.
 
 The EDT's voxel-by-voxel feature buffer, which its distances overwrite, is
 explained in the README ("The exact EDT in one buffer").
@@ -76,10 +76,13 @@ def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
     """
     sampling = np.asarray(sampling, dtype=np.float64)
     shape, n = fg.shape, fg.size
-    # features (z, y, x, component) in C order, padded to whole float64s
+    # features (z, y, x, component) in C order, padded to whole float64s; its
+    # first n bytes hold the input, fg's complement, which scipy copies to int8
+    # before it writes the features
     buffer = np.empty(3 * n + n % 2, np.int32)
     ft = buffer[: 3 * n].reshape(shape + (3,))
-    ndimage.distance_transform_edt(np.logical_not(fg), sampling=sampling, return_distances=False,
+    background = np.logical_not(fg, out=buffer.view(bool)[:n].reshape(shape))
+    ndimage.distance_transform_edt(background, sampling=sampling, return_distances=False,
                                    return_indices=True, indices=ft.transpose(3, 0, 1, 2))
     # scipy's own arithmetic (int32 offset, times sampling, squared, summed
     # z + y + x), z ascending: plane z's distances fill bytes [8Pz, 8P(z + 1)),
@@ -99,7 +102,7 @@ def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
             np.add(total, term, out=total)
         np.sqrt(total, out=edt[z])
     # no view of the buffer is left, so realloc may cut it to the distances
-    del ft, edt
+    del ft, edt, background
     buffer.resize(2 * n, refcheck=False)
     return buffer.view(np.float64).reshape(shape)
 
@@ -149,21 +152,22 @@ def scott_bandwidth(x: np.ndarray) -> float:
     return float(np.std(x, ddof=1) * x.size ** (-1.0 / 5.0))
 
 
-def esd_pool(edt: Volume3D, tissue_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """EDT values over tissue background voxels, sorted, and the background.
-
-    tissue_mask is the boolean tissue grid as ``prepare_spatial`` checked
-    it. Structure voxels are exactly those at EDT 0, so the background is
-    the tissue where the EDT is positive.
+def esd_pool(edt: Volume3D, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The EDT over a structure's background voxels, sorted, and each (z, y)
+    row's first index into them in C order, the pool size last. background
+    is ``np.packbits(tissue & ~structure, axis=-1)``, unpacked a z-plane at a time.
     """
-    if edt.shape != tissue_mask.shape:
+    nz, ny, nx = edt.shape
+    if background.shape != (nz, ny, -(-nx // 8)):
         raise ShapeMismatch("structure and tissue masks must share the grid")
-    background = tissue_mask & (edt.data > 0)
-    if not background.any():
-        raise DegenerateESD("no background voxels remain inside the tissue")
-    pool = edt.data[background]
+    planes = (np.unpackbits(bits, axis=-1, count=nx).view(bool) for bits in background)
+    starts = np.concatenate(([0], np.cumsum([np.count_nonzero(p, axis=1) for p in planes])))
+    pool = np.empty(starts[-1])
+    for z, (values, bits) in enumerate(zip(edt.data, background)):
+        picked = np.unpackbits(bits, axis=-1, count=nx).view(bool)
+        pool[starts[z * ny] : starts[(z + 1) * ny]] = values[picked]
     pool.sort()
-    return pool, background
+    return pool, starts
 
 
 def cell_distances(cells: CoordSet, edt: Volume3D) -> np.ndarray:
@@ -255,8 +259,9 @@ class SpatialReport:
 
 @dataclass(frozen=True)
 class PreparedStructure:
-    """A structure's EDT, its background, each (z, y) row's first pool index
-    (the pool size last) and the ESD CDF, whose samples are the pool, sorted."""
+    """A structure's EDT, its background bits (``esd_pool``), each (z, y) row's
+    first pool index (the pool size last) and the ESD CDF, whose samples are
+    the pool, sorted."""
 
     edt: Volume3D
     background: np.ndarray
@@ -266,13 +271,15 @@ class PreparedStructure:
     def pool_at(self, i: np.ndarray) -> np.ndarray:
         """``edt.data[background][i]`` read from the EDT: each index's row and rank
         there, then the row's voxel of that rank, with ~1 MiB of temporaries a chunk."""
-        rows = self.background.reshape(-1, self.background.shape[-1])
-        out, step = np.empty(i.size), max(1, 2**20 // (10 * rows.shape[1]))
+        width = self.edt.shape[2]
+        rows = self.background.reshape(-1, self.background.shape[2])
+        out, step = np.empty(i.size), max(1, 2**20 // (10 * width))
         for first in range(0, i.size, step):
             j = i[first : first + step]
             row = np.searchsorted(self.row_starts, j, side="right") - 1
-            x = np.argmax(np.cumsum(rows[row], 1, np.int32) > (j - self.row_starts[row])[:, None], 1)
-            out[first : first + step] = self.edt.data.reshape(rows.shape)[row, x]
+            bits = np.unpackbits(rows[row], axis=1, count=width)
+            x = np.argmax(np.cumsum(bits, 1, np.int32) > (j - self.row_starts[row])[:, None], 1)
+            out[first : first + step] = self.edt.data.reshape(-1, width)[row, x]
         return out
 
 
@@ -284,25 +291,54 @@ class SpatialPrelude:
     structures: dict[str, PreparedStructure]
 
 
-def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> SpatialPrelude:
-    """Check the tissue mask once, then compute each structure's EDT, ESD
-    pool, sorted, and background for both analyses. A structure on another grid
-    than the tissue (shape or voxel size) raises ShapeMismatch before its EDT."""
-    tissue = _binary(tissue, "tissue")
-    n_tissue = np.count_nonzero(tissue.data)
-    if n_tissue == 0:
-        raise ValueError("tissue mask is empty")
-    tissue_mm3 = n_tissue * tissue.voxel_volume_um3 / 1e9
-    prepared = {}
+def _checked_masks(structures: dict[str, Volume3D], tissue: Volume3D) -> tuple[dict, dict]:
+    """Each structure as booleans and its background bits. Structure by
+    structure: ShapeMismatch on another grid than the tissue's (shape or voxel
+    size), a non-binary mask, EmptyStructure, then DegenerateESD."""
+    masks, backgrounds = {}, {}
     for name, structure in structures.items():
         if (structure.shape, structure.voxel_size) != (tissue.shape, tissue.voxel_size):
             raise ShapeMismatch(
                 f"structure {name!r} is {structure.shape} voxels of {structure.voxel_size} um, "
                 f"the tissue {tissue.shape} voxels of {tissue.voxel_size} um"
             )
-        edt = distance_transform(structure)
-        pool, background = esd_pool(edt, tissue.data)
-        starts = np.concatenate(([0], np.count_nonzero(background, axis=2).cumsum()))
+        masks[name] = structure = _binary(structure, "structure")
+        if not structure.data.any():
+            raise EmptyStructure("structure mask has no foreground voxels")
+        # tissue & ~structure (True > False is the one true case) a z-plane at
+        # a time: a whole-volume temporary stays resident once freed (README)
+        planes = zip(tissue.data, structure.data)
+        backgrounds[name] = np.stack([np.packbits(t > s, axis=-1) for t, s in planes])
+        if not backgrounds[name].any():
+            raise DegenerateESD("no background voxels remain inside the tissue")
+    return masks, backgrounds
+
+
+def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> SpatialPrelude:
+    """Check every mask, then compute each structure's EDT and its ESD pool,
+    sorted, for both analyses.
+
+    Every error comes before the first EDT: a voxel size whose smallest side
+    cubed is not a normal float (scipy's feature transform compares products
+    of three distances; at 1e-110 um a structure voxel's nearest is often not
+    itself), a non-binary or empty tissue, then ``_checked_masks``'. So the
+    background, tissue minus structure, is where the EDT is positive. The
+    tissue is let go before the first EDT and each structure with its own.
+    """
+    smallest = min(tissue.voxel_size)
+    if smallest * smallest * smallest < np.finfo(float).smallest_normal:
+        raise ValueError(f"voxel_size {tissue.voxel_size}: its smallest side cubed is not a normal float")
+    tissue = _binary(tissue, "tissue")
+    n_tissue = np.count_nonzero(tissue.data)
+    if n_tissue == 0:
+        raise ValueError("tissue mask is empty")
+    tissue_mm3 = n_tissue * tissue.voxel_volume_um3 / 1e9
+    masks, backgrounds = _checked_masks(structures, tissue)
+    del structures, tissue
+    prepared = {}
+    for name, background in backgrounds.items():
+        edt = distance_transform(masks.pop(name))
+        pool, starts = esd_pool(edt, background)
         prepared[name] = PreparedStructure(edt, background, starts, DistanceCdf(pool))
     return SpatialPrelude(tissue_mm3, prepared)
 

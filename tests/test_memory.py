@@ -57,12 +57,13 @@ def test_distance_transform_peak(shape):
     structure = Volume3D(m, (1.0, 1.0, 1.0))
     n = m.size
     plane = shape[1] * shape[2]
-    # While the transform runs: the background (1 B), the int32 feature
-    # buffer (12 B) and scipy's int64 and int8 copies of its input (9 B), 22 B
-    # in all. Then the feature buffer, which the distances overwrite, and one
-    # plane's int32 offset and two float64 buffers (20 B per plane voxel); a
-    # separate whole-volume float64 result fails.
-    bound = max(22 * n, 12 * n + 20 * plane) + SMALL
+    # While the transform runs: the int32 feature buffer (12 B), whose first
+    # bytes hold scipy's input, the mask's complement, and scipy's int64 and
+    # int8 copies of that input (9 B), 21 B in all. Then the feature buffer,
+    # which the distances overwrite, and one plane's int32 offset and two
+    # float64 buffers (20 B per plane voxel); a separate whole-volume float64
+    # result fails, as does the input apart from the feature buffer.
+    bound = max(21 * n, 12 * n + 20 * plane) + SMALL
     assert traced_peak(distance_transform, structure) <= bound
 
 
@@ -109,12 +110,12 @@ def generate_structures_bound(spec, side: int) -> int:
     float64 sum (8 B per plane voxel). Then the tissue, centerline and
     structure booleans (3 B), returned as they are, and one tube EDT at a
     time on a box at most side voxels a side, as distance_transform does:
-    the background, feature buffer and scipy's copies of the input (22 B),
-    then the buffer and one plane's buffers (20 B per plane voxel, see
-    above). Float32 copies of the masks (8 B) fail, as does a whole-volume
-    float64 sum or a full-volume EDT."""
+    the feature buffer and scipy's copies of the input (21 B), then the
+    buffer and one plane's buffers (20 B per plane voxel, see above).
+    Float32 copies of the masks (8 B) fail, as does a whole-volume float64
+    sum or a full-volume EDT."""
     n, plane, box = np.prod(spec.shape), spec.shape[1] * spec.shape[2], side**3
-    return max(n + 8 * plane, 3 * n + max(22 * box, 12 * box + 20 * side**2)) + SMALL
+    return max(n + 8 * plane, 3 * n + max(21 * box, 12 * box + 20 * side**2)) + SMALL
 
 
 def test_generate_structures_peak():
@@ -134,10 +135,10 @@ def test_generate_structures_long_walk_peak():
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (67, 64, 64)])
 def test_prepare_spatial_keeps_one_pool_copy(shape):
-    """What the prelude keeps: the EDT (8 B per voxel), the background (1 B),
-    one copy of the ESD pool, sorted (8 B per value), and each (z, y) row's
-    start in it (8 B per row, plus one). A voxel-order pool held beside the
-    sorted one fails."""
+    """What the prelude keeps: the EDT (8 B per voxel), the background
+    packed 8 voxels a byte, one copy of the ESD pool, sorted (8 B per value),
+    and each (z, y) row's start in it (8 B per row, plus one). A voxel-order
+    pool held beside the sorted one fails."""
     vs = (1.0, 1.0, 1.0)
     structure = np.zeros(shape, dtype=bool)
     structure[3, 40, 40] = True
@@ -151,7 +152,55 @@ def test_prepare_spatial_keeps_one_pool_copy(shape):
         tracemalloc.stop()
     n, pool = structure.size, prelude.structures["s"].esd.samples.size
     assert pool == np.count_nonzero(tissue & ~structure)
-    assert kept <= 9 * n + 8 * pool + 8 * (shape[0] * shape[1] + 1) + SMALL
+    assert kept <= 8 * n + n // 8 + 8 * pool + 8 * (shape[0] * shape[1] + 1) + SMALL
+
+
+def _two_points(shape, at) -> np.ndarray:
+    m = np.zeros(shape, dtype=bool)
+    m[at], m[3, 40, 40] = True, True
+    return m
+
+
+def _tissue(shape) -> np.ndarray:
+    tissue = np.ones(shape, dtype=bool)
+    tissue[:, :2] = False
+    return tissue
+
+
+def test_prepare_spatial_holdings_in_transform(monkeypatch):
+    """Traced as each feature transform starts, for masks that only
+    prepare_spatial references, two structures at 128^3: no tissue-sized
+    boolean but the structures still to transform and the backgrounds,
+    packed 8 voxels a byte. At the first: the feature buffer (12 B), which
+    holds scipy's input, both structures (2 B) and both backgrounds. At the
+    second: the first structure's EDT (8 B), pool (8 B per value) and row
+    starts, the feature buffer, the second structure and the backgrounds.
+    The tissue held through the transforms fails, as does scipy's input
+    apart from the feature buffer, the first structure held through the
+    second, or its background as booleans."""
+    from probcell import spatial
+
+    shape, vs = (128, 128, 128), (1.0, 1.0, 1.0)
+    n, rows = np.prod(shape), shape[0] * shape[1] + 1
+    real, held = spatial.ndimage.distance_transform_edt, []
+
+    def traced_edt(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spatial.ndimage, "distance_transform_edt", traced_edt)
+    tracemalloc.start()
+    try:
+        prelude = prepare_spatial(
+            {"a": Volume3D(_two_points(shape, (64, 5, 7)), vs),
+             "b": Volume3D(_two_points(shape, (9, 90, 20)), vs)},
+            Volume3D(_tissue(shape), vs),
+        )
+    finally:
+        tracemalloc.stop()
+    pool = prelude.structures["a"].esd.samples.size
+    assert held[0] <= 14 * n + 2 * (n // 8) + SMALL
+    assert held[1] <= 8 * n + 8 * pool + 8 * rows + 13 * n + 2 * (n // 8) + SMALL
 
 
 def test_pool_lookup_peak():
@@ -171,12 +220,14 @@ def test_pool_lookup_peak():
 
 
 def test_cli_spatial_peak(tmp_path):
-    """`probcell spatial` on a 64^3 scene read from disk holds each mask as
-    booleans from the moment it is checked. At the peak: the structure and
-    tissue booleans (2 B) and the EDT's 22 B (see above). Each mask's float32
-    as read (4 B) is freed once the mask is found binary; one of them held
-    through the EDT fails."""
-    shape = (64, 64, 64)
+    """`probcell spatial` on a 96^3 scene read from disk holds each mask as
+    booleans from the moment it is checked, and lets the tissue go before
+    the EDT. At the peak: the structure booleans (1 B), its background
+    packed 8 voxels a byte, and the EDT's 21 B (see above). Each mask's
+    float32 as read (4 B) is freed once the mask is found binary; the tissue
+    held through the EDT fails, as does scipy's input apart from the
+    feature buffer."""
+    shape = (96, 96, 96)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--out", str(tmp_path / "scene"), "--shape", *map(str, shape),
                      "--n-cells", "20", "--n-distractors", "5", "--seed", "1"]) == 0
@@ -188,7 +239,8 @@ def test_cli_spatial_peak(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         peak = traced_peak(lambda: codes.append(main(argv)))
     assert codes == [0]
-    assert peak <= 24 * np.prod(shape) + SMALL
+    n = np.prod(shape)
+    assert peak <= 22 * n + n // 8 + SMALL
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])

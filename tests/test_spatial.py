@@ -1,8 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +55,11 @@ from oracles import (
 
 def mask(data, voxel_size=(1.0, 1.0, 1.0)):
     return vol(np.asarray(data, dtype=np.float32), voxel_size)
+
+
+def packed(background):
+    """A boolean background as ``esd_pool`` takes it, 8 voxels a byte along x."""
+    return np.packbits(background, axis=-1)
 
 
 # z lengths of 1 and 2 (a plane's distances overwrite its own features) and
@@ -146,14 +153,14 @@ class TestEsd:
     def test_structure_equals_tissue_degenerate(self):
         m = np.ones((3, 3, 3))
         with pytest.raises(DegenerateESD):
-            esd_pool(distance_transform(mask(m)), m > 0)
+            prepare_spatial({"s": mask(m)}, mask(m))
 
     def test_slab_gives_linear_cdf(self):
         shape = (4, 4, 32)
         m = np.zeros(shape)
         m[:, :, 0] = 1.0
         tissue = np.ones(shape)
-        cdf = DistanceCdf(esd_pool(distance_transform(mask(m)), tissue > 0)[0])
+        cdf = DistanceCdf(esd_pool(distance_transform(mask(m)), packed((tissue > 0) & (m == 0)))[0])
         # distances over background are x = 1..31 um, uniform
         grid = np.arange(1, 32, dtype=float)
         values = cdf.evaluate(grid, mode="empirical")
@@ -164,7 +171,7 @@ class TestEsd:
         m = np.zeros(shape)
         m[4, 4, 4] = 1.0
         tissue = np.ones(shape)
-        pool = esd_pool(distance_transform(mask(m)), tissue > 0)[0]
+        pool = esd_pool(distance_transform(mask(m)), packed((tissue > 0) & (m == 0)))[0]
         assert pool.size == 8**3 - 1
         target = 3.0
         direct = (brute_force_edt(m > 0, (1, 1, 1)) < target) & (m == 0)
@@ -205,7 +212,7 @@ class TestCellDistances:
         m[10:14, 10:14, :] = 1.0
         tissue = np.ones(shape)
         edt = distance_transform(mask(m))
-        pool = esd_pool(edt, tissue > 0)[0]
+        pool = esd_pool(edt, packed((tissue > 0) & (m == 0)))[0]
         bg = np.argwhere((m == 0))
         take = bg[rng.integers(0, len(bg), size=400)]
         cells = CoordSet((take + 0.5).astype(float))
@@ -422,6 +429,130 @@ class TestSortedEsd:
         assert np.array_equal(prep.pool_at(np.arange(pool.size)), pool)
         draws = np.random.default_rng(0).integers(0, pool.size, size=3 * pool.size)
         assert np.array_equal(prep.pool_at(draws), pool[draws])
+
+
+def _smallest_accepted_side() -> float:
+    """The least voxel side whose cube is a normal float, by bisection on
+    the bit patterns of the positive floats, which they order as numbers."""
+    lo, hi = 0, int(np.float64(1e-100).view(np.int64))  # lo refused, hi accepted
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        side = float(np.int64(mid).view(np.float64))
+        lo, hi = (lo, mid) if side * side * side >= sys.float_info.min else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+SMALLEST_SIDE = _smallest_accepted_side()
+_SIDE = st.one_of(_SPACING, st.floats(1e90, 1e100), st.just(SMALLEST_SIDE))
+_KINDS = ("background", "empty", "covers", "shape", "voxel")
+
+
+@st.composite
+def _prelude_cases(draw):
+    """A tissue and one to three structures, each one of _KINDS: leaving
+    tissue background, empty, covering the tissue, or on another shape or
+    voxel size; voxel sides anisotropic or not, up to 1e100 um, and down to
+    the smallest accepted."""
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    voxel = draw(st.one_of(_SIDE.map(lambda s: (s, s, s)), st.tuples(_SIDE, _SIDE, _SIDE)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tissue = g.random(shape) < draw(st.floats(0.3, 1.0))
+    tissue.flat[draw(st.integers(0, tissue.size - 1))] = True
+    structures = {}
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3))):
+        structure = g.random(shape) < draw(st.floats(0.0, 0.5))
+        if kind == "background":
+            background = np.flatnonzero(tissue)[draw(st.integers(0, tissue.sum() - 1))]
+            structure.flat[background] = False
+            structure.flat[draw(st.integers(0, tissue.size - 1))] = True
+            assume(structure.any() and (tissue & ~structure).any())
+        elif kind == "empty":
+            structure[...] = False
+        elif kind == "covers":
+            structure |= tissue
+        else:
+            structure.flat[0] = True
+        at = voxel if kind != "voxel" else tuple(2.0 * v for v in voxel)
+        if kind == "shape":
+            structure = np.concatenate([structure, structure[:1]])
+        structures[f"s{k}"] = Volume3D(structure, at)
+    return structures, Volume3D(tissue, voxel)
+
+
+def _first_error(structures, tissue):
+    """The error the prelude raises: structure by structure, its grid, then
+    its foreground, then tissue background outside it; None when all pass."""
+    for structure in structures.values():
+        if (structure.shape, structure.voxel_size) != (tissue.shape, tissue.voxel_size):
+            return ShapeMismatch
+        if not structure.data.any():
+            return EmptyStructure
+        if not (tissue.data & ~structure.data).any():
+            return DegenerateESD
+    return None
+
+
+class TestPreludeChecks:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @example(case=(
+        {"a": Volume3D(np.eye(4, dtype=bool)[None], (1, 1, 1)),
+         "b": Volume3D(np.zeros((1, 4, 4), bool), (1, 1, 1))},
+        Volume3D(np.ones((1, 4, 4), bool), (1, 1, 1)),
+    ))
+    @given(case=_prelude_cases())
+    def test_one_background_and_errors_before_any_edt(self, case):
+        """Each structure's background is the tissue where its EDT is
+        positive and its pool the oracle's, which takes the tissue minus the
+        structure. A failing structure raises what it always raised, in the
+        same order, and before any EDT runs, also after structures that pass."""
+        import probcell.spatial as spatial
+
+        structures, tissue = case
+        expected = _first_error(structures, tissue)
+        if expected is not None:
+            edt = mock.patch.object(spatial, "_exact_edt", side_effect=AssertionError("an EDT ran"))
+            with edt, pytest.raises(expected):
+                prepare_spatial(structures, tissue)
+            return
+        prelude = prepare_spatial(structures, tissue)
+        for name, prep in prelude.structures.items():
+            background = np.unpackbits(prep.background, axis=-1, count=tissue.shape[2])
+            assert np.array_equal(background.view(bool), tissue.data & (prep.edt.data > 0))
+            pool = _reference_esd_pool(structures[name], tissue)
+            assert np.array_equal(prep.esd.samples, np.sort(pool))
+            assert np.array_equal(prep.pool_at(np.arange(pool.size)), pool)
+
+    @pytest.mark.parametrize("side, accepted", [
+        (1e-200, False), (1e-160, False), (float(np.nextafter(SMALLEST_SIDE, 0.0)), False),
+        (SMALLEST_SIDE, True), (1e-100, True),
+    ])
+    def test_voxel_side_below_the_exact_transform_is_refused(self, tmp_path, capsys, side, accepted):
+        """On 8^3 masks with one structure voxel, a side whose cube is a
+        normal float keeps all 511 tissue background voxels in the pool. A
+        smaller one is refused by name, and `probcell spatial` exits 1 with
+        the JSON payload: at 1e-200 every distance was 0, and the pool empty;
+        at 1e-160 the density overflowed the report."""
+        m = np.zeros((8, 8, 8))
+        m[4, 4, 4] = 1.0
+        structure, tissue = mask(m, (side,) * 3), mask(np.ones((8, 8, 8)), (side,) * 3)
+        if accepted:
+            pool = prepare_spatial({"s": structure}, tissue).structures["s"].esd.samples
+            assert pool.size == 511 and np.array_equal(pool, np.sort(_reference_esd_pool(structure, tissue)))
+            return
+        message = f"voxel_size {(side,) * 3}: its smallest side cubed is not a normal float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prepare_spatial({"s": structure}, tissue)
+        save_coords(CoordSet(np.array([[2.5 * side] * 3])), tmp_path / "cells.csv")
+        save_volume(structure, tmp_path / "structure")
+        save_volume(tissue, tmp_path / "tissue")
+        rc = main([
+            "spatial", "--cells", str(tmp_path / "cells.csv"),
+            "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
+            "--out-dir", str(tmp_path / "sp"),
+        ])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == {"type": "ValueError", "message": message}
 
 
 def _oracle_case(case):

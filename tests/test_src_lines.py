@@ -1,6 +1,7 @@
 """``tools/src_lines.py`` puts every source line in exactly one class, and
 its module lines sum to its total."""
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,39 @@ def test_module_lines_sum_to_the_total(capsys):
     assert len(modules) == len(list((ROOT / "src" / "probcell").glob("*.py"))) > 1
     assert [sum(column) for column in zip(*modules)] == total
     assert total[0] == sum(total[1:])
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                   check=True, capture_output=True)
+
+
+def test_against_a_revision(tmp_path, capsys):
+    """--against REV reads REV's files with git show: against HEAD a clean
+    package shows zero change, and after an edit, a new module and a deleted
+    one, the change per module and class, its sum first."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text('"""A."""\nx = 1\n\n# note\ny = 2\n')
+    (pkg / "gone.py").write_text("z = 3\n")
+    (pkg / "data.txt").write_text("not counted\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "base")
+
+    def change():
+        capsys.readouterr()
+        assert SRC_LINES["main"]([str(pkg), "--against", "HEAD"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        return out[out.index(next(o for o in out if " against HEAD: " in o)):]
+
+    assert change() == [f"{pkg} against HEAD: +0 lines = +0 code, +0 docstrings, +0 comments, +0 blank"]
+    (pkg / "a.py").write_text('"""A."""\nx = 1\n# note\n# more\n')
+    (pkg / "gone.py").unlink()
+    (pkg / "new.py").write_text("w = 4\n\n")
+    assert change() == [
+        f"{pkg} against HEAD: +0 lines = -1 code, +0 docstrings, +1 comments, +0 blank",
+        "  a.py: -1 lines = -1 code, +0 docstrings, +1 comments, -1 blank",
+        "  gone.py: -1 lines = -1 code, +0 docstrings, +0 comments, +0 blank",
+        "  new.py: +2 lines = +1 code, +0 docstrings, +0 comments, +1 blank",
+    ]

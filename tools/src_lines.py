@@ -1,6 +1,6 @@
 """Line report of the package source: total, code, docstrings, comments, blank.
 
-    python3 tools/src_lines.py [DIR]
+    python3 tools/src_lines.py [DIR] [--against REV]
 
 DIR defaults to ``src/probcell`` beside this script's directory; every
 ``*.py`` file directly in it is counted. The report's first line sums them
@@ -9,11 +9,17 @@ falls in one class: docstrings are the lines of string-expression
 statements (found with ``ast``), comments are lines holding only a ``#``
 comment (found with ``tokenize``), blank lines hold only whitespace, and
 every other line is code, including a code line with a trailing comment.
+
+``--against REV`` then prints the net change from git revision REV, whose
+files are read with ``git show REV:path``, in the same lines: the sum first,
+then each module that changed, one added or deleted included.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -47,26 +53,56 @@ def classify(source: str) -> dict[str, int]:
     return counts
 
 
+def counts(source: str) -> dict[str, int]:
+    """Total lines and KINDS of one file's source."""
+    return {"total": len(source.splitlines()), **classify(source)}
+
+
 def report(root: Path) -> dict[str, dict[str, int]]:
     """Total lines and KINDS of each of root's ``*.py`` files, by file name."""
-    modules = {}
-    for path in sorted(root.glob("*.py")):
-        source = path.read_text()
-        modules[path.name] = {"total": len(source.splitlines()), **classify(source)}
-    return modules
+    return {path.name: counts(path.read_text()) for path in sorted(root.glob("*.py"))}
 
 
-def line(label, counts: dict[str, int]) -> str:
-    """One report line: the label, its total, then KINDS."""
-    return f"{label}: {counts['total']:,} lines = " + " + ".join(f"{counts[k]:,} {k}" for k in KINDS)
+def report_at(root: Path, rev: str) -> dict[str, dict[str, int]]:
+    """``report(root)`` of the files as they were at git revision rev."""
+    def git(*args) -> str:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                              check=True).stdout
+
+    names = git("ls-tree", "--name-only", rev, "./").split()
+    return {name: counts(git("show", f"{rev}:./{name}")) for name in sorted(names)
+            if name.endswith(".py")}
+
+
+def line(label, n: dict[str, int], sign: str = "") -> str:
+    """One report line: the label, its total, then KINDS; sign "+" signs them."""
+    return f"{label}: {n['total']:{sign},} lines = " + (", " if sign else " + ").join(
+        f"{n[k]:{sign},} {k}" for k in KINDS)
+
+
+def total(modules: dict[str, dict[str, int]]) -> dict[str, int]:
+    """The modules' lines summed, total and KINDS."""
+    return {k: sum(m[k] for m in modules.values()) for k in ("total",) + KINDS}
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "probcell"
-    modules = report(root)
-    print(line(root, {k: sum(m[k] for m in modules.values()) for k in ("total",) + KINDS}))
-    for name, counts in modules.items():
-        print(line(f"  {name}", counts))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("dir", nargs="?", type=Path,
+                    default=Path(__file__).resolve().parent.parent / "src" / "probcell")
+    ap.add_argument("--against", metavar="REV", help="also print the net change from git revision REV")
+    args = ap.parse_args(argv)
+    modules = report(args.dir)
+    print(line(args.dir, total(modules)))
+    for name, n in modules.items():
+        print(line(f"  {name}", n))
+    if args.against:
+        old, zero = report_at(args.dir, args.against), dict.fromkeys(("total",) + KINDS, 0)
+        change = {name: {k: modules.get(name, zero)[k] - old.get(name, zero)[k] for k in zero}
+                  for name in sorted(modules.keys() | old.keys())}
+        print(line(f"{args.dir} against {args.against}", total(change), "+"))
+        for name, n in change.items():
+            if any(n.values()):
+                print(line(f"  {name}", n, "+"))
     return 0
 
 
