@@ -1,14 +1,15 @@
 """Iterative non-maximum suppression on density maps.
 
 Candidates are voxels that are >= all of their 26 neighbors and strictly
-above both the threshold and zero (zero plateaus are never peaks, which
-keeps threshold-0 proposal mode finite). The 3x3x3 neighborhood maximum is a
-separable running max, one numpy pass per axis; a neighbor beyond the
-border is simply not compared. It runs in haloed z-slabs on both cores
-(probcell.cores). Candidates are processed in descending value order (ties
-broken lexicographically by voxel index) and accepted unless a previously
-accepted peak lies closer than the minimum distance: classic iterative NMS,
-whose test reads a bounded number of peaks at any distance (coords.Separated).
+above zero (zero plateaus are never peaks, which keeps threshold-0 proposal
+mode finite). The 3x3x3 neighborhood maximum is a separable running max,
+one numpy pass per axis; a neighbor beyond the border is simply not
+compared. It runs in haloed z-slabs on both cores (probcell.cores).
+Candidates above the stopping threshold (``proposals_by_threshold``) are
+processed in descending value order (ties broken lexicographically by voxel
+index) and accepted unless a previously accepted peak lies closer than the
+minimum distance: classic iterative NMS, whose test reads a bounded number
+of peaks at any distance (coords.Separated).
 """
 from __future__ import annotations
 
@@ -36,20 +37,16 @@ class NmsConfig:
         check_real(self.threshold, "threshold", ends="[)")
 
 
-def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) voxel indices and values of 26-neighborhood maxima above threshold."""
+def local_maxima(dm: Volume3D) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) voxel indices and values of the 26-neighborhood maxima above zero."""
     data = dm.data
     nz, ny, nx = data.shape
     step = max(1, _SLAB_BYTES // (ny * nx * data.itemsize))
     n_slabs = -(-nz // step)
     mask = np.empty(data.shape, bool)
-    # strictly above the threshold and zero is strictly above the larger; a
-    # threshold beyond the dtype's range would overflow when cast to it, and
-    # the largest finite value keeps the same peaks of finite data
-    floor = max(min(threshold, float(np.finfo(data.dtype).max)), 0.0)
 
     def slabs(first: int, stop: int) -> None:
-        # two copies of a slab with its halo planes, and its threshold test
+        # two copies of a slab with its halo planes, and its test against zero
         buffers = np.empty((2, min(step + 2, nz), ny, nx), data.dtype)
         above = np.empty((min(step, nz), ny, nx), bool)
         for s in range(first, stop):
@@ -72,7 +69,7 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
                 np.maximum(footprint_max[lo], prev[hi], out=footprint_max[lo])
                 np.maximum(footprint_max[hi], prev[lo], out=footprint_max[hi])
             np.greater_equal(own, footprint_max[z0 - h0 : z1 - h0], out=out)
-            np.greater(own, floor, out=above[: z1 - z0])
+            np.greater(own, 0, out=above[: z1 - z0])
             out &= above[: z1 - z0]
 
     on_two_cores(slabs, n_slabs, data.nbytes)
@@ -81,17 +78,27 @@ def local_maxima(dm: Volume3D, threshold: float = 0.0) -> tuple[np.ndarray, np.n
     return idx, data[mask]
 
 
+def proposals_by_threshold(proposals: CoordSet, threshold: float) -> CoordSet:
+    """The proposals whose float64 dm_value exceeds a stopping threshold t.
+    NMS at t keeps exactly the threshold-0 peaks that pass (weaker candidates
+    never suppress stronger ones), so a threshold sweep detects once."""
+    if proposals.dm_value is None:
+        raise ValueError("proposals need dm_value for threshold filtering")
+    return proposals.select(proposals.dm_value > threshold)
+
+
 def detect_peaks(dm: Volume3D, cfg: NmsConfig = NmsConfig()) -> CoordSet:
-    """NMS peak coordinates (voxel centers, micrometers) with their DM values.
+    """NMS peaks (voxel centers, um) and DM values of the candidates that
+    ``proposals_by_threshold`` keeps.
 
     Output is sorted by descending value, ties lexicographic by (z, y, x);
     every returned pair of peaks is at least ``min_distance_um`` apart.
     """
-    idx, values = local_maxima(dm, cfg.threshold)
-    order = np.argsort(-values, kind="stable")  # ties stay in C, (z, y, x), order
-    idx, values = idx[order], values[order]
-    vs = np.asarray(dm.voxel_size, dtype=np.float64)
-    coords = (idx.astype(np.float64) + 0.5) * vs
+    idx, values = local_maxima(dm)
+    peaks = CoordSet((idx + 0.5) * dm.voxel_size, dm_value=values)
+    del idx, values  # the candidates are held once, in float64
+    peaks = proposals_by_threshold(peaks, cfg.threshold)
+    order = np.argsort(-peaks.dm_value, kind="stable")  # ties keep (z, y, x) order
+    coords = peaks.coords[order]
     sep = Separated(cfg.min_distance_um, coords.max(initial=0.0))
-    keep = np.array([sep.take(p) for p in coords.tolist()], dtype=bool)
-    return CoordSet(coords[keep], dm_value=values[keep].astype(np.float64))
+    return peaks.select(order[np.array([sep.take(p) for p in coords.tolist()], dtype=bool)])

@@ -142,11 +142,11 @@ def extract_features(
             raise ValueError(f"map {name!r} does not share the common grid")
     n = len(proposals)
     d = spec.dimension(len(maps))
-    with np.errstate(over="ignore"):  # checked as floats, before the int cast
-        centers = np.floor(proposals.coords / vs)
-    if np.any(centers < 0) or np.any(centers >= np.asarray(shape)):
+    # inside as cell_distances tests it: one ulp below the far face may
+    # divide to the shape itself, so the index is clamped
+    if np.any(proposals.coords < 0) or np.any(proposals.coords >= maps[0][1].extent_um):
         raise ValueError("proposals must lie inside the volume")
-    centers = centers.astype(int)
+    centers = np.minimum(np.floor(proposals.coords / vs).astype(int), np.asarray(shape) - 1)
     boxes = []  # per window side, each row's window clipped at the volume's borders
     for side in spec.window_sides_um:
         w = np.maximum(np.round(side / vs).astype(int), 1)

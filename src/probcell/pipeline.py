@@ -32,7 +32,7 @@ from .classifier import (MIN_EPOCHS, MIN_TREES, MLP_EPOCHS, predict_proba, save_
                          train_forest, train_mlp)
 from .coords import CoordSet, save_coords
 from .cores import fork_join
-from .detect import NmsConfig, detect_peaks
+from .detect import NmsConfig, detect_peaks, proposals_by_threshold
 from .densitymap import AMPLITUDES, COMPOUNDINGS
 from .errors import InvalidConfig, ProbcellError, check_int, check_real
 from .evalmetrics import score_calibration, score_detection
@@ -207,18 +207,6 @@ def tiled_detect(dm: Volume3D, tiling: TilingConfig, nms: NmsConfig) -> CoordSet
         voxels.append(g)
         values.append(value)
     return CoordSet((np.concatenate(voxels) + 0.5) * vs, dm_value=np.concatenate(values))
-
-
-def proposals_by_threshold(proposals: CoordSet, threshold: float) -> CoordSet:
-    """Detections that survive a stopping threshold.
-
-    Iterative NMS at threshold t keeps exactly the threshold-0 peaks whose
-    value exceeds t (weaker candidates never suppress stronger ones), so a
-    threshold sweep needs a single detection pass.
-    """
-    if proposals.dm_value is None:
-        raise ValueError("proposals need dm_value for threshold filtering")
-    return proposals.select(proposals.dm_value > threshold)
 
 
 def label_proposals(proposals: CoordSet, gt: CoordSet, t_match_um: float) -> np.ndarray:

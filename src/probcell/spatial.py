@@ -25,6 +25,7 @@ explained in the README ("The exact EDT in one buffer").
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,21 +319,31 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
     """Check every mask, then compute each structure's EDT and its ESD pool,
     sorted, for both analyses.
 
-    Every error comes before the first EDT: a voxel size whose smallest side
-    cubed is not a normal float (scipy's feature transform compares products
-    of three distances; at 1e-110 um a structure voxel's nearest is often not
-    itself), a non-binary or empty tissue, then ``_checked_masks``'. So the
-    background, tissue minus structure, is where the EDT is positive. The
-    tissue is let go before the first EDT and each structure with its own.
+    Every error comes before the first EDT. First a voxel size where scipy's
+    feature transform fails: it compares sums of products of three
+    distances, each below 2 d^3 for d the grid's diagonal (um), so the
+    smallest side cubed must be a normal float (at 1e-110 um a structure
+    voxel's nearest is often not itself) and 4 d^3 finite (at 6e102 um 7^3
+    grids got wrong distances). Then a non-binary or empty tissue, a tissue
+    volume (mm^3), the density's divisor, that is not a normal float, and
+    ``_checked_masks``'. So the background, tissue minus structure, is where
+    the EDT is positive. The tissue is let go before the first EDT and each
+    structure with its own.
     """
-    smallest = min(tissue.voxel_size)
-    if smallest * smallest * smallest < np.finfo(float).smallest_normal:
-        raise ValueError(f"voxel_size {tissue.voxel_size}: its smallest side cubed is not a normal float")
+    vs, normal = tissue.voxel_size, np.finfo(float).smallest_normal
+    smallest = min(vs)
+    if smallest * smallest * smallest < normal:
+        raise ValueError(f"voxel_size {vs}: its smallest side cubed is not a normal float")
+    d = math.hypot(*((n - 1) * s for n, s in zip(tissue.shape, vs)))
+    if 4.0 * d * d * d > np.finfo(float).max:
+        raise ValueError(f"voxel_size {vs}: four times the grid's diagonal cubed overflows a float")
     tissue = _binary(tissue, "tissue")
-    n_tissue = np.count_nonzero(tissue.data)
+    n_tissue = int(np.count_nonzero(tissue.data))  # a float product: inf, no warning
     if n_tissue == 0:
         raise ValueError("tissue mask is empty")
     tissue_mm3 = n_tissue * tissue.voxel_volume_um3 / 1e9
+    if not normal <= tissue_mm3 < math.inf:
+        raise ValueError(f"voxel_size {vs}: the tissue's {tissue_mm3:g} mm^3 is not a normal float")
     masks, backgrounds = _checked_masks(structures, tissue)
     del structures, tissue
     prepared = {}

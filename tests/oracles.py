@@ -71,15 +71,15 @@ def greedy_nms_oracle(data, voxel_size, min_distance, threshold):
     return [(idx, v, pos) for (idx, v), pos in accepted]
 
 
-def reference_local_maxima(data, threshold):
+def reference_local_maxima(data):
     """local_maxima as it stood before its numpy running max: scipy's 3x3x3
     maximum_filter, -inf beyond the border."""
     footprint_max = ndimage.maximum_filter(data, size=3, mode="constant", cval=-np.inf)
-    mask = (data >= footprint_max) & (data > threshold) & (data > 0)
+    mask = (data >= footprint_max) & (data > 0)
     return np.argwhere(mask), data[mask]
 
 
-def whole_volume_local_maxima(data, threshold):
+def whole_volume_local_maxima(data):
     """local_maxima as it stood before its z-slabs: the separable running max
     on two whole-volume copies of the map, then three whole-volume masks."""
     from probcell.errors import NonFiniteInput
@@ -97,7 +97,6 @@ def whole_volume_local_maxima(data, threshold):
     del prev
     mask = data >= footprint_max
     del footprint_max
-    mask &= data > min(threshold, float(np.finfo(data.dtype).max))
     mask &= data > 0
     idx = np.argwhere(mask)
     return idx, data[mask]
@@ -775,13 +774,16 @@ def pair_walk_detect_peaks(dm, cfg):
     """(coords, dm_value) of detect_peaks by the pair walk: a KD-tree lists
     every candidate pair closer than r, and a pass over the pairs in
     priority order suppresses the later candidate of each pair whose earlier
-    one was kept. Quadratic in time and memory at a radius that spans the
-    map."""
+    one was kept; the candidates are the local maxima whose float64 value
+    exceeds the threshold. Quadratic in time and memory at a radius that
+    spans the map."""
     from scipy.spatial import cKDTree
 
     from probcell.detect import local_maxima
 
-    idx, values = local_maxima(dm, cfg.threshold)
+    idx, values = local_maxima(dm)
+    above = values.astype(np.float64) > cfg.threshold
+    idx, values = idx[above], values[above]
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -values))
     idx, values = idx[order], values[order]
     coords = (idx.astype(np.float64) + 0.5) * np.asarray(dm.voxel_size, dtype=np.float64)

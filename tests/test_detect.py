@@ -20,7 +20,7 @@ from probcell import (
 )
 from probcell import detect as detect_mod
 from probcell.densitymap import K_MAX
-from probcell.detect import local_maxima
+from probcell.detect import local_maxima, proposals_by_threshold
 from probcell.errors import NonFiniteInput
 from probcell.cores import on_two_cores
 
@@ -142,6 +142,77 @@ class TestProperties:
             assert max(p[2] for p in pairs) <= np.sqrt(3.0)  # within one voxel
 
 
+def _as_lists(peaks: CoordSet) -> tuple[list, list]:
+    return peaks.coords.tolist(), peaks.dm_value.tolist()
+
+
+_F32_POINT_ONE = float(np.float32(0.1))  # 0.10000000149...
+_F32_POINT_THREE = float(np.float32(0.3))  # 0.30000001192...
+
+
+class TestStoppingThreshold:
+    """A candidate survives threshold t when its float64 value exceeds t,
+    in detect_peaks as in proposals_by_threshold and the greedy oracle,
+    also where t rounds to a map value in float32."""
+
+    @pytest.mark.parametrize("threshold, kept", [
+        (0.0, [_F32_POINT_THREE, _F32_POINT_ONE]),
+        (0.1, [_F32_POINT_THREE, _F32_POINT_ONE]),
+        (float(np.nextafter(np.float32(0.1), np.float32(0))), [_F32_POINT_THREE, _F32_POINT_ONE]),
+        (float(np.nextafter(_F32_POINT_ONE, 0.0)), [_F32_POINT_THREE, _F32_POINT_ONE]),
+        (_F32_POINT_ONE, [_F32_POINT_THREE]),
+        (0.3, [_F32_POINT_THREE]),
+        (_F32_POINT_THREE - 1e-9, [_F32_POINT_THREE]),
+        (_F32_POINT_THREE, []),
+    ])
+    def test_float32_rounding_boundaries(self, threshold, kept):
+        data = np.zeros((9, 9, 9), np.float32)
+        data[2, 2, 2] = 0.3
+        data[6, 6, 6] = 0.1
+        base = detect_peaks(vol(data), NmsConfig(2.0, 0.0))
+        peaks = detect_peaks(vol(data), NmsConfig(2.0, threshold))
+        ref = greedy_nms_oracle(data, (1.0, 1.0, 1.0), 2.0, threshold)
+        assert peaks.dm_value.tolist() == [v for _, v, _ in ref] == kept
+        assert _as_lists(peaks) == _as_lists(proposals_by_threshold(base, threshold))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.tuples(*[st.integers(1, 9)] * 3).flatmap(
+            lambda shape: arrays(np.float32, shape, elements=st.floats(-1, 1, width=32))
+        ),
+        pick=st.integers(0, 2**32 - 1),
+        step=st.sampled_from(["below", "at", "above", "float32 below", "float32 above"]),
+        radius=st.sampled_from([1.0, 2.0, 3.5]),
+    )
+    def test_threshold_at_a_map_value(self, data, pick, step, radius):
+        value = data.flat[pick % data.size]
+        t = {
+            "below": np.nextafter(float(value), -np.inf), "at": float(value),
+            "above": np.nextafter(float(value), np.inf),
+            "float32 below": np.nextafter(value, np.float32(-np.inf)),
+            "float32 above": np.nextafter(value, np.float32(np.inf)),
+        }[step]
+        t = max(float(t), 0.0)
+        peaks = detect_peaks(vol(data), NmsConfig(radius, t))
+        ref = greedy_nms_oracle(data, (1.0, 1.0, 1.0), radius, t)
+        assert peaks.coords.tolist() == np.reshape([pos for _, _, pos in ref], (-1, 3)).tolist()
+        assert peaks.dm_value.tolist() == [v for _, v, _ in ref]
+        base = detect_peaks(vol(data), NmsConfig(radius, 0.0))
+        assert _as_lists(peaks) == _as_lists(proposals_by_threshold(base, t))
+
+    @pytest.mark.parametrize("threshold, expected", [
+        (1e300, []), (3.5e38, []), (float(np.finfo(np.float32).max), []), (3.4e38, [[2, 2, 2]]),
+    ])
+    def test_threshold_near_or_beyond_float32_max_without_warnings(self, threshold, expected):
+        data = np.zeros((5, 5, 5), np.float32)
+        data[2, 2, 2] = np.finfo(np.float32).max
+        data[0, 0, 4] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peaks = detect_peaks(vol(data), NmsConfig(2.0, threshold))
+        assert (peaks.coords - 0.5).tolist() == expected
+
+
 # Dyadic voxel sizes and radii keep every squared distance and r * r exact, so
 # the oracle's norm >= r and the squared d2 < r2 test agree even for peaks that
 # sit exactly r apart on the lattice.
@@ -241,34 +312,21 @@ _MAXIMA_MAPS = st.tuples(
 
 class TestLocalMaximaOracle:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(data=_MAXIMA_MAPS, threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
-    def test_matches_maximum_filter(self, data, threshold):
-        idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
-        ref_idx, ref_values = reference_local_maxima(data, threshold)
+    @given(data=_MAXIMA_MAPS)
+    def test_matches_maximum_filter(self, data):
+        idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)))
+        ref_idx, ref_values = reference_local_maxima(data)
         assert np.array_equal(idx, ref_idx)
         assert values.dtype == ref_values.dtype == data.dtype
         assert np.array_equal(values, ref_values)
-
-    @pytest.mark.parametrize("threshold, expected", [
-        (1e300, []), (3.5e38, []), (float(np.finfo(np.float32).max), []), (3.4e38, [[2, 2, 2]]),
-    ])
-    def test_threshold_near_or_beyond_float32_max_without_warnings(self, threshold, expected):
-        data = np.zeros((5, 5, 5), np.float32)
-        data[2, 2, 2] = np.finfo(np.float32).max
-        data[0, 0, 4] = 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            idx, _ = local_maxima(vol(data), threshold)
-            peaks = detect_peaks(vol(data), NmsConfig(2.0, threshold))
-        assert idx.tolist() == expected and len(peaks) == len(expected)
 
     def test_matches_maximum_filter_on_a_density_map(self, rng):
         data = render_dm(
             CoordSet(rng.uniform(0, 40, size=(30, 3))), (40, 33, 41), (1, 1, 1), KernelSpec(2.0)
         ).data
         data += rng.normal(0, 0.01, size=data.shape).astype(np.float32)
-        idx, values = local_maxima(vol(data), 0.0)
-        ref_idx, ref_values = reference_local_maxima(data, 0.0)
+        idx, values = local_maxima(vol(data))
+        ref_idx, ref_values = reference_local_maxima(data)
         assert len(idx) > 30
         assert np.array_equal(idx, ref_idx) and np.array_equal(values, ref_values)
 
@@ -278,8 +336,8 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 @st.composite
 def _slab_cases(draw):
-    """A map, a slab of 1-3 planes for it, a threshold, and optionally one
-    non-finite voxel placed in the worker's or the caller's half of the slabs."""
+    """A map, a slab of 1-3 planes for it, and optionally one non-finite
+    voxel placed in the worker's or the caller's half of the slabs."""
     planes = draw(st.integers(1, 3))
     nz = draw(st.sampled_from([1, 2, planes - 1, planes + 1, 2 * planes + 1, 3 * planes - 1])
               | st.integers(0, 8).map(lambda k: 2 * k + 1))
@@ -291,10 +349,6 @@ def _slab_cases(draw):
     if draw(st.booleans()):  # the last plane of each slab repeated across its boundary
         for z in range(planes, nz, planes):
             data[z] = data[z - 1]
-    threshold = draw(st.sampled_from(
-        [0.0, 0.25, 1.0, 3.4e38, float(np.nextafter(np.float32(_F32_MAX), 0)), _F32_MAX, 3.5e38,
-         1e300]
-    ))
     half = draw(st.sampled_from([None, "worker", "caller"]))
     if half is not None:
         n_slabs = -(-nz // planes)
@@ -307,7 +361,7 @@ def _slab_cases(draw):
             z = draw(st.integers(s * planes, min((s + 1) * planes, nz) - 1))
             y, x = draw(st.integers(0, shape[1] - 1)), draw(st.integers(0, shape[2] - 1))
             data[z, y, x] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    return data, planes, threshold, half
+    return data, planes, half
 
 
 @pytest.mark.usefixtures("split_always")
@@ -319,7 +373,7 @@ class TestSlabbedLocalMaxima:
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(case=_slab_cases())
     def test_matches_whole_volume_kernel(self, case):
-        data, planes, threshold, half = case
+        data, planes, half = case
         calls = []
 
         def spy(fn, n, nbytes):
@@ -332,20 +386,16 @@ class TestSlabbedLocalMaxima:
             warnings.simplefilter("error")
             if half is not None:
                 with pytest.raises(NonFiniteInput, match="^density map must be finite-valued$"):
-                    local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
+                    local_maxima(Volume3D(data, (1.0, 1.0, 1.0)))
             else:
-                idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)), threshold)
+                idx, values = local_maxima(Volume3D(data, (1.0, 1.0, 1.0)))
         n_slabs = -(-data.shape[0] // planes)
         assert calls == [(n_slabs, data.nbytes)]
         if half is not None:
             with pytest.raises(NonFiniteInput):
-                whole_volume_local_maxima(data, threshold)
+                whole_volume_local_maxima(data)
             return
-        with np.errstate(over="ignore"):  # scipy's reference casts the threshold to float32
-            refs = (
-                whole_volume_local_maxima(data, threshold), reference_local_maxima(data, threshold)
-            )
-        for ref_idx, ref_values in refs:
+        for ref_idx, ref_values in (whole_volume_local_maxima(data), reference_local_maxima(data)):
             assert np.array_equal(idx, ref_idx)
             assert values.dtype == ref_values.dtype == data.dtype
             assert np.array_equal(values, ref_values)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from probcell import CoordSet, FeatureSpec, extract_features, feature_names
 from probcell.errors import NonFiniteInput
+from probcell.spatial import cell_distances
 from probcell.features import (
     N_PERCENTILES,
     N_THRESHOLDS,
@@ -140,6 +141,25 @@ class TestValidation:
         maps = [("dm", vol(rng.random((10, 10, 10)), voxel_size))]
         with pytest.raises(ValueError, match="proposals must lie inside the volume"):
             extract_features(maps, CoordSet(np.array([point])), FeatureSpec())
+
+    def test_inside_as_cell_distances_tests_it(self, rng):
+        """A proposal one ulp below the far face is inside, as cell_distances
+        has it, though it divides to the shape itself: its windows are the
+        last voxel's. The far face itself is outside for both."""
+        dm = vol(rng.random((33, 33, 33)), (0.108, 0.108, 0.108))
+        extent = float(dm.extent_um[0])
+        assert extent == 3.564 and math.floor(np.nextafter(extent, 0.0) / 0.108) == 33
+        spec = FeatureSpec(window_sides_um=(0.3, 1.0))
+        edge = CoordSet(np.array([[1.0, 1.0, np.nextafter(extent, 0.0)]]))
+        assert cell_distances(edge, dm).shape == (1,)
+        last = CoordSet(np.array([[1.0, 1.0, 32.5 * 0.108]]))
+        assert np.array_equal(extract_features([("dm", dm)], edge, spec),
+                              extract_features([("dm", dm)], last, spec))
+        outside = CoordSet(np.array([[1.0, 1.0, extent]]))
+        with pytest.raises(ValueError, match="cells must lie inside the volume"):
+            cell_distances(outside, dm)
+        with pytest.raises(ValueError, match="proposals must lie inside the volume"):
+            extract_features([("dm", dm)], outside, spec)
 
     def test_unknown_map_needs_threshold_range(self, rng):
         maps = [("other", vol(rng.random((10, 10, 10))))]

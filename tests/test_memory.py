@@ -254,7 +254,7 @@ def test_local_maxima_peak(shape, monkeypatch, split_always):
     # The float32 map is allocated before tracing. At the peak: the boolean
     # mask (1 B per voxel) and, on each of the two threads, a slab with one
     # halo plane on each side in two float32 buffers (8 B per voxel) and the
-    # slab's threshold test (1 B per voxel). A whole-volume float32 copy fails.
+    # slab's test against zero (1 B per voxel). A whole-volume float32 copy fails.
     bound = np.prod(shape) + 2 * (8 * (planes + 2) + planes) * plane + SMALL
     assert traced_peak(local_maxima, dm) <= bound
 
@@ -289,7 +289,7 @@ def test_tiled_detect_peak(shape):
     # One patch at a time: the float32 copy of its predicted box (4 B per
     # box voxel) and local_maxima on it, on the calling thread, as a patch
     # is far below cores.SPLIT_MIN_BYTES: the mask, two float32 buffers of
-    # a slab with its halo planes and the slab's threshold test (10 B at
+    # a slab with its halo planes and the slab's test against zero (10 B at
     # most, see above). What grows with the map is the patch list and its
     # peaks, about 2 KB per patch (64 patches at 96^3); a float32 copy of
     # the whole map fails at every shape.

@@ -86,6 +86,38 @@ class TestTiledDetect:
         assert tiled.coords.tobytes() == coords.tobytes()
         assert tiled.dm_value.tobytes() == dm_value.tobytes()
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        strategy=st.sampled_from([M_CONV, M_PEAK]),
+        shape=st.tuples(*[st.integers(8, 24)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+        pick=st.integers(0, 2**32 - 1),
+        step=st.sampled_from(["0.1", "float64 below", "at", "float64 above", "float32 below",
+                              "float32 above"]),
+    )
+    def test_threshold_filters_the_threshold_zero_peaks(self, strategy, shape, seed, pick, step):
+        """Under either strategy the tiled peaks at t are the tiled
+        threshold-0 peaks that proposals_by_threshold keeps at t, the
+        baseline's rule, with t on the float32 rounding boundaries of 0.1
+        and of a peak's value."""
+        tiling = (TilingConfig.m_peak((12, 12, 12), (2, 2, 2), (2, 2, 2)) if strategy == M_PEAK
+                  else TilingConfig.m_conv((12, 12, 12), (2, 2, 2)))
+        data = np.random.default_rng(seed).random(shape, dtype=np.float32)
+        dm = Volume3D(data, (1.0, 0.7, 1.3))
+        base = tiled_detect(dm, tiling, NmsConfig(2.0, 0.0))
+        value = np.float32(base.dm_value[pick % len(base)] if len(base) else 0.1)
+        t = float({
+            "0.1": 0.1, "at": float(value),
+            "float64 below": np.nextafter(float(value), 0.0),
+            "float64 above": np.nextafter(float(value), np.inf),
+            "float32 below": np.nextafter(value, np.float32(0.0)),
+            "float32 above": np.nextafter(value, np.float32(np.inf)),
+        }[step])
+        tiled = tiled_detect(dm, tiling, NmsConfig(2.0, t))
+        filtered = proposals_by_threshold(base, t)
+        assert tiled.coords.tobytes() == filtered.coords.tobytes()
+        assert tiled.dm_value.tobytes() == filtered.dm_value.tobytes()
+
     def test_offsets_cancel_when_the_input_window_overhangs(self):
         # the input window starts l_pad before the map, yet peaks need no
         # shift: every box is in the map's own frame

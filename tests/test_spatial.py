@@ -443,7 +443,9 @@ def _smallest_accepted_side() -> float:
 
 
 SMALLEST_SIDE = _smallest_accepted_side()
-_SIDE = st.one_of(_SPACING, st.floats(1e90, 1e100), st.just(SMALLEST_SIDE))
+_SIDE = st.one_of(
+    _SPACING, st.floats(1e90, 1e100), st.floats(1e100, 1e104), st.just(SMALLEST_SIDE)
+)
 _KINDS = ("background", "empty", "covers", "shape", "voxel")
 
 
@@ -451,8 +453,8 @@ _KINDS = ("background", "empty", "covers", "shape", "voxel")
 def _prelude_cases(draw):
     """A tissue and one to three structures, each one of _KINDS: leaving
     tissue background, empty, covering the tissue, or on another shape or
-    voxel size; voxel sides anisotropic or not, up to 1e100 um, and down to
-    the smallest accepted."""
+    voxel size; voxel sides anisotropic or not, up to 1e104 um, and down to
+    the smallest whose cube is a normal float."""
     shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
     voxel = draw(st.one_of(_SIDE.map(lambda s: (s, s, s)), st.tuples(_SIDE, _SIDE, _SIDE)))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -479,9 +481,19 @@ def _prelude_cases(draw):
     return structures, Volume3D(tissue, voxel)
 
 
+def _diagonal(v: Volume3D) -> float:
+    """The distance (um) between the centres of a grid's first and last voxels."""
+    return float(np.linalg.norm((np.asarray(v.shape) - 1) * np.asarray(v.voxel_size)))
+
+
 def _first_error(structures, tissue):
-    """The error the prelude raises: structure by structure, its grid, then
-    its foreground, then tissue background outside it; None when all pass."""
+    """The error the prelude raises after its voxel-size checks: a tissue
+    volume (mm^3) that is not a normal float, then structure by structure,
+    its grid, then its foreground, then tissue background outside it; None
+    when all pass."""
+    tissue_mm3 = int(np.count_nonzero(tissue.data)) * tissue.voxel_volume_um3 / 1e9
+    if not sys.float_info.min <= tissue_mm3 < np.inf:
+        return ValueError
     for structure in structures.values():
         if (structure.shape, structure.voxel_size) != (tissue.shape, tissue.voxel_size):
             return ShapeMismatch
@@ -490,6 +502,14 @@ def _first_error(structures, tissue):
         if not (tissue.data & ~structure.data).any():
             return DegenerateESD
     return None
+
+
+# the prelude's voxel-size refusals, after "voxel_size (sides): ", as patterns
+_REFUSALS = {
+    "side": re.escape("its smallest side cubed is not a normal float"),
+    "diagonal": re.escape("four times the grid's diagonal cubed overflows a float"),
+    "tissue": r"the tissue's \S+ mm\^3 is not a normal float",
+}
 
 
 class TestPreludeChecks:
@@ -501,58 +521,78 @@ class TestPreludeChecks:
     ))
     @given(case=_prelude_cases())
     def test_one_background_and_errors_before_any_edt(self, case):
-        """Each structure's background is the tissue where its EDT is
-        positive and its pool the oracle's, which takes the tissue minus the
-        structure. A failing structure raises what it always raised, in the
-        same order, and before any EDT runs, also after structures that pass."""
+        """Each structure's EDT is the brute-force one, its background the
+        tissue where that EDT is positive and its pool the oracle's, which
+        takes the tissue minus the structure. A failing structure raises what
+        it always raised, in the same order, and before any EDT runs, also
+        after structures that pass. A voxel size is refused by name before
+        them, on grids whose diagonal passes 1e102 um only: at 1e103 um
+        scipy's feature transform returned wrong distances."""
         import probcell.spatial as spatial
 
         structures, tissue = case
         expected = _first_error(structures, tissue)
-        if expected is not None:
-            edt = mock.patch.object(spatial, "_exact_edt", side_effect=AssertionError("an EDT ran"))
-            with edt, pytest.raises(expected):
-                prepare_spatial(structures, tissue)
+        with mock.patch.object(spatial, "_exact_edt", wraps=spatial._exact_edt) as edt:
+            try:
+                prelude, error = prepare_spatial(structures, tissue), None
+            except Exception as exc:
+                error = exc
+        if "diagonal" in str(error):
+            assert type(error) is ValueError and str(error).startswith("voxel_size")
+            assert _diagonal(tissue) > 1e102 and edt.call_count == 0
             return
-        prelude = prepare_spatial(structures, tissue)
+        if expected is not None:
+            assert type(error) is expected and edt.call_count == 0
+            return
+        assert error is None
         for name, prep in prelude.structures.items():
+            reference = brute_force_edt(structures[name].data, tissue.voxel_size)
+            assert np.allclose(prep.edt.data, reference, rtol=1e-12, atol=0.0)
             background = np.unpackbits(prep.background, axis=-1, count=tissue.shape[2])
             assert np.array_equal(background.view(bool), tissue.data & (prep.edt.data > 0))
             pool = _reference_esd_pool(structures[name], tissue)
             assert np.array_equal(prep.esd.samples, np.sort(pool))
             assert np.array_equal(prep.pool_at(np.arange(pool.size)), pool)
 
-    @pytest.mark.parametrize("side, accepted", [
-        (1e-200, False), (1e-160, False), (float(np.nextafter(SMALLEST_SIDE, 0.0)), False),
-        (SMALLEST_SIDE, True), (1e-100, True),
+    @pytest.mark.parametrize("side, refusal", [
+        (1e-200, "side"), (1e-160, "side"), (float(np.nextafter(SMALLEST_SIDE, 0.0)), "side"),
+        (SMALLEST_SIDE, "tissue"), (3e-103, "tissue"), (1e-100, None), (1e101, None),
+        (6e102, "diagonal"), (1e200, "diagonal"),
     ])
-    def test_voxel_side_below_the_exact_transform_is_refused(self, tmp_path, capsys, side, accepted):
-        """On 8^3 masks with one structure voxel, a side whose cube is a
-        normal float keeps all 511 tissue background voxels in the pool. A
-        smaller one is refused by name, and `probcell spatial` exits 1 with
-        the JSON payload: at 1e-200 every distance was 0, and the pool empty;
-        at 1e-160 the density overflowed the report."""
+    def test_voxel_side_outside_the_exact_transform_is_refused(self, tmp_path, capsys, side,
+                                                              refusal):
+        """On 8^3 masks with one structure voxel, an accepted side keeps all
+        511 tissue background voxels in the pool, at their brute-force
+        distances. Another is refused by name, and `probcell spatial` exits
+        1 with the JSON payload, warning nothing: at 1e-200 every distance
+        was 0, and the pool empty; at 1e-160 and at 3e-103 (its cube is a
+        normal float, the tissue volume in mm^3 is not) the density
+        overflowed the report; at 6e102 distances were wrong."""
         m = np.zeros((8, 8, 8))
         m[4, 4, 4] = 1.0
         structure, tissue = mask(m, (side,) * 3), mask(np.ones((8, 8, 8)), (side,) * 3)
-        if accepted:
-            pool = prepare_spatial({"s": structure}, tissue).structures["s"].esd.samples
+        if refusal is None:
+            prep = prepare_spatial({"s": structure}, tissue).structures["s"]
+            pool = prep.esd.samples
             assert pool.size == 511 and np.array_equal(pool, np.sort(_reference_esd_pool(structure, tissue)))
+            assert np.allclose(prep.edt.data, brute_force_edt(m, (side,) * 3), rtol=1e-12, atol=0.0)
             return
-        message = f"voxel_size {(side,) * 3}: its smallest side cubed is not a normal float"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        pattern = "^" + re.escape(f"voxel_size {(side,) * 3}: ") + _REFUSALS[refusal] + "$"
+        with pytest.raises(ValueError, match=pattern) as refused:
             prepare_spatial({"s": structure}, tissue)
         save_coords(CoordSet(np.array([[2.5 * side] * 3])), tmp_path / "cells.csv")
         save_volume(structure, tmp_path / "structure")
         save_volume(tissue, tmp_path / "tissue")
-        rc = main([
-            "spatial", "--cells", str(tmp_path / "cells.csv"),
-            "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
-            "--out-dir", str(tmp_path / "sp"),
-        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "spatial", "--cells", str(tmp_path / "cells.csv"),
+                "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
+                "--out-dir", str(tmp_path / "sp"),
+            ])
         assert rc == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == {"type": "ValueError", "message": message}
+        assert payload["error"] == {"type": "ValueError", "message": str(refused.value)}
 
 
 def _oracle_case(case):
