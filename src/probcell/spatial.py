@@ -218,6 +218,17 @@ def _replicate_mean_sd(pct: np.ndarray) -> tuple[float, float]:
     return float(np.nanmean(pct)), float(np.nanstd(pct))
 
 
+def _density(counts, tissue_mm3: float) -> tuple[float, float]:
+    """The mean and SD of counts per mm^3 of tissue; a ValueError if either overflows."""
+    with np.errstate(over="raise"):
+        try:
+            density = np.divide(counts, tissue_mm3)
+            return float(np.mean(density)), float(np.std(density))
+        except FloatingPointError:
+            raise ValueError(f"voxel_size: {np.max(counts):g} cells in the tissue's "
+                             f"{tissue_mm3:g} mm^3 overflow the density or its SD") from None
+
+
 def _widen(envelope, other):
     """The pointwise (min, max) envelope of two envelopes, either of which
     may be None (no curve yet); one curve is the envelope (curve, curve)."""
@@ -399,7 +410,7 @@ def analyze_deterministic(
         )
     return SpatialReport(
         mode="deterministic",
-        density_cells_per_mm3=len(kept) / prelude.tissue_mm3,
+        density_cells_per_mm3=_density(len(kept), prelude.tissue_mm3)[0],
         n_cells=len(kept),
         structures=out,
         flags=flags,
@@ -464,7 +475,7 @@ def analyze_probabilistic(
     a, b = on_two_processes(run, replicates)
     table = np.concatenate([a[0], b[0]])
     envelopes = [_widen(x, y) for x, y in zip(a[2], b[2])]
-    density = table[:, 0] / prelude.tissue_mm3
+    density, density_sd = _density(table[:, 0], prelude.tissue_mm3)
     out = {}
     for k, (name, prep) in enumerate(structures.items()):
         cells_mean, cells_sd = _replicate_mean_sd(table[:, 2 * k + 1])
@@ -480,8 +491,8 @@ def analyze_probabilistic(
         )
     return SpatialReport(
         mode="probabilistic",
-        density_cells_per_mm3=float(np.mean(density)),
-        density_sd=float(np.std(density)),
+        density_cells_per_mm3=density,
+        density_sd=density_sd,
         n_cells=float(np.mean(table[:, 0])),
         structures=out,
         replicates=replicates,

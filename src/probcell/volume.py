@@ -9,10 +9,10 @@ On disk a volume is a pair: ``<base>.raw`` (little-endian float32) and a
 size. A density-map regressor's dm, aleatoric and epistemic maps are one
 such pair each.
 
-Two tiling strategies are supported for patch-wise inference on large
-volumes. Both lay overlapping windows out in the volume's own voxel frame;
-an input window may overhang the volume by at most its padding, and a
-patch reads only the part of its window that lies inside:
+Two tiling strategies serve patch-wise inference on large volumes. Both
+tile each axis of the volume's voxel frame once, in overlapping windows; an
+input window may overhang the volume by at most its padding, and a patch
+reads only the part of its window that lies inside:
 
 * ``m_conv``: the output window is exactly the region the regressor predicts
   (input shrunk by the convolutional margin). Detections at window borders
@@ -22,6 +22,7 @@ patch reads only the part of its window that lies inside:
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -170,54 +171,30 @@ class PatchGrid:
     patches: tuple[Patch, ...]
 
 
-def _axis_starts(extent: int, tile: int) -> list[int]:
-    """Tile starts covering [0, extent): adjacent, the last one clamped back."""
-    n = max(1, -(-extent // tile))
-    return [min(k * tile, extent - tile) for k in range(n)]
-
-
 def plan_tiling(shape, cfg: TilingConfig) -> PatchGrid:
     """Lay out input/output windows over a volume of the given voxel shape.
 
-    Output windows tile the volume; interior windows are disjoint and only
-    the trailing window per axis may overlap its predecessor.
+    Each axis of n voxels is tiled once, and a patch is one tile per axis, z
+    slowest. With t the axis's output tile, tile k's output interval starts at
+    min(k t, n - t), so interior tiles are adjacent and only the trailing one
+    may overlap its predecessor; its keep interval [k t, min(k t + t, n)) hands
+    that overlap back. The predicted interval widens the output one by
+    peak_margin, the input interval that by conv_margin.
     """
     shape = check_int(shape, "shape", length=3)
-    tile = cfg.l_out_tile
-    for ax in range(3):
-        if shape[ax] < tile[ax]:
-            raise VolumeTooSmall(f"axis {ax}: shape {shape[ax]} < output tile {tile[ax]}")
-    axis_starts = [_axis_starts(shape[ax], tile[ax]) for ax in range(3)]
-    # keep regions partition [0, extent): the trailing patch hands its overlap
-    # back to the previous one
-    axis_keeps = []
-    for ax in range(3):
-        starts = axis_starts[ax]
-        keeps = []
-        for k, s in enumerate(starts):
-            lo = s if k == 0 else max(s, starts[k - 1] + tile[ax])
-            keeps.append((lo, s + tile[ax]))
-        axis_keeps.append(keeps)
-    patches = []
-    for iz, sz in enumerate(axis_starts[0]):
-        for iy, sy in enumerate(axis_starts[1]):
-            for ix, sx in enumerate(axis_starts[2]):
-                core_start = (sz, sy, sx)
-                core_stop = tuple(c + t for c, t in zip(core_start, tile))
-                cnn_start = tuple(c - m for c, m in zip(core_start, cfg.peak_margin))
-                cnn_stop = tuple(c + m for c, m in zip(core_stop, cfg.peak_margin))
-                in_start = tuple(c - m for c, m in zip(cnn_start, cfg.conv_margin))
-                in_stop = tuple(c + m for c, m in zip(cnn_stop, cfg.conv_margin))
-                keep = (axis_keeps[0][iz], axis_keeps[1][iy], axis_keeps[2][ix])
-                patches.append(
-                    Patch(
-                        in_box=(in_start, in_stop),
-                        cnn_box=(cnn_start, cnn_stop),
-                        out_box=(core_start, core_stop),
-                        keep_box=tuple(zip(*keep)),
-                    )
-                )
-    return PatchGrid(patches=tuple(patches))
+    axes = []
+    for ax, (n, t, p, c) in enumerate(zip(shape, cfg.l_out_tile, cfg.peak_margin, cfg.conv_margin)):
+        if n < t:
+            raise VolumeTooSmall(f"axis {ax}: shape {n} < output tile {t}")
+        tiles = []
+        for lo in range(0, n, t):
+            s = min(lo, n - t)
+            out, keep = (s, s + t), (lo, min(lo + t, n))
+            tiles.append(((s - p - c, s + t + p + c), (s - p, s + t + p), out, keep))
+        axes.append(tiles)
+    # a tile is Patch's four intervals in field order; zip z, y, x into (lo, hi) boxes
+    return PatchGrid(tuple(Patch(*(tuple(zip(*boxes)) for boxes in zip(*zyx)))
+                           for zyx in itertools.product(*axes)))
 
 
 def raw_data(v: Volume3D) -> np.ndarray:

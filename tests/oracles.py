@@ -764,6 +764,63 @@ def reference_tiled_detect(dm, tiling, nms):
 
 
 # ---------------------------------------------------------------------------
+# The tiling plan as it stood before plan_tiling tiled each axis once: the
+# axis starts and keep intervals per axis, then every patch's boxes in a
+# triple loop of 3-D tuple arithmetic.
+# ---------------------------------------------------------------------------
+
+def _axis_starts(extent: int, tile: int) -> list[int]:
+    """Tile starts covering [0, extent): adjacent, the last one clamped back."""
+    n = max(1, -(-extent // tile))
+    return [min(k * tile, extent - tile) for k in range(n)]
+
+
+def reference_plan_tiling(shape, cfg):
+    """plan_tiling by nested loops: output windows tile the volume; interior
+    windows are disjoint and only the trailing window per axis may overlap
+    its predecessor, which keeps only what the previous window does not."""
+    from probcell.errors import VolumeTooSmall, check_int
+    from probcell.volume import Patch, PatchGrid
+
+    shape = check_int(shape, "shape", length=3)
+    tile = cfg.l_out_tile
+    for ax in range(3):
+        if shape[ax] < tile[ax]:
+            raise VolumeTooSmall(f"axis {ax}: shape {shape[ax]} < output tile {tile[ax]}")
+    axis_starts = [_axis_starts(shape[ax], tile[ax]) for ax in range(3)]
+    # keep regions partition [0, extent): the trailing patch hands its overlap
+    # back to the previous one
+    axis_keeps = []
+    for ax in range(3):
+        starts = axis_starts[ax]
+        keeps = []
+        for k, s in enumerate(starts):
+            lo = s if k == 0 else max(s, starts[k - 1] + tile[ax])
+            keeps.append((lo, s + tile[ax]))
+        axis_keeps.append(keeps)
+    patches = []
+    for iz, sz in enumerate(axis_starts[0]):
+        for iy, sy in enumerate(axis_starts[1]):
+            for ix, sx in enumerate(axis_starts[2]):
+                core_start = (sz, sy, sx)
+                core_stop = tuple(c + t for c, t in zip(core_start, tile))
+                cnn_start = tuple(c - m for c, m in zip(core_start, cfg.peak_margin))
+                cnn_stop = tuple(c + m for c, m in zip(core_stop, cfg.peak_margin))
+                in_start = tuple(c - m for c, m in zip(cnn_start, cfg.conv_margin))
+                in_stop = tuple(c + m for c, m in zip(cnn_stop, cfg.conv_margin))
+                keep = (axis_keeps[0][iz], axis_keeps[1][iy], axis_keeps[2][ix])
+                patches.append(
+                    Patch(
+                        in_box=(in_start, in_stop),
+                        cnn_box=(cnn_start, cnn_stop),
+                        out_box=(core_start, core_stop),
+                        keep_box=tuple(zip(*keep)),
+                    )
+                )
+    return PatchGrid(patches=tuple(patches))
+
+
+# ---------------------------------------------------------------------------
 # The two separation tests as they stood before coords.Separated served both:
 # NMS listed every close candidate pair with a KD-tree and walked the list,
 # and placement kept a dict of buckets min_sep wide and read the 27 around

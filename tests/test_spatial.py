@@ -595,6 +595,56 @@ class TestPreludeChecks:
         assert payload["error"] == {"type": "ValueError", "message": str(refused.value)}
 
 
+def _tiny_tissue_scene(side, n_cells, p=None):
+    """8^3 masks of side um, one structure voxel, and n_cells cells inside."""
+    m = np.zeros((8, 8, 8))
+    m[4, 4, 4] = 1.0
+    rng = np.random.default_rng(41)
+    cells = CoordSet(rng.uniform(0.0, 8 * side, (n_cells, 3)), p=p)
+    return mask(m, (side,) * 3), mask(np.ones((8, 8, 8)), (side,) * 3), cells
+
+
+class TestDensityOverflow:
+    """A tissue volume that is a normal float can still be too small for the
+    cells: their density per mm^3, or its SD over the replicates, overflows.
+    Each analysis refuses by naming voxel_size, as the prelude does."""
+
+    @pytest.mark.parametrize("mode", ["deterministic", "probabilistic"])
+    def test_cli_refuses_overflowing_density(self, tmp_path, capsys, mode):
+        """1,000 cells in 8^3 voxels of 1.25e-100 um (1e-306 mm^3): the
+        density, 1e309 per mm^3, ended the report in a JSON error."""
+        structure, tissue, cells = _tiny_tissue_scene(1.25e-100, 1000)
+        save_coords(cells, tmp_path / "cells.csv")
+        save_volume(structure, tmp_path / "structure")
+        save_volume(tissue, tmp_path / "tissue")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "spatial", "--cells", str(tmp_path / "cells.csv"), "--mode", mode,
+                "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
+                "--replicates", "4", "--cdf-mode", "empirical", "--out-dir", str(tmp_path / "sp"),
+            ])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["type"] == "ValueError"
+        assert re.match(r"voxel_size: 1000 cells in the tissue's 1e-306 mm\^3 overflow ",
+                        payload["error"]["message"])
+        assert not (tmp_path / "sp" / "report.json").exists()
+
+    def test_probabilistic_refuses_overflowing_sd(self):
+        """Each replicate's density and their mean are finite, but the squared
+        deviations of the SD overflow."""
+        structure, tissue, cells = _tiny_tissue_scene(5e-100, 100, p=np.full(100, 0.5))
+        prelude = prepare_spatial({"s": structure}, tissue)
+        replicates = 12
+        assert np.isfinite(len(cells) * replicates / prelude.tissue_mm3)
+        with pytest.raises(ValueError, match=r"^voxel_size: \d+ cells in the tissue's "):
+            analyze_probabilistic(cells, prelude, replicates=replicates, cdf_mode="empirical")
+        # the deterministic density of the same cells (p >= 0.5 keeps all) is finite
+        report = analyze_deterministic(cells, prelude, cdf_mode="empirical")
+        assert report.density_cells_per_mm3 == len(cells) / prelude.tissue_mm3
+
+
 def _oracle_case(case):
     """Cells, structures, tissue and keyword arguments for one oracle case."""
     rng = np.random.default_rng(40)

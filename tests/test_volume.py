@@ -38,6 +38,8 @@ from probcell.cores import fork_join, on_two_cores, on_two_processes, side_by_si
 from probcell.volume import M_CONV, M_PEAK
 
 from conftest import no_child_left, vol
+from oracles import reference_plan_tiling
+from test_acceptance import PERF_CFG
 
 
 SUPP_TABLE_CONV = TilingConfig.m_conv((64, 156, 156), (20, 20, 20))
@@ -156,6 +158,51 @@ class TestPlanTiling:
                 assert all(g == cfg.l_out_tile[ax] for g in gaps[:-1])
                 if len(gaps):
                     assert 0 < gaps[-1] <= cfg.l_out_tile[ax]
+
+
+@st.composite
+def tilings(draw):
+    """(shape, TilingConfig): either strategy, margins from 0, and per axis a
+    shape of one output tile, of several, or below one."""
+    strategy = draw(st.sampled_from([M_CONV, M_PEAK]))
+    conv = draw(st.tuples(*[st.integers(0, 6)] * 3))
+    peak = (0, 0, 0) if strategy == M_CONV else draw(st.tuples(*[st.integers(0, 4)] * 3))
+    l_in = tuple(draw(st.integers(2 * (c + p) + 1, 2 * (c + p) + 16)) for c, p in zip(conv, peak))
+    cfg = TilingConfig(l_in, conv, peak, strategy)
+    shape = tuple(
+        draw(st.one_of(st.just(t), st.integers(t + 1, 6 * t), st.integers(0, t - 1)))
+        for t in cfg.l_out_tile
+    )
+    return shape, cfg
+
+
+class TestPlanTilingOracle:
+    """plan_tiling against the nested-loop plan it replaced: the same patches
+    in the same order, or the same VolumeTooSmall."""
+
+    @staticmethod
+    def assert_same_plan(shape, cfg):
+        try:
+            expected = reference_plan_tiling(shape, cfg)
+        except VolumeTooSmall as exc:
+            with pytest.raises(VolumeTooSmall) as got:
+                plan_tiling(shape, cfg)
+            assert type(got.value) is VolumeTooSmall and str(got.value) == str(exc)
+            return
+        grid = plan_tiling(shape, cfg)
+        assert grid == expected and repr(grid) == repr(expected)  # plain ints, as before
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(case=tilings())
+    def test_equals_nested_loop_plan(self, case):
+        self.assert_same_plan(*case)
+
+    @pytest.mark.parametrize("scene", ["test_scene", "train_scene"])
+    @pytest.mark.parametrize("config", [DEFAULT_CONFIG, PERF_CFG], ids=["default", "perf"])
+    def test_pipeline_tilings(self, config, scene):
+        t = DEFAULT_CONFIG["tiling"]
+        cfg = TilingConfig(t["l_in"], t["conv_margin"], t["peak_margin"], t["strategy"])
+        self.assert_same_plan(config[scene]["shape"], cfg)
 
 
 class TestReconstruct:
