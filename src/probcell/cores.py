@@ -11,9 +11,9 @@ results bit for bit; README "Kernels on two cores" has the measurements.
   classifier and the spatial prelude.
 * What a fork needs: no thread holding a lock the child needs. No probcell
   thread outlives its call and no forked loop calls BLAS, so a caller that
-  forks through probcell should start no threads of its own. A worker and a
-  loop's child call no public probcell function: the benchmark traces the
-  calling thread of the calling process only.
+  forks through probcell should start no threads of its own. A worker starts
+  no thread; it and a loop's child call no public probcell function: the
+  benchmark traces the calling thread of the calling process only.
 * The error order: each part raises its own error, which the caller
   re-raises with its type and message once the other part is done. fork_join
   raises the caller's error after killing the child, else the child's after

@@ -149,7 +149,8 @@ def extract_features(
     centers = np.minimum(np.floor(proposals.coords / vs).astype(int), np.asarray(shape) - 1)
     boxes = []  # per window side, each row's window clipped at the volume's borders
     for side in spec.window_sides_um:
-        w = np.maximum(np.round(side / vs).astype(int), 1)
+        # capped at 2n + 1 voxels, which span an axis of n from any center, for the int cast
+        w = np.maximum(np.round(np.minimum(side / vs, 2 * np.asarray(shape) + 1)).astype(int), 1)
         lo = centers - w // 2
         boxes.append([tuple(map(slice, a, b)) for a, b in
                       zip(np.clip(lo, 0, None).tolist(), np.minimum(lo + w, shape).tolist())])

@@ -316,18 +316,14 @@ def oracle_regress(coords: CoordSet, spec: SynthSpec) -> RegressorOutput:
             return clean, _background_bias(clean, spec)
         return clean, None
 
-    # Two smoothed unit-SD noises. Each draw and each SD runs on one thread
-    # (the generator's stream and std's pairwise sum are part of the output)
-    # beside other work, in the generator's order: noise 0's draw beside the
-    # first clean map and the bias, then noise 1's draw and noise 0's SD each
-    # beside the other noise's Gaussian, with whole volumes made here.
+    # Two smoothed unit-SD noises, drawn in one call (the values and the
+    # generator's state of two draws in a row) beside the first clean map
     sigmas = NOISE_SMOOTH_UM / np.asarray(spec.voxel_size, dtype=np.float64)
-    noise = np.empty(spec.shape)
-    clean, bias = side_by_side(lambda: rng.standard_normal(out=noise), clean_and_bias, nbytes)[1]
-    draws = [noise, side_by_side(lambda: _gaussian_in_place(noise, sigmas),
-                                 lambda: rng.standard_normal(spec.shape), nbytes)[1]]
-    sds = [side_by_side(lambda: _gaussian_in_place(draws[1], sigmas), noise.std, nbytes)[1],
-           draws[1].std()]
+    draws = np.empty((2,) + spec.shape)
+    clean, bias = side_by_side(lambda: rng.standard_normal(out=draws), clean_and_bias, nbytes)[1]
+    for draw in draws:
+        _gaussian_in_place(draw, sigmas)
+    sds = [draw.std() for draw in draws]
     for t, draw in enumerate(draws):
         if t:
             clean = render(1)

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probcell import CoordSet, FeatureSpec, extract_features, feature_names
+from probcell import (
+    CoordSet, FeatureSpec, extract_features, feature_names, save_coords, save_volume,
+)
+from probcell.cli import main
 from probcell.errors import NonFiniteInput
 from probcell.spatial import cell_distances
 from probcell.features import (
@@ -141,6 +145,21 @@ class TestValidation:
         maps = [("dm", vol(rng.random((10, 10, 10)), voxel_size))]
         with pytest.raises(ValueError, match="proposals must lie inside the volume"):
             extract_features(maps, CoordSet(np.array([point])), FeatureSpec())
+
+    def test_windows_beyond_the_int_cast_span_the_map(self, rng, tmp_path):
+        """At 1e-300 um, 4 um / voxel_size is past 2^63: the int cast wrapped
+        (a RuntimeWarning), and every window was one voxel, with SD 0."""
+        data = rng.random((16, 16, 16))
+        save_volume(vol(data, (1e-300,) * 3), tmp_path / "dm")
+        save_coords(CoordSet(np.array([[0.5, 7.5, 15.5], [8.0, 8.0, 8.0]]) * 1e-300),
+                    tmp_path / "p.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["features", "--dm", str(tmp_path / "dm"), "--proposals",
+                         str(tmp_path / "p.csv"), "--out", str(tmp_path / "f.csv")]) == 0
+        rows = np.loadtxt(tmp_path / "f.csv", delimiter=",", skiprows=1)
+        whole = _window_stats(vol(data).data, PERCENTILES, thresholds_for("dm"))
+        assert np.array_equal(rows, np.tile(whole, (2, 4)))
 
     def test_inside_as_cell_distances_tests_it(self, rng):
         """A proposal one ulp below the far face is inside, as cell_distances

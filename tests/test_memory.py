@@ -29,7 +29,7 @@ from probcell import (
     save_volume,
     tiled_detect,
 )
-from probcell import cores, detect
+from probcell import detect
 from probcell.cli import main
 from probcell.detect import local_maxima
 from probcell.evalmetrics import score_detection
@@ -91,17 +91,12 @@ def test_oracle_regress_peak(shape):
     n = np.prod(shape)
     # float64: amplitude field, two noises, background bias (4 x 8 B); and
     # render_dm's float64 accumulator with its float32 copy (12 B) while the
-    # second clean map is rendered. The Gaussian sweeps hold, per thread, one
-    # y row and its transposed copy, or one transposed z-plane (16 B per row
-    # voxel at most), and _smooth_field one corner buffer of _BLOCK_BYTES
-    # while only the field exists; below the size rule none is alive at the
-    # peak.
+    # second clean map is rendered, or the first clean map (4 B) and a
+    # noise's std() temporary (8 B) before. The Gaussian sweeps hold, per
+    # thread, one y row and its transposed copy, or one transposed z-plane,
+    # and _smooth_field one corner buffer of _BLOCK_BYTES while only the
+    # field exists; none is alive at the peak, also from the size rule up.
     bound = 44 * n + SMALL
-    if 8 * n >= cores.SPLIT_MIN_BYTES:
-        # The same 44 B are alive while noise 0's std() (its 8 B temporary)
-        # runs beside noise 1's Gaussian, whose two threads each hold a y
-        # row and its transposed copy: 16 B per (z, x) plane voxel a thread.
-        bound += 2 * 16 * shape[0] * shape[2]
     assert traced_peak(oracle_regress, coords, spec) <= bound
 
 

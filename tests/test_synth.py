@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -22,6 +23,10 @@ from probcell import (
     render_dm,
     score_detection,
 )
+from probcell import cli as cli_mod
+from probcell import cores
+from probcell.cli import main
+from probcell.cores import side_by_side
 from probcell.errors import EmptyStructure, PackingInfeasible
 from probcell.spatial import distance_transform
 from probcell import synth as synth_mod
@@ -329,6 +334,28 @@ class TestMatchesWholeVolumeReference:
         if name == "tubes_at_border":
             faces = [structure.data.take(i, axis=a) for a in range(3) for i in (0, -1)]
             assert sum(face.any() for face in faces) >= 2
+
+
+@pytest.mark.usefixtures("split_always")
+def test_no_worker_thread_starts_a_thread(monkeypatch, tmp_path):
+    """Every side_by_side call, on_two_cores' included, comes from the main
+    thread, and oracle_regress makes one of its own: the noises' draw."""
+    calls = []
+
+    def recorded(module):
+        def call(first, second, nbytes):
+            calls.append((module, threading.current_thread() is threading.main_thread()))
+            return side_by_side(first, second, nbytes)
+        return call
+
+    for module in (synth_mod, cores, cli_mod):
+        monkeypatch.setattr(module, "side_by_side", recorded(module))
+    spec = REFERENCE_SCENES["odd_planes"]
+    oracle_regress(generate_coords(spec), spec)
+    assert [module for module, _ in calls].count(synth_mod) == 1
+    assert main(["synth", "--out", str(tmp_path / "s"), "--shape", "24", "20", "16",
+                 "--n-cells", "4", "--n-distractors", "2"]) == 0
+    assert len(calls) > 10 and all(on_main for _, on_main in calls)
 
 
 @pytest.mark.usefixtures("split_always")
