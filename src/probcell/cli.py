@@ -36,7 +36,7 @@ from .detect import NmsConfig, detect_peaks
 from .errors import InvalidConfig, ProbcellError
 from .evalmetrics import aggregate_reports, score_detection
 from .features import FeatureSpec, extract_features, feature_names
-from .spatial import _binary, analyze_deterministic, analyze_probabilistic, prepare_spatial
+from .spatial import analyze_deterministic, analyze_probabilistic, prepare_spatial
 from .synth import SynthSpec, generate_coords, generate_structures, oracle_regress
 from .volume import Volume3D, load_volume, raw_data, save_volume
 
@@ -159,20 +159,11 @@ def cmd_eval(cfg) -> int:
     return 0
 
 
-def _load_mask(path, name: str) -> Volume3D:
-    """The mask at path as booleans if binary, else as read for prepare_spatial to reject."""
-    v = load_volume(path)
-    try:
-        return _binary(v, name)
-    except ValueError:
-        return v
-
-
 def cmd_spatial(cfg) -> int:
     cells = load_coords(cfg["cells"])
+    # the masks as read, referenced by the prelude alone, which packs and frees them
     prelude = prepare_spatial(
-        {"structure": _load_mask(cfg["structure"], "structure")},
-        _load_mask(cfg["tissue"], "tissue"),
+        {"structure": load_volume(cfg["structure"])}, load_volume(cfg["tissue"])
     )
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

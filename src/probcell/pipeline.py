@@ -313,8 +313,9 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         else:
             model = train_mlp(X_train, y_train, seed=seed, epochs=cls_cfg.get("epochs", MLP_EPOCHS))
         try:
-            structure, tissue = generate_structures(test_spec)
-            prelude = prepare_spatial({"structure": structure}, tissue)
+            # popped into the call: the prelude holds the masks alone and frees them
+            masks = list(generate_structures(test_spec))
+            prelude = prepare_spatial({"structure": masks.pop(0)}, masks.pop())
         except (ProbcellError, ValueError) as exc:  # raised after the child's, in scene order
             prelude = exc
         return train_stats, len(X_train), model, prelude

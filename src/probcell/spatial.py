@@ -19,6 +19,9 @@ distance grid; ``cdf_mode="empirical"`` switches to raw step CDFs.
 Both analyses read one prelude built by ``prepare_spatial``: the tissue
 volume and, per structure, its EDT, its background bits and its ESD pool
 sorted in place, so a run computes each EDT, sorts each pool and holds it once.
+The prelude reads each mask, of any dtype, once into packed bits
+(``PackedMask``, 8 voxels a byte along x), the one mask format of the EDT and
+the pool, so no mask volume is alive while an EDT runs.
 
 The EDT's voxel-by-voxel feature buffer, which its distances overwrite, is
 explained in the README ("The exact EDT in one buffer").
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -53,36 +57,48 @@ CDF_GRID_POINTS = 512
 MIN_REPLICATES = 2
 
 
-def _binary(v: Volume3D, name: str) -> Volume3D:
-    """A mask as booleans: v itself if boolean, else v's voxels, which must
-    hold only 0 and 1, checked one z-plane at a time."""
-    if v.data.dtype == bool:
-        return v
-    zeros = ones = 0
-    for plane in v.data:
-        zeros += np.count_nonzero(plane == 0.0)
-        ones += np.count_nonzero(plane == 1.0)
-    if zeros + ones != v.data.size:  # NaN is neither
-        raise ValueError(f"{name} mask must be binary")
-    return v.like(v.data == 1.0)
+class PackedMask(NamedTuple):
+    """A mask on a grid of shape voxels of voxel_size um, its voxels packed
+    8 a byte along x: ``np.packbits(mask, axis=-1)``."""
+
+    bits: np.ndarray
+    shape: tuple[int, int, int]
+    voxel_size: tuple[float, float, float]
 
 
-def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
+def _packed(v: Volume3D, name: str) -> tuple[PackedMask, int]:
+    """v as packed bits and its count of ones, read a z-plane at a time; a
+    ValueError naming the mask unless every voxel is 0 or 1."""
+    bits = np.empty(v.shape[:2] + (-(-v.shape[2] // 8),), np.uint8)
+    ones = 0
+    for plane, out in zip(v.data, bits):
+        one = plane == 1
+        count = np.count_nonzero(one)
+        if count + np.count_nonzero(plane == 0) != plane.size:  # NaN is neither
+            raise ValueError(f"{name} mask must be binary")
+        ones += count
+        out[...] = np.packbits(one, axis=-1)
+    return PackedMask(bits, v.shape, v.voxel_size), ones
+
+
+def _exact_edt(mask: PackedMask) -> np.ndarray:
     """Exact Euclidean distance of every voxel of a 3-D grid to its nearest
-    nonzero voxel of the mask fg, in the units of sampling; the grid needs one.
+    voxel of the mask, in the units of its voxel size; the mask needs one.
 
-    Equal to ``ndimage.distance_transform_edt(fg == 0, sampling)``, bit for
-    bit: C-order float64 on the buffer, 8 B per voxel, that held the features
-    stored voxel by voxel.
+    Equal to ``ndimage.distance_transform_edt(mask == 0, voxel_size)``, bit
+    for bit: C-order float64 on the buffer, 8 B per voxel, that held the
+    features stored voxel by voxel.
     """
-    sampling = np.asarray(sampling, dtype=np.float64)
-    shape, n = fg.shape, fg.size
+    sampling = np.asarray(mask.voxel_size, dtype=np.float64)
+    shape, n = mask.shape, math.prod(mask.shape)
     # features (z, y, x, component) in C order, padded to whole float64s; its
-    # first n bytes hold the input, fg's complement, which scipy copies to int8
-    # before it writes the features
+    # first n bytes hold the input, the mask's complement, unpacked a plane at
+    # a time, which scipy copies to int8 before it writes the features
     buffer = np.empty(3 * n + n % 2, np.int32)
     ft = buffer[: 3 * n].reshape(shape + (3,))
-    background = np.logical_not(fg, out=buffer.view(bool)[:n].reshape(shape))
+    background = buffer.view(bool)[:n].reshape(shape)
+    for bits, plane in zip(mask.bits, background):
+        np.logical_not(np.unpackbits(bits, axis=-1, count=shape[2]).view(bool), out=plane)
     ndimage.distance_transform_edt(background, sampling=sampling, return_distances=False,
                                    return_indices=True, indices=ft.transpose(3, 0, 1, 2))
     # scipy's own arithmetic (int32 offset, times sampling, squared, summed
@@ -108,12 +124,14 @@ def _exact_edt(fg: np.ndarray, sampling) -> np.ndarray:
     return buffer.view(np.float64).reshape(shape)
 
 
-def distance_transform(structure: Volume3D) -> Volume3D:
+def distance_transform(structure: Volume3D | PackedMask) -> Volume3D:
     """Exact Euclidean distance (um) of every voxel to the nearest foreground
-    voxel, by ``_exact_edt``."""
-    if not _binary(structure, "structure").data.any():
+    voxel, by ``_exact_edt``; a mask volume is checked binary and packed first."""
+    if isinstance(structure, Volume3D):
+        structure = _packed(structure, "structure")[0]
+    if not structure.bits.any():
         raise EmptyStructure("structure mask has no foreground voxels")
-    return Volume3D(_exact_edt(structure.data, structure.voxel_size), structure.voxel_size)
+    return Volume3D(_exact_edt(structure), structure.voxel_size)
 
 
 @dataclass
@@ -303,10 +321,10 @@ class SpatialPrelude:
     structures: dict[str, PreparedStructure]
 
 
-def _checked_masks(structures: dict[str, Volume3D], tissue: Volume3D) -> tuple[dict, dict]:
-    """Each structure as booleans and its background bits. Structure by
-    structure: ShapeMismatch on another grid than the tissue's (shape or voxel
-    size), a non-binary mask, EmptyStructure, then DegenerateESD."""
+def _checked_masks(structures: dict[str, Volume3D], tissue: PackedMask) -> tuple[dict, dict]:
+    """Each structure packed and its background bits, tissue & ~structure.
+    Structure by structure: ShapeMismatch on another grid than the tissue's
+    (shape or voxel size), a non-binary mask, EmptyStructure, then DegenerateESD."""
     masks, backgrounds = {}, {}
     for name, structure in structures.items():
         if (structure.shape, structure.voxel_size) != (tissue.shape, tissue.voxel_size):
@@ -314,13 +332,10 @@ def _checked_masks(structures: dict[str, Volume3D], tissue: Volume3D) -> tuple[d
                 f"structure {name!r} is {structure.shape} voxels of {structure.voxel_size} um, "
                 f"the tissue {tissue.shape} voxels of {tissue.voxel_size} um"
             )
-        masks[name] = structure = _binary(structure, "structure")
-        if not structure.data.any():
+        masks[name], ones = _packed(structure, "structure")
+        if ones == 0:
             raise EmptyStructure("structure mask has no foreground voxels")
-        # tissue & ~structure (True > False is the one true case) a z-plane at
-        # a time: a whole-volume temporary stays resident once freed (README)
-        planes = zip(tissue.data, structure.data)
-        backgrounds[name] = np.stack([np.packbits(t > s, axis=-1) for t, s in planes])
+        backgrounds[name] = tissue.bits & ~masks[name].bits  # x's padding bits stay 0
         if not backgrounds[name].any():
             raise DegenerateESD("no background voxels remain inside the tissue")
     return masks, backgrounds
@@ -338,8 +353,10 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
     grids got wrong distances). Then a non-binary or empty tissue, a tissue
     volume (mm^3), the density's divisor, that is not a normal float, and
     ``_checked_masks``'. So the background, tissue minus structure, is where
-    the EDT is positive. The tissue is let go before the first EDT and each
-    structure with its own.
+    the EDT is positive. Each mask, of any dtype, is read once, a z-plane at
+    a time, into packed bits (``PackedMask``); the volumes are let go before
+    the first EDT, the tissue's bits with them, and each structure's bits
+    with its own EDT.
     """
     vs, normal = tissue.voxel_size, np.finfo(float).smallest_normal
     smallest = min(vs)
@@ -348,11 +365,10 @@ def prepare_spatial(structures: dict[str, Volume3D], tissue: Volume3D) -> Spatia
     d = math.hypot(*((n - 1) * s for n, s in zip(tissue.shape, vs)))
     if 4.0 * d * d * d > np.finfo(float).max:
         raise ValueError(f"voxel_size {vs}: four times the grid's diagonal cubed overflows a float")
-    tissue = _binary(tissue, "tissue")
-    n_tissue = int(np.count_nonzero(tissue.data))  # a float product: inf, no warning
+    tissue, n_tissue = _packed(tissue, "tissue")
     if n_tissue == 0:
         raise ValueError("tissue mask is empty")
-    tissue_mm3 = n_tissue * tissue.voxel_volume_um3 / 1e9
+    tissue_mm3 = n_tissue * math.prod(vs) / 1e9  # a float product: inf, no warning
     if not normal <= tissue_mm3 < math.inf:
         raise ValueError(f"voxel_size {vs}: the tissue's {tissue_mm3:g} mm^3 is not a normal float")
     masks, backgrounds = _checked_masks(structures, tissue)

@@ -34,7 +34,7 @@ from .coords import CoordSet, Separated
 from .cores import on_two_cores, side_by_side
 from .densitymap import AMP_UNIT, K_MAX, KernelSpec, render_dm
 from .errors import PackingInfeasible, check_int, check_real
-from .spatial import _exact_edt
+from .spatial import PackedMask, _exact_edt
 from .volume import Volume3D, voxel_centers_um
 
 # SD (um) of the Gaussians that smooth the surrogate's noise and the support
@@ -404,6 +404,8 @@ def generate_structures(spec: SynthSpec) -> tuple[Volume3D, Volume3D]:
             lo, hi = lo.min(0, keepdims=True), hi.max(0, keepdims=True)
         for a, b in zip(lo.tolist(), hi.tolist()):
             box = tuple(map(slice, a, b))
-            structure[box] |= _exact_edt(centerline[box], vs) <= spec.tube_radius_um
+            line = centerline[box]  # packed, the one input format of the exact EDT
+            packed = PackedMask(np.packbits(line, axis=-1), line.shape, tuple(vs))
+            structure[box] |= _exact_edt(packed) <= spec.tube_radius_um
         structure &= tissue
     return Volume3D(structure, tuple(vs)), Volume3D(tissue, tuple(vs))

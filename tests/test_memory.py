@@ -164,15 +164,15 @@ def _tissue(shape) -> np.ndarray:
 
 def test_prepare_spatial_holdings_in_transform(monkeypatch):
     """Traced as each feature transform starts, for masks that only
-    prepare_spatial references, two structures at 128^3: no tissue-sized
-    boolean but the structures still to transform and the backgrounds,
-    packed 8 voxels a byte. At the first: the feature buffer (12 B), which
-    holds scipy's input, both structures (2 B) and both backgrounds. At the
-    second: the first structure's EDT (8 B), pool (8 B per value) and row
-    starts, the feature buffer, the second structure and the backgrounds.
-    The tissue held through the transforms fails, as does scipy's input
-    apart from the feature buffer, the first structure held through the
-    second, or its background as booleans."""
+    prepare_spatial references, two structures at 128^3: no mask volume,
+    only bits packed 8 voxels a byte. At the first: the feature buffer
+    (12 B), which holds scipy's input, both structures' bits and both
+    backgrounds. At the second: the first structure's EDT (8 B), pool (8 B
+    per value) and row starts, the feature buffer, the second structure's
+    bits and both backgrounds. A boolean mask held through the transforms
+    fails (the tissue or both structures, as before they were packed), as
+    do scipy's input apart from the feature buffer and a background as
+    booleans."""
     from probcell import spatial
 
     shape, vs = (128, 128, 128), (1.0, 1.0, 1.0)
@@ -194,8 +194,8 @@ def test_prepare_spatial_holdings_in_transform(monkeypatch):
     finally:
         tracemalloc.stop()
     pool = prelude.structures["a"].esd.samples.size
-    assert held[0] <= 14 * n + 2 * (n // 8) + SMALL
-    assert held[1] <= 8 * n + 8 * pool + 8 * rows + 13 * n + 2 * (n // 8) + SMALL
+    assert held[0] <= 12 * n + 4 * (n // 8) + SMALL
+    assert held[1] <= 8 * n + 8 * pool + 8 * rows + 12 * n + 3 * (n // 8) + SMALL
 
 
 def test_pool_lookup_peak():
@@ -215,13 +215,13 @@ def test_pool_lookup_peak():
 
 
 def test_cli_spatial_peak(tmp_path):
-    """`probcell spatial` on a 96^3 scene read from disk holds each mask as
-    booleans from the moment it is checked, and lets the tissue go before
-    the EDT. At the peak: the structure booleans (1 B), its background
-    packed 8 voxels a byte, and the EDT's 21 B (see above). Each mask's
-    float32 as read (4 B) is freed once the mask is found binary; the tissue
-    held through the EDT fails, as does scipy's input apart from the
-    feature buffer."""
+    """`probcell spatial` on a 96^3 scene read from disk hands both masks as
+    read (float32, 4 B each) to prepare_spatial, which packs each 8 voxels
+    a byte and lets them go before the EDT. At the peak: the structure's
+    bits, its background bits and the EDT's 21 B (see above). The structure
+    held through the EDT as booleans (the route that checked each mask into
+    booleans on loading) fails, as do scipy's input apart from the feature
+    buffer and either float32 volume."""
     shape = (96, 96, 96)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--out", str(tmp_path / "scene"), "--shape", *map(str, shape),
@@ -235,7 +235,7 @@ def test_cli_spatial_peak(tmp_path):
         peak = traced_peak(lambda: codes.append(main(argv)))
     assert codes == [0]
     n = np.prod(shape)
-    assert peak <= 22 * n + n // 8 + SMALL
+    assert peak <= 21 * n + 2 * (n // 8) + SMALL
 
 
 @pytest.mark.parametrize("shape", [(64, 64, 64), (96, 96, 96)])

@@ -37,7 +37,7 @@ from probcell.errors import (
     ShapeMismatch,
 )
 from probcell.pipeline import run_pipeline
-from probcell.spatial import DistanceCdf, _exact_edt
+from probcell.spatial import DistanceCdf, PackedMask, _exact_edt
 
 from conftest import vol
 from oracles import (
@@ -146,7 +146,8 @@ class TestDistanceTransform:
         m, voxel = case
         expected = ndimage.distance_transform_edt(~m, sampling=voxel)
         assert np.array_equal(distance_transform(mask(m, voxel)).data, expected)
-        assert np.array_equal(_exact_edt(m, voxel), expected)
+        packed = PackedMask(np.packbits(m, axis=-1), m.shape, voxel)
+        assert np.array_equal(_exact_edt(packed), expected)
 
 
 class TestEsd:
@@ -447,6 +448,22 @@ _SIDE = st.one_of(
     _SPACING, st.floats(1e90, 1e100), st.floats(1e100, 1e104), st.just(SMALLEST_SIDE)
 )
 _KINDS = ("background", "empty", "covers", "shape", "voxel")
+# one value planted off 0 and 1 in one mask in four, else None
+_PLANTS = (None,) * 12 + (0.5, 2.0, np.nan, np.inf)
+
+
+def _drawn_form(draw, g, m):
+    """The boolean mask m as bool, as float32 holding 0.0, -0.0 and 1.0 or
+    as float64 (bool becomes float64 when a value is planted)."""
+    dtype = draw(st.sampled_from([bool, np.float32, np.float64]))
+    plant = draw(st.sampled_from(_PLANTS))
+    if dtype is bool and plant is None:
+        return m
+    out = np.where(m, 1.0, np.where(g.random(m.shape) < 0.5, -0.0, 0.0))
+    out = out.astype(np.float64 if dtype is bool else dtype)
+    if plant is not None:
+        out.flat[draw(st.integers(0, out.size - 1))] = plant
+    return out
 
 
 @st.composite
@@ -454,7 +471,8 @@ def _prelude_cases(draw):
     """A tissue and one to three structures, each one of _KINDS: leaving
     tissue background, empty, covering the tissue, or on another shape or
     voxel size; voxel sides anisotropic or not, up to 1e104 um, and down to
-    the smallest whose cube is a normal float."""
+    the smallest whose cube is a normal float. Each mask is in a
+    ``_drawn_form``, binary or not."""
     shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
     voxel = draw(st.one_of(_SIDE.map(lambda s: (s, s, s)), st.tuples(_SIDE, _SIDE, _SIDE)))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -477,8 +495,8 @@ def _prelude_cases(draw):
         at = voxel if kind != "voxel" else tuple(2.0 * v for v in voxel)
         if kind == "shape":
             structure = np.concatenate([structure, structure[:1]])
-        structures[f"s{k}"] = Volume3D(structure, at)
-    return structures, Volume3D(tissue, voxel)
+        structures[f"s{k}"] = Volume3D(_drawn_form(draw, g, structure), at)
+    return structures, Volume3D(_drawn_form(draw, g, tissue), voxel)
 
 
 def _diagonal(v: Volume3D) -> float:
@@ -486,22 +504,35 @@ def _diagonal(v: Volume3D) -> float:
     return float(np.linalg.norm((np.asarray(v.shape) - 1) * np.asarray(v.voxel_size)))
 
 
+def _binary(v: Volume3D) -> bool:
+    return bool(np.isin(v.data, (0, 1)).all())  # NaN is neither
+
+
 def _first_error(structures, tissue):
-    """The error the prelude raises after its voxel-size checks: a tissue
-    volume (mm^3) that is not a normal float, then structure by structure,
-    its grid, then its foreground, then tissue background outside it; None
+    """The type and message of the error the prelude raises after its
+    voxel-size checks: a non-binary tissue, a tissue volume (mm^3) that is
+    not a normal float, then structure by structure, its grid, a non-binary
+    mask, its foreground, then tissue background outside it; (None, None)
     when all pass."""
-    tissue_mm3 = int(np.count_nonzero(tissue.data)) * tissue.voxel_volume_um3 / 1e9
+    if not _binary(tissue):
+        return ValueError, "tissue mask must be binary"
+    tissue_mm3 = int(np.count_nonzero(tissue.data == 1)) * tissue.voxel_volume_um3 / 1e9
     if not sys.float_info.min <= tissue_mm3 < np.inf:
-        return ValueError
-    for structure in structures.values():
+        return ValueError, (f"voxel_size {tissue.voxel_size}: the tissue's {tissue_mm3:g} mm^3 "
+                            "is not a normal float")
+    for name, structure in structures.items():
         if (structure.shape, structure.voxel_size) != (tissue.shape, tissue.voxel_size):
-            return ShapeMismatch
-        if not structure.data.any():
-            return EmptyStructure
-        if not (tissue.data & ~structure.data).any():
-            return DegenerateESD
-    return None
+            return ShapeMismatch, (
+                f"structure {name!r} is {structure.shape} voxels of {structure.voxel_size} um, "
+                f"the tissue {tissue.shape} voxels of {tissue.voxel_size} um"
+            )
+        if not _binary(structure):
+            return ValueError, "structure mask must be binary"
+        if not (structure.data == 1).any():
+            return EmptyStructure, "structure mask has no foreground voxels"
+        if not ((tissue.data == 1) & (structure.data != 1)).any():
+            return DegenerateESD, "no background voxels remain inside the tissue"
+    return None, None
 
 
 # the prelude's voxel-size refusals, after "voxel_size (sides): ", as patterns
@@ -519,19 +550,31 @@ class TestPreludeChecks:
          "b": Volume3D(np.zeros((1, 4, 4), bool), (1, 1, 1))},
         Volume3D(np.ones((1, 4, 4), bool), (1, 1, 1)),
     ))
+    @example(case=(  # a float32 mask with -0.0 that passes, then a float64 one holding inf
+        {"a": Volume3D(np.where(np.eye(4)[None] > 0, 1.0, -0.0).astype(np.float32), (1, 1, 1)),
+         "b": Volume3D(np.where(np.eye(4)[None] > 0, np.inf, 0.0), (1, 1, 1))},
+        Volume3D(np.ones((1, 4, 4)), (1, 1, 1)),
+    ))
+    @example(case=(
+        {"a": Volume3D(np.where(np.eye(4)[None] > 0, 1.0, -0.0).astype(np.float32), (1, 1, 1))},
+        Volume3D(np.ones((1, 4, 4)), (1, 1, 1)),
+    ))
     @given(case=_prelude_cases())
     def test_one_background_and_errors_before_any_edt(self, case):
         """Each structure's EDT is the brute-force one, its background the
         tissue where that EDT is positive and its pool the oracle's, which
         takes the tissue minus the structure. A failing structure raises what
-        it always raised, in the same order, and before any EDT runs, also
-        after structures that pass. A voxel size is refused by name before
+        it always raised, with the same message, in the same order, and
+        before any EDT runs, also after structures that pass; so does a
+        value off 0 and 1 in any mask. A voxel size is refused by name before
         them, on grids whose diagonal passes 1e102 um only: at 1e103 um
-        scipy's feature transform returned wrong distances."""
+        scipy's feature transform returned wrong distances. Masks as bool,
+        float32 (0.0, -0.0, 1.0) or float64 give the same prelude, byte for
+        byte."""
         import probcell.spatial as spatial
 
         structures, tissue = case
-        expected = _first_error(structures, tissue)
+        expected, message = _first_error(structures, tissue)
         with mock.patch.object(spatial, "_exact_edt", wraps=spatial._exact_edt) as edt:
             try:
                 prelude, error = prepare_spatial(structures, tissue), None
@@ -543,8 +586,19 @@ class TestPreludeChecks:
             return
         if expected is not None:
             assert type(error) is expected and edt.call_count == 0
+            assert str(error) == message
             return
         assert error is None
+        # the same masks as booleans, which the checks below read too
+        structures = {name: Volume3D(s.data == 1, s.voxel_size) for name, s in structures.items()}
+        tissue = Volume3D(tissue.data == 1, tissue.voxel_size)
+        for name, prep in prepare_spatial(structures, tissue).structures.items():
+            drawn = prelude.structures[name]
+            for ours, theirs in ((prep.edt.data, drawn.edt.data),
+                                 (prep.background, drawn.background),
+                                 (prep.row_starts, drawn.row_starts),
+                                 (prep.esd.samples, drawn.esd.samples)):
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
         for name, prep in prelude.structures.items():
             reference = brute_force_edt(structures[name].data, tissue.voxel_size)
             assert np.allclose(prep.edt.data, reference, rtol=1e-12, atol=0.0)
