@@ -177,8 +177,10 @@ def merge_config(overrides: dict | None) -> dict:
     return cfg
 
 
-def _tiling_config(cfg: dict) -> TilingConfig:
-    peak_margin = cfg["peak_margin"] if cfg["strategy"] == M_PEAK else (0, 0, 0)
+def _tiling_config(cfg: dict, given=()) -> TilingConfig:
+    """cfg's tiling; m_conv drops peak_margin unless given names it."""
+    keep = cfg["strategy"] == M_PEAK or "peak_margin" in given
+    peak_margin = cfg["peak_margin"] if keep else (0, 0, 0)
     return TilingConfig(cfg["l_in"], cfg["conv_margin"], peak_margin, cfg["strategy"])
 
 
@@ -286,7 +288,7 @@ def run_pipeline(config: dict | None = None, out_dir=None) -> dict:
         train_specs = [SynthSpec(seed=seed + 1000 + i, **train) for i in range(cfg["train_scenes"])]
         val_spec = SynthSpec(seed=seed + 2000, **train)
         test_spec = SynthSpec(seed=seed, **cfg["test_scene"])
-        tiling = _tiling_config(cfg["tiling"])
+        tiling = _tiling_config(cfg["tiling"], (config or {}).get("tiling", ()))
         nms = NmsConfig(**cfg["nms"])
         check_real(t_match, "t_match_um")
         _check_analysis(spatial_cfg["adjacency_um"], spatial_cfg["cdf_mode"])

@@ -9,9 +9,9 @@ below avoidance.
 
 Two analyses are provided. The deterministic one uses every proposal with
 p >= 0.5 at full weight. The probabilistic one repeats the analysis T times,
-each replicate keeping each proposal with probability p and resampling the
-ESD pool with a Poisson-distributed count, then reports per-quantity
-mean +- SD and pointwise min/max CDF envelopes (significance 2 / (T + 1)).
+half of them on a worker thread (from cores' size rule up), each keeping
+each proposal with probability p and resampling the ESD pool with a Poisson
+count, then reports mean +- SD and pointwise CDF envelopes (alpha 2 / (T + 1)).
 Envelope CDFs are smoothed with a Gaussian kernel density estimate using
 Scott's bandwidth (SD * n^(-1/5)), evaluated in closed form on a shared
 distance grid; ``cdf_mode="empirical"`` switches to raw step CDFs.
@@ -37,7 +37,7 @@ from scipy import ndimage
 from scipy.special import kolmogorov, ndtr
 
 from .coords import CoordSet
-from .cores import on_two_processes
+from .cores import side_by_side
 from .errors import (
     AllZeroDifferences,
     DegenerateESD,
@@ -160,7 +160,8 @@ class DistanceCdf:
         h = scott_bandwidth(self.samples) if mode == "kde" else 0.0
         if h == 0.0:
             return np.searchsorted(self.samples, grid, side="right") / self.samples.size
-        return ndtr((grid[:, None] - self.samples[None, :]) / h).mean(axis=1)
+        curves = np.subtract.outer(grid, self.samples)  # one buffer, grid by sample
+        return ndtr(np.divide(curves, h, out=curves), out=curves).mean(axis=1)
 
 
 def scott_bandwidth(x: np.ndarray) -> float:
@@ -444,13 +445,13 @@ def analyze_probabilistic(
     """Monte-Carlo analysis sampling each proposal by its probability.
 
     Replicate t draws its randomness from seed + t, so the two halves of the
-    replicates run in two processes. ESD replicates resample the voxel-order
-    pool (``pool_at``) with a Poisson(count of sampled cells) sample size. The
-    envelopes are kept as a running pointwise min and max, which do not grow
-    with the replicate count. The per-replicate counts and percentages do:
-    one table row per replicate, 8 B plus 16 B per structure, allocated
-    before the first replicate, since the reported means and SDs take
-    np.nanmean's and np.nanstd's pairwise sums over its columns.
+    replicates run side by side (``cores.side_by_side``) and fill one table.
+    ESD replicates resample the voxel-order pool (``pool_at``) with a
+    Poisson(count of sampled cells) sample size. The envelopes are kept as a
+    running pointwise min and max, which do not grow with the replicate
+    count. The table does: a row per replicate, 8 B plus 16 B per structure,
+    since the reported means and SDs take np.nanmean's and np.nanstd's
+    pairwise sums over its columns.
     """
     _check_analysis(adjacency_um, cdf_mode)
     replicates = check_int(replicates, "replicates", MIN_REPLICATES)
@@ -462,17 +463,16 @@ def analyze_probabilistic(
     all_dists = {name: cell_distances(cells, prep.edt) for name, prep in structures.items()}
     grids = {name: _distance_grid(prep.esd, all_dists[name]) for name, prep in structures.items()}
 
-    def run(first: int, stop: int):
-        # replicates [first, stop): a table row each (the count, then each
-        # structure's cell and volume percentages, NaN for an empty sample),
-        # the flags and the envelopes; sample i fills column i + 1
-        table = np.full((stop - first, 1 + 2 * len(structures)), np.nan)
+    # a row per replicate: the count, then sample i's percentage (NaN if empty) in column i + 1
+    table = np.full((replicates, 1 + 2 * len(structures)), np.nan)
+
+    def run(first: int, stop: int):  # replicates [first, stop): rows, flags, envelopes
         flags = []
         envelopes = [None] * (2 * len(structures))
         for t in range(first, stop):
             rng = np.random.default_rng(seed + t)
             include = rng.random(len(cells)) < p
-            row = table[t - first]
+            row = table[t]
             row[0] = include.sum()
             for k, (name, prep) in enumerate(structures.items()):
                 w = int(rng.poisson(row[0]))  # drawing no index takes nothing from rng
@@ -485,12 +485,13 @@ def analyze_probabilistic(
                     row[i + 1] = 100.0 * float(np.mean(sample < adjacency_um))
                     curve = DistanceCdf(sample).evaluate(grids[name], mode=cdf_mode)
                     envelopes[i] = _widen(envelopes[i], (curve, curve))
-        return table, flags, envelopes
+        return flags, envelopes
 
-    # the halves join in replicate order, and their envelopes merge exactly
-    a, b = on_two_processes(run, replicates)
-    table = np.concatenate([a[0], b[0]])
-    envelopes = [_widen(x, y) for x, y in zip(a[2], b[2])]
+    # ndtr releases the GIL; the halves' flags join in replicate order, their envelopes exactly
+    nbytes = sum(prep.edt.data.nbytes + prep.esd.samples.nbytes for prep in structures.values())
+    half = replicates // 2
+    a, b = side_by_side(lambda: run(0, half), lambda: run(half, replicates), nbytes)
+    envelopes = [_widen(x, y) for x, y in zip(a[1], b[1])]
     density, density_sd = _density(table[:, 0], prelude.tissue_mm3)
     out = {}
     for k, (name, prep) in enumerate(structures.items()):
@@ -513,7 +514,7 @@ def analyze_probabilistic(
         structures=out,
         replicates=replicates,
         alpha=2.0 / (replicates + 1),
-        flags=a[1] + b[1],
+        flags=a[0] + b[0],
     )
 
 

@@ -116,7 +116,7 @@ class TilingConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {list(STRATEGIES)}, got {self.strategy!r}")
         if self.strategy == M_CONV and any(m != 0 for m in self.peak_margin):
-            raise ValueError("m_conv uses no supplementary margin")
+            raise ValueError("peak_margin must be 0 under m_conv: it has no supplementary margin")
         if any(o < 1 for o in self.l_out):
             raise ValueError("l_out = l_in - 2*conv_margin must be >= 1 per axis")
         if any(o < 1 for o in self.l_out_tile):

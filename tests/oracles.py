@@ -352,6 +352,20 @@ def ks_statistic_sweep(a, b):
     return float(stat)
 
 
+def two_matrix_kde_cdf(samples, grid):
+    """DistanceCdf.evaluate in "kde" mode as it was written with a grid x
+    sample matrix per step: the difference, its quotient by Scott's bandwidth,
+    then ndtr's output; the step CDF where the bandwidth is 0."""
+    from scipy.special import ndtr
+
+    samples = np.sort(np.asarray(samples, dtype=np.float64))
+    grid = np.asarray(grid, dtype=np.float64)
+    h = float(np.std(samples, ddof=1) * samples.size ** (-1.0 / 5.0)) if samples.size > 1 else 0.0
+    if h == 0.0:
+        return np.searchsorted(samples, grid, side="right") / samples.size
+    return ndtr((grid[:, None] - samples[None, :]) / h).mean(axis=1)
+
+
 def step_cdf_ks_2sample(a, b):
     """Two-sample KS (statistic, p) with its own sorted samples and two
     searchsorted step CDFs on the pooled points, as first implemented."""

@@ -309,6 +309,16 @@ def test_distance_cdf_ascending_test_peak():
     assert traced_peak(DistanceCdf, samples) <= (1 << 20) + SMALL
 
 
+def test_kde_curve_peak():
+    """A KDE curve is built in one grid x sample float64 buffer, 16.8 MB at
+    4,096 samples: the difference, its quotient by the bandwidth and ndtr's
+    output each overwrite it. Two such matrices at once traced 33.6 MB."""
+    samples = np.random.default_rng(0).gamma(2.0, 3.0, 4096)
+    cdf = DistanceCdf(samples)
+    grid = np.linspace(0.0, samples.max(), 512)
+    assert traced_peak(cdf.evaluate, grid, "kde") <= 8 * grid.size * samples.size + SMALL
+
+
 def test_analyze_probabilistic_peak():
     """The CDF envelopes are a running pointwise min and max, so the peak does
     not grow with the replicate count. Keeping each replicate's two 512-point

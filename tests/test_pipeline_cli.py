@@ -330,6 +330,23 @@ class TestRunPipeline:
         with pytest.raises(InvalidConfig, match=field):
             run_pipeline({"tiling": {field: [-2, -2, -2]}})
 
+    @pytest.mark.parametrize("margin", [[2, 2, 2], [-2, -2, -2]])
+    def test_m_conv_refuses_a_given_peak_margin(self, monkeypatch, margin):
+        """m_conv crops no supplementary margin: a non-zero one given with it
+        raises before the first scene instead of being dropped."""
+        def no_scene(spec):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(pipeline_mod, "generate_coords", no_scene)
+        with pytest.raises(InvalidConfig, match="peak_margin"):
+            run_pipeline({"tiling": {"strategy": "m_conv", "peak_margin": margin}})
+
+    @pytest.mark.parametrize("given", [{"strategy": "m_conv"},
+                                       {"strategy": "m_conv", "peak_margin": [0, 0, 0]}])
+    def test_m_conv_drops_the_default_peak_margin(self, given):
+        tiling = pipeline_mod._tiling_config(merge_config({"tiling": given})["tiling"], given)
+        assert tiling.strategy == "m_conv" and tiling.peak_margin == (0, 0, 0)
+
 
 # a test scene smaller than an output tile (24^3), with no tube to analyse
 _TINY_TEST_SCENE = {**PIPE_CFG["test_scene"], "shape": [20, 20, 20], "n_cells": 2,
@@ -940,6 +957,7 @@ class TestCliConfig:
         {"threshold_grid": 0},
         {"spatial": {"replicates": 1}},
         {"tiling": {"peak_margin": [-2, -2, -2]}},
+        {"tiling": {"strategy": "m_conv", "peak_margin": [2, 2, 2]}},
     ])
     def test_pipeline_nested_config_exit_1(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "pipe.json"

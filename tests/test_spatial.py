@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from probcell import (
     scott_bandwidth,
     wilcoxon_signed_rank,
 )
+from probcell import cores
 from probcell.cli import main
 from probcell.errors import (
     AllZeroDifferences,
@@ -49,6 +53,7 @@ from oracles import (
     reference_analyze_probabilistic,
     series_kolmogorov_sf,
     step_cdf_ks_2sample,
+    two_matrix_kde_cdf,
     wilcoxon_enumeration,
 )
 
@@ -844,13 +849,19 @@ class TestPreparedPrelude:
         assert not (tmp_path / "sp" / "report.json").exists()
 
 
+# cores.SPLIT_MIN_BYTES: a worker thread at every size, or none at any
+_SPLIT = pytest.mark.parametrize("least", [0, 1 << 62], ids=["thread", "in-order"])
+
+
 class TestForkedReplicates:
+    @_SPLIT
     @pytest.mark.parametrize("cdf_mode", ["kde", "empirical"])
     @pytest.mark.parametrize("replicates", [12, 41])
-    def test_equals_serial_reference(self, cdf_mode, replicates):
+    def test_equals_serial_reference(self, monkeypatch, cdf_mode, replicates, least):
         """Two structures, three cells at p = 0.25: both halves of the
         replicates hold empty cell and ESD replicates, and their flags,
         percentages and merged envelopes equal the serial loop's."""
+        monkeypatch.setattr(cores, "SPLIT_MIN_BYTES", least)
         cells, _, tissue, _ = _oracle_case("empty_replicates")
         _, structures, _, _ = _oracle_case("two_structures")
         prob = analyze_probabilistic(
@@ -865,6 +876,43 @@ class TestForkedReplicates:
             ts = [int(f.rsplit(":", 1)[1]) for f in ref.flags if f.startswith(kind + ":")]
             assert min(ts) < replicates // 2 <= max(ts)
         assert prob.structures["tube"].cell_envelope is not None
+
+    @_SPLIT
+    @pytest.mark.parametrize("cdf_mode", ["kde", "empirical"])
+    @pytest.mark.parametrize("replicates", [2, 3])
+    def test_fewest_replicates_equal_serial_reference(self, monkeypatch, cdf_mode, replicates,
+                                                      least):
+        """With one replicate in the first half, split or not."""
+        monkeypatch.setattr(cores, "SPLIT_MIN_BYTES", least)
+        cells, structures, tissue, _ = _oracle_case("two_structures")
+        prob = analyze_probabilistic(cells, prepare_spatial(structures, tissue),
+                                     replicates=replicates, seed=3, cdf_mode=cdf_mode)
+        ref = reference_analyze_probabilistic(cells, structures, tissue, replicates=replicates,
+                                              seed=3, cdf_mode=cdf_mode)
+        assert prob.to_dict() == ref.to_dict()
+
+    @_SPLIT
+    def test_forks_no_process(self, tmp_path, monkeypatch, least):
+        """The replicates run on the calling thread, or half of them on a
+        worker thread, never in a forked process: analyze_probabilistic and
+        `probcell spatial --mode both` call os.fork 0 times."""
+        monkeypatch.setattr(cores, "SPLIT_MIN_BYTES", least)
+        cells, structures, tissue, _ = _oracle_case("two_structures")
+        prelude = prepare_spatial(structures, tissue)
+        save_coords(cells, tmp_path / "cells.csv")
+        save_volume(structures["tube"], tmp_path / "structure")
+        save_volume(tissue, tmp_path / "tissue")
+        argv = ["spatial", "--cells", str(tmp_path / "cells.csv"),
+                "--structure", str(tmp_path / "structure"), "--tissue", str(tmp_path / "tissue"),
+                "--mode", "both", "--replicates", "12", "--out-dir", str(tmp_path / "out")]
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            analyze_probabilistic(cells, prelude, replicates=12)
+            assert fork.call_count == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert fork.call_count == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report) == {"deterministic", "probabilistic"}
 
 
 class TestKdeCdf:
@@ -895,6 +943,18 @@ class TestKdeCdf:
         assert np.all(np.diff(values) >= 0)
         assert values[0] >= 0 and values[-1] <= 1
         assert values[-1] > 0.99
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.one_of(st.integers(1, 5000), st.sampled_from([1, 2, 3, 4096, 5000])),
+           shape=st.floats(0.5, 8.0), seed=st.integers(0, 2**32 - 1),
+           points=st.sampled_from([1, 2, 511, 512]))
+    def test_one_buffer_equals_two_matrices(self, n, shape, seed, points):
+        """The curve built in one grid x sample buffer is the two-matrix
+        expression's, bit for bit, on gamma samples of 1 to 5,000 values."""
+        samples = np.random.default_rng(seed).gamma(shape, 3.0, n)
+        grid = np.linspace(0.0, 1.1 * samples.max(), points)
+        got = DistanceCdf(samples).evaluate(grid, mode="kde")
+        assert np.array_equal(got, two_matrix_kde_cdf(samples, grid))
 
     def test_degenerate_sample_falls_back_to_step(self):
         values = DistanceCdf(np.array([2.0, 2.0])).evaluate(np.array([1.0, 2.0, 3.0]), mode="kde")

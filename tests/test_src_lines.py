@@ -93,3 +93,16 @@ def test_against_a_revision(tmp_path, capsys):
         "  gone.py: -1 lines = -1 code, +0 docstrings, +0 comments, +0 blank",
         "  new.py: +2 lines = +1 code, +0 docstrings, +0 comments, +1 blank",
     ]
+
+
+def test_max_is_a_line_budget(tmp_path, capsys):
+    """--max LINES passes at the package's total and fails one line below it."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text('"""B."""\n')
+    assert SRC_LINES["main"]([str(pkg), "--max", "4"]) == 0
+    assert SRC_LINES["main"]([str(pkg), "--max", "40"]) == 0
+    capsys.readouterr()
+    assert SRC_LINES["main"]([str(pkg), "--max", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"{pkg}: 4 lines exceed the budget of 3"

@@ -1,6 +1,6 @@
 """Line report of the package source: total, code, docstrings, comments, blank.
 
-    python3 tools/src_lines.py [DIR] [--against REV]
+    python3 tools/src_lines.py [DIR] [--against REV] [--max LINES]
 
 DIR defaults to ``src/probcell`` beside this script's directory; every
 ``*.py`` file directly in it is counted. The report's first line sums them
@@ -13,6 +13,9 @@ every other line is code, including a code line with a trailing comment.
 ``--against REV`` then prints the net change from git revision REV, whose
 files are read with ``git show REV:path``, in the same lines: the sum first,
 then each module that changed, one added or deleted included.
+
+``--max LINES`` exits 1, after the report, when DIR holds more than LINES
+lines in all: a line budget checked in one command.
 """
 from __future__ import annotations
 
@@ -90,9 +93,11 @@ def main(argv: list[str]) -> int:
     ap.add_argument("dir", nargs="?", type=Path,
                     default=Path(__file__).resolve().parent.parent / "src" / "probcell")
     ap.add_argument("--against", metavar="REV", help="also print the net change from git revision REV")
+    ap.add_argument("--max", type=int, metavar="LINES", help="exit 1 above LINES lines in all")
     args = ap.parse_args(argv)
     modules = report(args.dir)
-    print(line(args.dir, total(modules)))
+    lines = total(modules)
+    print(line(args.dir, lines))
     for name, n in modules.items():
         print(line(f"  {name}", n))
     if args.against:
@@ -103,6 +108,9 @@ def main(argv: list[str]) -> int:
         for name, n in change.items():
             if any(n.values()):
                 print(line(f"  {name}", n, "+"))
+    if args.max is not None and lines["total"] > args.max:
+        print(f"{args.dir}: {lines['total']:,} lines exceed the budget of {args.max:,}")
+        return 1
     return 0
 
 
